@@ -85,15 +85,17 @@ def _midrank(values):
     """
     order = np.argsort(values, kind="mergesort")
     sorted_v = values[order]
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        # mean of integer ranks i+1 .. j+1 (exact: 0.5 * int)
-        ranks[order[i:j + 1]] = 0.5 * ((i + 1) + (j + 1))
-        i = j + 1
+    n = len(values)
+    # a tie group starts wherever the sorted value changes; NaN != NaN, so
+    # every NaN is a group of its own
+    first = np.ones(n, dtype=bool)
+    first[1:] = sorted_v[1:] != sorted_v[:-1]
+    start = np.flatnonzero(first)
+    end = np.append(start[1:], n)
+    # mean of integer ranks start+1 .. end (exact: 0.5 * int)
+    group_rank = 0.5 * ((start + 1) + end)
+    ranks = np.empty(n)
+    ranks[order] = group_rank[np.cumsum(first) - 1]
     return ranks
 
 

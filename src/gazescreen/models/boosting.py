@@ -13,8 +13,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import InvalidHyperParam
-from .base import FeatureMatrix, FittedModel, arr, register_model
-from .tree import TreeParams, descend, grow_tree
+from .base import FeatureMatrix, FittedModel, register_model
+from .tree import (
+    FlatEnsemble,
+    TreeParams,
+    descend,
+    grow_tree,
+    nodes_from_json,
+    nodes_to_json,
+)
 
 _EPS_FLOOR = 1e-10
 
@@ -41,35 +48,33 @@ class AdaBoostModel(FittedModel):
 
     def __init__(self, stumps, alphas, n_features):
         super().__init__()
+        self.n_features = n_features
+        self._set_stumps(stumps, alphas)
+
+    def _set_stumps(self, stumps, alphas):
         self.stumps = stumps
         self.alphas = alphas
-        self.n_features = n_features
+        # each leaf holds alpha_m * h_m(x), with stump outputs mapped to +-1
+        self._weighted = FlatEnsemble(
+            stumps, [a * np.where(s["p1"] > 0.5, 1.0, -1.0) for s, a in zip(stumps, alphas)])
+
+    @property
+    def n_nodes(self):
+        return self._weighted.n_nodes
 
     def _score(self, X):
-        """Sum of alpha_m * h_m(x) with stump outputs mapped to +-1."""
-        score = np.zeros(len(X))
-        for nodes, a in zip(self.stumps, self.alphas):
-            score += a * np.where(descend(nodes, X) > 0.5, 1.0, -1.0)
-        return score
+        """Sum of alpha_m * h_m(x) over the rounds."""
+        return self._weighted.sum(X)
 
     def _params_to_json(self):
         return {
             "alphas": list(self.alphas),
-            "stumps": [{k: v.tolist() for k, v in s.items()} for s in self.stumps],
+            "stumps": [nodes_to_json(s) for s in self.stumps],
         }
 
     def _apply_params(self, p):
-        self.alphas = [float(a) for a in p["alphas"]]
-        self.stumps = []
-        for s in p["stumps"]:
-            self.stumps.append({
-                "feature": np.asarray(s["feature"], dtype=np.int64),
-                "threshold": arr(s["threshold"]),
-                "left": np.asarray(s["left"], dtype=np.int64),
-                "right": np.asarray(s["right"], dtype=np.int64),
-                "p1": arr(s["p1"]),
-                "node_weight": arr(s["node_weight"]),
-            })
+        self._set_stumps([nodes_from_json(s) for s in p["stumps"]],
+                         [float(a) for a in p["alphas"]])
 
 
 def fit_adaboost(fm: FeatureMatrix, hp: AdaBoostParams = None, seed: int = 0):

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import InvalidHyperParam
 from .base import FeatureMatrix, FittedModel, register_model
-from .tree import TreeParams, descend, grow_tree
+from .tree import FlatEnsemble, TreeParams, grow_tree, nodes_from_json, nodes_to_json
 
 
 @dataclass
@@ -45,29 +45,26 @@ class RandomForestModel(FittedModel):
 
     def __init__(self, trees, n_features):
         super().__init__()
-        self.trees = trees
         self.n_features = n_features
+        self._set_trees(trees)
+
+    def _set_trees(self, trees):
+        self.trees = trees
+        # each tree's leaf votes 1 when its class-1 fraction exceeds 1/2
+        self._votes = FlatEnsemble(trees, [(t["p1"] > 0.5).astype(float) for t in trees])
+
+    @property
+    def n_nodes(self):
+        return self._votes.n_nodes
 
     def _score(self, X):
-        votes = np.zeros(len(X))
-        for nodes in self.trees:
-            votes += descend(nodes, X) > 0.5
-        return votes / len(self.trees)
+        return self._votes.sum(X) / len(self.trees)
 
     def _params_to_json(self):
-        return {"trees": [{k: v.tolist() for k, v in t.items()} for t in self.trees]}
+        return {"trees": [nodes_to_json(t) for t in self.trees]}
 
     def _apply_params(self, p):
-        self.trees = []
-        for t in p["trees"]:
-            self.trees.append({
-                "feature": np.asarray(t["feature"], dtype=np.int64),
-                "threshold": np.asarray(t["threshold"], dtype=float),
-                "left": np.asarray(t["left"], dtype=np.int64),
-                "right": np.asarray(t["right"], dtype=np.int64),
-                "p1": np.asarray(t["p1"], dtype=float),
-                "node_weight": np.asarray(t["node_weight"], dtype=float),
-            })
+        self._set_trees([nodes_from_json(t) for t in p["trees"]])
 
 
 def fit_random_forest(fm: FeatureMatrix, hp: ForestParams = None, seed: int = 0):

@@ -25,6 +25,7 @@ from .errors import (
     MissingColumn,
 )
 from .kernels import rbf_kernel, resolve_gamma
+from .models.tree import FlatEnsemble, node_depths
 
 EULER_GAMMA = 0.5772156649
 
@@ -110,22 +111,32 @@ def _grow_iso_tree(X, rng, height_limit):
     }
 
 
+def _average_path_lengths(sizes):
+    """Elementwise `average_path_length`, with the same arithmetic."""
+    m = np.asarray(sizes, dtype=np.int64)
+    out = np.zeros(len(m))
+    big = m > 1
+    if big.any():
+        harmonic_number(m.max() - 1)  # extend the cache
+        mb = m[big]
+        out[big] = 2.0 * _harmonic_cache[mb - 1] - 2.0 * (mb - 1) / mb
+    return out
+
+
+def _iso_ensemble(trees):
+    """Isolation trees as one flat ensemble whose leaves hold the path
+    length (depth + c(size)). The strict split `x < t` is stored as
+    `x <= nextafter(t, -inf)`, which is the same test for every float."""
+    return FlatEnsemble(
+        trees,
+        [node_depths(t) + _average_path_lengths(t["size"]) for t in trees],
+        thresholds=[np.nextafter(np.asarray(t["threshold"], dtype=float), -np.inf)
+                    for t in trees])
+
+
 def _iso_path_lengths(tree, X):
     """Depth at exit plus c(leaf size), vectorised over rows."""
-    pos = np.zeros(len(X), dtype=np.int64)
-    depth = np.zeros(len(X))
-    feature = tree["feature"]
-    while True:
-        f = feature[pos]
-        active = f >= 0
-        if not active.any():
-            break
-        rows = np.nonzero(active)[0]
-        go_left = X[rows, f[rows]] < tree["threshold"][pos[rows]]
-        pos[rows] = np.where(go_left, tree["left"][pos[rows]], tree["right"][pos[rows]])
-        depth[rows] += 1.0
-    tail = np.array([average_path_length(s) for s in tree["size"]])
-    return depth + tail[pos]
+    return _iso_ensemble([tree]).sum(X)
 
 
 class IsolationForestModel:
@@ -137,15 +148,13 @@ class IsolationForestModel:
         self.psi = psi
         self.n_features = n_features
         self._c_psi = average_path_length(psi)
+        self._paths = _iso_ensemble(trees)
 
     def expected_path_length(self, X):
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
-        total = np.zeros(len(X))
-        for tree in self.trees:
-            total += _iso_path_lengths(tree, X)
-        return total / len(self.trees)
+        return self._paths.sum(X) / len(self.trees)
 
     def anomaly_score(self, X):
         eh = self.expected_path_length(X)

@@ -14,6 +14,8 @@ import hashlib
 import io
 import json
 import os
+import resource
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -284,8 +286,16 @@ class _Stages:
             out = fn(*args, **kwargs)
         except GazeScreenError as e:
             raise PipelineError(name, detail, e) from e
-        self.timings.append({"stage": name, "seconds": time.perf_counter() - t0})
+        self.timings.append({"stage": name, "label": detail,
+                             "seconds": time.perf_counter() - t0})
         return out
+
+
+def _peak_rss_mb():
+    """Peak resident set size of this process so far (ru_maxrss is in KiB
+    on Linux and in bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20) if sys.platform == "darwin" else peak / (1 << 10)
 
 
 def _sha256_file(path):
@@ -361,11 +371,12 @@ def run_experiment(cfg):
         model.save(path)
         outputs[f"models/{kind}.json"] = _sha256_file(path)
         model_paths[kind] = path
-        name = DISPLAY_NAMES[kind]
-        pred = stages.run("evaluate", f"model {kind}", model.predict, test_ds.features)
-        scores = model.decision_score(test_ds.features)
-        per_model[name] = metrics_mod.evaluate_predictions(test_ds.labels, pred, scores)
-        model_info[kind] = info
+        per_model[DISPLAY_NAMES[kind]] = stages.run(
+            "evaluate", f"model {kind}", evaluate_model, model, test_ds)
+        fit = fit_diagnostics(model)
+        if not fit.get("converged", True):
+            print(f"warning: {kind} fit did not converge", file=sys.stderr)
+        model_info[kind] = {**info, "fit": fit}
     title = f"Evaluation on held-out test frames ({cfg.test_kind})"
     report_txt = metrics_mod.render_report_text(per_model, title)
     report_csv = metrics_mod.render_report_csv(per_model)
@@ -388,6 +399,7 @@ def run_experiment(cfg):
         },
         "models": model_info,
         "stages": stages.timings,
+        "peak_rss_mb": _peak_rss_mb(),
         "outputs": outputs,
     }
     atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
@@ -402,15 +414,33 @@ def _config_dict(cfg):
     return d
 
 
+def evaluate_model(model, test_ds):
+    """MetricSet of one fitted model on a dataset. The model is scored once;
+    its labels are `score > threshold`, exactly what `predict` returns."""
+    scores = model.decision_score(test_ds.features)
+    pred = (scores > model.threshold).astype(np.int64)
+    return metrics_mod.evaluate_predictions(test_ds.labels, pred, scores)
+
+
+def fit_diagnostics(model):
+    """How a fit behaved, from the model's attributes and meta: whichever of
+    converged, n_iter, n_support, n_rounds, n_epochs and the tree node count
+    the model has."""
+    diag = {k: model.meta[k] for k in ("n_iter", "n_support", "n_rounds", "n_epochs")
+            if k in model.meta}
+    if hasattr(model, "converged"):
+        diag["converged"] = bool(model.converged)
+    if hasattr(model, "n_nodes"):
+        diag["nodes"] = int(model.n_nodes)
+    return diag
+
+
 def evaluate_saved_models(model_paths, test_ds):
     """Re-evaluate serialised models on a dataset; returns {display: MetricSet}."""
     per_model = {}
     for path in model_paths:
         model = load_model(path)
-        name = DISPLAY_NAMES.get(model.kind, model.kind)
-        pred = model.predict(test_ds.features)
-        scores = model.decision_score(test_ds.features)
-        per_model[name] = metrics_mod.evaluate_predictions(test_ds.labels, pred, scores)
+        per_model[DISPLAY_NAMES.get(model.kind, model.kind)] = evaluate_model(model, test_ds)
     return per_model
 
 
@@ -487,6 +517,7 @@ def run_novelty(cfg):
         "data": {"train_rows": len(train_pool),
                  "test_regular": len(test_reg), "test_novel": len(test_nov)},
         "stages": stages.timings,
+        "peak_rss_mb": _peak_rss_mb(),
         "outputs": outputs,
     }
     atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))

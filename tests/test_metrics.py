@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gazescreen.errors import LengthMismatch, NonBinaryLabel, SingleClass
 from gazescreen.metrics import (
     ConfusionMatrix,
+    _midrank,
     auc_score,
     compute_metrics,
     confusion_matrix,
@@ -18,6 +19,21 @@ from gazescreen.metrics import (
     roc_auc_trapezoid,
     roc_curve,
 )
+
+
+def midrank_loop(values):
+    """Reference: tie groups found one element at a time."""
+    order = np.argsort(values, kind="mergesort")
+    sorted_v = values[order]
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_v[j + 1] == sorted_v[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * ((i + 1) + (j + 1))
+        i = j + 1
+    return ranks
 
 
 def pairwise_auc(y, s):
@@ -178,3 +194,11 @@ def test_report_shows_na_for_undefined():
     assert "n/a" in text
     parsed = parse_report_csv(render_report_csv(per_model))
     assert np.isnan(parsed["Naive Bayes"]["Sensitivity"])
+
+
+@given(st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, float("nan")]),
+                max_size=80))
+@settings(deadline=None)
+def test_midrank_matches_loop_with_ties(values):
+    values = np.array(values, dtype=float)
+    assert np.array_equal(_midrank(values), midrank_loop(values))

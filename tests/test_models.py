@@ -39,6 +39,7 @@ from gazescreen.models import (
     model_from_dict,
 )
 from gazescreen.models.linear import logreg_objective
+from gazescreen.models import tree as tree_mod
 from gazescreen.models.tree import descend, grow_tree
 
 
@@ -622,6 +623,14 @@ class TestSerialization:
             assert np.array_equal(back.predict(probe), model.predict(probe))
         assert seen == {"NB", "DT", "RF", "SVC", "ADA", "LR", "PERC", "GPC"}
 
+    def test_predict_is_score_above_threshold(self):
+        X, models = fitted_zoo()
+        probe = np.vstack([X, np.random.default_rng(6).normal(1.5, 2.0, (30, 2))])
+        for model in models:
+            scores = model.decision_score(probe)
+            expect = (scores > model.threshold).astype(np.int64)
+            assert np.array_equal(model.predict(probe), expect), model.kind
+
     def test_bad_payloads_rejected(self):
         with pytest.raises(InvalidSpec):
             model_from_dict({"format": "something-else"})
@@ -630,3 +639,96 @@ class TestSerialization:
         with pytest.raises(InvalidSpec):
             model_from_dict({"format": "gazescreen-model", "version": 1,
                              "kind": "XX"})
+
+
+# -- flat ensemble scoring ---------------------------------------------------------
+
+def descend_loop(nodes, X):
+    """Reference: one tree's level-by-level descent, as trees were scored
+    before all trees of an ensemble were walked together."""
+    pos = np.zeros(len(X), dtype=np.int64)
+    while True:
+        f = nodes["feature"][pos]
+        active = f >= 0
+        if not active.any():
+            break
+        rows = np.nonzero(active)[0]
+        go_left = X[rows, f[rows]] <= nodes["threshold"][pos[rows]]
+        pos[rows] = np.where(go_left, nodes["left"][pos[rows]], nodes["right"][pos[rows]])
+    return nodes["p1"][pos]
+
+
+def forest_score_loop(model, X):
+    votes = np.zeros(len(X))
+    for nodes in model.trees:
+        votes += descend_loop(nodes, X) > 0.5
+    return votes / len(model.trees)
+
+
+def boosting_score_loop(model, X):
+    score = np.zeros(len(X))
+    for nodes, a in zip(model.stumps, model.alphas):
+        score += a * np.where(descend_loop(nodes, X) > 0.5, 1.0, -1.0)
+    return score
+
+
+def on_threshold_rows(trees, X, rng):
+    """One row per inner node with that node's feature exactly on its
+    threshold, the other features drawn from X, plus a NaN row."""
+    rows = []
+    for nodes in trees:
+        for f, t in zip(nodes["feature"], nodes["threshold"]):
+            if f >= 0:
+                row = X[rng.integers(len(X))].copy()
+                row[f] = t
+                rows.append(row)
+    rows.append(np.full(X.shape[1], np.nan))
+    return np.array(rows)
+
+
+@pytest.fixture(scope="module")
+def ensembles(tmp_path_factory):
+    X, y = blobs(120, d=3, sep=1.0, seed=31)
+    matrix = fm(X, y)
+    rf = fit_random_forest(matrix, ForestParams(n_estimators=7), seed=3)
+    ada = fit_adaboost(matrix, AdaBoostParams(n_estimators=9, base_max_depth=2))
+    models = []
+    for model in (rf, ada):
+        path = tmp_path_factory.mktemp("ens") / f"{model.kind}.json"
+        model.save(path)
+        models += [model, load_model(path)]
+    return X, models
+
+
+class TestFlatEnsemble:
+    def _loop(self, model, X):
+        if model.kind == "RF":
+            return forest_score_loop(model, X)
+        return boosting_score_loop(model, X)
+
+    def test_scores_equal_per_tree_loops(self, ensembles):
+        X, models = ensembles
+        rng = np.random.default_rng(32)
+        for model in models:
+            trees = model.trees if model.kind == "RF" else model.stumps
+            probe = np.vstack([X, rng.normal(0.5, 2.0, (50, 3)),
+                               on_threshold_rows(trees, X, rng)])
+            assert np.array_equal(model.decision_score(probe), self._loop(model, probe))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 4, 5, 6, 23])
+    def test_row_chunks(self, ensembles, monkeypatch, n_rows):
+        # 5 rows per chunk for the 7-tree forest, 4 for the 9-stump ensemble
+        monkeypatch.setattr(tree_mod, "_CHUNK_CELLS", 37)
+        X, models = ensembles
+        probe = np.random.default_rng(n_rows).normal(0.5, 2.0, (n_rows, 3))
+        for model in models:
+            got = model.decision_score(probe)
+            assert got.shape == (n_rows,)
+            assert np.array_equal(got, self._loop(model, probe))
+
+    def test_descend_equals_loop(self, ensembles):
+        X, models = ensembles
+        probe = np.vstack([X, on_threshold_rows(models[0].trees, X,
+                                                np.random.default_rng(33))])
+        for nodes in models[0].trees:
+            assert np.array_equal(descend(nodes, probe), descend_loop(nodes, probe))

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from gazescreen.errors import EmptyDataset, InvalidHyperParam, InvalidSpec
+from gazescreen.errors import (
+    DimensionMismatch,
+    EmptyDataset,
+    InvalidHyperParam,
+    InvalidSpec,
+)
+from gazescreen.models import tree as tree_mod
 from gazescreen.novelty import (
     BoundaryGrid,
     IsoForestParams,
@@ -22,6 +28,31 @@ from gazescreen.novelty import (
 
 def cloud(n=200, d=2, seed=0):
     return np.random.default_rng(seed).normal(0.0, 1.0, (n, d))
+
+
+def iso_path_lengths_loop(tree, X):
+    """Reference: one isolation tree's descent with the strict `x < t`
+    split, as trees were scored before the flat ensemble walk."""
+    pos = np.zeros(len(X), dtype=np.int64)
+    depth = np.zeros(len(X))
+    while True:
+        f = tree["feature"][pos]
+        active = f >= 0
+        if not active.any():
+            break
+        rows = np.nonzero(active)[0]
+        go_left = X[rows, f[rows]] < tree["threshold"][pos[rows]]
+        pos[rows] = np.where(go_left, tree["left"][pos[rows]], tree["right"][pos[rows]])
+        depth[rows] += 1.0
+    tail = np.array([average_path_length(s) for s in tree["size"]])
+    return depth + tail[pos]
+
+
+def expected_path_length_loop(model, X):
+    total = np.zeros(len(X))
+    for tree in model.trees:
+        total += iso_path_lengths_loop(tree, X)
+    return total / len(model.trees)
 
 
 class TestPathLengthArithmetic:
@@ -75,6 +106,40 @@ class TestIsolationForest:
         got = _iso_path_lengths(tree, probe)
         c3 = average_path_length(3)
         assert np.allclose(got, [1.0 + c3, 2.0, 2.0], atol=1e-12)
+
+    def test_flat_walk_equals_per_tree_loops(self):
+        X = cloud(300, seed=4)
+        model = fit_isolation_forest(X, IsoForestParams(n_trees=20, seed=5))
+        rng = np.random.default_rng(6)
+        on_split = []
+        for tree in model.trees:
+            for f, t in zip(tree["feature"], tree["threshold"]):
+                if f >= 0:
+                    row = X[rng.integers(len(X))].copy()
+                    row[f] = t
+                    on_split.append(row)
+        probe = np.vstack([X, rng.normal(0.0, 3.0, (40, 2)), on_split,
+                           [[np.nan, 0.0]]])
+        assert np.array_equal(model.expected_path_length(probe),
+                              expected_path_length_loop(model, probe))
+        for tree in model.trees[:3]:
+            assert np.array_equal(_iso_path_lengths(tree, probe),
+                                  iso_path_lengths_loop(tree, probe))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 3, 4, 11])
+    def test_flat_walk_row_chunks(self, monkeypatch, n_rows):
+        # 3 rows per chunk for the 10-tree forest
+        monkeypatch.setattr(tree_mod, "_CHUNK_CELLS", 30)
+        model = fit_isolation_forest(cloud(100, seed=7), IsoForestParams(n_trees=10))
+        probe = cloud(n_rows, seed=8)
+        got = model.expected_path_length(probe)
+        assert got.shape == (n_rows,)
+        assert np.array_equal(got, expected_path_length_loop(model, probe))
+
+    def test_too_few_columns_rejected(self):
+        model = fit_isolation_forest(cloud(100, d=3, seed=9), IsoForestParams(n_trees=5))
+        with pytest.raises(DimensionMismatch):
+            model.anomaly_score(cloud(10, d=2, seed=10))
 
     def test_degenerate_data_scores_exactly_half(self):
         X = np.ones((50, 3))

@@ -3,8 +3,10 @@
 Every experiment here simulates 2+2 sessions, so the feature tables are a
 few thousand rows and the whole module stays in the low seconds.
 """
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 
@@ -20,6 +22,7 @@ from gazescreen.errors import (
     SingleClass,
 )
 from gazescreen.metrics import parse_report_csv
+from gazescreen.models import FittedModel
 from gazescreen.novelty import load_boundary_grid
 from gazescreen.pipeline import (
     DEFAULT_TRAIN_CAPS,
@@ -260,6 +263,49 @@ def test_experiment_manifest(exp):
             assert hashlib.sha256(fh.read()).hexdigest() == digest, rel
     assert {s["stage"] for s in man["stages"]} == {
         "acquire", "split", "weight", "fit", "evaluate"}
+    assert man["peak_rss_mb"] > 0
+
+
+@pytest.fixture(scope="module")
+def exp_all_models(tmp_path_factory):
+    """All eight models, small caps, and a logistic regression held to one
+    iteration so that its fit cannot converge."""
+    cfg = RunConfig(**SMALL | {
+        "models": ("RF", "ADA", "GPC", "DT", "NB", "SVC", "LR", "PERC"),
+        "balanced_per_class": 100,
+        "train_caps": {"SVC": 300, "RF": 300, "GPC": 100},
+        "hyper_overrides": {"RF": {"n_estimators": 5}, "LR": {"max_iter": 1}},
+        "outdir": str(tmp_path_factory.mktemp("all"))})
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        res = run_experiment(cfg)
+    with open(res.manifest_path) as fh:
+        return json.load(fh), stderr.getvalue()
+
+
+def test_manifest_stage_labels(exp_all_models):
+    man, _ = exp_all_models
+    fit_labels = [s["label"] for s in man["stages"] if s["stage"] == "fit"]
+    assert len(fit_labels) == 8
+    assert len(set(fit_labels)) == 8
+    assert "model RF (300 rows)" in fit_labels
+    assert all(s["label"] for s in man["stages"])
+
+
+def test_manifest_fit_diagnostics_and_convergence_warning(exp_all_models):
+    man, stderr = exp_all_models
+    fits = {kind: info["fit"] for kind, info in man["models"].items()}
+    assert fits["LR"] == {"converged": False, "n_iter": 1}
+    assert fits["NB"] == {}
+    assert set(fits["SVC"]) == {"converged", "n_support"}
+    assert set(fits["GPC"]) == {"converged"}
+    assert set(fits["PERC"]) == {"converged", "n_epochs"}
+    assert set(fits["ADA"]) == {"n_rounds", "nodes"}
+    assert set(fits["DT"]) == set(fits["RF"]) == {"nodes"}
+    unconverged = sorted(k for k, f in fits.items() if f.get("converged") is False)
+    assert stderr.splitlines() == [
+        f"warning: {k} fit did not converge" for k in man["config"]["models"]
+        if k in unconverged]
 
 
 def test_experiment_deterministic(exp, tmp_path):
@@ -278,6 +324,23 @@ def test_evaluate_saved_models_matches(exp):
     _, _, test_ds = split(ds, cfg.split_config())
     again = evaluate_saved_models(sorted(res.model_paths.values()), test_ds)
     assert again == res.per_model
+
+
+def test_evaluate_scores_each_model_once(exp, monkeypatch):
+    cfg, res = exp
+    calls = []
+    original = FittedModel.decision_score
+
+    def counted(self, X):
+        calls.append(self.kind)
+        return original(self, X)
+
+    monkeypatch.setattr(FittedModel, "decision_score", counted)
+    ds = synthesize_cohort(cfg)
+    _, _, test_ds = split(ds, cfg.split_config())
+    again = evaluate_saved_models(sorted(res.model_paths.values()), test_ds)
+    assert again == res.per_model
+    assert sorted(calls) == sorted(cfg.models)
 
 
 def test_experiment_error_carries_stage(tmp_path):
@@ -328,6 +391,7 @@ def test_novelty_manifest(nov):
     cfg, _ = nov
     with open(os.path.join(cfg.outdir, "manifest.json")) as fh:
         man = json.load(fh)
+    assert man["peak_rss_mb"] > 0
     assert man["command"] == "novelty"
     assert man["data"] == {"train_rows": 200, "test_regular": 50,
                            "test_novel": 50}
