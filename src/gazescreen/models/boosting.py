@@ -21,6 +21,7 @@ from .tree import (
     grow_tree,
     nodes_from_json,
     nodes_to_json,
+    value_ranks,
 )
 
 _EPS_FLOOR = 1e-10
@@ -85,9 +86,10 @@ def fit_adaboost(fm: FeatureMatrix, hp: AdaBoostParams = None, seed: int = 0):
     dist = fm.normalized_weights()
     dist = dist / dist.sum()
     stump_hp = TreeParams(max_depth=hp.base_max_depth)
+    ranks = value_ranks(X)
     stumps, alphas = [], []
     for _ in range(hp.n_estimators):
-        nodes = grow_tree(X, y, dist, stump_hp)
+        nodes = grow_tree(X, y, dist, stump_hp, ranks=ranks)
         pred = descend(nodes, X) > 0.5
         mis = pred != fm.y.astype(bool)
         eps = float(dist[mis].sum())
@@ -103,7 +105,7 @@ def fit_adaboost(fm: FeatureMatrix, hp: AdaBoostParams = None, seed: int = 0):
     if not stumps:
         # every stump was at-chance; fall back to the majority-class constant
         nodes = grow_tree(X, y, fm.normalized_weights(),
-                          TreeParams(min_samples_split=len(X) + 1))
+                          TreeParams(min_samples_split=len(X) + 1), ranks=ranks)
         stumps, alphas = [nodes], [0.0]
     model = AdaBoostModel(stumps, alphas, fm.d)
     model.meta = {"hyperparams": asdict(hp), "seed": seed,

@@ -8,7 +8,14 @@ import numpy as np
 
 from ..errors import InvalidHyperParam
 from .base import FeatureMatrix, FittedModel, register_model
-from .tree import FlatEnsemble, TreeParams, grow_tree, nodes_from_json, nodes_to_json
+from .tree import (
+    FlatEnsemble,
+    TreeParams,
+    grow_tree,
+    nodes_from_json,
+    nodes_to_json,
+    value_ranks,
+)
 
 
 @dataclass
@@ -80,6 +87,7 @@ def fit_random_forest(fm: FeatureMatrix, hp: ForestParams = None, seed: int = 0)
     tree_hp = TreeParams(min_samples_split=hp.min_samples_split,
                          min_samples_leaf=hp.min_samples_leaf,
                          max_depth=hp.max_depth)
+    ranks = value_ranks(fm.X)
     trees = []
     for i in range(hp.n_estimators):
         rng = _tree_rng(seed, i)
@@ -88,7 +96,7 @@ def fit_random_forest(fm: FeatureMatrix, hp: ForestParams = None, seed: int = 0)
         else:
             idx = np.arange(fm.n)[:n_draw]
         trees.append(grow_tree(fm.X[idx], yf[idx], w[idx], tree_hp,
-                               rng=rng, max_features=m))
+                               rng=rng, max_features=m, ranks=ranks[:, idx]))
     model = RandomForestModel(trees, fm.d)
     model.meta = {"hyperparams": asdict(hp), "seed": seed}
     return model

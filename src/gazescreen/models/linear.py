@@ -182,7 +182,7 @@ def fit_perceptron(fm: FeatureMatrix, hp: PerceptronParams = None, seed: int = 0
         raise InvalidHyperParam("eta0 * alpha must be < 1")
     best_loss = np.inf
     no_change = 0
-    converged = False
+    stop = "max_iter"
     epochs = 0
     for _ in range(hp.max_iter):
         epochs += 1
@@ -203,7 +203,7 @@ def fit_perceptron(fm: FeatureMatrix, hp: PerceptronParams = None, seed: int = 0
             mistakes += 1
             ptr += bad[0] + 1
         if mistakes == 0:
-            converged = True
+            stop = "separated"
             break
         if monitor_idx is not None:
             loss = _perceptron_loss(fm.X[monitor_idx], ypm_all[monitor_idx],
@@ -213,11 +213,15 @@ def fit_perceptron(fm: FeatureMatrix, hp: PerceptronParams = None, seed: int = 0
         if loss > best_loss - hp.tol:
             no_change += 1
             if no_change >= hp.n_iter_no_change:
+                stop = "plateau"
                 break
         else:
             no_change = 0
         best_loss = min(best_loss, loss)
+    # a plateau is the normal stop on data that is not separable; only
+    # running out of epochs leaves the fit unconverged
+    converged = stop != "max_iter"
     model = PerceptronModel(w, float(b), converged)
     model.meta = {"hyperparams": asdict(hp), "seed": seed,
-                  "n_epochs": epochs, "converged": converged}
+                  "n_epochs": epochs, "stop": stop, "converged": converged}
     return model

@@ -306,6 +306,12 @@ def _sha256_file(path):
     return h.hexdigest()
 
 
+def _save_model(model, path):
+    """Write a model file; returns its sha256."""
+    model.save(path)
+    return _sha256_file(path)
+
+
 def _write_output(path, text, outputs):
     atomic_write_text(path, text)
     outputs[os.path.basename(path)] = hashlib.sha256(text.encode()).hexdigest()
@@ -368,8 +374,8 @@ def run_experiment(cfg):
         model = stages.run("fit", f"model {kind} ({fm.n} rows)",
                            fit_model, kind, fm, params, cfg.seed)
         path = os.path.join(outdir, "models", f"{kind}.json")
-        model.save(path)
-        outputs[f"models/{kind}.json"] = _sha256_file(path)
+        outputs[f"models/{kind}.json"] = stages.run(
+            "save", f"model {kind}", _save_model, model, path)
         model_paths[kind] = path
         per_model[DISPLAY_NAMES[kind]] = stages.run(
             "evaluate", f"model {kind}", evaluate_model, model, test_ds)
@@ -424,9 +430,10 @@ def evaluate_model(model, test_ds):
 
 def fit_diagnostics(model):
     """How a fit behaved, from the model's attributes and meta: whichever of
-    converged, n_iter, n_support, n_rounds, n_epochs and the tree node count
-    the model has."""
-    diag = {k: model.meta[k] for k in ("n_iter", "n_support", "n_rounds", "n_epochs")
+    converged, n_iter, n_support, n_rounds, n_epochs, the stop reason and
+    the tree node count the model has."""
+    diag = {k: model.meta[k]
+            for k in ("n_iter", "n_support", "n_rounds", "n_epochs", "stop")
             if k in model.meta}
     if hasattr(model, "converged"):
         diag["converged"] = bool(model.converged)
@@ -505,8 +512,8 @@ def run_novelty(cfg):
                               export_boundary_grid, model, Xtr, Xreg, Xnov,
                               dims=(0, 1), resolution=cfg.grid_resolution)
             path = os.path.join(outdir, f"{method}_{cfg.test_kind}_{eye}.csv")
-            text = grid.to_csv_text()
-            _write_output(path, text, outputs)
+            stages.run("grid-write", f"{method} {eye}",
+                       lambda: _write_output(path, grid.to_csv_text(), outputs))
             grid_paths.append(path)
 
     manifest_path = os.path.join(outdir, "manifest.json")

@@ -2,9 +2,13 @@
 implementations, gradient checks, and serialization round-trips."""
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gazescreen.errors import (
     DimensionMismatch,
@@ -297,6 +301,220 @@ class TestDecisionTree:
             model.predict(np.zeros((3, 2)))
 
 
+# -- exact split search vs the per-node float-argsort grower --------------------
+
+def best_split_reference(Xn, yn, wn, feature_ids, min_leaf):
+    """The split search trees were grown with before value ranks: a stable
+    float argsort of every candidate feature at every node, one feature at
+    a time."""
+    n = len(yn)
+    total_w = wn.sum()
+    total_w1 = wn @ yn
+    best_score = np.inf
+    best = None
+    for f in feature_ids:
+        x = Xn[:, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        ws = wn[order]
+        w1s = ws * yn[order]
+        cw = np.cumsum(ws)
+        cw1 = np.cumsum(w1s)
+        pos = np.nonzero(xs[1:] > xs[:-1])[0]  # boundary after position i
+        if min_leaf > 1:
+            pos = pos[(pos + 1 >= min_leaf) & (n - 1 - pos >= min_leaf)]
+        if pos.size == 0:
+            continue
+        wl = cw[pos]
+        wl1 = cw1[pos]
+        wr = total_w - wl
+        wr1 = total_w1 - wl1
+        gini_l = 1.0 - ((wl1 / wl) ** 2 + ((wl - wl1) / wl) ** 2)
+        gini_r = 1.0 - ((wr1 / wr) ** 2 + ((wr - wr1) / wr) ** 2)
+        score = (wl * gini_l + wr * gini_r) / total_w
+        k = int(np.argmin(score))  # first minimum -> lowest threshold
+        if score[k] < best_score:
+            best_score = float(score[k])
+            thr = 0.5 * (xs[pos[k]] + xs[pos[k] + 1])
+            if thr >= xs[pos[k] + 1]:
+                thr = xs[pos[k]]
+            best = (best_score, int(f), thr)
+    return best
+
+
+def grow_tree_reference(X, y, w, hp, rng=None, max_features=None):
+    """`grow_tree` as it was before value ranks, node for node."""
+    d = X.shape[1]
+    feature, threshold, left, right, p1, node_w = [], [], [], [], [], []
+    stack = [(np.arange(len(y)), 0, -1, False)]
+    while stack:
+        idx, depth, parent, is_left = stack.pop()
+        slot = len(feature)
+        if parent >= 0:
+            if is_left:
+                left[parent] = slot
+            else:
+                right[parent] = slot
+        yn = y[idx]
+        wn = w[idx]
+        wsum = wn.sum()
+        frac1 = (wn @ yn) / wsum
+        pure = yn.min() == yn.max()
+        at_depth = hp.max_depth is not None and depth >= hp.max_depth
+        choice = None
+        if not pure and not at_depth and len(idx) >= hp.min_samples_split:
+            if max_features is not None and max_features < d:
+                feats = np.sort(rng.choice(d, size=max_features, replace=False))
+            else:
+                feats = np.arange(d)
+            choice = best_split_reference(X[idx], yn, wn, feats, hp.min_samples_leaf)
+        if choice is None:
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+        else:
+            _, f, thr = choice
+            go_left = X[idx, f] <= thr
+            feature.append(f)
+            threshold.append(thr)
+            left.append(-1)
+            right.append(-1)
+            stack.append((idx[~go_left], depth + 1, slot, False))
+            stack.append((idx[go_left], depth + 1, slot, True))
+        p1.append(frac1)
+        node_w.append(wsum)
+    return {
+        "feature": np.array(feature, dtype=np.int64),
+        "threshold": np.array(threshold),
+        "left": np.array(left, dtype=np.int64),
+        "right": np.array(right, dtype=np.int64),
+        "p1": np.array(p1),
+        "node_weight": np.array(node_w),
+    }
+
+
+# +-0, NaN, the smallest subnormal, and two adjacent floats whose midpoint
+# rounds up to the upper one
+_SPECIAL_VALUES = [-0.0, 0.0, np.nan, 5e-324, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51]
+# 2**-53 is lost against 1.0 in one summation order and kept in another, so
+# cumulative weights depend on the order of tied rows
+_WEIGHTS = [1.0, 3.0, 0.37, 2.0 ** -53, 1e-300, 0.0]
+
+
+@st.composite
+def tree_inputs(draw):
+    """A base matrix with ties (quarter steps), NaN, +-0 and continuous
+    values, the rows a tree is grown on (drawn with repeats, as a bootstrap
+    draws them), labels, uneven and tiny weights, and tree settings."""
+    n0 = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 4))
+    values = (st.sampled_from(_SPECIAL_VALUES) | st.floats(-4, 4)
+              | st.integers(-8, 8).map(lambda k: k / 4))
+    base = draw(hnp.arrays(float, (n0, d), elements=values))
+    rows = np.array(draw(st.lists(st.integers(0, n0 - 1), min_size=2, max_size=60)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(rows),
+                               max_size=len(rows))), dtype=float)
+    w = np.array(draw(st.lists(st.sampled_from(_WEIGHTS), min_size=len(rows),
+                               max_size=len(rows))))
+    hp = TreeParams(min_samples_split=draw(st.integers(2, 5)),
+                    min_samples_leaf=draw(st.integers(1, 4)),
+                    max_depth=draw(st.none() | st.integers(1, 4)))
+    max_features = draw(st.none() | st.integers(1, d))
+    return base, rows, y, w, hp, max_features
+
+
+def same_bits(a, b):
+    return all(a[k].dtype == b[k].dtype and a[k].tobytes() == b[k].tobytes()
+               for k in a)
+
+
+class TestExactSplitSearch:
+    @given(tree_inputs(), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1, 16, 64, tree_mod._SPLIT_CELLS]), st.booleans())
+    @settings(deadline=None, max_examples=300)
+    def test_grow_tree_equals_float_argsort_grower(self, inputs, seed, cells,
+                                                   ranks_of_base):
+        base, rows, y, w, hp, max_features = inputs
+        X = base[rows]
+        # a forest ranks the whole matrix once and passes its bootstrap's
+        # columns; a lone tree ranks its own rows
+        ranks = tree_mod.value_ranks(base)[:, rows] if ranks_of_base else None
+        # zero weights give 0/0 scores, which both growers skip
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expect = grow_tree_reference(X, y, w, hp, np.random.default_rng(seed),
+                                         max_features)
+            with mock.patch.object(tree_mod, "_SPLIT_CELLS", cells):
+                got = grow_tree(X, y, w, hp, np.random.default_rng(seed),
+                                max_features, ranks=ranks)
+        assert same_bits(got, expect)
+
+    @given(tree_inputs(), st.sampled_from([1, 16, tree_mod._SPLIT_CELLS]))
+    @settings(deadline=None, max_examples=300)
+    def test_root_split_score_equals_float_argsort_search(self, inputs, cells):
+        # the score carries the cumulative weights, so it also checks that
+        # tied rows are summed in the order a stable float sort gives
+        base, rows, y, w, hp, _ = inputs
+        X = base[rows]
+        feats = np.arange(X.shape[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expect = best_split_reference(X, y, w, feats, hp.min_samples_leaf)
+            with mock.patch.object(tree_mod, "_SPLIT_CELLS", cells):
+                got = tree_mod._best_split(
+                    np.ascontiguousarray(X.T), tree_mod.value_ranks(X), y, w,
+                    np.arange(len(y)), w.sum(), w @ y, feats, hp.min_samples_leaf)
+        if expect is None:
+            assert got is None
+        else:
+            assert got[1] == expect[1]
+            assert np.array([got[0], got[2]]).tobytes() == \
+                np.array([expect[0], expect[2]]).tobytes()
+
+    def test_forest_trees_equal_float_argsort_grower(self):
+        # each bootstrap tree gets the columns of its rows from the forest's
+        # one ranking of the whole matrix
+        X, y = blobs(60, d=4, sep=1.0, seed=41)
+        matrix = fm(np.round(X, 1), y, np.random.default_rng(42).uniform(0.1, 3.0, 120))
+        w, yf = matrix.normalized_weights(), y.astype(float)
+        forest = fit_random_forest(matrix, ForestParams(n_estimators=5), seed=7)
+        for i, nodes in enumerate(forest.trees):
+            rng = np.random.default_rng(np.random.SeedSequence((7, i)))
+            idx = rng.integers(0, 120, size=120)
+            expect = grow_tree_reference(matrix.X[idx], yf[idx], w[idx], TreeParams(),
+                                         rng, max_features=2)
+            assert same_bits(nodes, expect)
+
+    def test_value_ranks_nan_and_signed_zero(self):
+        X = np.array([[np.nan, 3.0], [1.0, -0.0], [-0.0, 3.0], [0.0, np.nan],
+                      [np.nan, 0.0], [-2.0, -1.0]])
+        ranks = tree_mod.value_ranks(X)
+        assert ranks.shape == (2, 6) and ranks.dtype == np.uint8
+        # -0.0 and 0.0 share a rank, NaN ranks last and NaNs share a rank
+        assert ranks[0].tolist() == [3, 2, 1, 1, 3, 0]
+        assert ranks[1].tolist() == [2, 1, 2, 3, 1, 0]
+        for col, r in zip(X.T, ranks):
+            assert np.array_equal(np.argsort(r, kind="stable"),
+                                  np.argsort(col, kind="stable"))
+
+    def test_value_ranks_widen_past_uint16(self):
+        rng = np.random.default_rng(43)
+        n = (1 << 16) + 1000
+        X = np.column_stack([rng.permutation(n) * 0.5 - 100.0,
+                             rng.integers(0, 3, n).astype(float)])
+        X[::1000, 0] = np.nan
+        ranks = tree_mod.value_ranks(X)
+        assert ranks.dtype == np.uint32
+        assert int(ranks[0].max()) >= 1 << 16
+        for col, r in zip(X.T, ranks):
+            assert np.array_equal(np.argsort(r, kind="stable"),
+                                  np.argsort(col, kind="stable"))
+
+    def test_value_ranks_smallest_dtype(self):
+        assert tree_mod.value_ranks(np.arange(256.0)[:, None]).dtype == np.uint8
+        assert tree_mod.value_ranks(np.arange(257.0)[:, None]).dtype == np.uint16
+        assert tree_mod.value_ranks(np.arange(65536.0)[:, None]).dtype == np.uint16
+
+
 # -- random forest ---------------------------------------------------------------
 
 class TestRandomForest:
@@ -500,6 +718,7 @@ class TestPerceptron:
         hp = PerceptronParams(validation_fraction=0.0, alpha=0.0)
         model = fit_perceptron(fm(X, y), hp)
         assert model.converged
+        assert model.meta["stop"] == "separated"
         assert np.array_equal(model.predict(X), y)
 
     def test_eta0_scales_scores_exactly(self):
@@ -519,8 +738,21 @@ class TestPerceptron:
         y = rng.integers(0, 2, 300)  # pure noise cannot converge
         hp = PerceptronParams(max_iter=100, n_iter_no_change=3)
         model = fit_perceptron(fm(X, y), hp, seed=1)
-        assert not model.converged
+        # the plateau is the normal stop on noise, not a failure to converge
+        assert model.meta["stop"] == "plateau"
+        assert model.converged
         assert model.meta["n_epochs"] < 100
+
+    def test_epoch_cap_is_not_converged(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(0, 1, (300, 2))
+        y = rng.integers(0, 2, 300)
+        hp = PerceptronParams(max_iter=2, n_iter_no_change=3)
+        model = fit_perceptron(fm(X, y), hp, seed=1)
+        assert model.meta["stop"] == "max_iter"
+        assert model.meta["n_epochs"] == 2
+        assert not model.converged
+        assert not model_from_dict(model.to_dict()).converged
 
     def test_hyperparameter_validation(self):
         with pytest.raises(InvalidHyperParam):

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from gazescreen import cli
 from gazescreen.cli import main as cli_main
 from gazescreen.data import load_csv, split
 from gazescreen.errors import (
@@ -262,7 +263,7 @@ def test_experiment_manifest(exp):
         with open(os.path.join(cfg.outdir, rel), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, rel
     assert {s["stage"] for s in man["stages"]} == {
-        "acquire", "split", "weight", "fit", "evaluate"}
+        "acquire", "split", "weight", "fit", "save", "evaluate"}
     assert man["peak_rss_mb"] > 0
 
 
@@ -299,7 +300,7 @@ def test_manifest_fit_diagnostics_and_convergence_warning(exp_all_models):
     assert fits["NB"] == {}
     assert set(fits["SVC"]) == {"converged", "n_support"}
     assert set(fits["GPC"]) == {"converged"}
-    assert set(fits["PERC"]) == {"converged", "n_epochs"}
+    assert set(fits["PERC"]) == {"converged", "n_epochs", "stop"}
     assert set(fits["ADA"]) == {"n_rounds", "nodes"}
     assert set(fits["DT"]) == set(fits["RF"]) == {"nodes"}
     unconverged = sorted(k for k, f in fits.items() if f.get("converged") is False)
@@ -396,6 +397,9 @@ def test_novelty_manifest(nov):
     assert man["data"] == {"train_rows": 200, "test_regular": 50,
                            "test_novel": 50}
     assert len(man["outputs"]) == 6
+    assert {s["stage"] for s in man["stages"]} == {
+        "acquire", "split", "novelty-fit", "novelty-grid", "grid-write"}
+    assert sum(s["stage"] == "grid-write" for s in man["stages"]) == 6
 
 
 def test_novelty_needs_control_frames(tmp_path):
@@ -478,6 +482,28 @@ def test_cli_simulate_train_evaluate_report(tmp_path):
                    "--out", str(table)])
     assert rc == 0
     assert "Naive Bayes" in table.read_text()
+
+
+def test_cli_calls_parse_independently(monkeypatch):
+    """The parser is built once; each call's subcommand and flags reach only
+    that call."""
+    seen = []
+    for name in ("report", "evaluate"):
+        monkeypatch.setitem(cli._COMMANDS, name, lambda args: seen.append(args) or 0)
+    assert cli_main(["report", "--metrics-csv", "a.csv", "--title", "T"]) == 0
+    assert cli_main(["evaluate", "--data", "d.csv", "--models-dir", "m",
+                     "--test-kind", "VMS"]) == 0
+    assert cli_main(["report", "--metrics-csv", "b.csv"]) == 0
+    assert cli_main(["evaluate", "--data", "e.csv", "--models-dir", "n"]) == 0
+    first, second, third, fourth = (vars(a) for a in seen)
+    assert first == {"command": "report", "metrics_csv": "a.csv", "out": None,
+                     "title": "T"}
+    assert second == {"command": "evaluate", "data": "d.csv", "test_kind": "VMS",
+                      "models_dir": "m", "outdir": "."}
+    assert third["title"] == "Evaluation on held-out test frames"
+    assert third["metrics_csv"] == "b.csv"
+    assert fourth["test_kind"] == "SP"
+    assert cli._parser() is cli._parser()
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
