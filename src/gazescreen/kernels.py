@@ -1,6 +1,8 @@
 """RBF kernel helpers shared by the SVM, one-class SVM and GP classifier."""
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
 from .errors import InvalidHyperParam
@@ -17,6 +19,45 @@ def squared_distances(A, B):
 
 def rbf_kernel(A, B, gamma):
     return np.exp(-gamma * squared_distances(A, B))
+
+
+class KernelRowCache:
+    """Least-recently-used cache of at most `capacity` RBF kernel rows
+    k(X[i], X), as the SMO solvers request them.
+
+    `rows(idx)` returns the rows of `idx` in order. When any of them is
+    missing, all of `idx` are computed together in one `rbf_kernel` call:
+    the BLAS product behind a one-row call (gemv) can round differently from
+    the one behind a call of two or more rows (gemm), so the caller decides
+    which rows share a call. `computed` counts the rows computed so far.
+    """
+
+    def __init__(self, X, gamma, capacity):
+        self.X = X
+        self.gamma = gamma
+        self.capacity = capacity
+        self.computed = 0
+        self._rows = OrderedDict()
+
+    def rows(self, idx):
+        idx = [int(i) for i in idx]
+        if all(i in self._rows for i in idx):
+            for i in idx:
+                self._rows.move_to_end(i)
+            return [self._rows[i] for i in idx]
+        block = rbf_kernel(self.X[idx], self.X, self.gamma)
+        self.computed += len(idx)
+        out = []
+        for i, row in zip(idx, block):
+            # a copy, so an evicted row frees its memory whatever else
+            # its block shared it with
+            row = row.copy()
+            self._rows[i] = row
+            self._rows.move_to_end(i)
+            if len(self._rows) > self.capacity:
+                self._rows.popitem(last=False)
+            out.append(row)
+        return out
 
 
 def gamma_scale(X):

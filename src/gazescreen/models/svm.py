@@ -5,17 +5,16 @@ repeatedly optimising the maximal violating pair (first-order working-set
 selection) with the exact two-variable update, maintaining the full
 gradient so selection is O(n) per step. Per-sample box bounds C_i carry
 class weighting. Kernel rows are computed on demand and kept in a bounded
-FIFO cache.
+LRU cache.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..errors import InvalidHyperParam
-from ..kernels import rbf_kernel, resolve_gamma
+from ..kernels import KernelRowCache, rbf_kernel, resolve_gamma
 from .base import FeatureMatrix, FittedModel, arr, register_model
 
 _TAU = 1e-12
@@ -36,23 +35,6 @@ class SvcParams:
             raise InvalidHyperParam("tol must be positive")
         if self.max_iter < 1:
             raise InvalidHyperParam("max_iter must be >= 1")
-
-
-class _RowCache:
-    def __init__(self, X, gamma, capacity):
-        self.X = X
-        self.gamma = gamma
-        self.capacity = capacity
-        self.rows = OrderedDict()
-
-    def get(self, i):
-        row = self.rows.get(i)
-        if row is None:
-            row = rbf_kernel(self.X[i:i + 1], self.X, self.gamma)[0]
-            if len(self.rows) >= self.capacity:
-                self.rows.popitem(last=False)
-            self.rows[i] = row
-        return row
 
 
 @register_model
@@ -104,7 +86,7 @@ def fit_svc_rbf(fm: FeatureMatrix, hp: SvcParams = None, seed: int = 0):
     n = fm.n
     C = hp.C * fm.normalized_weights()
     gamma = resolve_gamma(hp.gamma, X)
-    cache = _RowCache(X, gamma, hp.cache_rows)
+    cache = KernelRowCache(X, gamma, hp.cache_rows)
 
     alpha = np.zeros(n)
     grad = -np.ones(n)  # G = Q alpha - e
@@ -123,8 +105,11 @@ def fit_svc_rbf(fm: FeatureMatrix, hp: SvcParams = None, seed: int = 0):
         if yg[i] - yg[j] <= hp.tol:
             converged = True
             break
-        Ki = cache.get(i)
-        Kj = cache.get(j)
+        # one row per call, as SVC rows have always been computed: a pair
+        # would go through gemm instead of gemv and could move the last
+        # bits of the saved models and reports
+        Ki, = cache.rows([i])
+        Kj, = cache.rows([j])
         Qi = y[i] * (y * Ki)
         Qj = y[j] * (y * Kj)
         old_i, old_j = alpha[i], alpha[j]

@@ -11,7 +11,6 @@ size.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
     InvalidSpec,
     MissingColumn,
 )
-from .kernels import rbf_kernel, resolve_gamma
+from .kernels import KernelRowCache, rbf_kernel, resolve_gamma
 from .models.tree import FlatEnsemble, node_depths
 
 EULER_GAMMA = 0.5772156649
@@ -68,47 +67,115 @@ class IsoForestParams:
             raise InvalidHyperParam("need n_trees >= 1 and subsample >= 2")
 
 
-def _grow_iso_tree(X, rng, height_limit):
-    """Random axis-aligned splits; leaves store their training size."""
-    feature, threshold, left, right, size = [], [], [], [], []
-    stack = [(np.arange(len(X)), 0, -1, False)]
-    while stack:
-        idx, depth, parent, is_left = stack.pop()
-        slot = len(feature)
-        if parent >= 0:
-            if is_left:
-                left[parent] = slot
-            else:
-                right[parent] = slot
-        rows = X[idx]
-        lo = rows.min(axis=0) if len(idx) else None
-        hi = rows.max(axis=0) if len(idx) else None
-        splittable = len(idx) > 1 and depth < height_limit and np.any(hi > lo)
-        if not splittable:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            size.append(len(idx))
-            continue
-        spread = np.nonzero(hi > lo)[0]
-        f = int(spread[rng.integers(0, len(spread))])
-        thr = float(rng.uniform(lo[f], hi[f]))
-        go_left = rows[:, f] < thr
-        feature.append(f)
-        threshold.append(thr)
-        left.append(-1)
-        right.append(-1)
-        size.append(len(idx))
-        stack.append((idx[~go_left], depth + 1, slot, False))
-        stack.append((idx[go_left], depth + 1, slot, True))
-    return {
-        "feature": np.array(feature, dtype=np.int64),
-        "threshold": np.array(threshold),
-        "left": np.array(left, dtype=np.int64),
-        "right": np.array(right, dtype=np.int64),
-        "size": np.array(size, dtype=np.int64),
-    }
+def _grow_iso_forest(samples, psi, rngs, height_limit):
+    """Grow one isolation tree per generator in `rngs`, all in lockstep;
+    tree t is grown on rows t*psi .. (t+1)*psi - 1 of `samples`.
+
+    A tree's nodes are numbered in preorder, left child first, and round r
+    pops node r of every tree that still has one. Each tree draws
+    `integers(0, k)` for its split feature among the k that vary and then
+    `random()` for the threshold, from its own generator and in the order
+    a tree grown alone would draw them. Every tree's rows live in its own
+    psi columns of one (d, n_trees * psi) value array, kept partitioned so
+    that each node is a contiguous column segment: one reduceat gives every
+    popped node its per-feature range, and one stable argsort partitions
+    every split segment. Leaves store their training size.
+    """
+    n_trees = len(rngs)
+    d = samples.shape[1]
+    # the extra last column keeps a segment end that is the array end a
+    # valid reduceat index
+    V = np.empty((d, n_trees * psi + 1))
+    V[:, :-1] = samples.T
+    # each tree's depth-first stack of pending (start, end, depth, parent,
+    # is_left); it never holds more than height_limit + 1 entries
+    shape = (n_trees, height_limit + 1)
+    st_start = np.empty(shape, dtype=np.int64)
+    st_end = np.empty(shape, dtype=np.int64)
+    st_depth = np.empty(shape, dtype=np.int64)
+    st_parent = np.empty(shape, dtype=np.int64)
+    st_left = np.empty(shape, dtype=bool)
+    st_start[:, 0] = np.arange(n_trees) * psi
+    st_end[:, 0] = st_start[:, 0] + psi
+    st_depth[:, 0] = 0
+    st_parent[:, 0] = -1
+    st_left[:, 0] = False
+    sp = np.ones(n_trees, dtype=np.int64)
+
+    rounds = []  # per round: (trees, parent, is_left, feature, threshold, size)
+    while True:
+        live = np.flatnonzero(sp)
+        if live.size == 0:
+            break
+        r = len(rounds)
+        sp[live] -= 1
+        top = sp[live]
+        start, end = st_start[live, top], st_end[live, top]
+        depth = st_depth[live, top]
+        parent, is_left = st_parent[live, top], st_left[live, top]
+        size = end - start
+        feature = np.full(live.size, -1, dtype=np.int64)
+        threshold = np.zeros(live.size)
+        cand = np.flatnonzero((size > 1) & (depth < height_limit))
+        if cand.size:
+            bounds = np.stack([start[cand], end[cand]], axis=1).ravel()
+            lo = np.minimum.reduceat(V, bounds, axis=1)[:, ::2]
+            hi = np.maximum.reduceat(V, bounds, axis=1)[:, ::2]
+            spread = hi > lo
+            n_spread = spread.sum(axis=0)
+            ok = n_spread > 0
+            split = cand[ok]
+            draws = [(g.integers(0, k), g.random()) for g, k in zip(
+                [rngs[t] for t in live[split].tolist()], n_spread[ok].tolist())]
+            j, u = np.array(draws, dtype=float).reshape(-1, 2).T
+            # the j-th feature (0-based) among those that vary
+            f = np.argmax(np.cumsum(spread[:, ok], axis=0) > j, axis=0)
+            cols = np.flatnonzero(ok)
+            lo_f, hi_f = lo[f, cols], hi[f, cols]
+            thr = lo_f + (hi_f - lo_f) * u  # what Generator.uniform computes
+            feature[split] = f
+            threshold[split] = thr
+
+            seg_size = size[split]
+            seg = np.repeat(np.arange(split.size), seg_size)
+            pos = (np.arange(seg.size)
+                   - np.repeat(np.cumsum(seg_size) - seg_size, seg_size)
+                   + np.repeat(start[split], seg_size))
+            go_right = ~(V[f[seg], pos] < thr[seg])
+            order = np.argsort(2 * seg + go_right, kind="stable")
+            V[:, pos] = V[:, pos[order]]
+            n_left = seg_size - np.bincount(seg[go_right], minlength=split.size)
+
+            # push the right child, then the left one, which pops first
+            trees = live[split]
+            s0, mid, s1 = start[split], start[split] + n_left, end[split]
+            for k, (a, b, left_child) in enumerate(((mid, s1, False), (s0, mid, True))):
+                slot = sp[trees] + k
+                st_start[trees, slot] = a
+                st_end[trees, slot] = b
+                st_depth[trees, slot] = depth[split] + 1
+                st_parent[trees, slot] = r
+                st_left[trees, slot] = left_child
+            sp[trees] += 2
+        rounds.append((live, parent, is_left, feature, threshold, size))
+
+    # node r of tree t is the record of tree t in round r
+    tree_of, parent, is_left, feature, threshold, size = (
+        np.concatenate(col) for col in zip(*rounds))
+    slot = np.repeat(np.arange(len(rounds)), [len(rec[0]) for rec in rounds])
+    order = np.argsort(tree_of, kind="stable")
+    tree_of, slot, parent, is_left = tree_of[order], slot[order], parent[order], is_left[order]
+    feature, threshold, size = feature[order], threshold[order], size[order]
+    offset = np.concatenate([[0], np.cumsum(np.bincount(tree_of, minlength=n_trees))])
+    left = np.full(len(slot), -1, dtype=np.int64)
+    right = np.full(len(slot), -1, dtype=np.int64)
+    child = parent >= 0
+    at = offset[tree_of[child]] + parent[child]
+    left[at[is_left[child]]] = slot[child][is_left[child]]
+    right[at[~is_left[child]]] = slot[child][~is_left[child]]
+    return [{"feature": feature[a:b], "threshold": threshold[a:b],
+             "left": left[a:b], "right": right[a:b], "size": size[a:b]}
+            for a, b in zip(offset[:-1].tolist(), offset[1:].tolist())]
 
 
 def _average_path_lengths(sizes):
@@ -147,6 +214,8 @@ class IsolationForestModel:
         self.trees = trees
         self.psi = psi
         self.n_features = n_features
+        self.n_nodes = sum(len(t["feature"]) for t in trees)
+        self.meta = {"n_trees": len(trees)}
         self._c_psi = average_path_length(psi)
         self._paths = _iso_ensemble(trees)
 
@@ -169,14 +238,25 @@ def fit_isolation_forest(X, params: IsoForestParams = None):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(X) < 2:
         raise EmptyDataset("isolation forest needs at least 2 rows")
+    _require_finite(X, "isolation forest")
+    # a split threshold is drawn from [lo, hi) of a feature; the spread
+    # hi - lo must be a finite float
+    with np.errstate(over="ignore"):
+        spread = X.max(axis=0) - X.min(axis=0)
+    if not np.isfinite(spread).all():
+        raise DataError("isolation forest: a feature's range exceeds the float range")
     psi = min(params.subsample, len(X))
     height_limit = int(np.ceil(np.log2(psi)))
-    trees = []
-    for i in range(params.n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence((params.seed, i)))
-        idx = rng.choice(len(X), size=psi, replace=False)
-        trees.append(_grow_iso_tree(X[idx], rng, height_limit))
+    rngs = [np.random.default_rng(np.random.SeedSequence((params.seed, i)))
+            for i in range(params.n_trees)]
+    idx = np.concatenate([g.choice(len(X), size=psi, replace=False) for g in rngs])
+    trees = _grow_iso_forest(X[idx], psi, rngs, height_limit)
     return IsolationForestModel(trees, psi, X.shape[1])
+
+
+def _require_finite(X, what):
+    if not np.isfinite(X).all():
+        raise DataError(f"{what}: X holds NaN or infinite values")
 
 
 # -- nu one-class SVM ----------------------------------------------------------
@@ -203,15 +283,17 @@ class OneClassSvmModel:
     """f(x) = sum_i alpha_i k(x_i, x) - rho; negative means novel.
 
     Coefficients satisfy the nu-formulation constraints: they sum to 1
-    and lie in [0, 1/(nu n)].
+    and lie in [0, 1/(nu n)]. `meta` holds the fit's n_iter, n_support and
+    the number of kernel rows it computed.
     """
 
-    def __init__(self, support_X, alphas, rho, gamma, converged=True):
+    def __init__(self, support_X, alphas, rho, gamma, converged=True, meta=None):
         self.support_X = support_X
         self.alphas = alphas
         self.rho = rho
         self.gamma = gamma
         self.converged = converged
+        self.meta = meta or {}
         self.n_features = support_X.shape[1]
 
     def decision_score(self, X, chunk=4096):
@@ -230,34 +312,34 @@ class OneClassSvmModel:
         return (self.decision_score(X) < 0.0).astype(np.int64)
 
 
+# Byte budget of the one-class SVM's kernel-row cache. At 3000 training
+# rows it holds about 2800 rows, so an SMO run there never evicts; at
+# 10,000 rows it holds about 840.
+_KERNEL_CACHE_BYTES = 64 << 20
+
+
 def fit_ocsvm(X, params: OcsvmParams = None):
     """SMO on  min 1/2 a'Ka  s.t. sum a = 1, 0 <= a_i <= 1/(nu n).
 
     The maximal violating pair transfers mass between a decreasable and an
     increasable coefficient; the full gradient K a is maintained so
-    selection is O(n).
+    selection is O(n). Kernel rows are computed on demand into an LRU
+    cache and never one row alone: a one-row product goes through BLAS
+    gemv and rounds unlike the full n x n kernel matrix this solver once
+    built, while rows of a product of two or more rows go through gemm and,
+    at sizes such as 3000 rows, are bit-identical to that matrix's rows.
     """
     params = params or OcsvmParams()
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(X) < 2:
         raise EmptyDataset("one-class SVM needs at least 2 rows")
+    _require_finite(X, "one-class SVM")
     n = len(X)
     ub = 1.0 / (params.nu * n)
     if ub * n < 1.0 - 1e-12:
         raise InvalidHyperParam("infeasible: nu * n leaves too little mass")
     gamma = resolve_gamma(params.gamma, X)
-    K = rbf_kernel(X, X, gamma) if n <= 6000 else None
-
-    def krow(i, cache={}):
-        if K is not None:
-            return K[i]
-        row = cache.get(i)
-        if row is None:
-            row = rbf_kernel(X[i:i + 1], X, gamma)[0]
-            if len(cache) > 512:
-                cache.clear()
-            cache[i] = row
-        return row
+    cache = KernelRowCache(X, gamma, max(2, _KERNEL_CACHE_BYTES // (8 * n)))
 
     # LIBSVM-style start: pile the unit of mass onto the first ceil(nu n)
     # coefficients
@@ -266,12 +348,20 @@ def fit_ocsvm(X, params: OcsvmParams = None):
     alpha[:n_full] = ub
     if n_full < n:
         alpha[n_full] = 1.0 - n_full * ub
+    n_start = int(np.count_nonzero(alpha > 0))  # alpha[:n_start] > 0
+    # their rows in blocks of at most a quarter of the cache and at least
+    # two rows each (array_split of blocks of 4 or more leaves no block of 1)
+    per_block = max(4, cache.capacity // 4)
+    first = np.arange(max(n_start, 2))
     grad = np.zeros(n)
-    for i in np.nonzero(alpha > 0)[0]:
-        grad += alpha[i] * krow(i)
+    for block in np.array_split(first, -(-len(first) // per_block)):
+        for i, row in zip(block.tolist(), cache.rows(block)):
+            if i < n_start:
+                grad += alpha[i] * row
 
     converged = False
-    for _ in range(params.max_iter):
+    n_iter = 0
+    while n_iter < params.max_iter:
         can_dec = alpha > 1e-14
         can_inc = alpha < ub - 1e-14
         dec_idx = np.nonzero(can_dec)[0]
@@ -284,14 +374,14 @@ def fit_ocsvm(X, params: OcsvmParams = None):
         if grad[i] - grad[j] <= params.tol:
             converged = True
             break
-        Ki = krow(i)
-        Kj = krow(j)
+        Ki, Kj = cache.rows([i, j])
         quad = max(Ki[i] + Kj[j] - 2.0 * Ki[j], 1e-12)
         delta = (grad[i] - grad[j]) / quad
         delta = min(delta, alpha[i], ub - alpha[j])
         alpha[i] -= delta
         alpha[j] += delta
         grad += delta * (Kj - Ki)
+        n_iter += 1
 
     free = (alpha > ub * 1e-8) & (alpha < ub * (1.0 - 1e-8))
     if free.any():
@@ -308,7 +398,10 @@ def fit_ocsvm(X, params: OcsvmParams = None):
         rho = float(0.5 * (hi + lo))
 
     sv = alpha > 1e-12
-    return OneClassSvmModel(X[sv].copy(), alpha[sv].copy(), rho, gamma, converged)
+    meta = {"n_iter": n_iter, "n_support": int(sv.sum()),
+            "kernel_rows": cache.computed}
+    return OneClassSvmModel(X[sv].copy(), alpha[sv].copy(), rho, gamma,
+                            converged, meta)
 
 
 # -- boundary grid export --------------------------------------------------------
@@ -323,16 +416,16 @@ class BoundaryGrid:
     points: list = field(default_factory=list)  # (x, y, score, tag)
 
     def to_csv_text(self):
-        buf = io.StringIO()
-        buf.write("kind,x,y,value,tag\n")
-        for iy, yv in enumerate(self.y_values):
-            for ix, xv in enumerate(self.x_values):
-                buf.write(
-                    f"grid,{float(xv)!r},{float(yv)!r},"
-                    f"{float(self.scores[iy, ix])!r},\n")
-        for x, y, score, tag in self.points:
-            buf.write(f"point,{float(x)!r},{float(y)!r},{float(score)!r},{tag}\n")
-        return buf.getvalue()
+        # each axis value is formatted once, not once per grid cell
+        xs = [repr(v) for v in np.asarray(self.x_values, dtype=float).tolist()]
+        ys = [repr(v) for v in np.asarray(self.y_values, dtype=float).tolist()]
+        scores = np.asarray(self.scores, dtype=float).tolist()
+        lines = ["kind,x,y,value,tag\n"]
+        for yv, row in zip(ys, scores):
+            lines.extend([f"grid,{xv},{yv},{score!r},\n" for xv, score in zip(xs, row)])
+        lines.extend([f"point,{float(x)!r},{float(y)!r},{float(score)!r},{tag}\n"
+                      for x, y, score, tag in self.points])
+        return "".join(lines)
 
     def save(self, path):
         atomic_write_text(path, self.to_csv_text())
@@ -401,7 +494,7 @@ def export_boundary_grid(model, X_train, X_regular, X_novel, dims=(0, 1),
 
     points = []
     for tag, pts in zip(("train", "regular", "novel"), sets):
-        vals = model.boundary_score(pts)
-        for row, v in zip(pts[:, dims], vals):
-            points.append((float(row[0]), float(row[1]), float(v), tag))
+        vals = model.boundary_score(pts).tolist()
+        px, py = pts[:, dims].T.tolist()
+        points.extend((x, y, v, tag) for x, y, v in zip(px, py, vals))
     return BoundaryGrid(xs, ys, scores, points)

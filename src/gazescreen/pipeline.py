@@ -351,16 +351,18 @@ class ExperimentResult:
     timings: list
 
 
-def run_experiment(cfg):
+def run_experiment(cfg, ds=None):
     """Simulate/load -> split -> per-model weight/cap/fit -> evaluate ->
-    report + manifest. Returns an ExperimentResult."""
+    report + manifest. Returns an ExperimentResult. `ds`, when given, is
+    the cohort `cfg` describes, already acquired."""
     outdir = cfg.outdir
     os.makedirs(os.path.join(outdir, "models"), exist_ok=True)
     stages = _Stages()
     outputs = {}
 
     source = cfg.csv_path or f"synthetic cohort ({cfg.n_control}+{cfg.n_concussed} {cfg.test_kind})"
-    ds = stages.run("acquire", source, _acquire, cfg)
+    if ds is None:
+        ds = stages.run("acquire", source, _acquire, cfg)
     train_ds, val_ds, test_ds = stages.run(
         "split", f"{len(ds)} frames", split, ds, cfg.split_config())
 
@@ -379,10 +381,7 @@ def run_experiment(cfg):
         model_paths[kind] = path
         per_model[DISPLAY_NAMES[kind]] = stages.run(
             "evaluate", f"model {kind}", evaluate_model, model, test_ds)
-        fit = fit_diagnostics(model)
-        if not fit.get("converged", True):
-            print(f"warning: {kind} fit did not converge", file=sys.stderr)
-        model_info[kind] = {**info, "fit": fit}
+        model_info[kind] = {**info, "fit": _checked_fit_diagnostics(kind, model)}
     title = f"Evaluation on held-out test frames ({cfg.test_kind})"
     report_txt = metrics_mod.render_report_text(per_model, title)
     report_csv = metrics_mod.render_report_csv(per_model)
@@ -430,16 +429,26 @@ def evaluate_model(model, test_ds):
 
 def fit_diagnostics(model):
     """How a fit behaved, from the model's attributes and meta: whichever of
-    converged, n_iter, n_support, n_rounds, n_epochs, the stop reason and
-    the tree node count the model has."""
+    converged, n_iter, n_support, n_rounds, n_epochs, the stop reason, the
+    tree and node counts and the kernel rows computed the model has."""
     diag = {k: model.meta[k]
-            for k in ("n_iter", "n_support", "n_rounds", "n_epochs", "stop")
+            for k in ("n_iter", "n_support", "n_rounds", "n_epochs", "stop",
+                      "n_trees", "kernel_rows")
             if k in model.meta}
     if hasattr(model, "converged"):
         diag["converged"] = bool(model.converged)
     if hasattr(model, "n_nodes"):
         diag["nodes"] = int(model.n_nodes)
     return diag
+
+
+def _checked_fit_diagnostics(label, model):
+    """`fit_diagnostics`, with a warning on stderr when the fit did not
+    converge."""
+    fit = fit_diagnostics(model)
+    if not fit.get("converged", True):
+        print(f"warning: {label} fit did not converge", file=sys.stderr)
+    return fit
 
 
 def evaluate_saved_models(model_paths, test_ds):
@@ -453,19 +462,22 @@ def evaluate_saved_models(model_paths, test_ds):
 
 # -- novelty runner -----------------------------------------------------------------
 
-def run_novelty(cfg):
+def run_novelty(cfg, ds=None):
     """Fit control-only detectors per eye channel and export boundary grids.
 
     Uses (x, y) direction components of one eye at a time, mirroring the
     per-eye scatter panels of the screening figures. Produces
-    {method}_{kind}_{eye}.csv files and a manifest.
+    {method}_{kind}_{eye}.csv files and a manifest with each fit's
+    diagnostics. `ds`, when given, is the cohort `cfg` describes, already
+    acquired.
     """
     outdir = cfg.outdir
     os.makedirs(outdir, exist_ok=True)
     stages = _Stages()
     outputs = {}
 
-    ds = stages.run("acquire", f"novelty cohort {cfg.test_kind}", _acquire, cfg)
+    if ds is None:
+        ds = stages.run("acquire", f"novelty cohort {cfg.test_kind}", _acquire, cfg)
     train_ds, _, test_ds = stages.run("split", f"{len(ds)} frames",
                                       split, ds, cfg.split_config())
     rng = np.random.default_rng(cfg.seed)
@@ -493,6 +505,7 @@ def run_novelty(cfg):
     test_reg, test_nov = test_parts
 
     grid_paths = []
+    fits = {}
     for method in cfg.novelty_methods:
         for eye in EYE_CHANNELS:
             Xtr = train_pool.eye_dirs(eye)[:, :2]
@@ -508,6 +521,7 @@ def run_novelty(cfg):
             else:
                 raise PipelineError("novelty-fit", method,
                                     InvalidSpec(f"unknown novelty method {method!r}"))
+            fits[f"{method} {eye}"] = _checked_fit_diagnostics(f"{method} {eye}", model)
             grid = stages.run("novelty-grid", f"{method} {eye}",
                               export_boundary_grid, model, Xtr, Xreg, Xnov,
                               dims=(0, 1), resolution=cfg.grid_resolution)
@@ -523,6 +537,7 @@ def run_novelty(cfg):
         "config": _config_dict(cfg),
         "data": {"train_rows": len(train_pool),
                  "test_regular": len(test_reg), "test_novel": len(test_nov)},
+        "fits": fits,
         "stages": stages.timings,
         "peak_rss_mb": _peak_rss_mb(),
         "outputs": outputs,
@@ -538,7 +553,8 @@ def reproduce(seed=0, outdir="runs/reproduce", n_control=100, n_concussed=100,
               train_caps=None, novelty_train=10000, novelty_test_per_class=5000,
               grid_resolution=100, novelty_methods=("iforest", "ocsvm")):
     """Run the SP experiment, the VMS experiment and both novelty stages
-    under one seed; returns {section: result}."""
+    under one seed; returns {section: result}. Each cohort is simulated
+    once and shared by its experiment and its novelty stage."""
     outdir = os.environ.get(OUTDIR_ENV_VAR, "") or outdir
     caps = dict(DEFAULT_TRAIN_CAPS) if train_caps is None else dict(train_caps)
     results = {}
@@ -550,7 +566,8 @@ def reproduce(seed=0, outdir="runs/reproduce", n_control=100, n_concussed=100,
             train_caps=caps, novelty_train=novelty_train,
             novelty_test_per_class=novelty_test_per_class,
             grid_resolution=grid_resolution, novelty_methods=tuple(novelty_methods))
-        results[kind] = run_experiment(cfg)
+        ds = _acquire(cfg)
+        results[kind] = run_experiment(cfg, ds)
         nov_cfg = RunConfig(
             test_kind=kind, n_control=n_control, n_concussed=n_concussed,
             seed=seed, outdir=os.path.join(outdir, "novelty", kind.lower()),
@@ -558,5 +575,5 @@ def reproduce(seed=0, outdir="runs/reproduce", n_control=100, n_concussed=100,
             novelty_train=novelty_train,
             novelty_test_per_class=novelty_test_per_class,
             grid_resolution=grid_resolution, novelty_methods=tuple(novelty_methods))
-        results[f"novelty-{kind}"] = run_novelty(nov_cfg)
+        results[f"novelty-{kind}"] = run_novelty(nov_cfg, ds)
     return results

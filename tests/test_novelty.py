@@ -4,13 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from gazescreen import novelty as novelty_mod
 from gazescreen.errors import (
+    DataError,
     DimensionMismatch,
     EmptyDataset,
     InvalidHyperParam,
     InvalidSpec,
 )
+from gazescreen.kernels import KernelRowCache, rbf_kernel, resolve_gamma
 from gazescreen.models import tree as tree_mod
 from gazescreen.novelty import (
     BoundaryGrid,
@@ -46,6 +52,149 @@ def iso_path_lengths_loop(tree, X):
         depth[rows] += 1.0
     tail = np.array([average_path_length(s) for s in tree["size"]])
     return depth + tail[pos]
+
+
+def grow_iso_tree_reference(X, rng, height_limit):
+    """Reference: one isolation tree grown alone, node by node, as trees
+    were grown before the lockstep forest grower."""
+    feature, threshold, left, right, size = [], [], [], [], []
+    stack = [(np.arange(len(X)), 0, -1, False)]
+    while stack:
+        idx, depth, parent, is_left = stack.pop()
+        slot = len(feature)
+        if parent >= 0:
+            if is_left:
+                left[parent] = slot
+            else:
+                right[parent] = slot
+        rows = X[idx]
+        lo = rows.min(axis=0) if len(idx) else None
+        hi = rows.max(axis=0) if len(idx) else None
+        splittable = len(idx) > 1 and depth < height_limit and np.any(hi > lo)
+        if not splittable:
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            size.append(len(idx))
+            continue
+        spread = np.nonzero(hi > lo)[0]
+        f = int(spread[rng.integers(0, len(spread))])
+        thr = float(rng.uniform(lo[f], hi[f]))
+        go_left = rows[:, f] < thr
+        feature.append(f)
+        threshold.append(thr)
+        left.append(-1)
+        right.append(-1)
+        size.append(len(idx))
+        stack.append((idx[~go_left], depth + 1, slot, False))
+        stack.append((idx[go_left], depth + 1, slot, True))
+    return {
+        "feature": np.array(feature, dtype=np.int64),
+        "threshold": np.array(threshold),
+        "left": np.array(left, dtype=np.int64),
+        "right": np.array(right, dtype=np.int64),
+        "size": np.array(size, dtype=np.int64),
+    }
+
+
+def iso_forest_reference(X, params):
+    """Reference: the trees of `fit_isolation_forest`, grown one at a time."""
+    psi = min(params.subsample, len(X))
+    height_limit = int(np.ceil(np.log2(psi)))
+    trees = []
+    for i in range(params.n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence((params.seed, i)))
+        idx = rng.choice(len(X), size=psi, replace=False)
+        trees.append(grow_iso_tree_reference(X[idx], rng, height_limit))
+    return trees
+
+
+def fit_ocsvm_reference(X, params):
+    """Reference: the one-class SVM's SMO on the dense n x n kernel matrix,
+    as it was solved before kernel rows were computed on demand. Returns
+    (alphas, rho, support mask, converged)."""
+    n = len(X)
+    ub = 1.0 / (params.nu * n)
+    K = rbf_kernel(X, X, resolve_gamma(params.gamma, X))
+    alpha = np.zeros(n)
+    n_full = int(np.floor(params.nu * n))
+    alpha[:n_full] = ub
+    if n_full < n:
+        alpha[n_full] = 1.0 - n_full * ub
+    grad = np.zeros(n)
+    for i in np.nonzero(alpha > 0)[0]:
+        grad += alpha[i] * K[i]
+    converged = False
+    for _ in range(params.max_iter):
+        dec_idx = np.nonzero(alpha > 1e-14)[0]
+        inc_idx = np.nonzero(alpha < ub - 1e-14)[0]
+        if dec_idx.size == 0 or inc_idx.size == 0:
+            converged = True
+            break
+        i = dec_idx[np.argmax(grad[dec_idx])]
+        j = inc_idx[np.argmin(grad[inc_idx])]
+        if grad[i] - grad[j] <= params.tol:
+            converged = True
+            break
+        quad = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        delta = min((grad[i] - grad[j]) / quad, alpha[i], ub - alpha[j])
+        alpha[i] -= delta
+        alpha[j] += delta
+        grad += delta * (K[j] - K[i])
+    free = (alpha > ub * 1e-8) & (alpha < ub * (1.0 - 1e-8))
+    if free.any():
+        rho = float(np.min(grad[free]))
+    else:
+        upper = grad[alpha <= ub * 1e-8]
+        lower = grad[alpha >= ub * (1.0 - 1e-8)]
+        hi = upper.min() if upper.size else grad.max()
+        lo = lower.max() if lower.size else grad.min()
+        rho = float(0.5 * (hi + lo))
+    sv = alpha > 1e-12
+    return alpha[sv], rho, sv, converged
+
+
+def to_csv_text_reference(grid):
+    """Reference: the grid CSV as written before, one numpy scalar at a
+    time."""
+    lines = ["kind,x,y,value,tag\n"]
+    for iy, yv in enumerate(grid.y_values):
+        for ix, xv in enumerate(grid.x_values):
+            lines.append(f"grid,{float(xv)!r},{float(yv)!r},"
+                         f"{float(grid.scores[iy, ix])!r},\n")
+    for x, y, score, tag in grid.points:
+        lines.append(f"point,{float(x)!r},{float(y)!r},{float(score)!r},{tag}\n")
+    return "".join(lines)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ties on quarter steps, +-0 and the smallest subnormal
+_SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.0, 1.0 + 2.0 ** -52]
+
+
+@st.composite
+def forest_inputs(draw):
+    """Rows drawn with repeats from a small base matrix (duplicate rows),
+    whose values mix ties, +-0 and continuous values and whose columns may
+    be constant, plus forest settings."""
+    d = draw(st.integers(1, 4))
+    n0 = draw(st.integers(1, 25))
+    values = (st.sampled_from(_SPECIAL_VALUES) | st.floats(-4, 4)
+              | st.integers(-8, 8).map(lambda k: k / 4))
+    base = draw(hnp.arrays(float, (n0, d), elements=values))
+    for f in range(d):
+        if draw(st.booleans()) and draw(st.booleans()):
+            base[:, f] = base[0, f]
+    rows = draw(st.lists(st.integers(0, n0 - 1), min_size=2, max_size=60))
+    X = base[rows]
+    params = IsoForestParams(n_trees=draw(st.integers(1, 7)),
+                             subsample=draw(st.integers(2, len(X) + 3)),
+                             seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return X, params
 
 
 def expected_path_length_loop(model, X):
@@ -187,6 +336,41 @@ class TestIsolationForest:
         with pytest.raises(EmptyDataset):
             fit_isolation_forest(np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        X = cloud(50, seed=17)
+        X[7, 1] = bad
+        with pytest.raises(DataError):
+            fit_isolation_forest(X, IsoForestParams(n_trees=3))
+
+    def test_feature_range_beyond_float_rejected(self):
+        # finite values whose spread hi - lo overflows to inf
+        X = np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 2.0]])
+        with pytest.raises(DataError):
+            fit_isolation_forest(X, IsoForestParams(n_trees=3))
+
+    @given(forest_inputs())
+    @settings(deadline=None, max_examples=150)
+    def test_lockstep_forest_equals_per_tree_grower(self, inputs):
+        X, params = inputs
+        got = fit_isolation_forest(X, params)
+        expect = iso_forest_reference(X, params)
+        assert len(got.trees) == len(expect)
+        for g, e in zip(got.trees, expect):
+            assert set(g) == set(e)
+            assert all(same_bits(g[k], e[k]) for k in e)
+        assert got.n_nodes == sum(len(t["feature"]) for t in expect)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lockstep_forest_equals_per_tree_grower_full_size(self, seed):
+        # the default 100 trees of psi = 256 rows, with one column of ties
+        X = cloud(1000, d=3, seed=seed)
+        X[:, 2] = np.round(X[:, 2] * 2) / 2
+        params = IsoForestParams(seed=seed)
+        got = fit_isolation_forest(X, params)
+        for g, e in zip(got.trees, iso_forest_reference(X, params)):
+            assert all(same_bits(g[k], e[k]) for k in e)
+
 
 class TestOcsvm:
     def test_dual_feasibility(self):
@@ -247,6 +431,85 @@ class TestOcsvm:
         b = fit_ocsvm(X).decision_score(probe)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        X = cloud(50, seed=18)
+        X[3, 0] = bad
+        with pytest.raises(DataError):
+            fit_ocsvm(X)
+
+    def assert_matches_dense_oracle(self, X, hp):
+        model = fit_ocsvm(X, hp)
+        alphas, rho, sv, converged = fit_ocsvm_reference(X, hp)
+        assert same_bits(model.alphas, alphas)
+        assert model.rho == rho
+        assert same_bits(model.support_X, X[sv])
+        assert model.converged == converged
+        assert model.meta["n_support"] == int(sv.sum())
+        return model
+
+    # The sizes are ones where every row of the dense kernel matrix rounds
+    # as the same row of a smaller block does (see
+    # test_cached_rows_equal_dense_kernel_rows).
+    @pytest.mark.parametrize("n, nu, seed", [
+        (2, 0.1, 0), (10, 0.1, 1), (57, 0.3, 2), (296, 0.1, 3), (400, 0.05, 4)])
+    def test_on_demand_rows_equal_dense_kernel_fit(self, n, nu, seed):
+        # n = 10 at nu = 0.1 starts from a single nonzero coefficient
+        self.assert_matches_dense_oracle(cloud(n, seed=seed) * [0.05, 0.02],
+                                         OcsvmParams(nu=nu))
+
+    def test_on_demand_rows_equal_dense_kernel_fit_with_ties(self):
+        X = np.round(cloud(200, seed=5), 1)
+        X[::9] = X[0]
+        X[::11, 1] = -0.0
+        self.assert_matches_dense_oracle(X, OcsvmParams(nu=0.2))
+
+    def test_unconverged_fit_equals_dense_kernel_fit(self):
+        model = self.assert_matches_dense_oracle(cloud(152, seed=6),
+                                                 OcsvmParams(max_iter=5))
+        assert not model.converged
+        assert model.meta["n_iter"] == 5
+
+    def test_forced_eviction_equals_dense_kernel_fit(self, monkeypatch):
+        n = 200
+        X = cloud(n, seed=7)
+        hp = OcsvmParams(nu=0.1)
+        full = fit_ocsvm(X, hp)
+        # room for 5 rows: the 20 starting rows go in blocks of 4, and the
+        # SMO pairs keep evicting each other
+        monkeypatch.setattr(novelty_mod, "_KERNEL_CACHE_BYTES", 5 * 8 * n)
+        model = self.assert_matches_dense_oracle(X, hp)
+        assert model.meta["kernel_rows"] > full.meta["kernel_rows"]
+
+    # OpenBLAS computes X @ X.T of the full matrix with syrk, whose blocks
+    # at the edge of an n x n product round some entries differently from
+    # the gemm of a few rows (on a Haswell-class CPU: when n % 8 >= 4). The
+    # benchmark's 3000 training rows are not such a size, which is what keeps
+    # its grids bit-identical to the dense-matrix solver's.
+    @pytest.mark.parametrize("n", [296, 3000])
+    def test_cached_rows_equal_dense_kernel_rows(self, n):
+        X = cloud(n, seed=8)
+        gamma = resolve_gamma("scale", X)
+        K = rbf_kernel(X, X, gamma)
+        cache = KernelRowCache(X, gamma, capacity=50)
+        for idx in ([0, 1], list(range(30)), [n - 1, 7], [7, 150], [150, n - 1]):
+            for i, row in zip(idx, cache.rows(idx)):
+                assert same_bits(row, K[i])
+
+    def test_row_cache_is_least_recently_used(self):
+        X = cloud(10, seed=9)
+        cache = KernelRowCache(X, 1.0, capacity=3)
+        cache.rows([0, 1])
+        cache.rows([2, 3])        # evicts 0
+        cache.rows([1])           # a hit, which makes 1 the most recent
+        cache.rows([4, 5])        # evicts 2, then 3
+        assert cache.computed == 6
+        cache.rows([1, 5])
+        cache.rows([4])
+        assert cache.computed == 6
+        cache.rows([0, 1])        # 0 is missing, so both rows are computed
+        assert cache.computed == 8
+
 
 class TestBoundaryGrid:
     def fitted(self):
@@ -303,6 +566,20 @@ class TestBoundaryGrid:
         model, train, regular, novel = self.fitted()
         with pytest.raises(InvalidSpec):
             export_boundary_grid(model, train, regular, novel, resolution=1)
+
+    def test_csv_text_equals_scalar_writer(self):
+        special = [-0.0, 5e-324, 1e16, 1e-300, 0.1, -2.5]
+        grid = BoundaryGrid(
+            np.array(special), np.array(special[::-1] + [3.0]),
+            np.array(special * 7).reshape(7, 6) * np.arange(7)[:, None],
+            [(-0.0, 5e-324, 1e16, "train"), (1e-300, 0.1, -0.0, "novel")])
+        assert grid.to_csv_text() == to_csv_text_reference(grid)
+
+    def test_exported_grid_csv_equals_scalar_writer(self):
+        model, train, regular, novel = self.fitted()
+        grid = export_boundary_grid(model, train, regular, novel, resolution=9)
+        assert all(type(v) is float for p in grid.points for v in p[:3])
+        assert grid.to_csv_text() == to_csv_text_reference(grid)
 
     def test_first_column_is_kind(self, tmp_path):
         grid = BoundaryGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]),

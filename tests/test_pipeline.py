@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from gazescreen import cli
+from gazescreen import pipeline as pipeline_mod
 from gazescreen.cli import main as cli_main
 from gazescreen.data import load_csv, split
 from gazescreen.errors import (
@@ -24,7 +25,7 @@ from gazescreen.errors import (
 )
 from gazescreen.metrics import parse_report_csv
 from gazescreen.models import FittedModel
-from gazescreen.novelty import load_boundary_grid
+from gazescreen.novelty import OcsvmParams, load_boundary_grid
 from gazescreen.pipeline import (
     DEFAULT_TRAIN_CAPS,
     OUTDIR_ENV_VAR,
@@ -400,6 +401,37 @@ def test_novelty_manifest(nov):
     assert {s["stage"] for s in man["stages"]} == {
         "acquire", "split", "novelty-fit", "novelty-grid", "grid-write"}
     assert sum(s["stage"] == "grid-write" for s in man["stages"]) == 6
+    fits = man["fits"]
+    assert set(fits) == {f"{m} {e}" for m in ("iforest", "ocsvm")
+                         for e in ("left", "right", "cyclopean")}
+    for eye in ("left", "right", "cyclopean"):
+        iforest, ocsvm = fits[f"iforest {eye}"], fits[f"ocsvm {eye}"]
+        assert set(iforest) == {"n_trees", "nodes"}
+        assert iforest["n_trees"] == 100
+        assert iforest["nodes"] >= 100 * 3
+        assert set(ocsvm) == {"converged", "n_iter", "n_support", "kernel_rows"}
+        assert ocsvm["converged"] is True
+        # the 20 starting rows (nu n = 0.1 * 200), then two per missing pair
+        assert ocsvm["kernel_rows"] >= 20
+
+
+def test_novelty_warns_on_unconverged_ocsvm(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline_mod, "OcsvmParams", lambda: OcsvmParams(max_iter=1))
+    cfg = RunConfig(test_kind="SP", n_control=2, n_concussed=2, seed=7,
+                    outdir=str(tmp_path), novelty_train=100,
+                    novelty_test_per_class=20, grid_resolution=3,
+                    novelty_methods=("ocsvm",))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        run_novelty(cfg)
+    assert stderr.getvalue().splitlines() == [
+        f"warning: ocsvm {eye} fit did not converge"
+        for eye in ("left", "right", "cyclopean")]
+    with open(os.path.join(cfg.outdir, "manifest.json")) as fh:
+        fits = json.load(fh)["fits"]
+    assert all(fits[f"ocsvm {eye}"]["converged"] is False
+               and fits[f"ocsvm {eye}"]["n_iter"] == 1
+               for eye in ("left", "right", "cyclopean"))
 
 
 def test_novelty_needs_control_frames(tmp_path):
@@ -448,6 +480,41 @@ def test_reproduce_layout_and_env_override(tmp_path, monkeypatch):
         assert (forced / rel).exists(), rel
     assert results["SP"].report_csv_path == str(forced / "sp" / "report.csv")
     assert set(results["SP"].per_model) == {"Naive Bayes"}
+
+
+def test_reproduce_simulates_each_cohort_once(tmp_path, monkeypatch):
+    calls = []
+    simulate = pipeline_mod.synthesize_cohort
+
+    def counted(cfg):
+        calls.append(cfg.test_kind)
+        return simulate(cfg)
+
+    monkeypatch.setattr(pipeline_mod, "synthesize_cohort", counted)
+    kw = dict(seed=5, n_control=2, n_concussed=2, models=("NB",),
+              balanced_per_class=300, novelty_train=120,
+              novelty_test_per_class=30, grid_resolution=4)
+    reproduce(outdir=str(tmp_path / "shared"), **kw)
+    assert calls == ["SP", "VMS"]
+
+    # the same outputs as the experiment and novelty runs acquiring their
+    # own cohorts
+    for kind in ("SP", "VMS"):
+        common = dict(test_kind=kind, seed=5, n_control=2, n_concussed=2,
+                      models=("NB",), novelty_train=120,
+                      novelty_test_per_class=30, grid_resolution=4)
+        run_experiment(RunConfig(**common, balanced_per_class=300,
+                                 outdir=str(tmp_path / "alone" / kind.lower())))
+        run_novelty(RunConfig(**common, outdir=str(
+            tmp_path / "alone" / "novelty" / kind.lower())))
+    assert calls == ["SP", "VMS"] + ["SP", "SP", "VMS", "VMS"]
+    alone = sorted(p.relative_to(tmp_path / "alone")
+                   for p in (tmp_path / "alone").rglob("*")
+                   if p.suffix in (".csv", ".txt") or p.parent.name == "models")
+    assert len(alone) == 2 * (2 + 1) + 2 * 6
+    for rel in alone:
+        assert (tmp_path / "shared" / rel).read_bytes() == \
+            (tmp_path / "alone" / rel).read_bytes(), rel
 
 
 # -- command line -------------------------------------------------------------------
