@@ -15,13 +15,13 @@ import numpy as np
 from ..errors import InvalidHyperParam
 from .base import FeatureMatrix, FittedModel, register_model
 from .tree import (
+    CartGrower,
     FlatEnsemble,
     TreeParams,
     descend,
     grow_tree,
     nodes_from_json,
     nodes_to_json,
-    value_ranks,
 )
 
 _EPS_FLOOR = 1e-10
@@ -85,11 +85,11 @@ def fit_adaboost(fm: FeatureMatrix, hp: AdaBoostParams = None, seed: int = 0):
     y = fm.y.astype(float)
     dist = fm.normalized_weights()
     dist = dist / dist.sum()
-    stump_hp = TreeParams(max_depth=hp.base_max_depth)
-    ranks = value_ranks(X)
+    # every round grows on all rows, so the grower sorts the root once
+    grower = CartGrower(X, y, TreeParams(max_depth=hp.base_max_depth))
     stumps, alphas = [], []
     for _ in range(hp.n_estimators):
-        nodes = grow_tree(X, y, dist, stump_hp, ranks=ranks)
+        nodes = grower.grow(dist)[0]
         pred = descend(nodes, X) > 0.5
         mis = pred != fm.y.astype(bool)
         eps = float(dist[mis].sum())
@@ -105,7 +105,7 @@ def fit_adaboost(fm: FeatureMatrix, hp: AdaBoostParams = None, seed: int = 0):
     if not stumps:
         # every stump was at-chance; fall back to the majority-class constant
         nodes = grow_tree(X, y, fm.normalized_weights(),
-                          TreeParams(min_samples_split=len(X) + 1), ranks=ranks)
+                          TreeParams(min_samples_split=len(X) + 1))
         stumps, alphas = [nodes], [0.0]
     model = AdaBoostModel(stumps, alphas, fm.d)
     model.meta = {"hyperparams": asdict(hp), "seed": seed,

@@ -8,14 +8,7 @@ import numpy as np
 
 from ..errors import InvalidHyperParam
 from .base import FeatureMatrix, FittedModel, register_model
-from .tree import (
-    FlatEnsemble,
-    TreeParams,
-    grow_tree,
-    nodes_from_json,
-    nodes_to_json,
-    value_ranks,
-)
+from .tree import CartGrower, FlatEnsemble, TreeParams, nodes_from_json, nodes_to_json
 
 
 @dataclass
@@ -75,11 +68,11 @@ class RandomForestModel(FittedModel):
 
 
 def fit_random_forest(fm: FeatureMatrix, hp: ForestParams = None, seed: int = 0):
-    """Trees are fit sequentially from per-tree RNG streams derived from
-    (seed, tree_index), so results do not depend on scheduling."""
+    """Each tree draws its bootstrap and then its split features from its own
+    RNG stream derived from (seed, tree_index), so results do not depend on
+    scheduling; the trees grow in lockstep."""
     hp = hp or ForestParams()
     w = fm.normalized_weights()
-    yf = fm.y.astype(float)
     m = hp.max_features if hp.max_features is not None else max(1, int(np.sqrt(fm.d)))
     m = min(m, fm.d)
     n_draw = hp.max_samples if hp.max_samples is not None else fm.n
@@ -87,16 +80,10 @@ def fit_random_forest(fm: FeatureMatrix, hp: ForestParams = None, seed: int = 0)
     tree_hp = TreeParams(min_samples_split=hp.min_samples_split,
                          min_samples_leaf=hp.min_samples_leaf,
                          max_depth=hp.max_depth)
-    ranks = value_ranks(fm.X)
-    trees = []
-    for i in range(hp.n_estimators):
-        rng = _tree_rng(seed, i)
-        if hp.bootstrap:
-            idx = rng.integers(0, fm.n, size=n_draw)
-        else:
-            idx = np.arange(fm.n)[:n_draw]
-        trees.append(grow_tree(fm.X[idx], yf[idx], w[idx], tree_hp,
-                               rng=rng, max_features=m, ranks=ranks[:, idx]))
+    rngs = [_tree_rng(seed, i) for i in range(hp.n_estimators)]
+    bags = [rng.integers(0, fm.n, size=n_draw) if hp.bootstrap else np.arange(n_draw)
+            for rng in rngs]
+    trees = CartGrower(fm.X, fm.y, tree_hp, max_features=m).grow(w, bags, rngs)
     model = RandomForestModel(trees, fm.d)
     model.meta = {"hyperparams": asdict(hp), "seed": seed}
     return model

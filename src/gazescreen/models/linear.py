@@ -155,7 +155,8 @@ def fit_perceptron(fm: FeatureMatrix, hp: PerceptronParams = None, seed: int = 0
     """Classic mistake-driven updates: on a sample with non-positive signed
     margin, w <- (1 - eta0*alpha) w + eta0*s_i*y_i*x_i (and the intercept
     moves by eta0*s_i*y_i). Scanning is chunked so epochs over mostly
-    correct data cost vectorised passes, not per-row Python."""
+    correct data cost vectorised passes, not per-row Python; each epoch
+    permutes the rows once and scans slices of that copy."""
     hp = hp or PerceptronParams()
     fm.require_both_classes()
     rng = np.random.default_rng(seed)
@@ -186,22 +187,25 @@ def fit_perceptron(fm: FeatureMatrix, hp: PerceptronParams = None, seed: int = 0
     epochs = 0
     for _ in range(hp.max_iter):
         epochs += 1
-        order = rng.permutation(len(X)) if hp.shuffle else np.arange(len(X))
+        if hp.shuffle:
+            order = rng.permutation(len(X))
+            Xe, ye, se = X[order], ypm[order], sw[order]
+        else:
+            Xe, ye, se = X, ypm, sw
         mistakes = 0
         ptr = 0
-        while ptr < len(order):
-            idx = order[ptr:ptr + chunk]
-            margins = ypm[idx] * (X[idx] @ w + b)
-            bad = np.nonzero(margins <= 0.0)[0]
+        while ptr < len(Xe):
+            margins = ye[ptr:ptr + chunk] * (Xe[ptr:ptr + chunk] @ w + b)
+            bad = np.flatnonzero(margins <= 0.0)
             if bad.size == 0:
-                ptr += len(idx)
+                ptr += chunk
                 continue
-            k = idx[bad[0]]
-            step = hp.eta0 * sw[k] * ypm[k]
-            w = shrink * w + step * X[k]
+            k = ptr + bad[0]
+            step = hp.eta0 * se[k] * ye[k]
+            w = shrink * w + step * Xe[k]
             b += step
             mistakes += 1
-            ptr += bad[0] + 1
+            ptr = k + 1
         if mistakes == 0:
             stop = "separated"
             break

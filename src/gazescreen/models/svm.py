@@ -91,7 +91,8 @@ def fit_svc_rbf(fm: FeatureMatrix, hp: SvcParams = None, seed: int = 0):
     alpha = np.zeros(n)
     grad = -np.ones(n)  # G = Q alpha - e
     converged = False
-    for _ in range(hp.max_iter):
+    n_iter = 0  # pair updates made
+    while n_iter < hp.max_iter:
         yg = -y * grad
         up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
         low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
@@ -157,6 +158,7 @@ def fit_svc_rbf(fm: FeatureMatrix, hp: SvcParams = None, seed: int = 0):
                     aj = total
         alpha[i], alpha[j] = ai, aj
         grad += Qi * (ai - old_i) + Qj * (aj - old_j)
+        n_iter += 1
 
     # intercept from free vectors, else midpoint of the final KKT interval
     yg = -y * grad
@@ -173,6 +175,6 @@ def fit_svc_rbf(fm: FeatureMatrix, hp: SvcParams = None, seed: int = 0):
     sv = alpha > 1e-12
     model = SvcRbfModel(X[sv].copy(), (alpha * y)[sv], b, gamma, converged)
     model.meta = {"hyperparams": {**asdict(hp), "gamma": str(hp.gamma)},
-                  "seed": seed, "gamma_value": gamma,
+                  "seed": seed, "gamma_value": gamma, "n_iter": n_iter,
                   "n_support": int(sv.sum()), "converged": converged}
     return model

@@ -2,6 +2,9 @@
 thresholds, with sample weights flowing through the impurity. Each fit
 ranks the values of every column once (`value_ranks`); a node orders its
 rows by a stable sort of their integer ranks, not of their float values.
+`grow_preorder` grows the trees of a forest in lockstep, one preorder node
+of every tree per round; `CartGrower` is its exact gini split rule, and the
+isolation forest hands it its own rule.
 
 Tie-breaking is deterministic: among equal-gini splits the lowest feature
 index wins, then the lowest threshold; leaf majorities resolve toward
@@ -12,6 +15,7 @@ plain dict of lists.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,140 +69,349 @@ def value_ranks(X):
     return np.array(inverse, dtype=np.min_scalar_type(top)).reshape(X.shape[::-1])
 
 
-# (feature, row) cells searched in one vectorised pass. Blocks keep each
-# float64 temporary near 64 KB, which the allocator serves from its free
-# lists; one pass over all 14 features of a 4,000-row node allocates 448 KB
-# temporaries that glibc returns to the system and faults back in. On a
-# 2-core Xeon that root search took 5-6 ms in one pass and 2.4-2.9 ms in
-# blocks (one pass: 2.7-3.0 ms with glibc's mmap and trim thresholds raised)
+# (node, feature, row) cells searched in one vectorised pass. Passes keep
+# each float64 temporary near 64 KB, which the allocator serves from its
+# free lists; one pass over all 14 features of a 4,000-row node allocates
+# 448 KB temporaries that glibc returns to the system and faults back in.
+# On a 2-core Xeon that root search took 5-6 ms in one pass and 2.4-2.9 ms
+# in passes of this size (one pass: 2.7-3.0 ms with glibc's mmap and trim
+# thresholds raised)
 _SPLIT_CELLS = 1 << 13
+# rows per (node, feature) pair from which a pass sorts each pair's 8- or
+# 16-bit ranks with numpy's radix sort; below it, and for wider ranks (which
+# numpy sorts stably with timsort, 6-10x slower at 20k-100k rows), one sort
+# of the whole pass's packed keys is faster (on a 2-core Xeon the two break
+# even near 256 rows)
+_RADIX_WIDTH = 256
 
 
-def _best_split(XT, ranks, y, w, idx, total_w, total_w1, feats, min_leaf):
-    """Lowest weighted-child-gini split of the rows idx over the features
-    feats (ascending); total_w and total_w1 are the rows' weight and
-    class-1 weight.
+def grow_preorder(XT, rows, sizes, choose):
+    """Grow one tree per segment of `rows` in lockstep; returns each tree's
+    node arrays.
 
-    Returns (score, feature, threshold) or None when no boundary between
-    distinct values satisfies the leaf minimum. The first minimum over the
-    (feature, position) cells wins, so ties go to the lowest feature, then
-    the lowest threshold. A feature with a NaN score anywhere is skipped.
-    Whole features are searched in blocks of about `_SPLIT_CELLS` cells, and
-    a later block wins only with a strictly lower score.
+    rows holds the column indices (of XT) of every tree's rows, tree t's
+    sizes[t] rows after those of the trees before it. Nodes are numbered in
+    preorder, left child first, and round r pops node r of every tree that
+    still has one, so a rule that draws from a per-tree generator draws in
+    the order a tree grown alone would. A node's rows keep the order they
+    have in its parent.
+
+    choose(trees, at, first, size, depth) sees the popped nodes' trees, the
+    rows of node j at at[first[j]:first[j] + size[j]], and their depths. It
+    returns (feature, threshold, cut, columns): feature -1 marks a leaf, a
+    split node sends its rows with XT[feature, row] <= cut to the left child
+    (NaN goes right), and columns maps names to per-node arrays kept with
+    the nodes. A tree is a dict of feature, threshold, left, right and the
+    columns.
     """
-    step = max(1, _SPLIT_CELLS // len(idx))
-    best = None
-    for lo in range(0, len(feats), step):
-        choice = _block_split(XT, ranks, y, w, idx, total_w, total_w1,
-                              feats[lo:lo + step], min_leaf)
-        if choice is not None and (best is None or choice[0] < best[0]):
-            best = choice
-    return best
+    rows = np.array(rows, dtype=np.int64)  # partitioned in place
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n_trees = len(sizes)
+    # each tree's depth-first stack of pending (start, size, depth, parent,
+    # is_left), a node's rows being rows[start:start + size]; it never holds
+    # more than the tree's depth + 1 entries
+    stack = np.zeros((n_trees, 16, 5), dtype=np.int64)
+    stack[:, 0, 0] = np.cumsum(sizes) - sizes
+    stack[:, 0, 1] = sizes
+    stack[:, 0, 3] = -1
+    sp = np.ones(n_trees, dtype=np.int64)
+
+    rounds = []  # per round: (trees, parent, is_left, feature, threshold, columns)
+    while True:
+        live = np.flatnonzero(sp)
+        if live.size == 0:
+            break
+        sp[live] -= 1
+        start, size, depth, parent, is_left = stack[live, sp[live]].T
+        first = np.cumsum(size) - size
+        pos = np.arange(first[-1] + size[-1]) + np.repeat(start - first, size)
+        at = rows[pos]
+        feature, threshold, cut, columns = choose(live, at, first, size, depth)
+        split = np.flatnonzero(feature >= 0)
+        if split.size:
+            # a stable partition of every popped segment, leaves too (their
+            # rows are not read again): a stable sort of small integer keys
+            # 2 j + (row goes right), which is a radix sort
+            go_left = (XT.take(np.repeat(np.maximum(feature, 0) * XT.shape[1], size) + at)
+                       <= np.repeat(cut, size))
+            odd = np.arange(1, 2 * len(size), 2, dtype=np.min_scalar_type(2 * len(size)))
+            rows[pos] = at[np.argsort(np.repeat(odd, size) - go_left, kind="stable")]
+            lefts = np.concatenate([[0], np.cumsum(go_left)])
+            n_left = (lefts[first + size] - lefts[first])[split]
+
+            trees = live[split]
+            top = sp[trees]
+            if top.max() + 2 > stack.shape[1]:
+                stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
+            # push the right child, then the left one, which pops first
+            s0, n = start[split], size[split]
+            child = np.stack([s0 + n_left, n - n_left, depth[split] + 1,
+                              np.full(split.size, len(rounds)), np.zeros_like(n)], axis=1)
+            stack[trees, top] = child
+            child[:, 0], child[:, 1], child[:, 4] = s0, n_left, 1
+            stack[trees, top + 1] = child
+            sp[trees] += 2
+        rounds.append((live, parent, is_left, feature, threshold, columns))
+
+    # node r of tree t is the record of tree t in round r
+    slot = np.repeat(np.arange(len(rounds)), [len(rec[0]) for rec in rounds])
+    tree_of = np.concatenate([rec[0] for rec in rounds])
+    order = np.argsort(tree_of, kind="stable")
+    tree_of, slot = tree_of[order], slot[order]
+    parent, is_left, feature, threshold = (
+        np.concatenate([rec[i] for rec in rounds])[order] for i in range(1, 5))
+    columns = {k: np.concatenate([rec[5][k] for rec in rounds])[order]
+               for k in rounds[0][5]}
+    offset = np.concatenate([[0], np.cumsum(np.bincount(tree_of, minlength=n_trees))])
+    left = np.full(len(slot), -1, dtype=np.int64)
+    right = np.full(len(slot), -1, dtype=np.int64)
+    child = parent >= 0
+    at, to, is_left = offset[tree_of[child]] + parent[child], slot[child], is_left[child] == 1
+    left[at[is_left]] = to[is_left]
+    right[at[~is_left]] = to[~is_left]
+    arrays = {"feature": feature, "threshold": threshold, "left": left,
+              "right": right, **columns}
+    return [{k: v[a:b] for k, v in arrays.items()}
+            for a, b in zip(offset[:-1].tolist(), offset[1:].tolist())]
 
 
-def _block_split(XT, ranks, y, w, idx, total_w, total_w1, feats, min_leaf):
-    """`_best_split` over one block of features, in one vectorised pass."""
-    n = len(idx)
-    rows = idx[np.argsort(ranks[feats].take(idx, axis=1), axis=1, kind="stable")]
-    xs = XT[feats[:, None], rows]
-    ws = w[rows]
-    cw = np.cumsum(ws, axis=1)
-    cw1 = np.cumsum(ws * y[rows], axis=1)
-    # cut[j, i]: a boundary after position i; the last position has none
-    cut = np.zeros(xs.shape, dtype=bool)
-    np.greater(xs[:, 1:], xs[:, :-1], out=cut[:, :-1])
-    if min_leaf > 1:
-        cut[:, :min_leaf - 1] = False
-        cut[:, max(n - min_leaf, 0):] = False
-    cells = np.flatnonzero(cut)
-    wl = cw.take(cells)
-    wl1 = cw1.take(cells)
+class CartGrower:
+    """Exact gini trees on rows of one matrix, grown in lockstep.
+
+    The matrix is ranked once (`value_ranks`). Each round searches every
+    popped node's candidate features in passes of about `_SPLIT_CELLS`
+    (node, feature, row) cells, largest nodes first: the rows sorted by
+    rank (ties keep their order in the node), weighted prefix sums, and the
+    gini score at every boundary between distinct values. A pass pads the
+    rows of its smaller nodes at the end with a column of zero weight, the
+    top rank and NaN values. The first minimum over a node's (feature, position) cells
+    wins, so ties go to the lowest feature and then the lowest threshold; a
+    feature with a NaN score anywhere is skipped. Thresholds are midpoints,
+    or the lower value when the midpoint rounds up to the upper one.
+
+    A tree grown on all rows with all features sorts its root the same way
+    under any weights, so the grower sorts that root once and keeps it:
+    boosting rounds then only gather weights and score.
+    """
+
+    def __init__(self, X, y, hp, max_features=None):
+        n, d = X.shape
+        self.hp = hp
+        self.n, self.d = n, d
+        self.m = d if max_features is None else min(max_features, d)
+        ranks = value_ranks(X)
+        self.rank_bits = ranks.dtype.itemsize * 8
+        self.XT = np.full((d, n + 1), np.nan)
+        self.XT[:, :n] = X.T
+        self.ranks = np.full((d, n + 1), np.iinfo(ranks.dtype).max, dtype=ranks.dtype)
+        self.ranks[:, :n] = ranks
+        self.y = np.append(np.asarray(y, dtype=float), 0.0)
+        self._root = None
+
+    def grow(self, w, bags=None, rngs=None):
+        """One tree per bag of row indices (all rows, in order, when bags is
+        None) under sample weights w; when max_features < d, rngs[t] draws
+        tree t's candidate features at each split, in ascending order."""
+        w = np.append(np.asarray(w, dtype=float), 0.0)
+        w = (w, w * self.y)  # weights and class-1 weights, with the padding's 0
+        if bags is None:
+            rows, sizes = np.arange(self.n), [self.n]
+        else:
+            rows, sizes = np.concatenate(bags), [len(b) for b in bags]
+        keep_root = bags is None and self.m == self.d
+
+        def choose(trees, at, first, size, depth):
+            return self._choose(w, rngs, keep_root, trees, at, first, size, depth)
+        return grow_preorder(self.XT, rows, sizes, choose)
+
+    def _choose(self, w, rngs, keep_root, trees, at, first, size, depth):
+        hp = self.hp
+        k = len(trees)
+        yn, wn = self.y.take(at), w[0].take(at)
+        # each node's sums over its own rows in parent order, as a node grown
+        # alone sums them: pairwise summation depends on the order
+        sums, dots = [], []
+        for a, b in zip(first.tolist(), (first + size).tolist()):
+            sums.append(np.add.reduce(wn[a:b]))
+            dots.append(np.dot(wn[a:b], yn[a:b]))
+        wsum, w1 = np.array(sums), np.array(dots)
+        grows = ((np.minimum.reduceat(yn, first) != np.maximum.reduceat(yn, first))
+                 & (size >= hp.min_samples_split))
+        if hp.max_depth is not None:
+            grows &= depth < hp.max_depth
+        feature = np.full(k, -1, dtype=np.int64)
+        threshold = np.zeros(k)
+        nodes = np.flatnonzero(grows)
+        if nodes.size:
+            if self.m < self.d:
+                feats = np.array([rngs[t].choice(self.d, size=self.m, replace=False)
+                                  for t in trees[nodes].tolist()])
+                feats.sort(axis=1)
+            else:
+                feats = np.broadcast_to(np.arange(self.d), (nodes.size, self.d))
+            first, size = first[nodes], size[nodes]
+            passes = None
+            if keep_root and depth[0] == 0:
+                if self._root is None:
+                    self._root = list(self._sorted_passes(at, first, size, feats))
+                passes = self._root
+            found, _, f, thr = self.search(w, at, first, size, wsum[nodes],
+                                           w1[nodes], feats, passes)
+            feature[nodes[found]] = f[found]
+            threshold[nodes[found]] = thr[found]
+        return feature, threshold, threshold, {"p1": w1 / wsum, "node_weight": wsum}
+
+    def search(self, w, rows, start, size, wsum, w1, feats, passes=None):
+        """Best split of node j (rows[start[j]:start[j] + size[j]],
+        candidate features feats[j] ascending, weight wsum[j] and class-1
+        weight w1[j]) under w, the padded weights and class-1 weights.
+        Returns arrays (found, score, feature, threshold); `passes` are the
+        search's sorted passes when they were kept."""
+        k = len(size)
+        best = (np.zeros(k, dtype=bool), np.full(k, np.inf),
+                np.full(k, -1, dtype=np.int64), np.zeros(k))
+        if passes is None:
+            passes = self._sorted_passes(rows, start, size, feats)
+        for p in passes:
+            _score_pass(p, w, wsum, w1, *best)
+        return best
+
+    def _sorted_passes(self, rows, start, size, feats):
+        """The (node, feature) pairs in passes of about `_SPLIT_CELLS`
+        padded cells, largest node first and each node's pairs in feature
+        order: whole nodes, or one node's features in blocks when they do
+        not fit one pass."""
+        min_leaf = self.hp.min_samples_leaf
+        m = feats.shape[1]
+        order = np.argsort(-size, kind="stable")
+        n_cols = self.XT.shape[1]
+        lo, f_lo = 0, 0
+        while lo < len(order):
+            width = int(size[order[lo]])
+            per = _SPLIT_CELLS // width
+            col = np.arange(width)
+            if per < m:
+                nodes = order[lo:lo + 1]
+                f = feats[nodes, f_lo:f_lo + max(per, 1)]
+                at = rows[start[nodes[0]]:start[nodes[0]] + width][None, :]
+                f_lo += f.shape[1]
+                if f_lo == m:
+                    lo, f_lo = lo + 1, 0
+            else:
+                nodes = order[lo:lo + per // m]
+                f = feats[nodes]
+                # pad each node's rows to the pass's width, its first node's size
+                at = rows.take(start[nodes][:, None] + col, mode="clip")
+                short = size[nodes] < width
+                at[short] = np.where(col < size[nodes[short]][:, None], at[short], n_cols - 1)
+                lo += len(nodes)
+            n_nodes, n_f = f.shape
+            k = n_nodes * n_f
+            f = f.ravel()
+            # each pair's rows by rank, ties in node order; `base` is each
+            # pair's node row in `at`
+            key_f = (f * n_cols)[:, None]
+            key = self.ranks.take((key_f.reshape(n_nodes, n_f, 1) + at[:, None, :])
+                                  .reshape(k, width))
+            base = (np.arange(k) // n_f * width)[:, None]
+            if width >= _RADIX_WIDTH and self.rank_bits <= 16:
+                # numpy's stable sort of 8- and 16-bit integers is a radix sort
+                at = at.take(np.argsort(key, axis=1, kind="stable") + base)
+            else:
+                # one sort of (pair, rank, flat position) keys
+                pos_bits = (k * width - 1).bit_length()
+                key = key.astype(np.int64)
+                key |= (np.arange(k) << self.rank_bits)[:, None]
+                key <<= pos_bits
+                key |= np.arange(k * width).reshape(k, width)
+                key.ravel().sort()
+                key &= (1 << pos_bits) - 1
+                key += base - (np.arange(k) * width)[:, None]
+                at = at.take(key)
+            xs = self.XT.take(key_f + at)
+            # cut[j, i]: a boundary after position i; the padding's NaN values
+            # leave none after a pair's last row
+            cut = np.zeros(xs.shape, dtype=bool)
+            np.greater(xs[:, 1:], xs[:, :-1], out=cut[:, :-1])
+            if min_leaf > 1:
+                cut &= (col >= min_leaf - 1) & (col < np.repeat(size[nodes], n_f)[:, None] - min_leaf)
+            cells = np.flatnonzero(cut)
+            # boundary cells per node, for the nodes that have any
+            per_node = np.diff(np.searchsorted(cells, np.arange(n_nodes + 1) * (n_f * width)))
+            has = per_node > 0
+            yield _Pass(nodes[has], per_node[has], f, at, xs, cells)
+
+
+class _Pass(NamedTuple):
+    """(node, feature) pairs sorted for one vectorised search: the nodes
+    with boundary cells and their cell counts, each pair's feature, its rows
+    in rank order (padded) and their values, and the flat indices of the
+    boundary cells."""
+    nodes: np.ndarray
+    node_cells: np.ndarray
+    feature: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+    cells: np.ndarray
+
+
+def _score_pass(p, w, wsum, w1, found, best, feature, threshold):
+    """Score one sorted pass and keep each node's first minimum; a later
+    pass wins a node only with a strictly lower score."""
+    if p.cells.size == 0:
+        return
+    wl = np.cumsum(w[0].take(p.rows), axis=1).take(p.cells)
+    wl1 = np.cumsum(w[1].take(p.rows), axis=1).take(p.cells)
+    if len(p.nodes) == 1:
+        total_w, total_w1 = wsum[p.nodes[0]], w1[p.nodes[0]]
+    else:
+        total_w = np.repeat(wsum[p.nodes], p.node_cells)
+        total_w1 = np.repeat(w1[p.nodes], p.node_cells)
     wr = total_w - wl
     wr1 = total_w1 - wl1
     gini_l = 1.0 - ((wl1 / wl) ** 2 + ((wl - wl1) / wl) ** 2)
     gini_r = 1.0 - ((wr1 / wr) ** 2 + ((wr - wr1) / wr) ** 2)
     score = (wl * gini_l + wr * gini_r) / total_w
+    nodes, node_cells, cells = p.nodes, p.node_cells, p.cells
     nan = np.isnan(score)
     if nan.any():
-        fi = cells // n
-        keep = ~np.isin(fi, fi[nan])
+        # drop every cell of a pair with a NaN score
+        pair = cells // p.rows.shape[1]
+        keep = ~np.isin(pair, pair[nan])
+        node_cells = np.add.reduceat(keep, np.cumsum(node_cells) - node_cells, dtype=np.int64)
         cells, score = cells[keep], score[keep]
-    if score.size == 0:
-        return None
-    k = int(np.argmin(score))
-    f, p = divmod(int(cells[k]), n)
-    lo, hi = xs[f, p], xs[f, p + 1]
+        nodes, node_cells = nodes[node_cells > 0], node_cells[node_cells > 0]
+        if cells.size == 0:
+            return
+    # the first minimum of each node
+    if len(nodes) == 1:
+        hit, run = np.array([np.argmin(score)]), np.zeros(1, dtype=np.int64)
+    else:
+        head = np.cumsum(node_cells) - node_cells
+        low = np.repeat(np.minimum.reduceat(score, head), node_cells)
+        hit = np.flatnonzero(score == low)
+        run = np.searchsorted(head, hit, side="right") - 1
+        first = np.concatenate([[True], run[1:] != run[:-1]])
+        hit, run = hit[first], run[first]
+    j, s, c = nodes[run], score[hit], cells[hit]
+    win = ~found[j] | (s < best[j])
+    j, s, c = j[win], s[win], c[win]
+    lo, hi = p.values.take(c), p.values.take(c + 1)
     thr = 0.5 * (lo + hi)
-    if thr >= hi:
-        # adjacent floats round the midpoint up; fall back to the lower
-        # value so `x <= thr` still separates the boundary
-        thr = lo
-    return float(score[k]), int(feats[f]), thr
+    # adjacent floats round the midpoint up; fall back to the lower value so
+    # `x <= thr` still separates the boundary
+    thr = np.where(thr >= hi, lo, thr)
+    found[j] = True
+    best[j] = s
+    feature[j] = p.feature[c // p.rows.shape[1]]
+    threshold[j] = thr
 
 
-def grow_tree(X, y, w, hp, rng=None, max_features=None, ranks=None):
-    """Grow flat node arrays; when max_features is set, each split draws
-    that many candidate features from rng (ascending order, so tie-breaks
-    stay index-based).
-
-    ranks is `value_ranks(X)`, computed here when not given. A caller that
-    grows many trees on rows of one matrix ranks it once and passes the
-    columns of those rows: dense ranks of the whole matrix order any subset
-    of its rows exactly."""
-    d = X.shape[1]
-    XT = np.ascontiguousarray(X.T)
-    if ranks is None:
-        ranks = value_ranks(X)
-    feature, threshold, left, right, p1, node_w = [], [], [], [], [], []
-    # stack of (row_indices, depth, parent_slot, is_left)
-    stack = [(np.arange(len(y)), 0, -1, False)]
-    while stack:
-        idx, depth, parent, is_left = stack.pop()
-        slot = len(feature)
-        if parent >= 0:
-            if is_left:
-                left[parent] = slot
-            else:
-                right[parent] = slot
-        yn = y[idx]
-        wn = w[idx]
-        wsum = wn.sum()
-        w1 = wn @ yn
-        pure = yn.min() == yn.max()
-        at_depth = hp.max_depth is not None and depth >= hp.max_depth
-        choice = None
-        if not pure and not at_depth and len(idx) >= hp.min_samples_split:
-            if max_features is not None and max_features < d:
-                feats = np.sort(rng.choice(d, size=max_features, replace=False))
-            else:
-                feats = np.arange(d)
-            choice = _best_split(XT, ranks, y, w, idx, wsum, w1, feats,
-                                 hp.min_samples_leaf)
-        if choice is None:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-        else:
-            _, f, thr = choice
-            go_left = XT[f][idx] <= thr
-            feature.append(f)
-            threshold.append(thr)
-            left.append(-1)
-            right.append(-1)
-            # push right first so the left child is materialised next
-            stack.append((idx[~go_left], depth + 1, slot, False))
-            stack.append((idx[go_left], depth + 1, slot, True))
-        p1.append(w1 / wsum)
-        node_w.append(wsum)
-    return {
-        "feature": np.array(feature, dtype=np.int64),
-        "threshold": np.array(threshold),
-        "left": np.array(left, dtype=np.int64),
-        "right": np.array(right, dtype=np.int64),
-        "p1": np.array(p1),
-        "node_weight": np.array(node_w),
-    }
+def grow_tree(X, y, w, hp, rng=None, max_features=None):
+    """Flat node arrays of one CART tree on all rows of X: a forest of one.
+    When max_features is set, each split draws that many candidate features
+    from rng (ascending order, so tie-breaks stay index-based)."""
+    return CartGrower(X, y, hp, max_features).grow(w, rngs=[rng])[0]
 
 
 # rows per chunk are chosen so one (trees x rows) int64 array of the walk is

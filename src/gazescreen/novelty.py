@@ -24,7 +24,7 @@ from .errors import (
     MissingColumn,
 )
 from .kernels import KernelRowCache, rbf_kernel, resolve_gamma
-from .models.tree import FlatEnsemble, node_depths
+from .models.tree import FlatEnsemble, grow_preorder, node_depths
 
 EULER_GAMMA = 0.5772156649
 
@@ -67,115 +67,45 @@ class IsoForestParams:
             raise InvalidHyperParam("need n_trees >= 1 and subsample >= 2")
 
 
-def _grow_iso_forest(samples, psi, rngs, height_limit):
-    """Grow one isolation tree per generator in `rngs`, all in lockstep;
-    tree t is grown on rows t*psi .. (t+1)*psi - 1 of `samples`.
+def _grow_iso_forest(X, bags, rngs, height_limit):
+    """Grow one isolation tree per generator in `rngs` on the rows bags[t]
+    of X, all in lockstep on the shared preorder grower.
 
-    A tree's nodes are numbered in preorder, left child first, and round r
-    pops node r of every tree that still has one. Each tree draws
-    `integers(0, k)` for its split feature among the k that vary and then
-    `random()` for the threshold, from its own generator and in the order
-    a tree grown alone would draw them. Every tree's rows live in its own
-    psi columns of one (d, n_trees * psi) value array, kept partitioned so
-    that each node is a contiguous column segment: one reduceat gives every
-    popped node its per-feature range, and one stable argsort partitions
-    every split segment. Leaves store their training size.
+    Each tree draws `integers(0, k)` for its split feature among the k that
+    vary and then `random()` for the threshold, from its own generator and
+    in the order a tree grown alone would draw them; one reduceat gives
+    every popped node its per-feature range. A row goes left when its value
+    is below the threshold. Leaves store their training size.
     """
-    n_trees = len(rngs)
-    d = samples.shape[1]
-    # the extra last column keeps a segment end that is the array end a
-    # valid reduceat index
-    V = np.empty((d, n_trees * psi + 1))
-    V[:, :-1] = samples.T
-    # each tree's depth-first stack of pending (start, end, depth, parent,
-    # is_left); it never holds more than height_limit + 1 entries
-    shape = (n_trees, height_limit + 1)
-    st_start = np.empty(shape, dtype=np.int64)
-    st_end = np.empty(shape, dtype=np.int64)
-    st_depth = np.empty(shape, dtype=np.int64)
-    st_parent = np.empty(shape, dtype=np.int64)
-    st_left = np.empty(shape, dtype=bool)
-    st_start[:, 0] = np.arange(n_trees) * psi
-    st_end[:, 0] = st_start[:, 0] + psi
-    st_depth[:, 0] = 0
-    st_parent[:, 0] = -1
-    st_left[:, 0] = False
-    sp = np.ones(n_trees, dtype=np.int64)
+    XT = np.ascontiguousarray(X.T)
 
-    rounds = []  # per round: (trees, parent, is_left, feature, threshold, size)
-    while True:
-        live = np.flatnonzero(sp)
-        if live.size == 0:
-            break
-        r = len(rounds)
-        sp[live] -= 1
-        top = sp[live]
-        start, end = st_start[live, top], st_end[live, top]
-        depth = st_depth[live, top]
-        parent, is_left = st_parent[live, top], st_left[live, top]
-        size = end - start
-        feature = np.full(live.size, -1, dtype=np.int64)
-        threshold = np.zeros(live.size)
-        cand = np.flatnonzero((size > 1) & (depth < height_limit))
-        if cand.size:
-            bounds = np.stack([start[cand], end[cand]], axis=1).ravel()
-            lo = np.minimum.reduceat(V, bounds, axis=1)[:, ::2]
-            hi = np.maximum.reduceat(V, bounds, axis=1)[:, ::2]
+    def choose(trees, at, first, size, depth):
+        feature = np.full(len(trees), -1, dtype=np.int64)
+        threshold = np.zeros(len(trees))
+        grows = (size > 1) & (depth < height_limit)
+        if grows.any():
+            # ranges of the non-empty nodes (a threshold equal to a node's
+            # minimum sends none of its rows left)
+            some = np.flatnonzero(size > 0)
+            V = XT[:, at]
+            lo = np.minimum.reduceat(V, first[some], axis=1)
+            hi = np.maximum.reduceat(V, first[some], axis=1)
             spread = hi > lo
             n_spread = spread.sum(axis=0)
-            ok = n_spread > 0
-            split = cand[ok]
+            ok = np.flatnonzero(grows[some] & (n_spread > 0))
+            split = some[ok]
             draws = [(g.integers(0, k), g.random()) for g, k in zip(
-                [rngs[t] for t in live[split].tolist()], n_spread[ok].tolist())]
+                [rngs[t] for t in trees[split].tolist()], n_spread[ok].tolist())]
             j, u = np.array(draws, dtype=float).reshape(-1, 2).T
             # the j-th feature (0-based) among those that vary
             f = np.argmax(np.cumsum(spread[:, ok], axis=0) > j, axis=0)
-            cols = np.flatnonzero(ok)
-            lo_f, hi_f = lo[f, cols], hi[f, cols]
-            thr = lo_f + (hi_f - lo_f) * u  # what Generator.uniform computes
+            lo_f, hi_f = lo[f, ok], hi[f, ok]
             feature[split] = f
-            threshold[split] = thr
+            threshold[split] = lo_f + (hi_f - lo_f) * u  # what Generator.uniform computes
+        # `x < t` is `x <= nextafter(t, -inf)` for every float
+        return feature, threshold, np.nextafter(threshold, -np.inf), {"size": size}
 
-            seg_size = size[split]
-            seg = np.repeat(np.arange(split.size), seg_size)
-            pos = (np.arange(seg.size)
-                   - np.repeat(np.cumsum(seg_size) - seg_size, seg_size)
-                   + np.repeat(start[split], seg_size))
-            go_right = ~(V[f[seg], pos] < thr[seg])
-            order = np.argsort(2 * seg + go_right, kind="stable")
-            V[:, pos] = V[:, pos[order]]
-            n_left = seg_size - np.bincount(seg[go_right], minlength=split.size)
-
-            # push the right child, then the left one, which pops first
-            trees = live[split]
-            s0, mid, s1 = start[split], start[split] + n_left, end[split]
-            for k, (a, b, left_child) in enumerate(((mid, s1, False), (s0, mid, True))):
-                slot = sp[trees] + k
-                st_start[trees, slot] = a
-                st_end[trees, slot] = b
-                st_depth[trees, slot] = depth[split] + 1
-                st_parent[trees, slot] = r
-                st_left[trees, slot] = left_child
-            sp[trees] += 2
-        rounds.append((live, parent, is_left, feature, threshold, size))
-
-    # node r of tree t is the record of tree t in round r
-    tree_of, parent, is_left, feature, threshold, size = (
-        np.concatenate(col) for col in zip(*rounds))
-    slot = np.repeat(np.arange(len(rounds)), [len(rec[0]) for rec in rounds])
-    order = np.argsort(tree_of, kind="stable")
-    tree_of, slot, parent, is_left = tree_of[order], slot[order], parent[order], is_left[order]
-    feature, threshold, size = feature[order], threshold[order], size[order]
-    offset = np.concatenate([[0], np.cumsum(np.bincount(tree_of, minlength=n_trees))])
-    left = np.full(len(slot), -1, dtype=np.int64)
-    right = np.full(len(slot), -1, dtype=np.int64)
-    child = parent >= 0
-    at = offset[tree_of[child]] + parent[child]
-    left[at[is_left[child]]] = slot[child][is_left[child]]
-    right[at[~is_left[child]]] = slot[child][~is_left[child]]
-    return [{"feature": feature[a:b], "threshold": threshold[a:b],
-             "left": left[a:b], "right": right[a:b], "size": size[a:b]}
-            for a, b in zip(offset[:-1].tolist(), offset[1:].tolist())]
+    return grow_preorder(XT, np.concatenate(bags), [len(b) for b in bags], choose)
 
 
 def _average_path_lengths(sizes):
@@ -249,8 +179,8 @@ def fit_isolation_forest(X, params: IsoForestParams = None):
     height_limit = int(np.ceil(np.log2(psi)))
     rngs = [np.random.default_rng(np.random.SeedSequence((params.seed, i)))
             for i in range(params.n_trees)]
-    idx = np.concatenate([g.choice(len(X), size=psi, replace=False) for g in rngs])
-    trees = _grow_iso_forest(X[idx], psi, rngs, height_limit)
+    bags = [g.choice(len(X), size=psi, replace=False) for g in rngs]
+    trees = _grow_iso_forest(X, bags, rngs, height_limit)
     return IsolationForestModel(trees, psi, X.shape[1])
 
 

@@ -429,11 +429,12 @@ def evaluate_model(model, test_ds):
 
 def fit_diagnostics(model):
     """How a fit behaved, from the model's attributes and meta: whichever of
-    converged, n_iter, n_support, n_rounds, n_epochs, the stop reason, the
-    tree and node counts and the kernel rows computed the model has."""
+    converged, n_iter, the final gradient's infinity norm, n_support,
+    n_rounds, n_epochs, the stop reason, the tree and node counts and the
+    kernel rows computed the model has."""
     diag = {k: model.meta[k]
-            for k in ("n_iter", "n_support", "n_rounds", "n_epochs", "stop",
-                      "n_trees", "kernel_rows")
+            for k in ("n_iter", "grad_inf_norm", "n_support", "n_rounds", "n_epochs",
+                      "stop", "n_trees", "kernel_rows")
             if k in model.meta}
     if hasattr(model, "converged"):
         diag["converged"] = bool(model.converged)
@@ -554,10 +555,14 @@ def reproduce(seed=0, outdir="runs/reproduce", n_control=100, n_concussed=100,
               grid_resolution=100, novelty_methods=("iforest", "ocsvm")):
     """Run the SP experiment, the VMS experiment and both novelty stages
     under one seed; returns {section: result}. Each cohort is simulated
-    once and shared by its experiment and its novelty stage."""
+    once and shared by its experiment and its novelty stage. The top-level
+    manifest times each cohort's simulation as an `acquire` stage and
+    points to each section's own manifest."""
     outdir = os.environ.get(OUTDIR_ENV_VAR, "") or outdir
     caps = dict(DEFAULT_TRAIN_CAPS) if train_caps is None else dict(train_caps)
+    stages = _Stages()
     results = {}
+    sections = {}
     for kind in ("SP", "VMS"):
         cfg = RunConfig(
             test_kind=kind, n_control=n_control, n_concussed=n_concussed,
@@ -566,7 +571,8 @@ def reproduce(seed=0, outdir="runs/reproduce", n_control=100, n_concussed=100,
             train_caps=caps, novelty_train=novelty_train,
             novelty_test_per_class=novelty_test_per_class,
             grid_resolution=grid_resolution, novelty_methods=tuple(novelty_methods))
-        ds = _acquire(cfg)
+        ds = stages.run("acquire", f"synthetic cohort ({n_control}+{n_concussed} {kind})",
+                        _acquire, cfg)
         results[kind] = run_experiment(cfg, ds)
         nov_cfg = RunConfig(
             test_kind=kind, n_control=n_control, n_concussed=n_concussed,
@@ -576,4 +582,16 @@ def reproduce(seed=0, outdir="runs/reproduce", n_control=100, n_concussed=100,
             novelty_test_per_class=novelty_test_per_class,
             grid_resolution=grid_resolution, novelty_methods=tuple(novelty_methods))
         results[f"novelty-{kind}"] = run_novelty(nov_cfg, ds)
+        sections[kind] = os.path.join(kind.lower(), "manifest.json")
+        sections[f"novelty-{kind}"] = os.path.join("novelty", kind.lower(), "manifest.json")
+    manifest = {
+        "tool": "gazescreen",
+        "command": "reproduce",
+        "seed": seed,
+        "sections": sections,
+        "stages": stages.timings,
+        "peak_rss_mb": _peak_rss_mb(),
+    }
+    atomic_write_text(os.path.join(outdir, "manifest.json"),
+                      json.dumps(manifest, indent=2, sort_keys=True))
     return results

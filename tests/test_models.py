@@ -431,44 +431,84 @@ def same_bits(a, b):
 
 class TestExactSplitSearch:
     @given(tree_inputs(), st.integers(0, 2 ** 32 - 1),
-           st.sampled_from([1, 16, 64, tree_mod._SPLIT_CELLS]), st.booleans())
+           st.sampled_from([1, 16, 64, tree_mod._SPLIT_CELLS]),
+           st.sampled_from([1, 8, tree_mod._RADIX_WIDTH]))
     @settings(deadline=None, max_examples=300)
-    def test_grow_tree_equals_float_argsort_grower(self, inputs, seed, cells,
-                                                   ranks_of_base):
+    def test_grow_tree_equals_float_argsort_grower(self, inputs, seed, cells, radix):
         base, rows, y, w, hp, max_features = inputs
         X = base[rows]
-        # a forest ranks the whole matrix once and passes its bootstrap's
-        # columns; a lone tree ranks its own rows
-        ranks = tree_mod.value_ranks(base)[:, rows] if ranks_of_base else None
         # zero weights give 0/0 scores, which both growers skip
         with np.errstate(divide="ignore", invalid="ignore"):
             expect = grow_tree_reference(X, y, w, hp, np.random.default_rng(seed),
                                          max_features)
-            with mock.patch.object(tree_mod, "_SPLIT_CELLS", cells):
-                got = grow_tree(X, y, w, hp, np.random.default_rng(seed),
-                                max_features, ranks=ranks)
+            with mock.patch.object(tree_mod, "_SPLIT_CELLS", cells), \
+                    mock.patch.object(tree_mod, "_RADIX_WIDTH", radix):
+                got = grow_tree(X, y, w, hp, np.random.default_rng(seed), max_features)
         assert same_bits(got, expect)
 
-    @given(tree_inputs(), st.sampled_from([1, 16, tree_mod._SPLIT_CELLS]))
+    @given(tree_inputs(), st.sampled_from([1, 16, tree_mod._SPLIT_CELLS]),
+           st.sampled_from([1, tree_mod._RADIX_WIDTH]))
     @settings(deadline=None, max_examples=300)
-    def test_root_split_score_equals_float_argsort_search(self, inputs, cells):
+    def test_root_split_score_equals_float_argsort_search(self, inputs, cells, radix):
         # the score carries the cumulative weights, so it also checks that
         # tied rows are summed in the order a stable float sort gives
         base, rows, y, w, hp, _ = inputs
         X = base[rows]
-        feats = np.arange(X.shape[1])
+        n, d = X.shape
+        feats = np.arange(d)
         with np.errstate(divide="ignore", invalid="ignore"):
             expect = best_split_reference(X, y, w, feats, hp.min_samples_leaf)
-            with mock.patch.object(tree_mod, "_SPLIT_CELLS", cells):
-                got = tree_mod._best_split(
-                    np.ascontiguousarray(X.T), tree_mod.value_ranks(X), y, w,
-                    np.arange(len(y)), w.sum(), w @ y, feats, hp.min_samples_leaf)
+            with mock.patch.object(tree_mod, "_SPLIT_CELLS", cells), \
+                    mock.patch.object(tree_mod, "_RADIX_WIDTH", radix):
+                grower = tree_mod.CartGrower(X, y, hp)
+                wp = np.append(w, 0.0)
+                found, score, feature, thr = grower.search(
+                    (wp, wp * grower.y), np.arange(n), np.array([0]), np.array([n]),
+                    np.array([w.sum()]), np.array([w @ y]), feats[None, :])
         if expect is None:
-            assert got is None
+            assert not found[0]
         else:
-            assert got[1] == expect[1]
-            assert np.array([got[0], got[2]]).tobytes() == \
+            assert found[0] and feature[0] == expect[1]
+            assert np.array([score[0], thr[0]]).tobytes() == \
                 np.array([expect[0], expect[2]]).tobytes()
+
+    @given(st.data(), st.integers(1, 7), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1, 16, tree_mod._SPLIT_CELLS]),
+           st.sampled_from([1, 8, tree_mod._RADIX_WIDTH]),
+           st.sampled_from([0, 300, (1 << 16) + 10]))
+    @settings(deadline=None, max_examples=150)
+    def test_lockstep_forest_trees_equal_float_argsort_grower(
+            self, data, n_trees, seed, cells, radix, n_distinct):
+        # every tree of one lockstep forest is the tree grown alone on its
+        # bag, and each draws its split features from its own generator;
+        # extra rows of distinct values widen the ranks to uint16 or uint32
+        base, _, _, _, hp, max_features = data.draw(tree_inputs())
+        n0, d = base.shape
+        extra = np.zeros((n_distinct, d))
+        extra[:, 0] = np.arange(n_distinct) * 0.25 + 1000.0
+        X = np.vstack([base, extra])
+        # the bags draw from the base rows and the first extra rows
+        n_used = n0 + min(n_distinct, 3)
+        y, w = np.zeros(len(X)), np.ones(len(X))
+        y[:n_used] = data.draw(st.lists(st.integers(0, 1), min_size=n_used,
+                                        max_size=n_used))
+        w[:n_used] = data.draw(st.lists(st.sampled_from(_WEIGHTS), min_size=n_used,
+                                        max_size=n_used))
+        rows = st.integers(0, n_used - 1)
+        bags = [np.array(data.draw(st.lists(rows, min_size=1, max_size=40)))
+                for _ in range(n_trees)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with mock.patch.object(tree_mod, "_SPLIT_CELLS", cells), \
+                    mock.patch.object(tree_mod, "_RADIX_WIDTH", radix):
+                grower = tree_mod.CartGrower(X, y, hp, max_features)
+                trees = grower.grow(w, bags, [np.random.default_rng((seed, t))
+                                              for t in range(n_trees)])
+            for t, (bag, got) in enumerate(zip(bags, trees)):
+                expect = grow_tree_reference(X[bag], y[bag], w[bag], hp,
+                                             np.random.default_rng((seed, t)),
+                                             max_features)
+                assert same_bits(got, expect)
+        assert grower.ranks.dtype == {0: np.uint8, 300: np.uint16}.get(n_distinct, np.uint32)
 
     def test_forest_trees_equal_float_argsort_grower(self):
         # each bootstrap tree gets the columns of its rows from the forest's
@@ -638,6 +678,26 @@ class TestAdaBoost:
         assert model.alphas == [0.0]
         assert np.array_equal(model.predict(np.array([[0.0], [5.0]])), [0, 0])
 
+    @pytest.mark.parametrize("depth,cells", [(1, tree_mod._SPLIT_CELLS), (1, 16), (2, 64)])
+    def test_every_stump_equals_float_argsort_grower(self, monkeypatch, depth, cells):
+        # the grower sorts the root once per fit; each round's stump must be
+        # the tree grown alone under that round's weights
+        monkeypatch.setattr(tree_mod, "_SPLIT_CELLS", cells)
+        rng = np.random.default_rng(44)
+        X = np.round(rng.normal(0, 1, (150, 3)), 1)  # ties
+        y = (X[:, 0] + X[:, 1] ** 2 + rng.normal(0, 0.5, 150) > 0.5).astype(int)
+        matrix = fm(X, y, rng.uniform(0.5, 2.0, 150))
+        model = fit_adaboost(matrix, AdaBoostParams(n_estimators=12, base_max_depth=depth))
+        assert len(model.stumps) == 12
+        dist = matrix.normalized_weights()
+        dist = dist / dist.sum()
+        for stump, alpha in zip(model.stumps, model.alphas):
+            expect = grow_tree_reference(X, y.astype(float), dist, TreeParams(max_depth=depth))
+            assert same_bits(stump, expect)
+            mis = (descend(stump, X) > 0.5) != y.astype(bool)
+            dist = dist * np.exp(alpha * mis)
+            dist = dist / dist.sum()
+
     def test_boosting_beats_single_stump(self):
         rng = np.random.default_rng(13)
         X = rng.normal(0, 1, (200, 2))
@@ -712,7 +772,80 @@ class TestLogReg:
 
 # -- perceptron ---------------------------------------------------------------
 
+def fit_perceptron_reference(matrix, hp, seed=0, chunk=2048):
+    """`fit_perceptron` as it scanned before: each chunk gathers its rows
+    from the training matrix through the epoch's permutation."""
+    rng = np.random.default_rng(seed)
+    sw_all = matrix.normalized_weights()
+    ypm_all = matrix.signed_labels()
+    n = matrix.n
+    monitor_idx = None
+    train_idx = np.arange(n)
+    if hp.validation_fraction > 0:
+        n_val = int(np.floor(hp.validation_fraction * n + 0.5))
+        if 0 < n_val < n:
+            perm = rng.permutation(n)
+            monitor_idx = perm[:n_val]
+            train_idx = perm[n_val:]
+    X, ypm, sw = matrix.X[train_idx], ypm_all[train_idx], sw_all[train_idx]
+    w = np.zeros(matrix.d)
+    b = 0.0
+    shrink = 1.0 - hp.eta0 * hp.alpha
+    best_loss, no_change, stop, epochs = np.inf, 0, "max_iter", 0
+    for _ in range(hp.max_iter):
+        epochs += 1
+        order = rng.permutation(len(X)) if hp.shuffle else np.arange(len(X))
+        mistakes = 0
+        ptr = 0
+        while ptr < len(order):
+            idx = order[ptr:ptr + chunk]
+            margins = ypm[idx] * (X[idx] @ w + b)
+            bad = np.nonzero(margins <= 0.0)[0]
+            if bad.size == 0:
+                ptr += len(idx)
+                continue
+            k = idx[bad[0]]
+            step = hp.eta0 * sw[k] * ypm[k]
+            w = shrink * w + step * X[k]
+            b += step
+            mistakes += 1
+            ptr += bad[0] + 1
+        if mistakes == 0:
+            stop = "separated"
+            break
+        if monitor_idx is not None:
+            mX, my, ms = matrix.X[monitor_idx], ypm_all[monitor_idx], sw_all[monitor_idx]
+        else:
+            mX, my, ms = X, ypm, sw
+        loss = float(ms @ np.maximum(0.0, -(my * (mX @ w + b))))
+        if loss > best_loss - hp.tol:
+            no_change += 1
+            if no_change >= hp.n_iter_no_change:
+                stop = "plateau"
+                break
+        else:
+            no_change = 0
+        best_loss = min(best_loss, loss)
+    return w, float(b), epochs, stop
+
+
 class TestPerceptron:
+    @pytest.mark.parametrize("chunk", [1, 7, 2048])
+    @pytest.mark.parametrize("shuffle", [True, False])
+    @pytest.mark.parametrize("validation_fraction", [0.0, 0.1])
+    def test_contiguous_scan_equals_gathering_scan(self, chunk, shuffle,
+                                                   validation_fraction):
+        X, y = blobs(300, d=4, seed=45, sep=1.5, spread=1.5)
+        matrix = fm(X, y, np.random.default_rng(46).uniform(0.5, 2.0, 600))
+        hp = PerceptronParams(shuffle=shuffle, validation_fraction=validation_fraction,
+                              max_iter=15)
+        model = fit_perceptron(matrix, hp, seed=3, chunk=chunk)
+        w, b, epochs, stop = fit_perceptron_reference(matrix, hp, seed=3, chunk=chunk)
+        assert model.weights.tobytes() == w.tobytes()
+        assert np.float64(model.intercept).tobytes() == np.float64(b).tobytes()
+        assert (model.meta["n_epochs"], model.meta["stop"]) == (epochs, stop)
+        assert epochs > 1
+
     def test_separable_data_converges_mistake_free(self):
         X, y = blobs(50, seed=19, sep=6.0)
         hp = PerceptronParams(validation_fraction=0.0, alpha=0.0)

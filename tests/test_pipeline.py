@@ -24,7 +24,7 @@ from gazescreen.errors import (
     SingleClass,
 )
 from gazescreen.metrics import parse_report_csv
-from gazescreen.models import FittedModel
+from gazescreen.models import FittedModel, LogRegParams
 from gazescreen.novelty import OcsvmParams, load_boundary_grid
 from gazescreen.pipeline import (
     DEFAULT_TRAIN_CAPS,
@@ -297,9 +297,13 @@ def test_manifest_stage_labels(exp_all_models):
 def test_manifest_fit_diagnostics_and_convergence_warning(exp_all_models):
     man, stderr = exp_all_models
     fits = {kind: info["fit"] for kind, info in man["models"].items()}
-    assert fits["LR"] == {"converged": False, "n_iter": 1}
+    assert set(fits["LR"]) == {"converged", "n_iter", "grad_inf_norm"}
+    assert fits["LR"]["converged"] is False and fits["LR"]["n_iter"] == 1
+    # how far the unconverged fit stopped from its tolerance
+    assert fits["LR"]["grad_inf_norm"] > LogRegParams().tol
     assert fits["NB"] == {}
-    assert set(fits["SVC"]) == {"converged", "n_support"}
+    assert set(fits["SVC"]) == {"converged", "n_iter", "n_support"}
+    assert fits["SVC"]["n_iter"] > 0
     assert set(fits["GPC"]) == {"converged"}
     assert set(fits["PERC"]) == {"converged", "n_epochs", "stop"}
     assert set(fits["ADA"]) == {"n_rounds", "nodes"}
@@ -480,6 +484,17 @@ def test_reproduce_layout_and_env_override(tmp_path, monkeypatch):
         assert (forced / rel).exists(), rel
     assert results["SP"].report_csv_path == str(forced / "sp" / "report.csv")
     assert set(results["SP"].per_model) == {"Naive Bayes"}
+
+    # the top-level manifest times each cohort's one simulation
+    man = json.loads((forced / "manifest.json").read_text())
+    assert man["command"] == "reproduce" and man["seed"] == 3
+    assert [(s["stage"], s["label"]) for s in man["stages"]] == [
+        ("acquire", "synthetic cohort (2+2 SP)"), ("acquire", "synthetic cohort (2+2 VMS)")]
+    assert all(s["seconds"] > 0 for s in man["stages"])
+    assert man["peak_rss_mb"] > 0
+    for section, rel in man["sections"].items():
+        assert (forced / rel).exists(), section
+    assert set(man["sections"]) == set(results)
 
 
 def test_reproduce_simulates_each_cohort_once(tmp_path, monkeypatch):
