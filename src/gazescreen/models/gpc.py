@@ -11,6 +11,7 @@ approximation of the logistic-Gaussian integral.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -73,16 +74,18 @@ def _log_sigmoid(z):
 def _posterior_mode(K, ypm, tol, cap):
     """Newton iteration for the Laplace mode (stable parameterisation).
 
-    Returns (f_hat, a, pi, sqrt_W, L, log_lik); `a` solves f_hat = K a.
-    Convergence is declared when the per-sample objective change drops
-    below tol.
+    Returns (f_hat, a, pi, sqrt_W, L, log_lik, steps); `a` solves
+    f_hat = K a, and L is the Cholesky factor of B at f_hat. Convergence is
+    declared when the per-sample objective change drops below tol.
     """
     n = len(ypm)
     t = 0.5 * (ypm + 1.0)
     f = np.zeros(n)
     prev_obj = -np.inf
     a = np.zeros(n)
+    steps = 0
     for _ in range(cap):
+        steps += 1
         pi = expit(f)
         W = pi * (1.0 - pi)
         sw = np.sqrt(W)
@@ -101,7 +104,18 @@ def _posterior_mode(K, ypm, tol, cap):
     B = np.eye(n) + (sw[:, None] * K) * sw[None, :]
     L = _chol_with_jitter(B)
     log_lik = float(np.sum(_log_sigmoid(ypm * f)))
-    return f, a, pi, sw, L, log_lik
+    return f, a, pi, sw, L, log_lik, steps
+
+
+class _Evaluation(NamedTuple):
+    """One Laplace evaluation at theta: the log marginal likelihood, its
+    gradient, the mode f_hat, the Cholesky factor L of B at the mode and
+    the Newton steps the mode took."""
+    lml: float
+    grad: np.ndarray
+    f_hat: np.ndarray
+    L: np.ndarray
+    newton_steps: int
 
 
 def gpc_lml_and_grad(theta, X, ypm, newton_tol=1e-10, newton_cap=100):
@@ -110,10 +124,16 @@ def gpc_lml_and_grad(theta, X, ypm, newton_tol=1e-10, newton_cap=100):
     The gradient includes the implicit term from the dependence of the
     mode on the kernel, via s2' s3.
     """
+    ev = _evaluate(theta, X, ypm, newton_tol, newton_cap)
+    return ev.lml, ev.grad
+
+
+def _evaluate(theta, X, ypm, newton_tol, newton_cap):
+    """`gpc_lml_and_grad`, keeping the mode and factor it computed."""
     theta = np.asarray(theta, dtype=float)
     sqdist = squared_distances(X, X)
     K = _kernel_from_theta(sqdist, theta)
-    f, a, pi, sw, L, log_lik = _posterior_mode(K, ypm, newton_tol, newton_cap)
+    f, a, pi, sw, L, log_lik, steps = _posterior_mode(K, ypm, newton_tol, newton_cap)
     lml = -0.5 * (a @ f) + log_lik - float(np.sum(np.log(np.diag(L))))
 
     t = 0.5 * (ypm + 1.0)
@@ -133,7 +153,7 @@ def gpc_lml_and_grad(theta, X, ypm, newton_tol=1e-10, newton_cap=100):
         bvec = dK @ grad_ll
         s3 = bvec - K @ (R @ bvec)
         grad[j] = s1 + s2 @ s3
-    return float(lml), grad
+    return _Evaluation(float(lml), grad, f, L, steps)
 
 
 @register_model
@@ -141,7 +161,7 @@ class GpcModel(FittedModel):
     kind = "GPC"
     threshold = 0.0  # decision_score is the probit-scaled latent mean
 
-    def __init__(self, X_train, y_train, f_hat, theta, converged=True):
+    def __init__(self, X_train, y_train, f_hat, theta, converged=True, L=None):
         super().__init__()
         self.X_train = X_train
         self.y_train = y_train
@@ -149,17 +169,19 @@ class GpcModel(FittedModel):
         self.theta = theta
         self.converged = converged
         self.n_features = X_train.shape[1]
-        self._finalize()
+        self._finalize(L)
 
-    def _finalize(self):
+    def _finalize(self, L=None):
+        """Prediction terms at the mode; L, when the fit already factored B
+        at this mode and theta, is that factor."""
         ypm = 2.0 * self.y_train - 1.0
         pi = expit(self.f_hat)
         self._grad_ll = 0.5 * (ypm + 1.0) - pi
         self._sw = np.sqrt(pi * (1.0 - pi))
-        K = _kernel_from_theta(squared_distances(self.X_train, self.X_train), self.theta)
-        n = len(K)
-        B = np.eye(n) + (self._sw[:, None] * K) * self._sw[None, :]
-        self._L = _chol_with_jitter(B)
+        if L is None:
+            K = _kernel_from_theta(squared_distances(self.X_train, self.X_train), self.theta)
+            L = _chol_with_jitter(np.eye(len(K)) + (self._sw[:, None] * K) * self._sw[None, :])
+        self._L = L
         self._sf2 = float(np.exp(2.0 * self.theta[1]))
 
     def latent(self, X, chunk=2048):
@@ -211,7 +233,13 @@ def default_theta0(X):
 
 def fit_gpc(fm: FeatureMatrix, hp: GpcParams = None, seed: int = 0):
     """Mode-find at theta0, optionally optimise theta by L-BFGS on the
-    marginal likelihood, then refit the mode at the optimum.
+    marginal likelihood, then take the mode at the optimum.
+
+    The last evaluation is kept, keyed by the bytes of its theta: when
+    L-BFGS-B returns the theta it evaluated last, that evaluation's mode
+    and factor are the final ones, bit for bit, and are not recomputed.
+    `meta` records theta, the evaluations, the Newton steps and whether
+    theta ended on a bound.
 
     Dense n x n algebra: refuses more than hp.max_train rows; callers are
     expected to subsample (the pipeline does, with a documented cap).
@@ -224,25 +252,41 @@ def fit_gpc(fm: FeatureMatrix, hp: GpcParams = None, seed: int = 0):
     ypm = fm.signed_labels()
     theta = np.asarray(hp.theta0, dtype=float) if hp.theta0 is not None else default_theta0(fm.X)
     converged = True
+    at_bound = False
+    last = {}  # theta bytes -> the evaluation at that theta
+    n_evals = newton_steps = 0
     if hp.optimize_hyperparams and hp.optimizer_max_iter > 0:
         bounds = [(theta[0] - np.log(1e3), theta[0] + np.log(1e3)),
                   (np.log(1e-2), np.log(1e2))]
 
         def objective(th):
-            lml, g = gpc_lml_and_grad(th, fm.X, ypm,
-                                      newton_tol=hp.newton_tol,
-                                      newton_cap=hp.max_iter_predict)
-            return -lml, -g
+            nonlocal n_evals, newton_steps
+            th = np.asarray(th, dtype=float)
+            last.clear()
+            ev = last[th.tobytes()] = _evaluate(th, fm.X, ypm, hp.newton_tol,
+                                                hp.max_iter_predict)
+            n_evals += 1
+            newton_steps += ev.newton_steps
+            return -ev.lml, -ev.grad
 
         res = minimize(objective, theta, method="L-BFGS-B", jac=True,
                        bounds=bounds, options={"maxiter": hp.optimizer_max_iter})
-        theta = res.x
+        theta = np.asarray(res.x, dtype=float)
         converged = bool(res.success) or res.status == 1  # 1: hit maxiter
+        # L-BFGS-B projects onto its box, so a theta on a bound equals it
+        at_bound = any(v in b for v, b in zip(theta.tolist(), bounds))
 
-    sqdist = squared_distances(fm.X, fm.X)
-    K = _kernel_from_theta(sqdist, theta)
-    f_hat, _, _, _, _, _ = _posterior_mode(K, ypm, hp.newton_tol, hp.max_iter_predict)
-    model = GpcModel(fm.X.copy(), fm.y.copy(), f_hat, np.asarray(theta, float), converged)
+    ev = last.get(theta.tobytes())
+    if ev is not None:
+        f_hat, L = ev.f_hat, ev.L
+    else:
+        K = _kernel_from_theta(squared_distances(fm.X, fm.X), theta)
+        f_hat, _, _, _, L, _, steps = _posterior_mode(K, ypm, hp.newton_tol,
+                                                     hp.max_iter_predict)
+        newton_steps += steps
+    model = GpcModel(fm.X.copy(), fm.y.copy(), f_hat, theta, converged, L)
     model.meta = {"hyperparams": {**asdict(hp), "theta0": None if hp.theta0 is None else list(hp.theta0)},
-                  "seed": seed, "theta": [float(v) for v in theta]}
+                  "seed": seed, "theta": [float(v) for v in theta],
+                  "n_lml_evals": n_evals, "newton_steps": newton_steps,
+                  "theta_at_bound": bool(at_bound)}
     return model

@@ -493,6 +493,76 @@ class FlatEnsemble:
                 acc += vals
         return out
 
+    def grid_sum(self, xs, ys, dims, at):
+        """`sum` of every cell of the grid xs x ys, painted leaf by leaf.
+
+        Returns (total, painted): total[i, j] is bit-equal to
+        ``sum(row)[0]`` for the row that is `at` with column dims[0] set to
+        xs[j] and dims[1] set to ys[i], and painted is the number of
+        non-empty leaf rectangles written.
+
+        Every split is axis-parallel, so each node holds a rectangle of grid
+        indices, found one depth level at a time over all trees. A split on
+        a plotted column cuts its axis after the grid lines with
+        ``x <= threshold``, the walk's test; a split on a pinned column
+        sends the whole rectangle to the side `at` takes. The leaves of a
+        tree tile the grid, so one reused slab takes each tree's leaf
+        values and is added to the total in tree order, as `sum` adds.
+        """
+        dx, dy = dims
+        if dx == dy:
+            raise ValueError("grid_sum needs two different columns")
+        at = np.asarray(at, dtype=float)
+        if len(at) < self.n_columns or max(dx, dy) >= len(at):
+            raise DimensionMismatch(f"trees split on column {self.n_columns - 1}, "
+                                    f"pinned row has {len(at)} columns")
+        # rectangles are index ranges on the axes sorted ascending (NaN last)
+        axes = [np.asarray(v, dtype=float) for v in (xs, ys)]
+        orders = [np.argsort(v, kind="stable") for v in axes]
+        axes = [v[o] for v, o in zip(axes, orders)]
+        n = np.array([len(axes[0]), len(axes[1])])
+        # rect[i] = (x0, y0, x1, y1): node i holds the cells [x0, x1) x [y0, y1)
+        rect = np.zeros((self.n_nodes, 4), dtype=np.int64)
+        rect[self.roots, 2:] = n
+        level = self.roots
+        while level.size:
+            inner = level[~self.is_leaf[level]]
+            f, t = self.feature[inner], self.threshold[inner]
+            # a child's range on an axis: left [lo, min(hi, cut_l)), right
+            # [max(lo, cut_r), hi); no cut is cut_l = n, cut_r = 0
+            cut_l = np.broadcast_to(n, (inner.size, 2)).copy()
+            cut_r = np.zeros((inner.size, 2), dtype=np.int64)
+            for a, (d, axis) in enumerate(zip(dims, axes)):
+                on = f == d
+                # grid lines with x <= t (none for a NaN threshold)
+                c = np.where(np.isnan(t[on]), 0, np.searchsorted(axis, t[on], side="right"))
+                cut_l[on, a] = cut_r[on, a] = c
+            pinned = (f != dx) & (f != dy)
+            c = np.where(at[f[pinned]] <= t[pinned], n[0], 0)
+            cut_l[pinned, 0] = cut_r[pinned, 0] = c
+            left, right = self.children[2 * inner + 1], self.children[2 * inner]
+            lo, hi = rect[inner, :2], rect[inner, 2:]
+            rect[left, :2], rect[left, 2:] = lo, np.minimum(hi, cut_l)
+            rect[right, :2], rect[right, 2:] = np.maximum(lo, cut_r), hi
+            level = np.concatenate([left, right])
+
+        leaves = np.flatnonzero(self.is_leaf & (rect[:, 2] > rect[:, 0])
+                                & (rect[:, 3] > rect[:, 1]))
+        ends = np.searchsorted(leaves, np.append(self.roots[1:], self.n_nodes)).tolist()
+        x0, y0, x1, y1 = rect[leaves].T.tolist()
+        values = self.value[leaves].tolist()
+        total = np.zeros((n[1], n[0]))
+        slab = np.empty_like(total)
+        start = 0
+        for end in ends:
+            for i in range(start, end):
+                slab[y0[i]:y1[i], x0[i]:x1[i]] = values[i]
+            total += slab
+            start = end
+        # back from sorted to the given order of the axes
+        inv_x, inv_y = (np.argsort(o) for o in orders)
+        return total[np.ix_(inv_y, inv_x)], len(leaves)
+
 
 _NODE_DTYPES = {"feature": np.int64, "threshold": float, "left": np.int64,
                 "right": np.int64, "p1": float, "node_weight": float}

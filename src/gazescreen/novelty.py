@@ -131,11 +131,6 @@ def _iso_ensemble(trees):
                     for t in trees])
 
 
-def _iso_path_lengths(tree, X):
-    """Depth at exit plus c(leaf size), vectorised over rows."""
-    return _iso_ensemble([tree]).sum(X)
-
-
 class IsolationForestModel:
     """Bag of random isolation trees; anomaly_score in (0, 1), higher is
     more anomalous, 0.5 at the average path length."""
@@ -156,11 +151,21 @@ class IsolationForestModel:
         return self._paths.sum(X) / len(self.trees)
 
     def anomaly_score(self, X):
-        eh = self.expected_path_length(X)
+        return self._anomaly(self.expected_path_length(X))
+
+    def _anomaly(self, eh):
         return np.power(2.0, -eh / self._c_psi)
 
     def boundary_score(self, X):
         return 0.5 - self.anomaly_score(X)
+
+    def grid_scores(self, xs, ys, dims, at):
+        """`boundary_score` of every cell of `grid_cells(xs, ys, dims, at)`
+        as a (len(ys), len(xs)) array, with the path lengths painted from
+        leaf rectangles (`FlatEnsemble.grid_sum`), which gives the walk's
+        bits; returns (scores, sizes)."""
+        total, painted = self._paths.grid_sum(xs, ys, dims, at)
+        return 0.5 - self._anomaly(total / len(self.trees)), {"leaves_painted": painted}
 
 
 def fit_isolation_forest(X, params: IsoForestParams = None):
@@ -237,6 +242,12 @@ class OneClassSvmModel:
         return out - self.rho
 
     boundary_score = decision_score
+
+    def grid_scores(self, xs, ys, dims, at):
+        """`decision_score` of every cell of `grid_cells(xs, ys, dims, at)`
+        as a (len(ys), len(xs)) array; returns (scores, sizes)."""
+        cells = grid_cells(xs, ys, dims, at, self.n_features)
+        return self.decision_score(cells).reshape(len(ys), len(xs)), {}
 
     def predict_novel(self, X):
         return (self.decision_score(X) < 0.0).astype(np.int64)
@@ -344,6 +355,7 @@ class BoundaryGrid:
     y_values: np.ndarray
     scores: np.ndarray            # (resolution_y, resolution_x)
     points: list = field(default_factory=list)  # (x, y, score, tag)
+    sizes: dict = field(default_factory=dict)   # what was scored; not in the CSV
 
     def to_csv_text(self):
         # each axis value is formatted once, not once per grid cell
@@ -388,17 +400,35 @@ def load_boundary_grid(path):
     return BoundaryGrid(np.array(xs), np.array(ys), scores, points)
 
 
+def grid_cells(xs, ys, dims, at, n_features):
+    """Rows of the grid xs x ys, x fastest: `at` with column dims[0] set
+    to the x value and dims[1] to the y value, or just the (x, y) pairs
+    for a model of two features plotted as (0, 1)."""
+    gx, gy = np.meshgrid(xs, ys)
+    pairs = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    if n_features == 2 and tuple(dims) == (0, 1):
+        return pairs
+    out = np.tile(at, (len(pairs), 1))
+    out[:, dims[0]] = pairs[:, 0]
+    out[:, dims[1]] = pairs[:, 1]
+    return out
+
+
 def export_boundary_grid(model, X_train, X_regular, X_novel, dims=(0, 1),
                          resolution=100):
     """Score a resolution^2 grid spanning all points (padded 10% per side)
     plus every point itself, tagged train/regular/novel.
 
     Models fit on more than the two plotted dimensions are evaluated with
-    the remaining features pinned at the training medians.
+    the remaining features pinned at the training medians. The model
+    scores the grid (`grid_scores`); the grid's `sizes` record the cells
+    and points scored and what the model reports of its grid.
     """
     if resolution < 2:
         raise InvalidSpec("resolution must be >= 2")
     dims = tuple(dims)
+    if len(dims) != 2 or dims[0] == dims[1]:
+        raise InvalidSpec("dims must name two different columns")
     sets = [np.asarray(s, dtype=float) for s in (X_train, X_regular, X_novel)]
     allpts = np.concatenate([s[:, dims] for s in sets], axis=0)
     lo = allpts.min(axis=0)
@@ -407,24 +437,12 @@ def export_boundary_grid(model, X_train, X_regular, X_novel, dims=(0, 1),
     xs = np.linspace(lo[0] - pad[0], hi[0] + pad[0], resolution)
     ys = np.linspace(lo[1] - pad[1], hi[1] + pad[1], resolution)
 
-    d_model = model.n_features
-    medians = np.median(sets[0], axis=0)
-
-    def full_dim(pairs):
-        if d_model == 2 and dims == (0, 1):
-            return pairs
-        out = np.tile(medians, (len(pairs), 1))
-        out[:, dims[0]] = pairs[:, 0]
-        out[:, dims[1]] = pairs[:, 1]
-        return out
-
-    gx, gy = np.meshgrid(xs, ys)
-    cells = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    scores = model.boundary_score(full_dim(cells)).reshape(resolution, resolution)
+    scores, model_sizes = model.grid_scores(xs, ys, dims, np.median(sets[0], axis=0))
 
     points = []
     for tag, pts in zip(("train", "regular", "novel"), sets):
         vals = model.boundary_score(pts).tolist()
         px, py = pts[:, dims].T.tolist()
         points.extend((x, y, v, tag) for x, y, v in zip(px, py, vals))
-    return BoundaryGrid(xs, ys, scores, points)
+    sizes = {"grid_cells": int(scores.size), "points": len(points), **model_sizes}
+    return BoundaryGrid(xs, ys, scores, points, sizes)

@@ -430,11 +430,13 @@ def evaluate_model(model, test_ds):
 def fit_diagnostics(model):
     """How a fit behaved, from the model's attributes and meta: whichever of
     converged, n_iter, the final gradient's infinity norm, n_support,
-    n_rounds, n_epochs, the stop reason, the tree and node counts and the
-    kernel rows computed the model has."""
+    n_rounds, n_epochs, the stop reason, the tree and node counts, the
+    kernel rows computed, and GPC's final theta, marginal-likelihood
+    evaluations, Newton steps and bound flag the model has."""
     diag = {k: model.meta[k]
             for k in ("n_iter", "grad_inf_norm", "n_support", "n_rounds", "n_epochs",
-                      "stop", "n_trees", "kernel_rows")
+                      "stop", "n_trees", "kernel_rows", "theta", "n_lml_evals",
+                      "newton_steps", "theta_at_bound")
             if k in model.meta}
     if hasattr(model, "converged"):
         diag["converged"] = bool(model.converged)
@@ -469,8 +471,8 @@ def run_novelty(cfg, ds=None):
     Uses (x, y) direction components of one eye at a time, mirroring the
     per-eye scatter panels of the screening figures. Produces
     {method}_{kind}_{eye}.csv files and a manifest with each fit's
-    diagnostics. `ds`, when given, is the cohort `cfg` describes, already
-    acquired.
+    diagnostics and each grid's sizes. `ds`, when given, is the cohort
+    `cfg` describes, already acquired.
     """
     outdir = cfg.outdir
     os.makedirs(outdir, exist_ok=True)
@@ -506,7 +508,7 @@ def run_novelty(cfg, ds=None):
     test_reg, test_nov = test_parts
 
     grid_paths = []
-    fits = {}
+    fits, grids = {}, {}
     for method in cfg.novelty_methods:
         for eye in EYE_CHANNELS:
             Xtr = train_pool.eye_dirs(eye)[:, :2]
@@ -526,6 +528,7 @@ def run_novelty(cfg, ds=None):
             grid = stages.run("novelty-grid", f"{method} {eye}",
                               export_boundary_grid, model, Xtr, Xreg, Xnov,
                               dims=(0, 1), resolution=cfg.grid_resolution)
+            grids[f"{method} {eye}"] = grid.sizes
             path = os.path.join(outdir, f"{method}_{cfg.test_kind}_{eye}.csv")
             stages.run("grid-write", f"{method} {eye}",
                        lambda: _write_output(path, grid.to_csv_text(), outputs))
@@ -539,6 +542,7 @@ def run_novelty(cfg, ds=None):
         "data": {"train_rows": len(train_pool),
                  "test_regular": len(test_reg), "test_novel": len(test_nov)},
         "fits": fits,
+        "grids": grids,
         "stages": stages.timings,
         "peak_rss_mb": _peak_rss_mb(),
         "outputs": outputs,

@@ -43,6 +43,7 @@ from gazescreen.models import (
     model_from_dict,
 )
 from gazescreen.models.linear import logreg_objective
+from gazescreen.models import gpc as gpc_mod
 from gazescreen.models import tree as tree_mod
 from gazescreen.models.tree import descend, grow_tree
 
@@ -952,6 +953,44 @@ class TestGpc:
         X, y = blobs(20, seed=26)
         with pytest.raises(TrainingSizeExceeded):
             fit_gpc(fm(X, y), GpcParams(max_train=10))
+
+    def test_final_mode_reuses_last_evaluation(self, monkeypatch):
+        X, y = blobs(25, seed=28, sep=2.0)
+        modes = []
+        real = gpc_mod._posterior_mode
+        monkeypatch.setattr(gpc_mod, "_posterior_mode",
+                            lambda *a: modes.append(1) or real(*a))
+        model = fit_gpc(fm(X, y), GpcParams(optimizer_max_iter=15))
+        meta = model.meta
+        # one mode search per evaluation; the final mode is the last one's
+        assert len(modes) == meta["n_lml_evals"] > 0
+        assert meta["newton_steps"] >= meta["n_lml_evals"]
+        assert meta["theta"] == model.theta.tolist()
+        assert type(meta["theta_at_bound"]) is bool
+        monkeypatch.undo()
+        # the fit at the final theta without a search recomputes the mode
+        again = fit_gpc(fm(X, y), GpcParams(theta0=tuple(model.theta),
+                                            optimize_hyperparams=False))
+        assert again.meta["n_lml_evals"] == 0 and again.meta["newton_steps"] > 0
+        assert again.meta["theta_at_bound"] is False
+        assert np.array_equal(again.f_hat, model.f_hat)
+        assert np.array_equal(again._L, model._L)
+        # and a loaded model rebuilds the same factor
+        back = model_from_dict(model.to_dict())
+        assert np.array_equal(back._L, model._L)
+        assert np.array_equal(back.decision_score(X), model.decision_score(X))
+
+    def test_theta_at_bound_flag(self):
+        # labels that carry no signal drive the amplitude to its lower bound
+        X = np.random.default_rng(1).normal(size=(30, 2))
+        y = np.arange(30) % 2
+        model = fit_gpc(fm(X, y), GpcParams())
+        assert model.meta["theta"][1] == np.log(1e-2)
+        assert model.meta["theta_at_bound"] is True
+        # the same data with a signal ends inside the box
+        model = fit_gpc(fm(X, (X[:, 0] > 0).astype(int)), GpcParams())
+        assert np.log(1e-2) < model.meta["theta"][1] < np.log(1e2)
+        assert model.meta["theta_at_bound"] is False
 
 
 # -- serialization ---------------------------------------------------------------

@@ -22,7 +22,7 @@ from gazescreen.novelty import (
     BoundaryGrid,
     IsoForestParams,
     OcsvmParams,
-    _iso_path_lengths,
+    _iso_ensemble,
     average_path_length,
     export_boundary_grid,
     fit_isolation_forest,
@@ -177,11 +177,11 @@ _SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.0, 1.0 + 2.0 ** -52]
 
 
 @st.composite
-def forest_inputs(draw):
+def forest_inputs(draw, min_d=1):
     """Rows drawn with repeats from a small base matrix (duplicate rows),
     whose values mix ties, +-0 and continuous values and whose columns may
     be constant, plus forest settings."""
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(min_d, 4))
     n0 = draw(st.integers(1, 25))
     values = (st.sampled_from(_SPECIAL_VALUES) | st.floats(-4, 4)
               | st.integers(-8, 8).map(lambda k: k / 4))
@@ -195,6 +195,44 @@ def forest_inputs(draw):
                              subsample=draw(st.integers(2, len(X) + 3)),
                              seed=draw(st.integers(0, 2 ** 32 - 1)))
     return X, params
+
+
+def export_boundary_grid_walk(model, X_train, X_regular, X_novel, dims=(0, 1),
+                              resolution=100):
+    """Reference: the boundary grid with every grid cell walked through
+    `boundary_score`, as grids were scored before leaf painting."""
+    dims = tuple(dims)
+    sets = [np.asarray(s, dtype=float) for s in (X_train, X_regular, X_novel)]
+    allpts = np.concatenate([s[:, dims] for s in sets], axis=0)
+    lo = allpts.min(axis=0)
+    hi = allpts.max(axis=0)
+    pad = 0.1 * np.where(hi > lo, hi - lo, 1.0)
+    xs = np.linspace(lo[0] - pad[0], hi[0] + pad[0], resolution)
+    ys = np.linspace(lo[1] - pad[1], hi[1] + pad[1], resolution)
+    medians = np.median(sets[0], axis=0)
+    gx, gy = np.meshgrid(xs, ys)
+    cells = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    if not (model.n_features == 2 and dims == (0, 1)):
+        full = np.tile(medians, (len(cells), 1))
+        full[:, dims[0]] = cells[:, 0]
+        full[:, dims[1]] = cells[:, 1]
+        cells = full
+    scores = model.boundary_score(cells).reshape(resolution, resolution)
+    points = []
+    for tag, pts in zip(("train", "regular", "novel"), sets):
+        vals = model.boundary_score(pts).tolist()
+        px, py = pts[:, dims].T.tolist()
+        points.extend((x, y, v, tag) for x, y, v in zip(px, py, vals))
+    return BoundaryGrid(xs, ys, scores, points)
+
+
+def meshgrid_rows(xs, ys, dims, at):
+    """Rows of the grid xs x ys, x fastest, with the other columns at `at`."""
+    gx, gy = np.meshgrid(xs, ys)
+    rows = np.tile(np.asarray(at, dtype=float), (gx.size, 1))
+    rows[:, dims[0]] = gx.ravel()
+    rows[:, dims[1]] = gy.ravel()
+    return rows
 
 
 def expected_path_length_loop(model, X):
@@ -252,7 +290,7 @@ class TestIsolationForest:
             "size": np.array([5, 3, 2, 1, 1]),
         }
         probe = np.array([[0.0, 0.0], [7.0, 0.0], [7.0, 9.0]])
-        got = _iso_path_lengths(tree, probe)
+        got = _iso_ensemble([tree]).sum(probe)
         c3 = average_path_length(3)
         assert np.allclose(got, [1.0 + c3, 2.0, 2.0], atol=1e-12)
 
@@ -272,7 +310,7 @@ class TestIsolationForest:
         assert np.array_equal(model.expected_path_length(probe),
                               expected_path_length_loop(model, probe))
         for tree in model.trees[:3]:
-            assert np.array_equal(_iso_path_lengths(tree, probe),
+            assert np.array_equal(_iso_ensemble([tree]).sum(probe),
                                   iso_path_lengths_loop(tree, probe))
 
     @pytest.mark.parametrize("n_rows", [0, 1, 3, 4, 11])
@@ -581,6 +619,61 @@ class TestBoundaryGrid:
         assert all(type(v) is float for p in grid.points for v in p[:3])
         assert grid.to_csv_text() == to_csv_text_reference(grid)
 
+    @pytest.mark.parametrize("d, dims, resolution", [
+        (2, (0, 1), 100), (2, (1, 0), 17), (3, (0, 2), 30), (3, (2, 1), 2),
+        (4, (3, 0), 11)])
+    def test_isolation_forest_grid_equals_cell_walk(self, d, dims, resolution):
+        train = cloud(400, d=d, seed=17)
+        regular = cloud(60, d=d, seed=18)
+        novel = cloud(30, d=d, seed=19) * 3.0 + 2.0
+        model = fit_isolation_forest(train, IsoForestParams(n_trees=25, seed=d))
+        grid = export_boundary_grid(model, train, regular, novel, dims=dims,
+                                    resolution=resolution)
+        walk = export_boundary_grid_walk(model, train, regular, novel, dims=dims,
+                                         resolution=resolution)
+        assert same_bits(grid.x_values, walk.x_values)
+        assert same_bits(grid.y_values, walk.y_values)
+        assert same_bits(grid.scores, walk.scores)
+        assert grid.points == walk.points
+        assert grid.to_csv_text() == walk.to_csv_text()
+        n_leaves = sum(int(np.sum(t["feature"] < 0)) for t in model.trees)
+        assert grid.sizes["grid_cells"] == resolution ** 2
+        assert grid.sizes["points"] == 490
+        assert 25 <= grid.sizes["leaves_painted"] <= n_leaves
+
+    def test_vms_eye_grid_equals_cell_walk(self):
+        from gazescreen.simulate import generate_cohort
+
+        ds = generate_cohort(1, 1, "VMS", base_seed=3)
+        rng = np.random.default_rng(3)
+        dirs = ds.eye_dirs("left")[:, :2]
+        control = dirs[ds.labels == 0]
+        train = control[rng.choice(len(control), 1500, replace=False)]
+        regular = control[rng.choice(len(control), 300, replace=False)]
+        novel = dirs[ds.labels == 1][:300]
+        model = fit_isolation_forest(train, IsoForestParams(seed=3))
+        grid = export_boundary_grid(model, train, regular, novel)
+        walk = export_boundary_grid_walk(model, train, regular, novel)
+        assert same_bits(grid.scores, walk.scores)
+        assert grid.to_csv_text() == walk.to_csv_text()
+
+    def test_ocsvm_grid_equals_cell_walk(self):
+        train = cloud(150, d=3, seed=20)
+        model = fit_ocsvm(train, OcsvmParams(nu=0.2))
+        for dims in ((0, 1), (2, 0)):
+            grid = export_boundary_grid(model, train, train[:10], train[:5] + 4.0,
+                                        dims=dims, resolution=13)
+            walk = export_boundary_grid_walk(model, train, train[:10], train[:5] + 4.0,
+                                             dims=dims, resolution=13)
+            assert same_bits(grid.scores, walk.scores)
+            assert grid.points == walk.points
+            assert grid.sizes == {"grid_cells": 169, "points": 165}
+
+    def test_grid_rejects_repeated_dims(self):
+        model, train, regular, novel = self.fitted()
+        with pytest.raises(InvalidSpec):
+            export_boundary_grid(model, train, regular, novel, dims=(1, 1))
+
     def test_first_column_is_kind(self, tmp_path):
         grid = BoundaryGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                             np.zeros((2, 2)), [(0.5, 0.5, 0.1, "train")])
@@ -589,3 +682,101 @@ class TestBoundaryGrid:
         assert lines[0] == "kind,x,y,value,tag"
         assert len(lines) == 1 + 4 + 1
         assert lines[-1].startswith("point,")
+
+
+@st.composite
+def painter_inputs(draw):
+    """An isolation forest on 2-4 features, sometimes with a single-leaf
+    tree inserted, and grid axes of 2-30 lines drawn from its thresholds on
+    the plotted columns (exactly and one ulp either side) and the data,
+    sorted or shuffled; the pinned columns sit at the medians or on a split
+    threshold."""
+    X, params = draw(forest_inputs(min_d=2))
+    d = X.shape[1]
+    model = fit_isolation_forest(X, params)
+    trees = list(model.trees)
+    if draw(st.booleans()):
+        leaf = {"feature": np.array([-1]), "threshold": np.array([0.0]),
+                "left": np.array([-1]), "right": np.array([-1]),
+                "size": np.array([draw(st.integers(1, 9))])}
+        trees.insert(draw(st.integers(0, len(trees))), leaf)
+    dims = draw(st.sampled_from([(0, 1), (1, 0)] + ([(0, 2)] if d >= 3 else [])))
+
+    def thresholds(col):
+        return np.concatenate([t["threshold"][t["feature"] == col] for t in trees])
+
+    def axis(col):
+        t = thresholds(col)
+        lines = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                                X[:, col]])
+        k = draw(st.integers(2, 30))
+        picks = draw(st.lists(st.integers(0, len(lines) - 1), min_size=k, max_size=k))
+        values = np.sort(lines[picks])
+        if draw(st.booleans()):
+            values = values[draw(st.permutations(range(k)))]
+        return values
+
+    xs, ys = axis(dims[0]), axis(dims[1])
+    at = np.median(X, axis=0)
+    for col in sorted(set(range(d)) - set(dims)):
+        t = thresholds(col)
+        if t.size and draw(st.booleans()):
+            raw = t[draw(st.integers(0, t.size - 1))]
+            at[col] = draw(st.sampled_from([raw, np.nextafter(raw, -np.inf)]))
+    return _iso_ensemble(trees), xs, ys, dims, at
+
+
+class TestGridPainter:
+    @given(painter_inputs())
+    @settings(deadline=None, max_examples=200)
+    def test_grid_sum_equals_walk(self, inputs):
+        ens, xs, ys, dims, at = inputs
+        total, painted = ens.grid_sum(xs, ys, dims, at)
+        expect = ens.sum(meshgrid_rows(xs, ys, dims, at)).reshape(len(ys), len(xs))
+        assert same_bits(total, expect)
+        # each tree's leaves tile the grid
+        assert len(ens.roots) <= painted <= int(ens.is_leaf.sum())
+
+    def test_pinned_column_on_threshold(self):
+        # x2 <= 1.0 at the root; a pinned value of exactly 1.0 goes left
+        tree = {"feature": np.array([2, 0, -1, -1, -1]),
+                "threshold": np.array([1.0, 0.5, 0.0, 0.0, 0.0]),
+                "left": np.array([1, 2, -1, -1, -1]),
+                "right": np.array([4, 3, -1, -1, -1])}
+        ens = tree_mod.FlatEnsemble([tree], [np.array([0.0, 0.0, 1.0, 2.0, 3.0])])
+        xs, ys = np.array([0.0, 0.5, np.nextafter(0.5, 1.0), 1.0]), np.array([7.0, 8.0])
+        for pinned, expect_row in ((1.0, [1.0, 1.0, 2.0, 2.0]),
+                                   (np.nextafter(1.0, 2.0), [3.0] * 4)):
+            at = np.array([0.0, 0.0, pinned])
+            total, painted = ens.grid_sum(xs, ys, (0, 1), at)
+            assert np.array_equal(total, [expect_row] * 2)
+            assert same_bits(total, ens.sum(meshgrid_rows(xs, ys, (0, 1), at)).reshape(2, 4))
+        # the pinned split sends the grid right: one leaf paints it all
+        assert painted == 1
+
+    def test_non_finite_thresholds_and_lines(self):
+        # NaN goes right at every split, as in the walk
+        trees = [{"feature": np.array([0, -1, 1, -1, -1]),
+                  "threshold": np.array([np.nan, 0.0, np.inf, 0.0, 0.0]),
+                  "left": np.array([1, -1, 3, -1, -1]),
+                  "right": np.array([2, -1, 4, -1, -1])},
+                 {"feature": np.array([1, -1, -1]),
+                  "threshold": np.array([-np.inf, 0.0, 0.0]),
+                  "left": np.array([1, -1, -1]), "right": np.array([2, -1, -1])}]
+        ens = tree_mod.FlatEnsemble(trees, [np.arange(5.0), np.array([0.0, 10.0, 20.0])])
+        xs = np.array([np.nan, 1.0, -np.inf, np.inf, -0.0])
+        ys = np.array([np.inf, np.nan, -np.inf, -1.0])
+        for dims in ((0, 1), (1, 0)):
+            total, _ = ens.grid_sum(xs, ys, dims, [0.0, 0.0])
+            expect = ens.sum(meshgrid_rows(xs, ys, dims, [0.0, 0.0]))
+            assert same_bits(total, expect.reshape(len(ys), len(xs)))
+
+    def test_empty_grid_and_bad_inputs(self):
+        ens = _iso_ensemble(fit_isolation_forest(cloud(50, d=3, seed=21),
+                                                 IsoForestParams(n_trees=3)).trees)
+        total, painted = ens.grid_sum(np.array([]), np.array([1.0]), (0, 1), np.zeros(3))
+        assert total.shape == (1, 0) and painted == 0
+        with pytest.raises(ValueError):
+            ens.grid_sum(np.zeros(2), np.zeros(2), (1, 1), np.zeros(3))
+        with pytest.raises(DimensionMismatch):
+            ens.grid_sum(np.zeros(2), np.zeros(2), (0, 1), np.zeros(2))

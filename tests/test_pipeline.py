@@ -304,7 +304,9 @@ def test_manifest_fit_diagnostics_and_convergence_warning(exp_all_models):
     assert fits["NB"] == {}
     assert set(fits["SVC"]) == {"converged", "n_iter", "n_support"}
     assert fits["SVC"]["n_iter"] > 0
-    assert set(fits["GPC"]) == {"converged"}
+    assert set(fits["GPC"]) == {"converged", "theta", "n_lml_evals", "newton_steps",
+                                "theta_at_bound"}
+    assert len(fits["GPC"]["theta"]) == 2 and fits["GPC"]["n_lml_evals"] > 0
     assert set(fits["PERC"]) == {"converged", "n_epochs", "stop"}
     assert set(fits["ADA"]) == {"n_rounds", "nodes"}
     assert set(fits["DT"]) == set(fits["RF"]) == {"nodes"}
@@ -417,6 +419,15 @@ def test_novelty_manifest(nov):
         assert ocsvm["converged"] is True
         # the 20 starting rows (nu n = 0.1 * 200), then two per missing pair
         assert ocsvm["kernel_rows"] >= 20
+    grids = man["grids"]
+    assert set(grids) == set(fits)
+    for label, sizes in grids.items():
+        # 5 x 5 cells; 200 training, 50 regular and 50 novel points
+        painted = {"leaves_painted"} if label.startswith("iforest") else set()
+        assert set(sizes) == {"grid_cells", "points"} | painted
+        assert sizes["grid_cells"] == 25 and sizes["points"] == 300
+        if painted:
+            assert 100 <= sizes["leaves_painted"] <= fits[label]["nodes"]
 
 
 def test_novelty_warns_on_unconverged_ocsvm(tmp_path, monkeypatch):
