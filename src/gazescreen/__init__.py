@@ -5,7 +5,6 @@ from . import data, kernels, metrics, models, novelty, pipeline, simulate
 from .data import (
     ClassWeights,
     GazeDataset,
-    GazeFrame,
     SplitConfig,
     balanced_subset,
     class_weights,
@@ -19,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "data", "kernels", "metrics", "models", "novelty", "pipeline", "simulate",
-    "ClassWeights", "GazeDataset", "GazeFrame", "SplitConfig",
+    "ClassWeights", "GazeDataset", "SplitConfig",
     "balanced_subset", "class_weights", "load_csv", "split", "write_csv",
     "ImpairmentParams", "SessionSpec", "generate_cohort", "simulate_session",
     "__version__",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 
@@ -25,6 +24,7 @@ from .errors import (
     PipelineError,
 )
 from .pipeline import (
+    FIELD_PARSERS,
     OUTDIR_ENV_VAR,
     RunConfig,
     evaluate_saved_models,
@@ -53,41 +53,34 @@ def _exit_code_for(err):
 
 def _load_config(args):
     """RunConfig from --config (if given) with set flags layered on top."""
-    cfg = run_config_from_ini(args.config) if args.config else RunConfig()
-    updates = {}
-    for name in ("test_kind", "n_control", "n_concussed", "csv_path", "seed",
-                 "outdir", "test_fraction", "validation_fraction",
-                 "balanced_per_class", "novelty_train", "novelty_test_per_class",
-                 "grid_resolution", "weighting"):
-        v = getattr(args, name, None)
-        if v is not None:
-            updates[name] = v
-    if getattr(args, "models", None):
-        updates["models"] = tuple(m.strip() for m in args.models.split(","))
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    resolved = cfg.resolved_outdir()
-    if resolved != cfg.outdir:
-        cfg = dataclasses.replace(cfg, outdir=resolved)
-    return cfg
+    config = getattr(args, "config", None)
+    cfg = run_config_from_ini(config) if config else RunConfig()
+    updates = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+               if getattr(args, f.name, None) is not None}
+    cfg = dataclasses.replace(cfg, **updates)
+    return dataclasses.replace(cfg, outdir=cfg.resolved_outdir())
+
+
+# the RunConfig fields each subcommand takes as flags
+_RUN_FLAGS = ("test_kind", "n_control", "n_concussed", "csv_path", "seed", "outdir",
+              "models", "test_fraction", "validation_fraction", "balanced_per_class",
+              "weighting", "novelty_train", "novelty_test_per_class", "grid_resolution")
+_REPRODUCE_FLAGS = ("seed", "outdir", "n_control", "n_concussed", "models",
+                    "balanced_per_class", "train_caps", "novelty_train",
+                    "novelty_test_per_class", "grid_resolution")
+
+
+def _add_run_flags(p, names):
+    """One flag per RunConfig field, parsed as its INI key is; unset flags
+    stay None so the config file or the field default applies."""
+    for name in names:
+        flag = "--out-dir" if name == "outdir" else "--" + name.replace("_", "-")
+        p.add_argument(flag, dest=name, type=FIELD_PARSERS[name])
 
 
 def _add_common(p):
     p.add_argument("--config", help="INI file with a [run] section")
-    p.add_argument("--test-kind", dest="test_kind", choices=("SP", "VMS"))
-    p.add_argument("--n-control", dest="n_control", type=int)
-    p.add_argument("--n-concussed", dest="n_concussed", type=int)
-    p.add_argument("--csv-path", dest="csv_path")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out-dir", dest="outdir")
-    p.add_argument("--models", help="comma-separated model kinds (e.g. RF,NB,SVC)")
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--validation-fraction", dest="validation_fraction", type=float)
-    p.add_argument("--balanced-per-class", dest="balanced_per_class", type=int)
-    p.add_argument("--weighting", choices=("auto", "class-weights", "balanced-subset"))
-    p.add_argument("--novelty-train", dest="novelty_train", type=int)
-    p.add_argument("--novelty-test-per-class", dest="novelty_test_per_class", type=int)
-    p.add_argument("--grid-resolution", dest="grid_resolution", type=int)
+    _add_run_flags(p, _RUN_FLAGS)
 
 
 def build_parser():
@@ -118,17 +111,8 @@ def build_parser():
     p.add_argument("--title", default="Evaluation on held-out test frames")
 
     p = sub.add_parser("reproduce", help="run both experiments plus novelty under one seed")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", dest="outdir", default="runs/reproduce")
-    p.add_argument("--n-control", dest="n_control", type=int, default=100)
-    p.add_argument("--n-concussed", dest="n_concussed", type=int, default=100)
-    p.add_argument("--models")
-    p.add_argument("--balanced-per-class", dest="balanced_per_class", type=int, default=8000)
-    p.add_argument("--train-caps", dest="train_caps", help="JSON dict, e.g. {\"SVC\": 4000}")
-    p.add_argument("--novelty-train", dest="novelty_train", type=int, default=10000)
-    p.add_argument("--novelty-test-per-class", dest="novelty_test_per_class",
-                   type=int, default=5000)
-    p.add_argument("--grid-resolution", dest="grid_resolution", type=int, default=100)
+    _add_run_flags(p, _REPRODUCE_FLAGS)
+    p.set_defaults(outdir="runs/reproduce")
     return parser
 
 
@@ -205,20 +189,7 @@ def _cmd_report(args):
 
 
 def _cmd_reproduce(args):
-    kwargs = dict(seed=args.seed, outdir=args.outdir,
-                  n_control=args.n_control, n_concussed=args.n_concussed,
-                  balanced_per_class=args.balanced_per_class,
-                  novelty_train=args.novelty_train,
-                  novelty_test_per_class=args.novelty_test_per_class,
-                  grid_resolution=args.grid_resolution)
-    if args.models:
-        kwargs["models"] = tuple(m.strip() for m in args.models.split(","))
-    if args.train_caps:
-        try:
-            kwargs["train_caps"] = json.loads(args.train_caps)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"--train-caps must be JSON: {e}") from None
-    results = reproduce(**kwargs)
+    results = reproduce(_load_config(args))
     for kind in ("SP", "VMS"):
         print(f"{kind}: report {results[kind].report_csv_path}")
     return 0

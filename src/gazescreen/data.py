@@ -64,21 +64,6 @@ def atomic_write_text(path, text):
         raise
 
 
-@dataclass
-class GazeFrame:
-    """One eye-tracker sample."""
-
-    t: float
-    left_dir: np.ndarray
-    right_dir: np.ndarray
-    cyclopean_dir: np.ndarray
-    left_pupil_mm: float
-    right_pupil_mm: float
-    left_openness: float
-    right_openness: float
-    label: int
-
-
 class GazeDataset:
     """Frames from one or more sessions, stored as a dense feature matrix.
 
@@ -163,20 +148,6 @@ class GazeDataset:
     def class_counts(self):
         """(n_control, n_concussed), i.e. counts of labels 0 and 1."""
         return int(np.sum(self.labels == 0)), int(np.sum(self.labels == 1))
-
-    def frame(self, i):
-        row = self.features[i]
-        return GazeFrame(
-            t=float(row[_T]),
-            left_dir=row[_LEFT].copy(),
-            right_dir=row[_RIGHT].copy(),
-            cyclopean_dir=row[_CYC].copy(),
-            left_pupil_mm=float(row[_LPUPIL]),
-            right_pupil_mm=float(row[_RPUPIL]),
-            left_openness=float(row[_LOPEN]),
-            right_openness=float(row[_ROPEN]),
-            label=int(self.labels[i]),
-        )
 
     def subset(self, indices):
         """New dataset from `indices`, kept in ascending order so per-session
@@ -406,9 +377,6 @@ class ClassWeights:
 
     control: float
     concussed: float
-
-    def as_array(self):
-        return np.array([self.control, self.concussed])
 
     def per_sample(self, labels):
         labels = np.asarray(labels)

@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import json
 import os
 import resource
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from .data import (
-    GazeDataset,
     SplitConfig,
     atomic_write_text,
     balanced_subset,
@@ -32,7 +30,6 @@ from .data import (
     split,
 )
 from .errors import (
-    ConfigError,
     GazeScreenError,
     InvalidSpec,
     PipelineError,
@@ -142,61 +139,39 @@ class RunConfig:
                            seed=self.seed, stratified=self.stratified)
 
 
-_BOOL_KEYS = {"stratified", "allow_weighted_balanced_models", "allow_mixed_novelty_training"}
-_INT_KEYS = {"n_control", "n_concussed", "seed", "balanced_per_class",
-             "novelty_train", "novelty_test_per_class", "grid_resolution"}
-_FLOAT_KEYS = {"test_fraction", "validation_fraction"}
-_TUPLE_KEYS = {"models", "novelty_methods"}
-_DICT_KEYS = {"train_caps", "hyper_overrides", "control_overrides", "concussed_overrides"}
+def _parse_bool(raw):
+    return raw.strip().lower() in ("1", "true", "yes", "on")
+
+
+def _parse_list(raw):
+    return tuple(v.strip() for v in raw.split(",") if v.strip())
+
+
+# how a text value (INI or flag) becomes each RunConfig field, chosen by
+# the field's annotation; a field of any other type fails here, at import
+_TEXT_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
+                 "tuple": _parse_list, "dict": json.loads}
+FIELD_PARSERS = {f.name: _TEXT_PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def run_config_from_ini(path, section="run"):
-    """Read a RunConfig from an INI file. Dict-valued keys take JSON;
-    tuple-valued keys take comma-separated lists."""
+    """Read a RunConfig from an INI file whose keys are RunConfig field
+    names. Dict-valued keys take JSON; tuple-valued keys take
+    comma-separated lists."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise InvalidSpec(f"cannot read config file {path}")
     if not parser.has_section(section):
         raise InvalidSpec(f"{path}: missing [{section}] section")
-    valid = {f.name for f in fields(RunConfig)}
     kwargs = {}
     for key, raw in parser.items(section):
-        if key not in valid:
+        if key not in FIELD_PARSERS:
             raise InvalidSpec(f"{path} [{section}]: unknown key {key!r}")
         try:
-            if key in _BOOL_KEYS:
-                kwargs[key] = raw.strip().lower() in ("1", "true", "yes", "on")
-            elif key in _INT_KEYS:
-                kwargs[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(raw)
-            elif key in _TUPLE_KEYS:
-                kwargs[key] = tuple(v.strip() for v in raw.split(",") if v.strip())
-            elif key in _DICT_KEYS:
-                kwargs[key] = json.loads(raw)
-            else:
-                kwargs[key] = raw
-        except (ValueError, json.JSONDecodeError) as e:
+            kwargs[key] = FIELD_PARSERS[key](raw)
+        except ValueError as e:
             raise InvalidSpec(f"{path} [{section}]: bad value for {key}: {e}") from None
     return RunConfig(**kwargs)
-
-
-def run_config_to_ini_text(cfg, section="run"):
-    parser = configparser.ConfigParser()
-    parser.add_section(section)
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if v is None:
-            continue
-        if f.name in _TUPLE_KEYS:
-            parser.set(section, f.name, ",".join(v))
-        elif f.name in _DICT_KEYS:
-            parser.set(section, f.name, json.dumps(v))
-        else:
-            parser.set(section, f.name, str(v))
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
 
 
 # -- model dispatch -------------------------------------------------------------
@@ -394,7 +369,7 @@ def run_experiment(cfg, ds=None):
     manifest = {
         "tool": "gazescreen",
         "command": "experiment",
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "data": {
             "source": source,
             "sha256": _sha256_file(cfg.csv_path) if cfg.csv_path else None,
@@ -410,13 +385,6 @@ def run_experiment(cfg, ds=None):
     atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
     return ExperimentResult(per_model, txt_path, csv_path, manifest_path,
                             model_paths, stages.timings)
-
-
-def _config_dict(cfg):
-    d = asdict(cfg)
-    d["models"] = list(cfg.models)
-    d["novelty_methods"] = list(cfg.novelty_methods)
-    return d
 
 
 def evaluate_model(model, test_ds):
@@ -538,7 +506,7 @@ def run_novelty(cfg, ds=None):
     manifest = {
         "tool": "gazescreen",
         "command": "novelty",
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "data": {"train_rows": len(train_pool),
                  "test_regular": len(test_reg), "test_novel": len(test_nov)},
         "fits": fits,
@@ -553,45 +521,34 @@ def run_novelty(cfg, ds=None):
 
 # -- full reproduction ----------------------------------------------------------------
 
-def reproduce(seed=0, outdir="runs/reproduce", n_control=100, n_concussed=100,
-              models=tuple(MODEL_KINDS), balanced_per_class=8000,
-              train_caps=None, novelty_train=10000, novelty_test_per_class=5000,
-              grid_resolution=100, novelty_methods=("iforest", "ocsvm")):
+def reproduce(cfg):
     """Run the SP experiment, the VMS experiment and both novelty stages
-    under one seed; returns {section: result}. Each cohort is simulated
+    of `cfg` under its seed; returns {section: result}. Each section runs
+    `cfg` with its own test_kind and outdir. Each cohort is simulated
     once and shared by its experiment and its novelty stage. The top-level
     manifest times each cohort's simulation as an `acquire` stage and
     points to each section's own manifest."""
-    outdir = os.environ.get(OUTDIR_ENV_VAR, "") or outdir
-    caps = dict(DEFAULT_TRAIN_CAPS) if train_caps is None else dict(train_caps)
+    if cfg.csv_path:
+        raise InvalidSpec("reproduce simulates its cohorts; csv_path must be unset")
+    outdir = cfg.resolved_outdir()
     stages = _Stages()
     results = {}
     sections = {}
     for kind in ("SP", "VMS"):
-        cfg = RunConfig(
-            test_kind=kind, n_control=n_control, n_concussed=n_concussed,
-            seed=seed, outdir=os.path.join(outdir, kind.lower()),
-            models=tuple(models), balanced_per_class=balanced_per_class,
-            train_caps=caps, novelty_train=novelty_train,
-            novelty_test_per_class=novelty_test_per_class,
-            grid_resolution=grid_resolution, novelty_methods=tuple(novelty_methods))
-        ds = stages.run("acquire", f"synthetic cohort ({n_control}+{n_concussed} {kind})",
-                        _acquire, cfg)
-        results[kind] = run_experiment(cfg, ds)
-        nov_cfg = RunConfig(
-            test_kind=kind, n_control=n_control, n_concussed=n_concussed,
-            seed=seed, outdir=os.path.join(outdir, "novelty", kind.lower()),
-            models=tuple(models), train_caps=caps,
-            novelty_train=novelty_train,
-            novelty_test_per_class=novelty_test_per_class,
-            grid_resolution=grid_resolution, novelty_methods=tuple(novelty_methods))
+        exp_cfg = replace(cfg, test_kind=kind, outdir=os.path.join(outdir, kind.lower()))
+        ds = stages.run("acquire",
+                        f"synthetic cohort ({cfg.n_control}+{cfg.n_concussed} {kind})",
+                        _acquire, exp_cfg)
+        results[kind] = run_experiment(exp_cfg, ds)
+        nov_cfg = replace(cfg, test_kind=kind,
+                          outdir=os.path.join(outdir, "novelty", kind.lower()))
         results[f"novelty-{kind}"] = run_novelty(nov_cfg, ds)
         sections[kind] = os.path.join(kind.lower(), "manifest.json")
         sections[f"novelty-{kind}"] = os.path.join("novelty", kind.lower(), "manifest.json")
     manifest = {
         "tool": "gazescreen",
         "command": "reproduce",
-        "seed": seed,
+        "seed": cfg.seed,
         "sections": sections,
         "stages": stages.timings,
         "peak_rss_mb": _peak_rss_mb(),

@@ -17,13 +17,11 @@ All directions are unit vectors.
 """
 from __future__ import annotations
 
-import configparser
-import io
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GazeDataset, N_FEATURES, atomic_write_text
+from .data import GazeDataset, N_FEATURES
 from .errors import InvalidSpec, OutOfRangeTime
 
 PUPIL_BASE_MM = 3.5
@@ -303,66 +301,3 @@ def generate_cohort(n_control, n_concussed, test_kind="SP", base_seed=0,
             parts.append(simulate_session(spec))
             k += 1
     return GazeDataset.concatenate(parts)
-
-
-# -- INI session-spec files ----------------------------------------------------
-
-_IMP_PREFIX = "impairment_"
-
-
-def save_session_specs(specs, path):
-    """One INI section per session; impairment fields carry an
-    'impairment_' prefix."""
-    parser = configparser.ConfigParser()
-    for i, spec in enumerate(specs):
-        sec = f"session-{i}"
-        parser.add_section(sec)
-        for f in fields(spec):
-            if f.name == "impairment":
-                continue
-            parser.set(sec, f.name, str(getattr(spec, f.name)))
-        for key, val in asdict(spec.impairment).items():
-            parser.set(sec, _IMP_PREFIX + key, str(val))
-    buf = io.StringIO()
-    parser.write(buf)
-    atomic_write_text(path, buf.getvalue())
-
-
-_INT_FIELDS = {"label", "seed", "vms_repetitions"}
-_STR_FIELDS = {"test_kind", "session_id"}
-
-
-def load_session_specs(path):
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise InvalidSpec(f"cannot read session spec file {path}")
-    specs = []
-    valid = {f.name for f in fields(SessionSpec)} - {"impairment"}
-    imp_valid = {f.name for f in fields(ImpairmentParams)}
-    for sec in parser.sections():
-        kwargs, imp_kwargs = {}, {}
-        for key, raw in parser.items(sec):
-            if key.startswith(_IMP_PREFIX):
-                name = key[len(_IMP_PREFIX):]
-                if name not in imp_valid:
-                    raise InvalidSpec(f"{path} [{sec}]: unknown impairment field {name!r}")
-                imp_kwargs[name] = float(raw)
-            elif key in valid:
-                if key in _STR_FIELDS:
-                    kwargs[key] = raw
-                elif key in _INT_FIELDS:
-                    kwargs[key] = int(raw)
-                else:
-                    kwargs[key] = float(raw)
-            else:
-                raise InvalidSpec(f"{path} [{sec}]: unknown field {key!r}")
-        if imp_kwargs:
-            kwargs["impairment"] = ImpairmentParams(**imp_kwargs)
-        try:
-            specs.append(SessionSpec(**kwargs))
-        except TypeError as e:
-            raise InvalidSpec(f"{path} [{sec}]: {e}") from None
-    if not specs:
-        raise InvalidSpec(f"{path}: no session sections found")
-    return specs

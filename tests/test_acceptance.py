@@ -390,8 +390,8 @@ def test_reproduce_is_deterministic(tmp_path):
               balanced_per_class=300, novelty_train=150,
               novelty_test_per_class=40, grid_resolution=4,
               novelty_methods=("iforest", "ocsvm"))
-    reproduce(outdir=str(tmp_path / "a"), **kw)
-    reproduce(outdir=str(tmp_path / "b"), **kw)
+    reproduce(RunConfig(outdir=str(tmp_path / "a"), **kw))
+    reproduce(RunConfig(outdir=str(tmp_path / "b"), **kw))
     same = []
     for rel in ("sp/report.csv", "vms/report.csv"):
         with open(tmp_path / "a" / rel, "rb") as fh:

@@ -77,13 +77,6 @@ class TestValidation:
         with pytest.raises(InvalidSpec):
             toy_dataset(kind="NEITHER")
 
-    def test_frame_accessor(self):
-        ds = toy_dataset()
-        fr = ds.frame(2)
-        assert fr.t == pytest.approx(2 / 90.0)
-        assert np.allclose(fr.cyclopean_dir, [0, 0, 1])
-        assert fr.label == 0
-
 
 class TestCsv:
     def test_round_trip_bit_exact(self, tmp_path):

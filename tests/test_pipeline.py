@@ -3,6 +3,7 @@
 Every experiment here simulates 2+2 sessions, so the feature tables are a
 few thousand rows and the whole module stays in the low seconds.
 """
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -34,7 +35,6 @@ from gazescreen.pipeline import (
     make_params,
     reproduce,
     run_config_from_ini,
-    run_config_to_ini_text,
     run_experiment,
     run_novelty,
     synthesize_cohort,
@@ -65,8 +65,44 @@ def train_ds():
 # -- config file round-trip -------------------------------------------------
 
 
+_FULL_INI = """\
+[run]
+test_kind = VMS
+n_control = 5
+n_concussed = 7
+csv_path = some.csv
+seed = 3
+outdir = runs/x
+models = RF, NB
+test_fraction = 0.25
+validation_fraction = 0.05
+stratified = false
+weighting = balanced-subset
+balanced_per_class = 123
+train_caps = {"SVC": 500}
+allow_weighted_balanced_models = yes
+hyper_overrides = {"RF": {"n_trees": 7}}
+control_overrides = {"noise_deg": 0.1}
+concussed_overrides = {"pupil_shift_mm": 0.5}
+novelty_train = 77
+novelty_test_per_class = 33
+grid_resolution = 9
+novelty_methods = iforest
+allow_mixed_novelty_training = on
+"""
+
+
+def _ini_keys(text):
+    return {line.split("=")[0].strip() for line in text.splitlines() if "=" in line}
+
+
 def test_ini_round_trip(tmp_path):
-    cfg = RunConfig(
+    # every field is an INI key: a RunConfig field without a parser for its
+    # annotation would fail here
+    assert _ini_keys(_FULL_INI) == {f.name for f in dataclasses.fields(RunConfig)}
+    path = tmp_path / "run.ini"
+    path.write_text(_FULL_INI)
+    assert run_config_from_ini(str(path)) == RunConfig(
         test_kind="VMS", n_control=5, n_concussed=7, csv_path="some.csv",
         seed=3, outdir="runs/x", models=("RF", "NB"), test_fraction=0.25,
         validation_fraction=0.05, stratified=False,
@@ -77,14 +113,37 @@ def test_ini_round_trip(tmp_path):
         concussed_overrides={"pupil_shift_mm": 0.5},
         novelty_train=77, novelty_test_per_class=33, grid_resolution=9,
         novelty_methods=("iforest",), allow_mixed_novelty_training=True)
-    path = tmp_path / "run.ini"
-    path.write_text(run_config_to_ini_text(cfg))
-    assert run_config_from_ini(str(path)) == cfg
 
 
 def test_ini_defaults_round_trip(tmp_path):
+    # the defaults written out; csv_path has no INI spelling for None
+    text = """\
+[run]
+test_kind = SP
+n_control = 100
+n_concussed = 100
+seed = 0
+outdir = runs/out
+models = RF,ADA,GPC,DT,NB,SVC,LR,PERC
+test_fraction = 0.2
+validation_fraction = 0.1
+stratified = True
+weighting = auto
+balanced_per_class = 8000
+train_caps = {"SVC": 16000, "RF": 16000, "GPC": 1000}
+allow_weighted_balanced_models = False
+hyper_overrides = {}
+control_overrides = {}
+concussed_overrides = {}
+novelty_train = 10000
+novelty_test_per_class = 5000
+grid_resolution = 100
+novelty_methods = iforest,ocsvm
+allow_mixed_novelty_training = False
+"""
+    assert _ini_keys(text) == {f.name for f in dataclasses.fields(RunConfig)} - {"csv_path"}
     path = tmp_path / "run.ini"
-    path.write_text(run_config_to_ini_text(RunConfig()))
+    path.write_text(text)
     assert run_config_from_ini(str(path)) == RunConfig()
 
 
@@ -479,11 +538,11 @@ def test_reproduce_layout_and_env_override(tmp_path, monkeypatch):
     # sp/vms/novelty directories must survive it
     forced = tmp_path / "forced"
     monkeypatch.setenv(OUTDIR_ENV_VAR, str(forced))
-    results = reproduce(
+    results = reproduce(RunConfig(
         seed=3, outdir=str(tmp_path / "decoy"), n_control=2, n_concussed=2,
         models=("NB",), balanced_per_class=300, novelty_train=150,
         novelty_test_per_class=40, grid_resolution=4,
-        novelty_methods=("iforest",))
+        novelty_methods=("iforest",)))
     assert set(results) == {"SP", "VMS", "novelty-SP", "novelty-VMS"}
     assert not (tmp_path / "decoy").exists()
     for rel in ("sp/report.csv", "sp/models/NB.json", "sp/manifest.json",
@@ -520,7 +579,7 @@ def test_reproduce_simulates_each_cohort_once(tmp_path, monkeypatch):
     kw = dict(seed=5, n_control=2, n_concussed=2, models=("NB",),
               balanced_per_class=300, novelty_train=120,
               novelty_test_per_class=30, grid_resolution=4)
-    reproduce(outdir=str(tmp_path / "shared"), **kw)
+    reproduce(RunConfig(outdir=str(tmp_path / "shared"), **kw))
     assert calls == ["SP", "VMS"]
 
     # the same outputs as the experiment and novelty runs acquiring their
@@ -541,6 +600,28 @@ def test_reproduce_simulates_each_cohort_once(tmp_path, monkeypatch):
     for rel in alone:
         assert (tmp_path / "shared" / rel).read_bytes() == \
             (tmp_path / "alone" / rel).read_bytes(), rel
+
+
+def test_reproduce_sections_record_the_callers_config(tmp_path):
+    # every section runs the caller's config with its own test_kind and
+    # outdir; nothing else, balanced_per_class included, falls back to a default
+    cfg = RunConfig(seed=4, outdir=str(tmp_path), n_control=2, n_concussed=2,
+                    models=("NB",), balanced_per_class=250,
+                    train_caps={"NB": 600}, novelty_train=90,
+                    novelty_test_per_class=25, grid_resolution=3,
+                    novelty_methods=("iforest",))
+    reproduce(cfg)
+    expected = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    for rel, kind in (("sp", "SP"), ("vms", "VMS"),
+                      ("novelty/sp", "SP"), ("novelty/vms", "VMS")):
+        man = json.loads((tmp_path / rel / "manifest.json").read_text())
+        assert man["config"] == expected | {"test_kind": kind,
+                                            "outdir": str(tmp_path / rel)}, rel
+
+
+def test_reproduce_rejects_csv_path(tmp_path):
+    with pytest.raises(InvalidSpec):
+        reproduce(RunConfig(csv_path="cohort.csv", outdir=str(tmp_path)))
 
 
 # -- command line -------------------------------------------------------------------
@@ -601,10 +682,10 @@ def test_cli_calls_parse_independently(monkeypatch):
 
 def test_cli_config_file_with_flag_override(tmp_path):
     out = tmp_path / "out"
-    cfg = RunConfig(**SMALL | {"models": ("NB",), "balanced_per_class": 300,
-                               "outdir": str(out)})
     ini = tmp_path / "run.ini"
-    ini.write_text(run_config_to_ini_text(cfg))
+    ini.write_text("[run]\ntest_kind = SP\nn_control = 2\nn_concussed = 2\n"
+                   "models = NB\nbalanced_per_class = 300\nseed = 11\n"
+                   f"outdir = {out}\n")
     rc = cli_main(["train", "--config", str(ini), "--seed", "9"])
     assert rc == 0
     with open(out / "manifest.json") as fh:
@@ -656,3 +737,80 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["evaluate", "--data", str(csv),
                      "--models-dir", str(tmp_path / "empty")]) == 2
     capsys.readouterr()                       # swallow the error chatter
+
+
+# -- the CLI surface ------------------------------------------------------------------
+
+# each subcommand's option strings, as given since the flags were first spelled
+_RUN_OPTIONS = {
+    "-h", "--help", "--config", "--test-kind", "--n-control", "--n-concussed",
+    "--csv-path", "--seed", "--out-dir", "--models", "--test-fraction",
+    "--validation-fraction", "--balanced-per-class", "--weighting",
+    "--novelty-train", "--novelty-test-per-class", "--grid-resolution"}
+_CLI_OPTIONS = {
+    "simulate": _RUN_OPTIONS | {"--out"},
+    "train": _RUN_OPTIONS,
+    "evaluate": {"-h", "--help", "--data", "--test-kind", "--models-dir", "--out-dir"},
+    "novelty": _RUN_OPTIONS,
+    "report": {"-h", "--help", "--metrics-csv", "--out", "--title"},
+    "reproduce": {"-h", "--help", "--seed", "--out-dir", "--n-control",
+                  "--n-concussed", "--models", "--balanced-per-class", "--train-caps",
+                  "--novelty-train", "--novelty-test-per-class", "--grid-resolution"},
+}
+
+
+def test_cli_option_strings():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(_CLI_OPTIONS)
+    for name, p in sub.choices.items():
+        assert {o for a in p._actions for o in a.option_strings} == _CLI_OPTIONS[name], name
+
+
+def test_cli_reproduce_defaults(tmp_path, monkeypatch):
+    # the config of each section, captured before any work is done
+    seen = []
+
+    class Done:
+        report_csv_path = "report.csv"
+
+    def capture(cfg, ds=None):
+        seen.append(cfg)
+        return Done()
+
+    monkeypatch.delenv(OUTDIR_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    os.makedirs("runs/reproduce")             # for the top-level manifest
+    monkeypatch.setattr(pipeline_mod, "_acquire", lambda cfg: None)
+    monkeypatch.setattr(pipeline_mod, "run_experiment", capture)
+    monkeypatch.setattr(pipeline_mod, "run_novelty", capture)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["reproduce"]) == 0
+    assert [(c.test_kind, c.outdir) for c in seen] == [
+        ("SP", os.path.join("runs/reproduce", "sp")),
+        ("SP", os.path.join("runs/reproduce", "novelty", "sp")),
+        ("VMS", os.path.join("runs/reproduce", "vms")),
+        ("VMS", os.path.join("runs/reproduce", "novelty", "vms"))]
+    for c in seen:
+        assert (c.seed, c.n_control, c.n_concussed, c.balanced_per_class) == \
+            (0, 100, 100, 8000)
+        assert (c.novelty_train, c.novelty_test_per_class, c.grid_resolution) == \
+            (10000, 5000, 100)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--n-control", "abc"],
+    ["train", "--test-kind", "XX"],
+    ["train", "--weighting", "bogus"],
+    ["reproduce", "--train-caps", "{bad"],
+])
+def test_cli_bad_flag_values_exit_2(argv, tmp_path, capsys):
+    # argparse rejects a flag with SystemExit, a RunConfig check with a
+    # returned code; either way the code is 2 and nothing is written
+    try:
+        code = cli_main(argv + ["--out-dir", str(tmp_path / "out")])
+    except SystemExit as e:
+        code = e.code
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+    capsys.readouterr()

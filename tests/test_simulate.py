@@ -9,8 +9,6 @@ from gazescreen.simulate import (
     ImpairmentParams,
     SessionSpec,
     generate_cohort,
-    load_session_specs,
-    save_session_specs,
     simulate_session,
     target_trajectory,
 )
@@ -267,27 +265,3 @@ class TestReproducibility:
         second = ds.features[1800:]
         assert not np.array_equal(first[:, 1:], second[:, 1:])
 
-
-class TestSpecFiles:
-    def test_round_trip(self, tmp_path):
-        specs = [
-            SessionSpec("SP", label=0, seed=11),
-            SessionSpec("VMS", label=1, seed=7, vms_repetitions=4),
-            SessionSpec("SP", label=1, seed=3,
-                        impairment=ImpairmentParams(noise_deg=2.5,
-                                                    pupil_shift_mm=0.25)),
-        ]
-        path = tmp_path / "specs.ini"
-        save_session_specs(specs, path)
-        back = load_session_specs(path)
-        assert back == specs
-
-    def test_unknown_field_rejected(self, tmp_path):
-        path = tmp_path / "bad.ini"
-        path.write_text("[session-0]\ntest_kind = SP\nwat = 3\n")
-        with pytest.raises(InvalidSpec):
-            load_session_specs(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(InvalidSpec):
-            load_session_specs(tmp_path / "nope.ini")
