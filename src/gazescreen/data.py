@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BadLabel,
+    DataError,
     EmptyDataset,
     InsufficientClassSamples,
     InvalidSpec,
@@ -177,52 +179,28 @@ class GazeDataset:
 def write_csv(ds, path):
     """Serialise to the 16-column CSV wire format; floats use repr so a
     load round-trips bit-exactly."""
+    rows = zip(map(str, ds.session_ids.tolist()), ds.features.tolist(),
+               map(str, ds.labels.tolist()))
     out = [",".join(COLUMNS)]
-    feats = ds.features
-    for i in range(len(ds)):
-        row = [str(ds.session_ids[i])]
-        row.extend(repr(float(v)) for v in feats[i])
-        row.append(str(int(ds.labels[i])))
-        out.append(",".join(row))
+    out.extend([",".join([sid, *map(repr, feats), label]) for sid, feats, label in rows])
     atomic_write_text(path, "\n".join(out) + "\n")
 
 
 def load_csv(path, test_kind):
     """Parse and validate the CSV wire format.
 
-    Directions whose norm deviates from 1 by more than 1e-3 are rejected
-    (NonUnitDirection); smaller deviations are silently re-normalised.
+    A file laid out as write_csv writes it is parsed in one np.loadtxt
+    pass; any other file is parsed row by row, which is also where every
+    parse error is raised. Directions whose norm deviates from 1 by more
+    than 1e-3 are rejected (NonUnitDirection); smaller deviations are
+    silently re-normalised.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataset(f"{path}: empty file") from None
-        if header != COLUMNS:
-            missing = [c for c in COLUMNS if c not in header]
-            if missing:
-                raise MissingColumn(f"{path}: missing column(s) {missing}")
-            raise MissingColumn(f"{path}: header must be exactly {COLUMNS}")
-        sids, rows, labels = [], [], []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(COLUMNS):
-                raise MissingColumn(
-                    f"{path}:{lineno}: expected {len(COLUMNS)} fields, got {len(rec)}")
-            sids.append(rec[0])
-            try:
-                rows.append([float(v) for v in rec[1:15]])
-            except ValueError as e:
-                raise BadLabel(f"{path}:{lineno}: {e}") from None
-            lab = rec[15].strip()
-            if lab not in ("0", "1"):
-                raise BadLabel(f"{path}:{lineno}: label must be 0 or 1, got {lab!r}")
-            labels.append(int(lab))
-    if not rows:
-        raise EmptyDataset(f"{path}: no data rows")
-    feats = np.array(rows, dtype=float)
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not a text file: {e}") from None
+    sids, feats, labels = _parse_written(text) or _parse_rows(text, path)
     for name, sl in (("left", _LEFT), ("right", _RIGHT), ("cyclopean", _CYC)):
         block = feats[:, sl]
         norms = np.linalg.norm(block, axis=1)
@@ -237,7 +215,78 @@ def load_csv(path, test_kind):
         if off.any():
             feats[np.nonzero(off)[0][:, None], np.arange(sl.start, sl.stop)] = (
                 block[off] / norms[off, None])
-    return GazeDataset(feats, np.array(labels), np.array(sids), test_kind)
+    return GazeDataset(feats, labels, sids, test_kind)
+
+
+_HEADER = ",".join(COLUMNS)
+# one line with its end, as a file opened with newline="" yields it
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def _parse_written(text):
+    """(session_ids, features, labels) of a file in write_csv's exact
+    shape, or None for any other file. Never raises a parse error.
+
+    Every check below rules out a file on which np.loadtxt and the per-row
+    parser could disagree: csv quoting, a CR that loadtxt strips silently,
+    a NUL, a row whose extra or missing fields `usecols` would not notice,
+    and a label the per-row parser rejects. loadtxt itself rejects what
+    float() would not read the same way (blank fields, `1_0`), and
+    `comments=None` keeps it from skipping `#` lines.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    header, *lines = text.split("\n")
+    if header != _HEADER:
+        return None
+    lines = [line for line in lines if line]
+    n_commas = len(COLUMNS) - 1
+    if not lines or any(line.count(",") != n_commas for line in lines):
+        return None
+    labels = [line.rpartition(",")[2].strip() for line in lines]
+    if not set(labels) <= {"0", "1"}:
+        return None
+    try:
+        feats = np.loadtxt(lines, delimiter=",", usecols=range(1, 15),
+                           comments=None, ndmin=2)
+    except ValueError:
+        return None
+    sids = [line.partition(",")[0] for line in lines]
+    return np.array(sids), feats, np.array(labels, dtype=np.int64)
+
+
+def _parse_rows(text, path):
+    """(session_ids, features, labels) read record by record with
+    csv.reader; raises the loader's parse errors with their line numbers."""
+    reader = csv.reader(m.group() for m in _LINE.finditer(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyDataset(f"{path}: empty file") from None
+    if header != COLUMNS:
+        missing = [c for c in COLUMNS if c not in header]
+        if missing:
+            raise MissingColumn(f"{path}: missing column(s) {missing}")
+        raise MissingColumn(f"{path}: header must be exactly {COLUMNS}")
+    sids, rows, labels = [], [], []
+    for lineno, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        if len(rec) != len(COLUMNS):
+            raise MissingColumn(
+                f"{path}:{lineno}: expected {len(COLUMNS)} fields, got {len(rec)}")
+        sids.append(rec[0])
+        try:
+            rows.append([float(v) for v in rec[1:15]])
+        except ValueError as e:
+            raise BadLabel(f"{path}:{lineno}: {e}") from None
+        lab = rec[15].strip()
+        if lab not in ("0", "1"):
+            raise BadLabel(f"{path}:{lineno}: label must be 0 or 1, got {lab!r}")
+        labels.append(int(lab))
+    if not rows:
+        raise EmptyDataset(f"{path}: no data rows")
+    return np.array(sids), np.array(rows, dtype=float), np.array(labels)
 
 
 # -- splitting ---------------------------------------------------------------

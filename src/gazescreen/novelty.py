@@ -11,7 +11,7 @@ size.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -380,16 +380,22 @@ def load_boundary_grid(path):
         if header != ["kind", "x", "y", "value", "tag"]:
             raise MissingColumn(f"{path}: expected header kind,x,y,value,tag")
         grid_rows, points = [], []
-        for rec in reader:
+        for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
+            if len(rec) != 5:
+                raise MissingColumn(f"{path}:{lineno}: expected 5 fields, got {len(rec)}")
             kind, x, y, value, tag = rec
+            if kind not in ("grid", "point"):
+                raise DataError(f"{path}:{lineno}: unknown row kind {kind!r}")
+            try:
+                x, y, value = float(x), float(y), float(value)
+            except ValueError as e:
+                raise DataError(f"{path}:{lineno}: {e}") from None
             if kind == "grid":
-                grid_rows.append((float(x), float(y), float(value)))
-            elif kind == "point":
-                points.append((float(x), float(y), float(value), tag))
+                grid_rows.append((x, y, value))
             else:
-                raise DataError(f"{path}: unknown row kind {kind!r}")
+                points.append((x, y, value, tag))
     xs = sorted({r[0] for r in grid_rows})
     ys = sorted({r[1] for r in grid_rows})
     scores = np.full((len(ys), len(xs)), np.nan)

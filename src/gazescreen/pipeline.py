@@ -531,6 +531,7 @@ def reproduce(cfg):
     if cfg.csv_path:
         raise InvalidSpec("reproduce simulates its cohorts; csv_path must be unset")
     outdir = cfg.resolved_outdir()
+    os.makedirs(outdir, exist_ok=True)
     stages = _Stages()
     results = {}
     sections = {}

@@ -1,9 +1,15 @@
 """Dataset container, CSV wire format, split arithmetic and weighting."""
+import csv
+import io
+import math
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gazescreen import data as data_mod
 from gazescreen.data import (
     COLUMNS,
     GazeDataset,
@@ -17,6 +23,7 @@ from gazescreen.data import (
 )
 from gazescreen.errors import (
     BadLabel,
+    DataError,
     EmptyDataset,
     InsufficientClassSamples,
     InvalidSpec,
@@ -137,6 +144,203 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(EmptyDataset):
             load_csv(path, "SP")
+
+    # the edges of the wire format; each file below is one that write_csv
+    # does not produce, so the loader must read it (or reject it) row by row
+
+    @staticmethod
+    def toy_lines(tmp_path):
+        """Header plus three rows of toy_dataset(3), as write_csv lays them out."""
+        path = tmp_path / "toy.csv"
+        write_csv(toy_dataset(3), path)
+        return path.read_text().splitlines()
+
+    @staticmethod
+    def load_lines(tmp_path, lines, end="\n"):
+        path = tmp_path / "edited.csv"
+        path.write_bytes((end.join(lines) + end).encode())
+        return path, load_csv(path, "SP")
+
+    def test_blank_lines_skipped(self, tmp_path):
+        lines = self.toy_lines(tmp_path)
+        _, back = self.load_lines(tmp_path, [lines[0], "", lines[1], "", "", *lines[2:], ""])
+        assert np.array_equal(back.features, toy_dataset(3).features)
+        assert list(back.session_ids) == ["s0"] * 3
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_loads_as_lf(self, tmp_path, end):
+        lines = self.toy_lines(tmp_path)
+        _, lf = self.load_lines(tmp_path, lines)
+        _, crlf = self.load_lines(tmp_path, lines, end=end)
+        assert np.array_equal(crlf.features, lf.features)
+        assert np.array_equal(crlf.labels, lf.labels)
+        assert list(crlf.session_ids) == list(lf.session_ids)
+
+    def test_quoted_session_id_with_comma(self, tmp_path):
+        lines = self.toy_lines(tmp_path)
+        lines[1:] = ['"s,0"' + ln[len("s0"):] for ln in lines[1:]]
+        _, back = self.load_lines(tmp_path, lines)
+        assert list(back.session_ids) == ["s,0"] * 3
+        assert np.array_equal(back.features, toy_dataset(3).features)
+
+    def test_whitespace_only_line_rejected_with_line_number(self, tmp_path):
+        lines = self.toy_lines(tmp_path)
+        lines.insert(2, "   ")
+        with pytest.raises(MissingColumn, match=r"edited\.csv:3: expected 16 fields, got 1"):
+            self.load_lines(tmp_path, lines)
+
+    @pytest.mark.parametrize("n_fields", [15, 17])
+    def test_wrong_field_count_rejected_with_line_number(self, tmp_path, n_fields):
+        lines = self.toy_lines(tmp_path)
+        fields = lines[3].split(",")
+        lines[3] = ",".join(fields[:15] if n_fields == 15 else [*fields, "0"])
+        with pytest.raises(MissingColumn,
+                           match=rf"edited\.csv:4: expected 16 fields, got {n_fields}"):
+            self.load_lines(tmp_path, lines)
+
+    def test_non_numeric_feature_rejected_with_line_number(self, tmp_path):
+        lines = self.toy_lines(tmp_path)
+        fields = lines[2].split(",")
+        fields[5] = "abc"
+        lines[2] = ",".join(fields)
+        with pytest.raises(BadLabel, match=r"edited\.csv:3: could not convert"):
+            self.load_lines(tmp_path, lines)
+
+    def test_label_with_spaces_accepted(self, tmp_path):
+        lines = self.toy_lines(tmp_path)
+        lines[2] = lines[2].rsplit(",", 1)[0] + ", 1 "
+        _, back = self.load_lines(tmp_path, lines)
+        assert list(back.labels) == [0, 1, 0]
+
+    def test_comment_line_rejected(self, tmp_path):
+        lines = self.toy_lines(tmp_path)
+        lines.insert(2, "# a comment")
+        with pytest.raises(MissingColumn, match=r"edited\.csv:3: expected 16 fields"):
+            self.load_lines(tmp_path, lines)
+
+    def test_hash_is_an_ordinary_session_id_character(self, tmp_path):
+        lines = self.toy_lines(tmp_path)
+        lines[1:] = ["#" + ln for ln in lines[1:]]
+        _, back = self.load_lines(tmp_path, lines)
+        assert list(back.session_ids) == ["#s0"] * 3
+
+    def test_underscore_digits_read_as_float_reads_them(self, tmp_path):
+        lines = self.toy_lines(tmp_path)
+        fields = lines[2].split(",")
+        fields[11] = "1_0"                    # lpupil
+        lines[2] = ",".join(fields)
+        _, back = self.load_lines(tmp_path, lines)
+        assert back.features[1, 10] == 10.0
+
+    def test_nan_feature_rejected(self, tmp_path):
+        lines = self.toy_lines(tmp_path)
+        fields = lines[2].split(",")
+        fields[1] = "nan"                     # t
+        lines[2] = ",".join(fields)
+        with pytest.raises(BadLabel, match="non-finite"):
+            self.load_lines(tmp_path, lines)
+
+
+def write_csv_rows(ds):
+    """Reference: the wire format written one numpy scalar at a time."""
+    out = [",".join(COLUMNS)]
+    feats = ds.features
+    for i in range(len(ds)):
+        row = [str(ds.session_ids[i])]
+        row.extend(repr(float(v)) for v in feats[i])
+        row.append(str(int(ds.labels[i])))
+        out.append(",".join(row))
+    return "\n".join(out) + "\n"
+
+
+# values whose repr or parse is easy to get wrong, and their neighbours
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                1e16, 1e22, 0.1, 1.0 / 3.0, 1.7976931348623157e308]
+_floats = st.one_of(
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    st.sampled_from(_EDGE_FLOATS).map(lambda v: math.nextafter(v, math.inf)),
+    st.sampled_from(_EDGE_FLOATS).map(lambda v: math.nextafter(v, -math.inf)))
+
+
+@st.composite
+def wire_datasets(draw):
+    """An unvalidated dataset of any finite or non-finite features, with
+    session ids that write_csv can write without quoting."""
+    n = draw(st.integers(1, 12))
+    feats = draw(st.lists(st.lists(_floats, min_size=14, max_size=14),
+                          min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    sids = draw(st.lists(st.text("ab-_ #.09", max_size=6), min_size=n, max_size=n))
+    return GazeDataset(np.array(feats), labels, np.array(sids), "SP", validate=False)
+
+
+def same_parse(a, b):
+    """Bit-for-bit equal (session_ids, features, labels)."""
+    return (list(a[0]) == list(b[0]) and a[1].shape == b[1].shape
+            and a[1].tobytes() == b[1].tobytes() and np.array_equal(a[2], b[2])
+            and a[2].dtype == b[2].dtype)
+
+
+class TestCsvOneParse:
+    """The one-pass parse of write_csv's layout against the per-row parser."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(wire_datasets())
+    def test_write_csv_bytes_match_per_row_writer(self, ds):
+        with tempfile.TemporaryDirectory() as d:
+            path = f"{d}/w.csv"
+            write_csv(ds, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == write_csv_rows(ds).encode()
+
+    @settings(max_examples=150, deadline=None)
+    @given(wire_datasets())
+    def test_written_file_parses_as_per_row(self, ds):
+        text = write_csv_rows(ds)
+        fast = data_mod._parse_written(text)
+        assert fast is not None
+        assert same_parse(fast, data_mod._parse_rows(text, "w.csv"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(wire_datasets(), st.lists(st.tuples(
+        st.integers(0, 10**6), st.sampled_from(["insert", "delete", "replace"]),
+        st.sampled_from(list(',"\r\n\x00 \t#_e+-.naif019\x0b\x0c\x85\u2028\u0661'))),
+        min_size=1, max_size=4))
+    def test_edited_file_parses_as_per_row_or_falls_back(self, ds, edits):
+        text = write_csv_rows(ds)
+        for pos, op, ch in edits:
+            pos %= len(text) + 1
+            if op == "insert":
+                text = text[:pos] + ch + text[pos:]
+            elif op == "delete":
+                text = text[:pos] + text[pos + 1:]
+            else:
+                text = text[:pos] + ch + text[pos + 1:]
+        try:
+            expected = data_mod._parse_rows(text, "e.csv")
+        except (DataError, csv.Error):
+            expected = None
+        fast = data_mod._parse_written(text)         # never raises
+        if expected is None:
+            assert fast is None
+        elif fast is not None:
+            assert same_parse(fast, expected)
+
+    @given(st.text(alphabet="a,\r\n", max_size=30))
+    def test_lines_split_as_a_file_splits_them(self, text):
+        expected = list(io.StringIO(text, newline=""))
+        assert [m.group() for m in data_mod._LINE.finditer(text)] == expected
+
+    def test_load_csv_same_as_per_row(self, tmp_path, monkeypatch):
+        ds = simulate_session(SessionSpec(test_kind="SP", label=1, seed=3))
+        path = tmp_path / "s.csv"
+        write_csv(ds, path)
+        fast = load_csv(path, "SP")
+        monkeypatch.setattr(data_mod, "_parse_written", lambda text: None)
+        rows = load_csv(path, "SP")
+        assert same_parse((fast.session_ids, fast.features, fast.labels),
+                          (rows.session_ids, rows.features, rows.labels))
 
 
 class TestSplitArithmetic:

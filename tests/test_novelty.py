@@ -15,6 +15,7 @@ from gazescreen.errors import (
     EmptyDataset,
     InvalidHyperParam,
     InvalidSpec,
+    MissingColumn,
 )
 from gazescreen.kernels import KernelRowCache, rbf_kernel, resolve_gamma
 from gazescreen.models import tree as tree_mod
@@ -577,6 +578,17 @@ class TestBoundaryGrid:
         assert np.array_equal(back.y_values, grid.y_values)
         assert np.array_equal(back.scores, grid.scores)
         assert back.points == grid.points
+
+    @pytest.mark.parametrize("row, error, message", [
+        ("grid,1.0,2.0", MissingColumn, r"g\.csv:3: expected 5 fields, got 3"),
+        ("grid,1.0,abc,3.0,", DataError, r"g\.csv:3: could not convert string to float"),
+        ("cell,1.0,2.0,3.0,", DataError, r"g\.csv:3: unknown row kind 'cell'"),
+    ])
+    def test_bad_row_named_with_line_number(self, tmp_path, row, error, message):
+        path = tmp_path / "g.csv"
+        path.write_text(f"kind,x,y,value,tag\ngrid,0.0,0.0,1.0,\n{row}\n")
+        with pytest.raises(error, match=message):
+            load_boundary_grid(path)
 
     def test_tags_partition_points(self):
         model, train, regular, novel = self.fitted()

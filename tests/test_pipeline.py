@@ -739,6 +739,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()                       # swallow the error chatter
 
 
+def test_cli_evaluate_binary_file_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "image.png"
+    data.write_bytes(b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR\xff\xfe")
+    os.makedirs(tmp_path / "models")
+    assert cli_main(["evaluate", "--data", str(data),
+                     "--models-dir", str(tmp_path / "models")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (evaluate): {data}: not a text file")
+    assert "Traceback" not in err
+
+
 # -- the CLI surface ------------------------------------------------------------------
 
 # each subcommand's option strings, as given since the flags were first spelled
@@ -780,7 +791,6 @@ def test_cli_reproduce_defaults(tmp_path, monkeypatch):
 
     monkeypatch.delenv(OUTDIR_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
-    os.makedirs("runs/reproduce")             # for the top-level manifest
     monkeypatch.setattr(pipeline_mod, "_acquire", lambda cfg: None)
     monkeypatch.setattr(pipeline_mod, "run_experiment", capture)
     monkeypatch.setattr(pipeline_mod, "run_novelty", capture)
