@@ -176,10 +176,22 @@ class GazeDataset:
 
 # -- CSV wire format ---------------------------------------------------------
 
+def _csv_field(text):
+    """`text` as one CSV field, with csv's minimal quoting: quoted, with
+    each quote doubled, when it holds a comma, a quote, a CR or an LF, and
+    as it is otherwise."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(ds, path):
     """Serialise to the 16-column CSV wire format; floats use repr so a
-    load round-trips bit-exactly."""
-    rows = zip(map(str, ds.session_ids.tolist()), ds.features.tolist(),
+    load round-trips bit-exactly. Only a session id that needs it is
+    quoted (`_csv_field`)."""
+    sids = ds.session_ids.tolist()
+    field = {sid: _csv_field(str(sid)) for sid in set(sids)}
+    rows = zip(map(field.__getitem__, sids), ds.features.tolist(),
                map(str, ds.labels.tolist()))
     out = [",".join(COLUMNS)]
     out.extend([",".join([sid, *map(repr, feats), label]) for sid, feats, label in rows])

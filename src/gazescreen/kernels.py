@@ -8,17 +8,24 @@ import numpy as np
 from .errors import InvalidHyperParam
 
 
-def squared_distances(A, B):
+def squared_norms(B):
+    return np.sum(B * B, axis=1)
+
+
+def squared_distances(A, B, b_sq=None):
     """Pairwise squared Euclidean distances, clipped at 0 so float
-    cancellation never produces tiny negatives."""
-    sq = (np.sum(A * A, axis=1)[:, None]
-          + np.sum(B * B, axis=1)[None, :]
+    cancellation never produces tiny negatives. `b_sq` may hold
+    `squared_norms(B)`, summed once by a caller that reuses B."""
+    if b_sq is None:
+        b_sq = squared_norms(B)
+    sq = (squared_norms(A)[:, None]
+          + b_sq[None, :]
           - 2.0 * (A @ B.T))
     return np.maximum(sq, 0.0)
 
 
-def rbf_kernel(A, B, gamma):
-    return np.exp(-gamma * squared_distances(A, B))
+def rbf_kernel(A, B, gamma, b_sq=None):
+    return np.exp(-gamma * squared_distances(A, B, b_sq))
 
 
 class KernelRowCache:
@@ -26,8 +33,9 @@ class KernelRowCache:
     k(X[i], X), as the SMO solvers request them.
 
     `rows(idx)` returns the rows of `idx` in order. When any of them is
-    missing, all of `idx` are computed together in one `rbf_kernel` call:
-    the BLAS product behind a one-row call (gemv) can round differently from
+    missing, all of `idx` are computed together in one `rbf_kernel` call,
+    which takes the squared norms of X summed once at construction. The
+    BLAS product behind a one-row call (gemv) can round differently from
     the one behind a call of two or more rows (gemm), so the caller decides
     which rows share a call. `computed` counts the rows computed so far.
     """
@@ -38,6 +46,7 @@ class KernelRowCache:
         self.capacity = capacity
         self.computed = 0
         self._rows = OrderedDict()
+        self._sq = squared_norms(X)
 
     def rows(self, idx):
         idx = [int(i) for i in idx]
@@ -45,7 +54,7 @@ class KernelRowCache:
             for i in idx:
                 self._rows.move_to_end(i)
             return [self._rows[i] for i in idx]
-        block = rbf_kernel(self.X[idx], self.X, self.gamma)
+        block = rbf_kernel(self.X[idx], self.X, self.gamma, self._sq)
         self.computed += len(idx)
         out = []
         for i, row in zip(idx, block):

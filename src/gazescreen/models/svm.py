@@ -3,9 +3,10 @@
 The dual  min 1/2 a'Qa - e'a  s.t. y'a = 0, 0 <= a_i <= C_i  is solved by
 repeatedly optimising the maximal violating pair (first-order working-set
 selection) with the exact two-variable update, maintaining the full
-gradient so selection is O(n) per step. Per-sample box bounds C_i carry
-class weighting. Kernel rows are computed on demand and kept in a bounded
-LRU cache.
+gradient and both selection masks, so a step selects with one masked
+argmax and one masked argmin and updates the masks at the pair alone.
+Per-sample box bounds C_i carry class weighting. Kernel rows are computed
+on demand and kept in a bounded LRU cache.
 """
 from __future__ import annotations
 
@@ -90,19 +91,28 @@ def fit_svc_rbf(fm: FeatureMatrix, hp: SvcParams = None, seed: int = 0):
 
     alpha = np.zeros(n)
     grad = -np.ones(n)  # G = Q alpha - e
+    neg_y = -y
+    yg = np.empty(n)
+    # the selection masks, kept from step to step: up is 0 where a
+    # coefficient is in I_up and -inf where not, low 0 where it is in I_low
+    # and +inf where not; a mask added to the (finite) -y G gives the masked
+    # values, whose first argmax/argmin is the pair, and an infinite pick
+    # means an empty set
+    up = np.where(((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0)), 0.0, -np.inf)
+    low = np.where(((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0)), 0.0, np.inf)
+    masked = np.empty(n)
     converged = False
     n_iter = 0  # pair updates made
     while n_iter < hp.max_iter:
-        yg = -y * grad
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-        up_idx = np.nonzero(up)[0]
-        low_idx = np.nonzero(low)[0]
-        if up_idx.size == 0 or low_idx.size == 0:
+        np.multiply(neg_y, grad, out=yg)
+        i = np.add(yg, up, out=masked).argmax()
+        if masked[i] == -np.inf:
             converged = True
             break
-        i = up_idx[np.argmax(yg[up_idx])]
-        j = low_idx[np.argmin(yg[low_idx])]
+        j = np.add(yg, low, out=masked).argmin()
+        if masked[j] == np.inf:
+            converged = True
+            break
         if yg[i] - yg[j] <= hp.tol:
             converged = True
             break
@@ -158,10 +168,14 @@ def fit_svc_rbf(fm: FeatureMatrix, hp: SvcParams = None, seed: int = 0):
                     aj = total
         alpha[i], alpha[j] = ai, aj
         grad += Qi * (ai - old_i) + Qj * (aj - old_j)
+        for k in (i, j):
+            below, above = alpha[k] < C[k], alpha[k] > 0
+            up[k] = 0.0 if (below if y[k] > 0 else above) else -np.inf
+            low[k] = 0.0 if (below if y[k] < 0 else above) else np.inf
         n_iter += 1
 
     # intercept from free vectors, else midpoint of the final KKT interval
-    yg = -y * grad
+    yg = neg_y * grad
     free = (alpha > 1e-8 * C) & (alpha < C * (1.0 - 1e-8))
     if free.any():
         b = float(np.mean(yg[free]))
@@ -176,5 +190,6 @@ def fit_svc_rbf(fm: FeatureMatrix, hp: SvcParams = None, seed: int = 0):
     model = SvcRbfModel(X[sv].copy(), (alpha * y)[sv], b, gamma, converged)
     model.meta = {"hyperparams": {**asdict(hp), "gamma": str(hp.gamma)},
                   "seed": seed, "gamma_value": gamma, "n_iter": n_iter,
-                  "n_support": int(sv.sum()), "converged": converged}
+                  "n_support": int(sv.sum()), "converged": converged,
+                  "kernel_rows": cache.computed}
     return model

@@ -418,6 +418,39 @@ def grow_tree(X, y, w, hp, rng=None, max_features=None):
 # 256 KB: on a 2-core Xeon (4 MB L2) 1 MB chunks scored a 100-tree forest
 # 1.4x slower, and 64 KB chunks paid more in per-step overhead
 _CHUNK_CELLS = 1 << 15
+# most entries (cells plus cumulative counts) of the cell tables of one
+# ensemble: a tree's cells grow with the product of its split counts on the
+# two columns, so a deep tree on two features keeps the walk
+_TABLE_ENTRIES = 1 << 23
+
+
+class _CellTables(NamedTuple):
+    """Per-tree cell tables of an ensemble whose splits read columns 0 and
+    1 alone (`FlatEnsemble._cell_tables`).
+
+    A tree's distinct thresholds t_1 < ... < t_m on a column cut that
+    column into m + 1 intervals: (-inf, t_1], (t_1, t_2], ..., and above
+    t_m (NaN included). Its cells are its intervals on column 0 times those
+    on column 1, row-major, and each holds the value of the leaf its points
+    reach. For column c, lines[c] are the sorted distinct thresholds of all
+    trees, and counts[c][t, g] is the cell offset in tree t of a value
+    above lines[c][:g] alone: how many of the tree's own thresholds on c
+    lie below it, times the tree's row length for column 1. Tree t's cells
+    start at cells[base[t]].
+    """
+    lines: list
+    counts: list
+    base: np.ndarray
+    cells: np.ndarray
+
+    def values(self, X):
+        """(trees, rows) leaf value of every row of X in every tree. A value
+        is above a threshold it exceeds (`side="left"`, which keeps a value
+        equal to one on that threshold's `<=` side) and NaN above all."""
+        idx = self.base[:, None]
+        for c, (lines, counts) in enumerate(zip(self.lines, self.counts)):
+            idx = idx + counts[:, np.searchsorted(lines, X[:, c], side="left")]
+        return self.cells[idx]
 
 
 class FlatEnsemble:
@@ -428,9 +461,14 @@ class FlatEnsemble:
     concatenation (``roots``). A row at inner node i goes left when
     ``x[feature[i]] <= threshold[i]`` and right otherwise, NaN included.
     ``sum(X)`` adds each tree's leaf value per row, in tree order.
+
+    With ``tables=True``, `sum` looks the leaves up in per-tree cell
+    tables (`_cell_tables`) when the ensemble qualifies. Building them
+    costs more than one walk of a few rows, so only an ensemble that
+    scores many rows asks for them (the isolation forests of `novelty`).
     """
 
-    def __init__(self, trees, leaf_values, thresholds=None):
+    def __init__(self, trees, leaf_values, thresholds=None, tables=False):
         sizes = [len(t["feature"]) for t in trees]
         self.roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
         feature = np.concatenate([t["feature"] for t in trees]).astype(np.int64)
@@ -451,10 +489,19 @@ class FlatEnsemble:
         # indexes the child directly
         self.children = np.stack([right, left], axis=1).ravel()
         self.value = np.concatenate(leaf_values).astype(float)
+        # built by the first `sum` when asked for; False when not used
+        self._tables = None if tables else False
 
     @property
     def n_nodes(self):
         return len(self.feature)
+
+    def _require_columns(self, d):
+        if d < self.n_columns:
+            # the flat row-major lookup of the walk would read a neighbouring
+            # row, and the tables a missing column
+            raise DimensionMismatch(f"trees split on column {self.n_columns - 1}, "
+                                    f"inputs have {d} columns")
 
     def leaves(self, X):
         """(trees, rows) leaf index of every row in every tree.
@@ -462,10 +509,7 @@ class FlatEnsemble:
         All (tree, row) cells step together. Cells that reached their leaf
         are dropped from the walk once they are over a quarter of it."""
         n, d = X.shape
-        if d < self.n_columns:
-            # the flat row-major lookup below would read a neighbouring row
-            raise DimensionMismatch(f"trees split on column {self.n_columns - 1}, "
-                                    f"inputs have {d} columns")
+        self._require_columns(d)
         x = np.ascontiguousarray(X).ravel()
         leaf = np.repeat(self.roots, n)
         cell = np.arange(leaf.size)
@@ -482,16 +526,111 @@ class FlatEnsemble:
         return leaf.reshape(len(self.roots), n)
 
     def sum(self, X):
-        """Per-row sum of the leaf values over the trees, in tree order,
-        walked in row chunks that keep memory flat."""
+        """Per-row sum of the leaf values over the trees, in tree order, in
+        row chunks that keep memory flat. The leaf values come from the
+        cell tables when the ensemble asked for them and has them
+        (`_cell_tables`), and from the walk (`leaves`) otherwise; both give
+        every row the same leaves."""
         X = np.asarray(X, dtype=float)
+        tables = self._cell_tables()
         out = np.zeros(len(X))
         step = max(1, _CHUNK_CELLS // len(self.roots))
         for lo in range(0, len(X), step):
+            chunk = X[lo:lo + step]
+            if tables is None:
+                per_tree = self.value[self.leaves(chunk)]
+            else:
+                self._require_columns(chunk.shape[1])
+                per_tree = tables.values(chunk)
             acc = out[lo:lo + step]
-            for vals in self.value[self.leaves(X[lo:lo + step])]:
+            for vals in per_tree:
                 acc += vals
         return out
+
+    def _cell_tables(self):
+        """The ensemble's `_CellTables`, built on first use, when it was
+        made with ``tables=True``, every split reads column 0 or 1 and the
+        tables hold at most `_TABLE_ENTRIES` entries; None otherwise. The
+        entries are counted before any table is allocated.
+
+        A tree's grid has one line per distinct threshold on each column
+        plus a NaN line, which every split sends right; a split at t cuts
+        its axis after the lines <= t, as `grid_sum` cuts a grid, and the
+        same rectangle pass (`_leaf_rectangles`) gives every leaf its
+        cells. A NaN threshold sends every cell right."""
+        if self._tables is not None:
+            return self._tables or None
+        self._tables = False
+        if self.n_columns > 2:
+            return None
+        n_trees = len(self.roots)
+        tree = np.repeat(np.arange(n_trees), np.diff(np.append(self.roots, self.n_nodes)))
+        split = ~self.is_leaf & ~np.isnan(self.threshold)
+        ons = [split & (self.feature == c) for c in range(2)]
+        lines, owned = [], []
+        for c, on in enumerate(ons):
+            lines.append(np.unique(self.threshold[on]))  # -0.0 and 0.0 are one line
+            # flat index into a (trees, lines + 1) table of each tree's thresholds
+            owned.append(np.unique(tree[on] * (len(lines[c]) + 1)
+                                   + np.searchsorted(lines[c], self.threshold[on]) + 1))
+        width = [len(l) + 1 for l in lines]
+        extent = np.stack([np.bincount(o // w, minlength=n_trees)
+                           for o, w in zip(owned, width)], axis=1) + 1
+        size = extent[:, 0] * extent[:, 1]
+        if size.sum() + n_trees * sum(width) > _TABLE_ENTRIES:
+            return None
+        has = [np.zeros((n_trees, w), dtype=bool) for w in width]
+        for h, o in zip(has, owned):
+            h.ravel()[o] = True
+        # a cell offset within a tree fits the type of its largest table
+        counts = [np.cumsum(h, axis=1, dtype=np.min_scalar_type(size.max())) for h in has]
+        axis = (self.feature == 1).astype(np.int64)
+        cut = np.zeros(self.n_nodes, dtype=np.int64)
+        for c, on in enumerate(ons):
+            cut[on] = counts[c][tree[on], np.searchsorted(lines[c], self.threshold[on],
+                                                          side="right")]
+        leaf, rect = self._leaf_rectangles(axis, cut, extent)
+
+        # each row of a leaf's rectangle is one run of its tree's cells
+        # (row-major); the runs tile every tree, so in order they are the table
+        base = np.cumsum(size) - size
+        x0, y0, x1, y1 = rect.T
+        height = y1 - y0
+        run = np.repeat(np.arange(len(leaf)), height)
+        row = y0[run] + np.arange(len(run)) - np.repeat(np.cumsum(height) - height, height)
+        t = tree[leaf[run]]
+        order = np.argsort(base[t] + row * extent[t, 0] + x0[run])
+        cells = np.repeat(self.value[leaf[run[order]]], (x1 - x0)[run[order]])
+
+        counts[1] *= extent[:, :1].astype(counts[1].dtype)
+        self._tables = _CellTables(lines[:self.n_columns], counts[:self.n_columns],
+                                   base, cells)
+        return self._tables
+
+    def _leaf_rectangles(self, axis, cut, extent):
+        """The leaves that hold cells of their tree's grid, ascending, and
+        their rectangles: a row (x0, y0, x1, y1) holds the cells
+        [x0, x1) x [y0, y1).
+
+        The root of tree t holds extent[t] = (x, y) cells, or `extent` in
+        every tree when it is one pair. Inner node i sends the cells below
+        cut[i] on axis axis[i] (0 is x, 1 is y) left and the rest right.
+        Every split is axis-parallel, so the rectangles are found one depth
+        level at a time over all trees."""
+        rect = np.zeros((self.n_nodes, 4), dtype=np.int64)
+        rect[self.roots, 2:] = extent
+        level = self.roots
+        while level.size:
+            inner = level[~self.is_leaf[level]]
+            a, c = axis[inner], cut[inner]
+            left, right = self.children[2 * inner + 1], self.children[2 * inner]
+            rect[left] = rect[right] = rect[inner]
+            rect[left, 2 + a] = np.minimum(rect[left, 2 + a], c)
+            rect[right, a] = np.maximum(rect[right, a], c)
+            level = np.concatenate([left, right])
+        leaves = np.flatnonzero(self.is_leaf & (rect[:, 2] > rect[:, 0])
+                                & (rect[:, 3] > rect[:, 1]))
+        return leaves, rect[leaves]
 
     def grid_sum(self, xs, ys, dims, at):
         """`sum` of every cell of the grid xs x ys, painted leaf by leaf.
@@ -501,9 +640,8 @@ class FlatEnsemble:
         xs[j] and dims[1] set to ys[i], and painted is the number of
         non-empty leaf rectangles written.
 
-        Every split is axis-parallel, so each node holds a rectangle of grid
-        indices, found one depth level at a time over all trees. A split on
-        a plotted column cuts its axis after the grid lines with
+        Each node holds a rectangle of grid indices (`_leaf_rectangles`).
+        A split on a plotted column cuts its axis after the grid lines with
         ``x <= threshold``, the walk's test; a split on a pinned column
         sends the whole rectangle to the side `at` takes. The leaves of a
         tree tile the grid, so one reused slab takes each tree's leaf
@@ -521,35 +659,16 @@ class FlatEnsemble:
         orders = [np.argsort(v, kind="stable") for v in axes]
         axes = [v[o] for v, o in zip(axes, orders)]
         n = np.array([len(axes[0]), len(axes[1])])
-        # rect[i] = (x0, y0, x1, y1): node i holds the cells [x0, x1) x [y0, y1)
-        rect = np.zeros((self.n_nodes, 4), dtype=np.int64)
-        rect[self.roots, 2:] = n
-        level = self.roots
-        while level.size:
-            inner = level[~self.is_leaf[level]]
-            f, t = self.feature[inner], self.threshold[inner]
-            # a child's range on an axis: left [lo, min(hi, cut_l)), right
-            # [max(lo, cut_r), hi); no cut is cut_l = n, cut_r = 0
-            cut_l = np.broadcast_to(n, (inner.size, 2)).copy()
-            cut_r = np.zeros((inner.size, 2), dtype=np.int64)
-            for a, (d, axis) in enumerate(zip(dims, axes)):
-                on = f == d
-                # grid lines with x <= t (none for a NaN threshold)
-                c = np.where(np.isnan(t[on]), 0, np.searchsorted(axis, t[on], side="right"))
-                cut_l[on, a] = cut_r[on, a] = c
-            pinned = (f != dx) & (f != dy)
-            c = np.where(at[f[pinned]] <= t[pinned], n[0], 0)
-            cut_l[pinned, 0] = cut_r[pinned, 0] = c
-            left, right = self.children[2 * inner + 1], self.children[2 * inner]
-            lo, hi = rect[inner, :2], rect[inner, 2:]
-            rect[left, :2], rect[left, 2:] = lo, np.minimum(hi, cut_l)
-            rect[right, :2], rect[right, 2:] = np.maximum(lo, cut_r), hi
-            level = np.concatenate([left, right])
-
-        leaves = np.flatnonzero(self.is_leaf & (rect[:, 2] > rect[:, 0])
-                                & (rect[:, 3] > rect[:, 1]))
+        f, t = self.feature, self.threshold
+        # grid lines with x <= t (none for a NaN threshold); a pinned column
+        # keeps all of x or none of it on the left
+        cut = np.where(at[f] <= t, n[0], 0)
+        for d, axis in zip(dims, axes):
+            on = f == d
+            cut[on] = np.where(np.isnan(t[on]), 0, np.searchsorted(axis, t[on], side="right"))
+        leaves, rect = self._leaf_rectangles((f == dy).astype(np.int64), cut, n)
         ends = np.searchsorted(leaves, np.append(self.roots[1:], self.n_nodes)).tolist()
-        x0, y0, x1, y1 = rect[leaves].T.tolist()
+        x0, y0, x1, y1 = rect.T.tolist()
         values = self.value[leaves].tolist()
         total = np.zeros((n[1], n[0]))
         slab = np.empty_like(total)

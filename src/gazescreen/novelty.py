@@ -123,12 +123,14 @@ def _average_path_lengths(sizes):
 def _iso_ensemble(trees):
     """Isolation trees as one flat ensemble whose leaves hold the path
     length (depth + c(size)). The strict split `x < t` is stored as
-    `x <= nextafter(t, -inf)`, which is the same test for every float."""
+    `x <= nextafter(t, -inf)`, which is the same test for every float. A
+    forest on two columns scores its points through cell tables."""
     return FlatEnsemble(
         trees,
         [node_depths(t) + _average_path_lengths(t["size"]) for t in trees],
         thresholds=[np.nextafter(np.asarray(t["threshold"], dtype=float), -np.inf)
-                    for t in trees])
+                    for t in trees],
+        tables=True)
 
 
 class IsolationForestModel:
@@ -263,12 +265,14 @@ def fit_ocsvm(X, params: OcsvmParams = None):
     """SMO on  min 1/2 a'Ka  s.t. sum a = 1, 0 <= a_i <= 1/(nu n).
 
     The maximal violating pair transfers mass between a decreasable and an
-    increasable coefficient; the full gradient K a is maintained so
-    selection is O(n). Kernel rows are computed on demand into an LRU
-    cache and never one row alone: a one-row product goes through BLAS
-    gemv and rounds unlike the full n x n kernel matrix this solver once
-    built, while rows of a product of two or more rows go through gemm and,
-    at sizes such as 3000 rows, are bit-identical to that matrix's rows.
+    increasable coefficient. The full gradient K a and both selection masks
+    are maintained, so a step selects with one masked argmax and one masked
+    argmin and updates the masks at the pair alone. Kernel rows are
+    computed on demand into an LRU cache and never one row alone: a one-row
+    product goes through BLAS gemv and rounds unlike the full n x n kernel
+    matrix this solver once built, while rows of a product of two or more
+    rows go through gemm and, at sizes such as 3000 rows, are bit-identical
+    to that matrix's rows.
     """
     params = params or OcsvmParams()
     X = np.asarray(X, dtype=float)
@@ -300,18 +304,26 @@ def fit_ocsvm(X, params: OcsvmParams = None):
             if i < n_start:
                 grad += alpha[i] * row
 
+    # the selection masks, kept from step to step: can_dec is 0 where a
+    # coefficient can decrease and -inf where not, can_inc 0 where it can
+    # increase and +inf where not; a mask added to the (finite) gradient gives
+    # the masked values, whose first argmax/argmin is the pair, and an
+    # infinite pick means an empty set
+    can_dec = np.where(alpha > 1e-14, 0.0, -np.inf)
+    can_inc = np.where(alpha < ub - 1e-14, 0.0, np.inf)
+    masked = np.empty(n)
+    step = np.empty(n)
     converged = False
     n_iter = 0
     while n_iter < params.max_iter:
-        can_dec = alpha > 1e-14
-        can_inc = alpha < ub - 1e-14
-        dec_idx = np.nonzero(can_dec)[0]
-        inc_idx = np.nonzero(can_inc)[0]
-        if dec_idx.size == 0 or inc_idx.size == 0:
+        i = np.add(grad, can_dec, out=masked).argmax()
+        if masked[i] == -np.inf:
             converged = True
             break
-        i = dec_idx[np.argmax(grad[dec_idx])]
-        j = inc_idx[np.argmin(grad[inc_idx])]
+        j = np.add(grad, can_inc, out=masked).argmin()
+        if masked[j] == np.inf:
+            converged = True
+            break
         if grad[i] - grad[j] <= params.tol:
             converged = True
             break
@@ -321,7 +333,12 @@ def fit_ocsvm(X, params: OcsvmParams = None):
         delta = min(delta, alpha[i], ub - alpha[j])
         alpha[i] -= delta
         alpha[j] += delta
-        grad += delta * (Kj - Ki)
+        np.subtract(Kj, Ki, out=step)
+        step *= delta
+        grad += step
+        for k in (i, j):
+            can_dec[k] = 0.0 if alpha[k] > 1e-14 else -np.inf
+            can_inc[k] = 0.0 if alpha[k] < ub - 1e-14 else np.inf
         n_iter += 1
 
     free = (alpha > ub * 1e-8) & (alpha < ub * (1.0 - 1e-8))

@@ -501,6 +501,9 @@ def run_novelty(cfg, ds=None):
             stages.run("grid-write", f"{method} {eye}",
                        lambda: _write_output(path, grid.to_csv_text(), outputs))
             grid_paths.append(path)
+            # done with: dropped before the next fit, so that a forest and
+            # its cell tables (about 3 MB) do not add to that fit's peak RSS
+            del model, grid
 
     manifest_path = os.path.join(outdir, "manifest.json")
     manifest = {

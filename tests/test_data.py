@@ -95,6 +95,23 @@ class TestCsv:
         assert np.array_equal(back.labels, ds.labels)
         assert list(back.session_ids) == list(ds.session_ids)
 
+    @pytest.mark.parametrize("sid, written", [
+        ("a,b", '"a,b"'), ('q"t', '"q""t"'), ("line\nbreak", '"line\nbreak"'),
+        ("cr\rlf\r\n", '"cr\rlf\r\n"')])
+    def test_session_id_needing_quotes_round_trips(self, tmp_path, sid, written):
+        ds = toy_dataset(3)
+        ds = GazeDataset(ds.features, ds.labels, np.array([sid, "plain", sid]), "SP")
+        path = tmp_path / "q.csv"
+        write_csv(ds, path)
+        with open(path, newline="") as fh:
+            text = fh.read()
+        assert text.split("\n", 1)[1].startswith(written + ",")
+        assert "\nplain," in text
+        back = load_csv(path, "SP")
+        assert list(back.session_ids) == [sid, "plain", sid]
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert np.array_equal(back.labels, ds.labels)
+
     def test_three_row_round_trip(self, tmp_path):
         ds = toy_dataset(3)
         path = tmp_path / "t.csv"

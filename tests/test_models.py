@@ -18,7 +18,7 @@ from gazescreen.errors import (
     SingleClass,
     TrainingSizeExceeded,
 )
-from gazescreen.kernels import gamma_scale, rbf_kernel
+from gazescreen.kernels import KernelRowCache, gamma_scale, rbf_kernel, resolve_gamma
 from gazescreen.models import (
     AdaBoostParams,
     FeatureMatrix,
@@ -591,6 +591,20 @@ class TestRandomForest:
 # -- SVM ---------------------------------------------------------------
 
 class TestKernels:
+    # n covers every n % 8, which picks the BLAS kernels' edge blocks
+    @pytest.mark.parametrize("d", [1, 2, 3, 14, 17])
+    @pytest.mark.parametrize("n", range(24, 32))
+    def test_cached_rows_equal_rbf_kernel_calls(self, d, n):
+        X = np.random.default_rng(100 * d + n).normal(0.0, 1.0, (n, d))
+        gamma = resolve_gamma("scale", X)
+        cache = KernelRowCache(X, gamma, capacity=2)
+        for idx in ([0], [n - 1], [5], [0, 1], [n - 1, 3], [7, 7 + n // 2]):
+            rows = cache.rows(idx)
+            expect = rbf_kernel(X[idx], X, gamma)
+            assert len(rows) == len(idx)
+            for row, e in zip(rows, expect):
+                assert row.dtype == e.dtype and row.tobytes() == e.tobytes()
+
     def test_rbf_hand_value(self):
         K = rbf_kernel(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), 0.5)
         assert K[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -601,7 +615,138 @@ class TestKernels:
         assert gamma_scale(X) == pytest.approx(0.5, rel=1e-12)
 
 
+def fit_svc_rbf_reference(X, y, C, gamma, tol, max_iter):
+    """Reference: SMO that re-derives both selection masks and rescans the
+    working set at every step, with each kernel row from its own
+    `rbf_kernel` call, as `fit_svc_rbf` did before it kept its masks and the
+    squared norms. y holds -1/+1 and C the per-sample bounds. Returns
+    (alpha, intercept, n_iter, converged)."""
+    n = len(X)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    converged = False
+    n_iter = 0
+    while n_iter < max_iter:
+        yg = -y * grad
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+        up_idx = np.nonzero(up)[0]
+        low_idx = np.nonzero(low)[0]
+        if up_idx.size == 0 or low_idx.size == 0:
+            converged = True
+            break
+        i = up_idx[np.argmax(yg[up_idx])]
+        j = low_idx[np.argmin(yg[low_idx])]
+        if yg[i] - yg[j] <= tol:
+            converged = True
+            break
+        Ki = rbf_kernel(X[[i]], X, gamma)[0]
+        Kj = rbf_kernel(X[[j]], X, gamma)[0]
+        Qi = y[i] * (y * Ki)
+        Qj = y[j] * (y * Kj)
+        old_i, old_j = alpha[i], alpha[j]
+        if y[i] != y[j]:
+            quad = max(Qi[i] + Qj[j] + 2.0 * Qi[j], 1e-12)
+            delta = (-grad[i] - grad[j]) / quad
+            diff = old_i - old_j
+            ai, aj = old_i + delta, old_j + delta
+            if diff > 0:
+                if aj < 0:
+                    aj = 0.0
+                    ai = diff
+            else:
+                if ai < 0:
+                    ai = 0.0
+                    aj = -diff
+            if diff > C[i] - C[j]:
+                if ai > C[i]:
+                    ai = C[i]
+                    aj = C[i] - diff
+            else:
+                if aj > C[j]:
+                    aj = C[j]
+                    ai = C[j] + diff
+        else:
+            quad = max(Qi[i] + Qj[j] - 2.0 * Qi[j], 1e-12)
+            delta = (grad[i] - grad[j]) / quad
+            total = old_i + old_j
+            ai, aj = old_i - delta, old_j + delta
+            if total > C[i]:
+                if ai > C[i]:
+                    ai = C[i]
+                    aj = total - C[i]
+            else:
+                if aj < 0:
+                    aj = 0.0
+                    ai = total
+            if total > C[j]:
+                if aj > C[j]:
+                    aj = C[j]
+                    ai = total - C[j]
+            else:
+                if ai < 0:
+                    ai = 0.0
+                    aj = total
+        alpha[i], alpha[j] = ai, aj
+        grad += Qi * (ai - old_i) + Qj * (aj - old_j)
+        n_iter += 1
+
+    yg = -y * grad
+    free = (alpha > 1e-8 * C) & (alpha < C * (1.0 - 1e-8))
+    if free.any():
+        b = float(np.mean(yg[free]))
+    else:
+        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+        hi = yg[up].max() if up.any() else 0.0
+        lo = yg[low].min() if low.any() else 0.0
+        b = float(0.5 * (hi + lo))
+    return alpha, b, n_iter, converged
+
+
 class TestSvc:
+    def assert_matches_reference(self, matrix, hp):
+        model = fit_svc_rbf(matrix, hp)
+        y = matrix.signed_labels()
+        alpha, b, n_iter, converged = fit_svc_rbf_reference(
+            matrix.X, y, hp.C * matrix.normalized_weights(),
+            resolve_gamma(hp.gamma, matrix.X), hp.tol, hp.max_iter)
+        sv = alpha > 1e-12
+        assert model.dual_coef.tobytes() == (alpha * y)[sv].tobytes()
+        assert model.intercept == b
+        assert model.support_X.tobytes() == matrix.X[sv].tobytes()
+        assert model.meta["n_iter"] == n_iter
+        assert model.meta["n_support"] == int(sv.sum())
+        assert model.converged == converged
+        return model
+
+    def test_class_weighted_fit_equals_rescanning_smo(self):
+        X, y = blobs(40, d=3, sep=1.5, seed=20)
+        X, y = X[:55], y[:55]  # 40 controls, 15 cases
+        w = np.where(y == 1, 40 / 15, 1.0)
+        model = self.assert_matches_reference(fm(X, y, w), SvcParams(C=2.0))
+        assert model.converged
+
+    def test_tied_rows_fit_equals_rescanning_smo(self):
+        X, y = blobs(50, seed=21, sep=1.0)
+        X = np.round(X, 1)
+        X[::7] = X[0]
+        X[::11, 1] = -0.0
+        self.assert_matches_reference(fm(X, y), SvcParams(C=1.0))
+
+    def test_unconverged_fit_equals_rescanning_smo(self):
+        X, y = blobs(30, seed=22, sep=0.5)
+        model = self.assert_matches_reference(fm(X, y), SvcParams(max_iter=5))
+        assert not model.converged
+        assert model.meta["n_iter"] == 5
+
+    def test_forced_eviction_equals_rescanning_smo(self):
+        X, y = blobs(40, d=14, sep=0.8, seed=23)
+        full = fit_svc_rbf(fm(X, y), SvcParams())
+        model = self.assert_matches_reference(fm(X, y), SvcParams(cache_rows=2))
+        assert model.meta["kernel_rows"] > full.meta["kernel_rows"]
+        assert full.meta["kernel_rows"] <= 2 * full.meta["n_iter"]
+
     def test_xor_is_separated(self):
         X = np.array([[0, 0], [1, 1], [1, 0], [0, 1]], dtype=float)
         y = np.array([0, 0, 1, 1])

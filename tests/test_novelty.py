@@ -1,6 +1,7 @@
 """Novelty detectors: path-length arithmetic, score conventions, dual
 feasibility, and the boundary-grid export format."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gazescreen.errors import (
     MissingColumn,
 )
 from gazescreen.kernels import KernelRowCache, rbf_kernel, resolve_gamma
+from gazescreen.models import FeatureMatrix, ForestParams, fit_decision_tree, fit_random_forest
 from gazescreen.models import tree as tree_mod
 from gazescreen.novelty import (
     BoundaryGrid,
@@ -178,11 +180,11 @@ _SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.0, 1.0 + 2.0 ** -52]
 
 
 @st.composite
-def forest_inputs(draw, min_d=1):
+def forest_inputs(draw, min_d=1, max_d=4):
     """Rows drawn with repeats from a small base matrix (duplicate rows),
     whose values mix ties, +-0 and continuous values and whose columns may
     be constant, plus forest settings."""
-    d = draw(st.integers(min_d, 4))
+    d = draw(st.integers(min_d, max_d))
     n0 = draw(st.integers(1, 25))
     values = (st.sampled_from(_SPECIAL_VALUES) | st.floats(-4, 4)
               | st.integers(-8, 8).map(lambda k: k / 4))
@@ -234,6 +236,16 @@ def meshgrid_rows(xs, ys, dims, at):
     rows[:, dims[0]] = gx.ravel()
     rows[:, dims[1]] = gy.ravel()
     return rows
+
+
+def walk_sum(ens, X):
+    """Reference: the flat ensemble's walk (`leaves`), each tree's leaf
+    values added in tree order, as `sum` scored every ensemble before the
+    cell tables."""
+    out = np.zeros(len(X))
+    for vals in ens.value[ens.leaves(np.asarray(X, dtype=float))]:
+        out += vals
+    return out
 
 
 def expected_path_length_loop(model, X):
@@ -308,8 +320,9 @@ class TestIsolationForest:
                     on_split.append(row)
         probe = np.vstack([X, rng.normal(0.0, 3.0, (40, 2)), on_split,
                            [[np.nan, 0.0]]])
-        assert np.array_equal(model.expected_path_length(probe),
-                              expected_path_length_loop(model, probe))
+        expect = expected_path_length_loop(model, probe)
+        assert np.array_equal(model.expected_path_length(probe), expect)
+        assert np.array_equal(walk_sum(model._paths, probe) / len(model.trees), expect)
         for tree in model.trees[:3]:
             assert np.array_equal(_iso_ensemble([tree]).sum(probe),
                                   iso_path_lengths_loop(tree, probe))
@@ -744,7 +757,7 @@ class TestGridPainter:
     def test_grid_sum_equals_walk(self, inputs):
         ens, xs, ys, dims, at = inputs
         total, painted = ens.grid_sum(xs, ys, dims, at)
-        expect = ens.sum(meshgrid_rows(xs, ys, dims, at)).reshape(len(ys), len(xs))
+        expect = walk_sum(ens, meshgrid_rows(xs, ys, dims, at)).reshape(len(ys), len(xs))
         assert same_bits(total, expect)
         # each tree's leaves tile the grid
         assert len(ens.roots) <= painted <= int(ens.is_leaf.sum())
@@ -762,7 +775,7 @@ class TestGridPainter:
             at = np.array([0.0, 0.0, pinned])
             total, painted = ens.grid_sum(xs, ys, (0, 1), at)
             assert np.array_equal(total, [expect_row] * 2)
-            assert same_bits(total, ens.sum(meshgrid_rows(xs, ys, (0, 1), at)).reshape(2, 4))
+            assert same_bits(total, walk_sum(ens, meshgrid_rows(xs, ys, (0, 1), at)).reshape(2, 4))
         # the pinned split sends the grid right: one leaf paints it all
         assert painted == 1
 
@@ -780,7 +793,7 @@ class TestGridPainter:
         ys = np.array([np.inf, np.nan, -np.inf, -1.0])
         for dims in ((0, 1), (1, 0)):
             total, _ = ens.grid_sum(xs, ys, dims, [0.0, 0.0])
-            expect = ens.sum(meshgrid_rows(xs, ys, dims, [0.0, 0.0]))
+            expect = walk_sum(ens, meshgrid_rows(xs, ys, dims, [0.0, 0.0]))
             assert same_bits(total, expect.reshape(len(ys), len(xs)))
 
     def test_empty_grid_and_bad_inputs(self):
@@ -792,3 +805,149 @@ class TestGridPainter:
             ens.grid_sum(np.zeros(2), np.zeros(2), (1, 1), np.zeros(3))
         with pytest.raises(DimensionMismatch):
             ens.grid_sum(np.zeros(2), np.zeros(2), (0, 1), np.zeros(2))
+
+
+_QUERY_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+_THRESHOLD_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 0.5]
+
+
+@st.composite
+def hand_tree(draw, n_columns):
+    """A random tree in preorder whose splits read columns below n_columns
+    and whose thresholds may be NaN, +-inf or +-0; sometimes a single leaf."""
+    feature, threshold, left, right = [], [], [], []
+
+    def node(depth):
+        i = len(feature)
+        split = depth < 4 and draw(st.booleans())
+        feature.append(draw(st.integers(0, n_columns - 1)) if split else -1)
+        threshold.append(draw(st.sampled_from(_THRESHOLD_SPECIALS)) if split else 0.0)
+        left.append(-1)
+        right.append(-1)
+        if split:
+            left[i] = node(depth + 1)
+            right[i] = node(depth + 1)
+        return i
+
+    node(0)
+    tree = {"feature": np.array(feature), "threshold": np.array(threshold),
+            "left": np.array(left), "right": np.array(right)}
+    return tree, np.arange(len(feature), dtype=float) * 1.25 - 3.0
+
+
+@st.composite
+def table_inputs(draw):
+    """An ensemble whose splits read columns 0 and 1 alone (an isolation
+    forest on 1-2 columns, a DT or RF on 2 features, or hand-built trees
+    with non-finite thresholds and single leaves), and query rows whose
+    values are its thresholds, one ulp either side of them, NaN, +-inf,
+    +-0 and data values."""
+    kind = draw(st.sampled_from(["iforest", "dt", "rf", "hand"]))
+    if kind == "iforest":
+        X, params = draw(forest_inputs(max_d=2))
+        ens = _iso_ensemble(fit_isolation_forest(X, params).trees)
+    elif kind == "hand":
+        n_columns = draw(st.integers(1, 2))
+        trees = draw(st.lists(hand_tree(n_columns), min_size=1, max_size=6))
+        ens = tree_mod.FlatEnsemble([t for t, _ in trees], [v for _, v in trees], tables=True)
+        X = np.zeros((1, n_columns))
+    else:
+        X, _ = draw(forest_inputs(min_d=2, max_d=2))
+        y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
+        y[:2] = [0, 1]
+        matrix = FeatureMatrix(X, y)
+        if kind == "dt":
+            nodes = fit_decision_tree(matrix).nodes
+            ens = tree_mod.FlatEnsemble([nodes], [nodes["p1"]], tables=True)
+        else:
+            model = fit_random_forest(matrix, ForestParams(n_estimators=draw(st.integers(1, 6))),
+                                      seed=draw(st.integers(0, 99)))
+            ens = tree_mod.FlatEnsemble(model.trees, [(t["p1"] > 0.5).astype(float)
+                                                      for t in model.trees], tables=True)
+    d = X.shape[1]
+    columns = []
+    for c in range(d):
+        t = ens.threshold[(ens.feature == c) & ~ens.is_leaf]
+        values = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                                 X[:, c], _QUERY_SPECIALS])
+        picks = draw(st.lists(st.integers(0, len(values) - 1), max_size=40))
+        columns.append(values[picks] if picks else np.zeros(0))
+    n = min(len(col) for col in columns)
+    return ens, np.stack([col[:n] for col in columns], axis=1).reshape(n, d)
+
+
+class TestCellTables:
+    @given(table_inputs())
+    @settings(deadline=None, max_examples=300)
+    def test_tables_equal_walk(self, inputs):
+        ens, X = inputs
+        assert ens._cell_tables() is not None
+        assert same_bits(ens.sum(X), walk_sum(ens, X))
+
+    def test_novelty_forest_tables_equal_walk(self):
+        # the benchmark's forest size: 100 trees of a 256-row subsample
+        X = cloud(3000, seed=30) * [0.2, 0.1]
+        model = fit_isolation_forest(X, IsoForestParams(seed=31))
+        probe = np.vstack([cloud(2000, seed=32) * [0.3, 0.2], X[:500]])
+        ens = model._paths
+        tables = ens._cell_tables()
+        # a tree has a cell per pair of its intervals on the two columns
+        cells = 0
+        for lo, hi in zip(ens.roots, np.append(ens.roots[1:], ens.n_nodes)):
+            inner = ~ens.is_leaf[lo:hi]
+            f, t = ens.feature[lo:hi][inner], ens.threshold[lo:hi][inner]
+            cells += (len(np.unique(t[f == 0])) + 1) * (len(np.unique(t[f == 1])) + 1)
+        assert tables.cells.size == cells
+        assert same_bits(model._paths.sum(probe), walk_sum(model._paths, probe))
+        assert np.array_equal(model.expected_path_length(probe),
+                              expected_path_length_loop(model, probe))
+
+    def test_walk_kept_for_other_ensembles(self, monkeypatch):
+        X = cloud(200, d=3, seed=33)
+        probe = cloud(50, d=3, seed=34)
+        three = _iso_ensemble(fit_isolation_forest(X, IsoForestParams(n_trees=10)).trees)
+        assert three.n_columns == 3 and three._cell_tables() is None
+        assert same_bits(three.sum(probe), walk_sum(three, probe))
+        # over the entry budget, a two-column forest keeps the walk too
+        two = _iso_ensemble(fit_isolation_forest(X[:, :2], IsoForestParams(n_trees=10)).trees)
+        monkeypatch.setattr(tree_mod, "_TABLE_ENTRIES", 10)
+        assert two._cell_tables() is None
+        assert same_bits(two.sum(probe), walk_sum(two, probe))
+
+    def test_classifiers_keep_the_walk(self):
+        # a stump or tree on the first two features builds no tables: it is
+        # scored once, where a table would cost more than the walk
+        X = cloud(60, seed=37)
+        y = (X[:, 0] > 0).astype(int)
+        nodes = fit_decision_tree(FeatureMatrix(X, y)).nodes
+        assert set(nodes["feature"][nodes["feature"] >= 0]) <= {0, 1}
+        for ens in (tree_mod.FlatEnsemble([nodes], [nodes["p1"]]),
+                    fit_random_forest(FeatureMatrix(X, y), ForestParams(n_estimators=3),
+                                      seed=1)._votes):
+            assert ens.n_columns <= 2 and ens._cell_tables() is None
+            assert same_bits(ens.sum(X), walk_sum(ens, X))
+
+    def test_over_budget_allocates_no_tables(self):
+        # 3,000 stumps, each on its own threshold: the count tables alone
+        # would hold 3,000 x 3,001 entries, over the 2^23 budget
+        n = 3000
+        stump = {"feature": np.array([0, -1, -1]), "left": np.array([1, -1, -1]),
+                 "right": np.array([2, -1, -1])}
+        trees = [dict(stump, threshold=np.array([float(k), 0.0, 0.0])) for k in range(n)]
+        ens = tree_mod.FlatEnsemble(trees, [np.array([0.0, 1.0, 2.0])] * n, tables=True)
+        tracemalloc.start()
+        try:
+            assert ens._cell_tables() is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n // 8
+        probe = np.array([[-1.0, 0.0], [1500.0, 0.0], [np.nan, 0.0]])
+        assert same_bits(ens.sum(probe), walk_sum(ens, probe))
+
+    def test_too_few_columns_rejected(self):
+        ens = _iso_ensemble(fit_isolation_forest(cloud(100, seed=35),
+                                                 IsoForestParams(n_trees=5)).trees)
+        assert ens._cell_tables() is not None
+        with pytest.raises(DimensionMismatch):
+            ens.sum(cloud(10, d=1, seed=36))

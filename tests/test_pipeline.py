@@ -361,8 +361,10 @@ def test_manifest_fit_diagnostics_and_convergence_warning(exp_all_models):
     # how far the unconverged fit stopped from its tolerance
     assert fits["LR"]["grad_inf_norm"] > LogRegParams().tol
     assert fits["NB"] == {}
-    assert set(fits["SVC"]) == {"converged", "n_iter", "n_support"}
+    assert set(fits["SVC"]) == {"converged", "n_iter", "n_support", "kernel_rows"}
     assert fits["SVC"]["n_iter"] > 0
+    # a step computes at most its two rows, and the first step both
+    assert 2 <= fits["SVC"]["kernel_rows"] <= 2 * fits["SVC"]["n_iter"]
     assert set(fits["GPC"]) == {"converged", "theta", "n_lml_evals", "newton_steps",
                                 "theta_at_bound"}
     assert len(fits["GPC"]["theta"]) == 2 and fits["GPC"]["n_lml_evals"] > 0
