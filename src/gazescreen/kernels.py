@@ -12,20 +12,72 @@ def squared_norms(B):
     return np.sum(B * B, axis=1)
 
 
-def squared_distances(A, B, b_sq=None):
-    """Pairwise squared Euclidean distances, clipped at 0 so float
-    cancellation never produces tiny negatives. `b_sq` may hold
-    `squared_norms(B)`, summed once by a caller that reuses B."""
+# Elements of one row block of the in-place elementwise steps: the block
+# of the product and its scratch sum of norms each stay near 64 KB, in cache
+_BLOCK_CELLS = 1 << 13
+
+
+def _block_rows(n_cols):
+    return max(1, _BLOCK_CELLS // max(n_cols, 1))
+
+
+def _distances_in_place(A, B, b_sq, out, gamma):
     if b_sq is None:
         b_sq = squared_norms(B)
-    sq = (squared_norms(A)[:, None]
-          + b_sq[None, :]
-          - 2.0 * (A @ B.T))
-    return np.maximum(sq, 0.0)
+    a_sq = squared_norms(A)
+    # the one BLAS product (syrk when A is B), then every step in place:
+    # the same operations on the same operands as
+    # max(a_sq + b_sq - 2 A B', 0), so the same bits
+    D = np.matmul(A, B.T, out=out)
+    D *= 2.0
+    rows = _block_rows(D.shape[1])
+    scratch = np.empty((min(rows, len(D)), D.shape[1]))
+    for lo in range(0, len(D), rows):
+        block = D[lo:lo + rows]
+        s = scratch[:len(block)]
+        np.add(a_sq[lo:lo + rows, None], b_sq[None, :], out=s)
+        np.subtract(s, block, out=block)
+        np.maximum(block, 0.0, out=block)
+        if gamma is not None:
+            block *= -gamma
+            np.exp(block, out=block)
+    return D
 
 
-def rbf_kernel(A, B, gamma, b_sq=None):
-    return np.exp(-gamma * squared_distances(A, B, b_sq))
+def squared_distances(A, B, b_sq=None, out=None):
+    """Pairwise squared Euclidean distances, clipped at 0 so float
+    cancellation never produces tiny negatives. `b_sq` may hold
+    `squared_norms(B)`, summed once by a caller that reuses B. With `out`,
+    a C-contiguous (len(A), len(B)) float array, the distances are written
+    there and no other array of that size is allocated."""
+    return _distances_in_place(A, B, b_sq, out, None)
+
+
+def rbf_kernel(A, B, gamma, b_sq=None, out=None):
+    """exp(-gamma * squared_distances(A, B)), bit for bit, computed in the
+    one array that holds the result (`out` when given)."""
+    return _distances_in_place(A, B, b_sq, out, gamma)
+
+
+# Rows per block of a kernel expansion. BLAS rounds a product by its
+# shape, so scores keep their bits only while the blocks keep this size
+_EXPANSION_ROWS = 4096
+
+
+def kernel_expansion(X, S, gamma, coef):
+    """sum_i coef[i] exp(-gamma |x - S[i]|^2) for every row x of X.
+
+    Blocks of `_EXPANSION_ROWS` rows of X are computed by `rbf_kernel`, all
+    in one buffer allocated per call, and each is multiplied by coef in one
+    BLAS gemv."""
+    out = np.empty(len(X))
+    buf = np.empty((min(_EXPANSION_ROWS, len(X)), len(S)))
+    s_sq = squared_norms(S)
+    for lo in range(0, len(X), _EXPANSION_ROWS):
+        hi = min(lo + _EXPANSION_ROWS, len(X))
+        K = rbf_kernel(X[lo:hi], S, gamma, s_sq, out=buf[:hi - lo])
+        np.matmul(K, coef, out=out[lo:hi])
+    return out
 
 
 class KernelRowCache:

@@ -27,6 +27,18 @@ FORMAT_NAME = "gazescreen-model"
 FORMAT_VERSION = 1
 
 
+def as_rows(X, n_features, what):
+    """X as a float (n, n_features) array, a 1-D X being one row; any other
+    shape raises DimensionMismatch."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[None, :]
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise DimensionMismatch(
+            f"{what}: expected (n, {n_features}) inputs, got {X.shape}")
+    return X
+
+
 @dataclass
 class FeatureMatrix:
     """Validated training input: dense features, binary labels, optional
@@ -100,13 +112,7 @@ class FittedModel:
         self.meta = {}
 
     def _check_X(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DimensionMismatch(
-                f"{self.kind}: expected (n, {self.n_features}) inputs, got {X.shape}")
-        return X
+        return as_rows(X, self.n_features, self.kind)
 
     def decision_score(self, X):
         """Real-valued confidence; larger means more concussed-like."""

@@ -19,10 +19,13 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from ..errors import InvalidHyperParam, KernelNotPD, TrainingSizeExceeded
-from ..kernels import squared_distances
+from ..kernels import squared_distances, squared_norms
 from .base import FeatureMatrix, FittedModel, arr, register_model
 
 _JITTER = 1e-8
+# Test rows per block of `GpcModel.latent`. BLAS rounds a product by its
+# shape, so scores keep their bits only while the blocks keep this size
+_LATENT_ROWS = 2048
 _MAX_JITTER_TRIES = 3
 
 
@@ -61,10 +64,17 @@ def _chol_with_jitter(M):
     raise KernelNotPD("kernel matrix not positive definite after jitter retries")
 
 
-def _kernel_from_theta(sqdist, theta):
+def _kernel_from_theta(sqdist, theta, out=None):
+    """sf2 exp(-0.5 sqdist / ell^2), step by step in one array: `out`
+    (which may be sqdist itself) or a new one, so sqdist is kept unless
+    it is passed as `out`."""
     ell = np.exp(theta[0])
     sf2 = np.exp(2.0 * theta[1])
-    return sf2 * np.exp(-0.5 * sqdist / (ell * ell))
+    K = np.multiply(-0.5, sqdist, out=out)
+    K /= ell * ell
+    np.exp(K, out=K)
+    K *= sf2
+    return K
 
 
 def _log_sigmoid(z):
@@ -179,22 +189,33 @@ class GpcModel(FittedModel):
         self._grad_ll = 0.5 * (ypm + 1.0) - pi
         self._sw = np.sqrt(pi * (1.0 - pi))
         if L is None:
-            K = _kernel_from_theta(squared_distances(self.X_train, self.X_train), self.theta)
+            sq = squared_distances(self.X_train, self.X_train)
+            K = _kernel_from_theta(sq, self.theta, out=sq)
             L = _chol_with_jitter(np.eye(len(K)) + (self._sw[:, None] * K) * self._sw[None, :])
         self._L = L
+        self._train_sq = squared_norms(self.X_train)
         self._sf2 = float(np.exp(2.0 * self.theta[1]))
 
-    def latent(self, X, chunk=2048):
-        """(mean, variance) of the latent function at X."""
+    def latent(self, X):
+        """(mean, variance) of the latent function at X.
+
+        Each block of `_LATENT_ROWS` rows goes through one buffer allocated
+        per call: the kernel k*, then in place W^1/2 k* in its transpose,
+        which is the Fortran-ordered right-hand side the triangular solve
+        overwrites with v = L^-1 W^1/2 k*, then v * v (GPML Alg. 3.2)."""
         X = self._check_X(X)
         mean = np.empty(len(X))
         var = np.empty(len(X))
-        for lo in range(0, len(X), chunk):
-            hi = min(lo + chunk, len(X))
-            ks = _kernel_from_theta(squared_distances(X[lo:hi], self.X_train), self.theta)
-            mean[lo:hi] = ks @ self._grad_ll
-            v = solve_triangular(self._L, (self._sw[:, None] * ks.T), lower=True)
-            var[lo:hi] = np.maximum(self._sf2 - np.sum(v * v, axis=0), 0.0)
+        buf = np.empty((min(_LATENT_ROWS, len(X)), len(self.X_train)))
+        for lo in range(0, len(X), _LATENT_ROWS):
+            hi = min(lo + _LATENT_ROWS, len(X))
+            ks = squared_distances(X[lo:hi], self.X_train, self._train_sq, out=buf[:hi - lo])
+            _kernel_from_theta(ks, self.theta, out=ks)
+            np.matmul(ks, self._grad_ll, out=mean[lo:hi])
+            v = np.multiply(self._sw[:, None], ks.T, out=ks.T)
+            v = solve_triangular(self._L, v, lower=True, overwrite_b=True)
+            v *= v
+            var[lo:hi] = np.maximum(self._sf2 - np.sum(v, axis=0), 0.0)
         return mean, var
 
     def _score(self, X):

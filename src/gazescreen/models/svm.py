@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import InvalidHyperParam
-from ..kernels import KernelRowCache, rbf_kernel, resolve_gamma
+from ..kernels import KernelRowCache, kernel_expansion, resolve_gamma
 from .base import FeatureMatrix, FittedModel, arr, register_model
 
 _TAU = 1e-12
@@ -52,12 +52,10 @@ class SvcRbfModel(FittedModel):
         self.converged = converged
         self.n_features = support_X.shape[1]
 
-    def _score(self, X, chunk=4096):
-        out = np.empty(len(X))
-        for lo in range(0, len(X), chunk):
-            hi = min(lo + chunk, len(X))
-            out[lo:hi] = rbf_kernel(X[lo:hi], self.support_X, self.gamma) @ self.dual_coef
-        return out + self.intercept
+    def _score(self, X):
+        out = kernel_expansion(X, self.support_X, self.gamma, self.dual_coef)
+        out += self.intercept
+        return out
 
     def _params_to_json(self):
         return {

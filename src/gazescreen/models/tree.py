@@ -696,18 +696,6 @@ def nodes_from_json(p):
     return {k: np.asarray(p[k], dtype=dt) for k, dt in _NODE_DTYPES.items()}
 
 
-def node_depths(nodes):
-    """Depth of every node (the root is 0), from the child links."""
-    depth = np.zeros(len(nodes["feature"]), dtype=np.int64)
-    level, d = np.array([0]), 0
-    while level.size:
-        depth[level] = d
-        inner = level[nodes["feature"][level] >= 0]
-        level = np.concatenate([nodes["left"][inner], nodes["right"][inner]])
-        d += 1
-    return depth
-
-
 def descend(nodes, X):
     """Vectorised root-to-leaf routing; returns the weighted class-1
     fraction at each row's leaf."""

@@ -23,8 +23,9 @@ from .errors import (
     InvalidSpec,
     MissingColumn,
 )
-from .kernels import KernelRowCache, rbf_kernel, resolve_gamma
-from .models.tree import FlatEnsemble, grow_preorder, node_depths
+from .kernels import KernelRowCache, kernel_expansion, resolve_gamma
+from .models.base import as_rows
+from .models.tree import FlatEnsemble, grow_preorder
 
 EULER_GAMMA = 0.5772156649
 
@@ -39,9 +40,9 @@ def harmonic_number(i):
     if i < 0:
         raise InvalidSpec("harmonic number needs i >= 0")
     if i >= len(_harmonic_cache):
-        start = len(_harmonic_cache)
-        extra = np.cumsum(1.0 / np.arange(start, i + 1)) + _harmonic_cache[-1]
-        _harmonic_cache = np.concatenate([_harmonic_cache, extra])
+        # one sequential cumsum from 1: its prefixes are the shorter
+        # cumsums, so H(k) does not depend on which sizes came first
+        _harmonic_cache = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, i + 1))])
     return float(_harmonic_cache[i])
 
 
@@ -75,7 +76,7 @@ def _grow_iso_forest(X, bags, rngs, height_limit):
     vary and then `random()` for the threshold, from its own generator and
     in the order a tree grown alone would draw them; one reduceat gives
     every popped node its per-feature range. A row goes left when its value
-    is below the threshold. Leaves store their training size.
+    is below the threshold. Every node stores its training size and depth.
     """
     XT = np.ascontiguousarray(X.T)
 
@@ -103,7 +104,8 @@ def _grow_iso_forest(X, bags, rngs, height_limit):
             feature[split] = f
             threshold[split] = lo_f + (hi_f - lo_f) * u  # what Generator.uniform computes
         # `x < t` is `x <= nextafter(t, -inf)` for every float
-        return feature, threshold, np.nextafter(threshold, -np.inf), {"size": size}
+        return (feature, threshold, np.nextafter(threshold, -np.inf),
+                {"size": size, "depth": depth})
 
     return grow_preorder(XT, np.concatenate(bags), [len(b) for b in bags], choose)
 
@@ -125,9 +127,12 @@ def _iso_ensemble(trees):
     length (depth + c(size)). The strict split `x < t` is stored as
     `x <= nextafter(t, -inf)`, which is the same test for every float. A
     forest on two columns scores its points through cell tables."""
+    paths = (np.concatenate([t["depth"] for t in trees])
+             + _average_path_lengths(np.concatenate([t["size"] for t in trees])))
+    ends = np.cumsum([len(t["depth"]) for t in trees])[:-1]
     return FlatEnsemble(
         trees,
-        [node_depths(t) + _average_path_lengths(t["size"]) for t in trees],
+        np.split(paths, ends),
         thresholds=[np.nextafter(np.asarray(t["threshold"], dtype=float), -np.inf)
                     for t in trees],
         tables=True)
@@ -147,9 +152,7 @@ class IsolationForestModel:
         self._paths = _iso_ensemble(trees)
 
     def expected_path_length(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
+        X = as_rows(X, self.n_features, "isolation forest")
         return self._paths.sum(X) / len(self.trees)
 
     def anomaly_score(self, X):
@@ -233,15 +236,11 @@ class OneClassSvmModel:
         self.meta = meta or {}
         self.n_features = support_X.shape[1]
 
-    def decision_score(self, X, chunk=4096):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        out = np.empty(len(X))
-        for lo in range(0, len(X), chunk):
-            hi = min(lo + chunk, len(X))
-            out[lo:hi] = rbf_kernel(X[lo:hi], self.support_X, self.gamma) @ self.alphas
-        return out - self.rho
+    def decision_score(self, X):
+        X = as_rows(X, self.n_features, "one-class SVM")
+        out = kernel_expansion(X, self.support_X, self.gamma, self.alphas)
+        out -= self.rho
+        return out
 
     boundary_score = decision_score
 

@@ -262,7 +262,8 @@ class _Stages:
         except GazeScreenError as e:
             raise PipelineError(name, detail, e) from e
         self.timings.append({"stage": name, "label": detail,
-                             "seconds": time.perf_counter() - t0})
+                             "seconds": time.perf_counter() - t0,
+                             "peak_rss_mb": _peak_rss_mb()})
         return out
 
 

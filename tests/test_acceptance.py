@@ -261,7 +261,7 @@ def test_novelty_score_properties():
     # so the score must be exactly 2**-1
     leaf = {"feature": np.array([-1]), "threshold": np.array([0.0]),
             "left": np.array([-1]), "right": np.array([-1]),
-            "size": np.array([256])}
+            "size": np.array([256]), "depth": np.array([0])}
     scores = IsolationForestModel([leaf], 256, 2).anomaly_score(
         np.zeros((5, 2)))
     half_ok = bool(np.all(scores == 0.5))

@@ -60,7 +60,7 @@ def iso_path_lengths_loop(tree, X):
 def grow_iso_tree_reference(X, rng, height_limit):
     """Reference: one isolation tree grown alone, node by node, as trees
     were grown before the lockstep forest grower."""
-    feature, threshold, left, right, size = [], [], [], [], []
+    feature, threshold, left, right, size, depths = [], [], [], [], [], []
     stack = [(np.arange(len(X)), 0, -1, False)]
     while stack:
         idx, depth, parent, is_left = stack.pop()
@@ -74,6 +74,7 @@ def grow_iso_tree_reference(X, rng, height_limit):
         lo = rows.min(axis=0) if len(idx) else None
         hi = rows.max(axis=0) if len(idx) else None
         splittable = len(idx) > 1 and depth < height_limit and np.any(hi > lo)
+        depths.append(depth)
         if not splittable:
             feature.append(-1)
             threshold.append(0.0)
@@ -98,6 +99,7 @@ def grow_iso_tree_reference(X, rng, height_limit):
         "left": np.array(left, dtype=np.int64),
         "right": np.array(right, dtype=np.int64),
         "size": np.array(size, dtype=np.int64),
+        "depth": np.array(depths, dtype=np.int64),
     }
 
 
@@ -272,6 +274,20 @@ class TestPathLengthArithmetic:
             math.fsum(1.0 / k for k in range(1, 11)), rel=1e-14)
         assert harmonic_number(5000) == big
 
+    @given(st.lists(st.integers(0, 300), min_size=1, max_size=6))
+    @settings(deadline=None, max_examples=100)
+    def test_harmonic_is_history_free(self, requests):
+        # a fresh process's first request sums from 1 in one cumsum
+        fresh = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, 301))])
+        saved = novelty_mod._harmonic_cache
+        novelty_mod._harmonic_cache = np.array([0.0])
+        try:
+            for k in requests:
+                assert harmonic_number(k) == fresh[k]
+            assert all(harmonic_number(k) == fresh[k] for k in range(301))
+        finally:
+            novelty_mod._harmonic_cache = saved
+
     def test_harmonic_rejects_negative(self):
         with pytest.raises(InvalidSpec):
             harmonic_number(-1)
@@ -301,6 +317,7 @@ class TestIsolationForest:
             "left": np.array([1, -1, 3, -1, -1]),
             "right": np.array([2, -1, 4, -1, -1]),
             "size": np.array([5, 3, 2, 1, 1]),
+            "depth": np.array([0, 1, 1, 2, 2]),
         }
         probe = np.array([[0.0, 0.0], [7.0, 0.0], [7.0, 9.0]])
         got = _iso_ensemble([tree]).sum(probe)
@@ -341,6 +358,13 @@ class TestIsolationForest:
         model = fit_isolation_forest(cloud(100, d=3, seed=9), IsoForestParams(n_trees=5))
         with pytest.raises(DimensionMismatch):
             model.anomaly_score(cloud(10, d=2, seed=10))
+
+    def test_too_many_columns_rejected(self):
+        # the splits read columns 0 and 1 only, so a third column would
+        # otherwise be ignored
+        model = fit_isolation_forest(cloud(100, seed=9), IsoForestParams(n_trees=5))
+        with pytest.raises(DimensionMismatch):
+            model.boundary_score(cloud(10, d=3, seed=10))
 
     def test_degenerate_data_scores_exactly_half(self):
         X = np.ones((50, 3))
@@ -425,6 +449,14 @@ class TestIsolationForest:
 
 
 class TestOcsvm:
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_wrong_width_rejected(self, width):
+        model = fit_ocsvm(cloud(60, seed=11), OcsvmParams(nu=0.2))
+        with pytest.raises(DimensionMismatch):
+            model.decision_score(cloud(5, d=width, seed=12))
+        with pytest.raises(DimensionMismatch):
+            model.boundary_score(np.zeros(width))
+
     def test_dual_feasibility(self):
         X = cloud(150, seed=7)
         hp = OcsvmParams(nu=0.15)
@@ -723,7 +755,7 @@ def painter_inputs(draw):
     if draw(st.booleans()):
         leaf = {"feature": np.array([-1]), "threshold": np.array([0.0]),
                 "left": np.array([-1]), "right": np.array([-1]),
-                "size": np.array([draw(st.integers(1, 9))])}
+                "size": np.array([draw(st.integers(1, 9))]), "depth": np.array([0])}
         trees.insert(draw(st.integers(0, len(trees))), leaf)
     dims = draw(st.sampled_from([(0, 1), (1, 0)] + ([(0, 2)] if d >= 3 else [])))
 

@@ -353,6 +353,14 @@ def test_manifest_stage_labels(exp_all_models):
     assert all(s["label"] for s in man["stages"])
 
 
+def test_manifest_stage_peak_rss(exp_all_models):
+    man, _ = exp_all_models
+    peaks = [s["peak_rss_mb"] for s in man["stages"]]
+    assert peaks and peaks[0] > 0
+    assert all(a <= b for a, b in zip(peaks, peaks[1:]))
+    assert peaks[-1] <= man["peak_rss_mb"]
+
+
 def test_manifest_fit_diagnostics_and_convergence_warning(exp_all_models):
     man, stderr = exp_all_models
     fits = {kind: info["fit"] for kind, info in man["models"].items()}
