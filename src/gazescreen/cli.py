@@ -218,7 +218,3 @@ def main(argv=None):
     except FileNotFoundError as e:
         print(f"error ({args.command}): {e}", file=sys.stderr)
         return EXIT_DATA
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -7,6 +7,9 @@ respect to the kernel hyperparameters (log length-scale, log amplitude)
 include both the explicit and the implicit (mode-shift) terms, and the
 hyperparameters are optimised by L-BFGS. Predictions use the probit-scaled
 approximation of the logistic-Gaussian integral.
+
+scipy is imported inside the functions that call it, so importing the
+package (and every command that fits or scores no GPC) does not load it.
 """
 from __future__ import annotations
 
@@ -14,9 +17,6 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from ..errors import InvalidHyperParam, KernelNotPD, TrainingSizeExceeded
 from ..kernels import squared_distances, squared_norms
@@ -88,6 +88,9 @@ def _posterior_mode(K, ypm, tol, cap):
     f_hat = K a, and L is the Cholesky factor of B at f_hat. Convergence is
     declared when the per-sample objective change drops below tol.
     """
+    from scipy.linalg import cho_solve
+    from scipy.special import expit
+
     n = len(ypm)
     t = 0.5 * (ypm + 1.0)
     f = np.zeros(n)
@@ -140,6 +143,8 @@ def gpc_lml_and_grad(theta, X, ypm, newton_tol=1e-10, newton_cap=100):
 
 def _evaluate(theta, X, ypm, newton_tol, newton_cap):
     """`gpc_lml_and_grad`, keeping the mode and factor it computed."""
+    from scipy.linalg import cho_solve, solve_triangular
+
     theta = np.asarray(theta, dtype=float)
     sqdist = squared_distances(X, X)
     K = _kernel_from_theta(sqdist, theta)
@@ -183,7 +188,10 @@ class GpcModel(FittedModel):
 
     def _finalize(self, L=None):
         """Prediction terms at the mode; L, when the fit already factored B
-        at this mode and theta, is that factor."""
+        at this mode and theta, is that factor. A factor holding NaN or inf
+        raises ValueError here, so `latent` need not check it per block."""
+        from scipy.special import expit
+
         ypm = 2.0 * self.y_train - 1.0
         pi = expit(self.f_hat)
         self._grad_ll = 0.5 * (ypm + 1.0) - pi
@@ -192,6 +200,8 @@ class GpcModel(FittedModel):
             sq = squared_distances(self.X_train, self.X_train)
             K = _kernel_from_theta(sq, self.theta, out=sq)
             L = _chol_with_jitter(np.eye(len(K)) + (self._sw[:, None] * K) * self._sw[None, :])
+        if not np.isfinite(L).all():
+            raise ValueError("GPC: the factor of B must not contain infs or NaNs")
         self._L = L
         self._train_sq = squared_norms(self.X_train)
         self._sf2 = float(np.exp(2.0 * self.theta[1]))
@@ -202,8 +212,14 @@ class GpcModel(FittedModel):
         Each block of `_LATENT_ROWS` rows goes through one buffer allocated
         per call: the kernel k*, then in place W^1/2 k* in its transpose,
         which is the Fortran-ordered right-hand side the triangular solve
-        overwrites with v = L^-1 W^1/2 k*, then v * v (GPML Alg. 3.2)."""
+        overwrites with v = L^-1 W^1/2 k*, then v * v (GPML Alg. 3.2).
+        X holding NaN or inf raises ValueError here, once, and `_finalize`
+        checked L, so the solve skips its own per-block finiteness scans."""
+        from scipy.linalg import solve_triangular
+
         X = self._check_X(X)
+        if not np.isfinite(X).all():
+            raise ValueError("GPC: inputs must not contain infs or NaNs")
         mean = np.empty(len(X))
         var = np.empty(len(X))
         buf = np.empty((min(_LATENT_ROWS, len(X)), len(self.X_train)))
@@ -213,7 +229,8 @@ class GpcModel(FittedModel):
             _kernel_from_theta(ks, self.theta, out=ks)
             np.matmul(ks, self._grad_ll, out=mean[lo:hi])
             v = np.multiply(self._sw[:, None], ks.T, out=ks.T)
-            v = solve_triangular(self._L, v, lower=True, overwrite_b=True)
+            v = solve_triangular(self._L, v, lower=True, overwrite_b=True,
+                                 check_finite=False)
             v *= v
             var[lo:hi] = np.maximum(self._sf2 - np.sum(v, axis=0), 0.0)
         return mean, var
@@ -223,6 +240,8 @@ class GpcModel(FittedModel):
         return mean / np.sqrt(1.0 + np.pi * var / 8.0)
 
     def predict_proba(self, X):
+        from scipy.special import expit
+
         return expit(self.decision_score(X))
 
     def _params_to_json(self):
@@ -265,6 +284,8 @@ def fit_gpc(fm: FeatureMatrix, hp: GpcParams = None, seed: int = 0):
     Dense n x n algebra: refuses more than hp.max_train rows; callers are
     expected to subsample (the pipeline does, with a documented cap).
     """
+    from scipy.optimize import minimize
+
     hp = hp or GpcParams()
     fm.require_both_classes()
     if fm.n > hp.max_train:

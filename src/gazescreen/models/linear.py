@@ -1,13 +1,14 @@
 """Linear models: L2-regularised logistic regression (L-BFGS) and a
 mistake-driven perceptron with optional per-update L2 shrinkage.
+
+scipy is imported inside the functions that call it: scoring a logistic
+regression is `X @ w + b`, and importing the package does not load scipy.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from ..errors import InvalidHyperParam
 from .base import FeatureMatrix, FittedModel, arr, register_model
@@ -31,6 +32,8 @@ class LogRegParams:
 def logreg_objective(params, X, y, sample_weights, l2):
     """Weighted negative log-likelihood plus (l2/2)||w||^2 (intercept
     unpenalised); returns (value, gradient)."""
+    from scipy.special import expit
+
     w = params[:-1]
     b = params[-1]
     z = X @ w + b
@@ -57,6 +60,8 @@ class LogisticRegressionModel(FittedModel):
         return X @ self.weights + self.intercept
 
     def predict_proba(self, X):
+        from scipy.special import expit
+
         return expit(self.decision_score(X))
 
     def _params_to_json(self):
@@ -73,6 +78,8 @@ class LogisticRegressionModel(FittedModel):
 def fit_logreg(fm: FeatureMatrix, hp: LogRegParams = None):
     """L-BFGS on the penalised NLL; stops at projected-gradient infinity
     norm <= tol or at the iteration cap (then flagged non-converged)."""
+    from scipy.optimize import minimize
+
     hp = hp or LogRegParams()
     fm.require_both_classes()
     sw = fm.normalized_weights()

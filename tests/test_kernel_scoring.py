@@ -10,7 +10,7 @@ from scipy.linalg import solve_triangular
 
 from gazescreen import kernels
 from gazescreen.kernels import rbf_kernel, squared_distances
-from gazescreen.models import FeatureMatrix, GpcParams, fit_gpc, fit_svc_rbf
+from gazescreen.models import FeatureMatrix, GpcModel, GpcParams, fit_gpc, fit_svc_rbf
 from gazescreen.novelty import OcsvmParams, fit_ocsvm
 
 
@@ -145,6 +145,20 @@ class TestScorers:
         expect = expect_mean / np.sqrt(1.0 + np.pi * expect_var / 8.0)
         assert same_bits(gpc.decision_score(X), expect)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [3, 2049])
+    def test_gpc_rejects_non_finite_rows(self, gpc, bad, n):
+        X = probe(n, 14)
+        X[n - 1, 5] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gpc.decision_score(X)
+
+    def test_gpc_rejects_non_finite_factor(self, gpc):
+        L = gpc._L.copy()
+        L[3, 1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            GpcModel(gpc.X_train, gpc.y_train, gpc.f_hat, gpc.theta, L=L)
+
     def test_no_rows(self, svc, ocsvm, gpc):
         assert svc.decision_score(np.empty((0, 14))).shape == (0,)
         assert ocsvm.decision_score(np.empty((0, 2))).shape == (0,)
@@ -166,9 +180,9 @@ class TestScorers:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # one block buffer; the rest is the solver's finiteness mask (an
-        # eighth of a block), temporaries the size of the input (its squared
-        # entries) or of the scores, and the elementwise scratch
-        slack = block // 8 + 8 * rows * (model.n_features + 4) + (128 << 10)
+        # one block buffer; the rest is temporaries the size of the input
+        # (its squared entries, its finiteness mask) or of the scores, and the
+        # elementwise scratch
+        slack = 8 * rows * (model.n_features + 4) + (128 << 10)
         assert peak <= block + slack, (peak, block)
 

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -109,3 +112,48 @@ def test_checker_sees_an_unread_definition():
         "__all__ = ['Exported']\nprint(used(), mod.by_attribute)\n"))
     assert [n for n, _ in defined] == ["used", "recursive", "Exported", "by_attribute"]
     assert [n for n, _ in defined if n not in read] == ["recursive"]
+
+
+def imports_of_command(args, cwd):
+    """The modules a fresh `python -X importtime -m gazescreen ARGS`
+    imports, with src/ first on the path; the command must succeed."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "gazescreen", *args],
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.fixture(scope="module")
+def command_imports(tmp_path_factory):
+    """Each command on a 1+1 cohort, in order, each in its own process:
+    the evaluation reads the DT and NB models the first training wrote."""
+    cwd = tmp_path_factory.mktemp("cli")
+    cohort = ["--n-control", "1", "--n-concussed", "1", "--seed", "1"]
+    commands = {
+        "simulate": ["simulate", "--out", "cohort.csv", *cohort],
+        "train DT,NB": ["train", *cohort, "--models", "DT,NB",
+                        "--balanced-per-class", "500", "--out-dir", "dtnb"],
+        "evaluate DT,NB": ["evaluate", "--data", "cohort.csv",
+                           "--models-dir", "dtnb/models", "--out-dir", "eval"],
+        "report": ["report", "--metrics-csv", "eval/report.csv"],
+        "novelty": ["novelty", *cohort, "--grid-resolution", "10", "--out-dir", "nov"],
+        "train LR": ["train", *cohort, "--models", "LR", "--out-dir", "lr"],
+    }
+    return {name: imports_of_command(args, cwd) for name, args in commands.items()}
+
+
+@pytest.mark.parametrize("command", ["simulate", "train DT,NB", "evaluate DT,NB",
+                                     "report", "novelty"])
+def test_command_without_lr_or_gpc_imports_no_scipy(command_imports, command):
+    """scipy is imported only where an LR or GPC fit, or GPC scoring, calls
+    it; a module-level scipy import anywhere in the package shows here."""
+    scipy = sorted(m for m in command_imports[command] if m.partition(".")[0] == "scipy")
+    assert not scipy, f"{command} imported {', '.join(scipy[:5])}"
+
+
+def test_lr_fit_imports_scipy(command_imports):
+    """The check above sees scipy when a command does import it."""
+    assert "scipy.optimize" in command_imports["train LR"]
