@@ -452,6 +452,31 @@ class _CellTables(NamedTuple):
             idx = idx + counts[:, np.searchsorted(lines, X[:, c], side="left")]
         return self.cells[idx]
 
+    def grid_total(self, xs, ys, dims, at):
+        """(len(ys), len(xs)) sum over the trees, in tree order, of the leaf
+        value of each row `at` with column dims[0] set to an x value and
+        dims[1] to a y value: the `values` of those rows, summed as
+        `FlatEnsemble.sum` sums them.
+
+        A row's cell offset is a sum of one offset per column, so on a grid
+        it is an x offset plus a y offset (a column not plotted adds the
+        constant offset of its value in `at`), and each tree's grid is one
+        gather of its cells."""
+        n_trees = len(self.base)
+        offsets = [np.zeros((n_trees, len(xs)), dtype=np.int64),
+                   np.repeat(self.base[:, None], len(ys), axis=1)]
+        for c, (lines, counts) in enumerate(zip(self.lines, self.counts)):
+            if c in dims:
+                a = dims.index(c)
+                offsets[a] += counts[:, np.searchsorted(lines, (xs, ys)[a], side="left")]
+            else:
+                offsets[1] += counts[:, np.searchsorted(lines, at[c], side="left"), None]
+        ox, oy = offsets
+        total = np.zeros((len(ys), len(xs)))
+        for t in range(n_trees):
+            total += self.cells[oy[t][:, None] + ox[t]]
+        return total
+
 
 class FlatEnsemble:
     """Node arrays of one or more trees, concatenated once so that rows
@@ -555,9 +580,9 @@ class FlatEnsemble:
 
         A tree's grid has one line per distinct threshold on each column
         plus a NaN line, which every split sends right; a split at t cuts
-        its axis after the lines <= t, as `grid_sum` cuts a grid, and the
-        same rectangle pass (`_leaf_rectangles`) gives every leaf its
-        cells. A NaN threshold sends every cell right."""
+        its axis after the lines <= t, and a rectangle pass
+        (`_leaf_rectangles`) gives every leaf its cells. A NaN threshold
+        sends every cell right."""
         if self._tables is not None:
             return self._tables or None
         self._tables = False
@@ -612,11 +637,10 @@ class FlatEnsemble:
         their rectangles: a row (x0, y0, x1, y1) holds the cells
         [x0, x1) x [y0, y1).
 
-        The root of tree t holds extent[t] = (x, y) cells, or `extent` in
-        every tree when it is one pair. Inner node i sends the cells below
-        cut[i] on axis axis[i] (0 is x, 1 is y) left and the rest right.
-        Every split is axis-parallel, so the rectangles are found one depth
-        level at a time over all trees."""
+        The root of tree t holds extent[t] = (x, y) cells. Inner node i
+        sends the cells below cut[i] on axis axis[i] (0 is x, 1 is y) left
+        and the rest right. Every split is axis-parallel, so the rectangles
+        are found one depth level at a time over all trees."""
         rect = np.zeros((self.n_nodes, 4), dtype=np.int64)
         rect[self.roots, 2:] = extent
         level = self.roots
@@ -631,56 +655,6 @@ class FlatEnsemble:
         leaves = np.flatnonzero(self.is_leaf & (rect[:, 2] > rect[:, 0])
                                 & (rect[:, 3] > rect[:, 1]))
         return leaves, rect[leaves]
-
-    def grid_sum(self, xs, ys, dims, at):
-        """`sum` of every cell of the grid xs x ys, painted leaf by leaf.
-
-        Returns (total, painted): total[i, j] is bit-equal to
-        ``sum(row)[0]`` for the row that is `at` with column dims[0] set to
-        xs[j] and dims[1] set to ys[i], and painted is the number of
-        non-empty leaf rectangles written.
-
-        Each node holds a rectangle of grid indices (`_leaf_rectangles`).
-        A split on a plotted column cuts its axis after the grid lines with
-        ``x <= threshold``, the walk's test; a split on a pinned column
-        sends the whole rectangle to the side `at` takes. The leaves of a
-        tree tile the grid, so one reused slab takes each tree's leaf
-        values and is added to the total in tree order, as `sum` adds.
-        """
-        dx, dy = dims
-        if dx == dy:
-            raise ValueError("grid_sum needs two different columns")
-        at = np.asarray(at, dtype=float)
-        if len(at) < self.n_columns or max(dx, dy) >= len(at):
-            raise DimensionMismatch(f"trees split on column {self.n_columns - 1}, "
-                                    f"pinned row has {len(at)} columns")
-        # rectangles are index ranges on the axes sorted ascending (NaN last)
-        axes = [np.asarray(v, dtype=float) for v in (xs, ys)]
-        orders = [np.argsort(v, kind="stable") for v in axes]
-        axes = [v[o] for v, o in zip(axes, orders)]
-        n = np.array([len(axes[0]), len(axes[1])])
-        f, t = self.feature, self.threshold
-        # grid lines with x <= t (none for a NaN threshold); a pinned column
-        # keeps all of x or none of it on the left
-        cut = np.where(at[f] <= t, n[0], 0)
-        for d, axis in zip(dims, axes):
-            on = f == d
-            cut[on] = np.where(np.isnan(t[on]), 0, np.searchsorted(axis, t[on], side="right"))
-        leaves, rect = self._leaf_rectangles((f == dy).astype(np.int64), cut, n)
-        ends = np.searchsorted(leaves, np.append(self.roots[1:], self.n_nodes)).tolist()
-        x0, y0, x1, y1 = rect.T.tolist()
-        values = self.value[leaves].tolist()
-        total = np.zeros((n[1], n[0]))
-        slab = np.empty_like(total)
-        start = 0
-        for end in ends:
-            for i in range(start, end):
-                slab[y0[i]:y1[i], x0[i]:x1[i]] = values[i]
-            total += slab
-            start = end
-        # back from sorted to the given order of the axes
-        inv_x, inv_y = (np.argsort(o) for o in orders)
-        return total[np.ix_(inv_y, inv_x)], len(leaves)
 
 
 _NODE_DTYPES = {"feature": np.int64, "threshold": float, "left": np.int64,

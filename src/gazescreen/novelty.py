@@ -68,17 +68,85 @@ class IsoForestParams:
             raise InvalidHyperParam("need n_trees >= 1 and subsample >= 2")
 
 
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+class _TreeStreams:
+    """The draws `integers(0, k)` then `random()` of many generators at
+    once, taken from each one's raw 64-bit PCG64 outputs.
+
+    Both calls are fixed functions of those outputs (numpy's
+    `random_bounded_uint64_fill` and `next_double`):
+    - `integers(0, k)` draws nothing when k = 1. Otherwise it takes the
+      next 32-bit half x: the high half that the generator's last 32-bit
+      draw left buffered, or else the low half of a fresh output, whose
+      high half is then buffered. It returns (x k) >> 32, drawing x again
+      while the low 32 bits of x k are below 2^32 mod k (Lemire's
+      rejection, which never fires at k = 2);
+    - `random()` is (r >> 11) 2^-53 of the next output r; it leaves the
+      buffered half alone.
+
+    Outputs are drawn ahead in blocks, which leaves the generators past the
+    draws taken: nothing may draw from them afterwards.
+    """
+
+    def __init__(self, rngs, block):
+        self.bits = [g.bit_generator for g in rngs]
+        states = [b.state for b in self.bits]
+        self.has_half = np.array([s["has_uint32"] for s in states], dtype=bool)
+        self.half = np.array([s["uinteger"] for s in states], dtype=np.uint64)
+        self.raw = np.stack([b.random_raw(block) for b in self.bits])
+        self.used = np.zeros(len(self.bits), dtype=np.int64)
+
+    def _next(self, gens):
+        """The next raw output of each of the distinct generators `gens`."""
+        at = self.used[gens]
+        if at.size and at.max() >= self.raw.shape[1]:
+            width = self.raw.shape[1]
+            self.raw = np.concatenate(
+                [self.raw, np.stack([b.random_raw(width) for b in self.bits])], axis=1)
+        self.used[gens] += 1
+        return self.raw[gens, at]
+
+    def take(self, gens, k):
+        """(j, u) for each of the distinct generators `gens`: j is its
+        `integers(0, k)` for its k (1 <= k < 2^32) and u its `random()`
+        after that."""
+        k = np.asarray(k, dtype=np.uint64)
+        j = np.zeros(len(gens), dtype=np.uint64)
+        todo = np.flatnonzero(k > 1)
+        while todo.size:
+            g = gens[todo]
+            x = self.half[g]
+            fresh = ~self.has_half[g]
+            r = self._next(g[fresh])
+            x[fresh] = r & _LOW32
+            self.half[g[fresh]] = r >> np.uint64(32)
+            self.has_half[g] = fresh
+            m = x * k[todo]
+            ok = (m & _LOW32) >= np.uint64(1 << 32) % k[todo]
+            j[todo[ok]] = m[ok] >> np.uint64(32)
+            todo = todo[~ok]
+        u = (self._next(gens) >> np.uint64(11)).astype(float) * 2.0 ** -53
+        return j.astype(np.int64), u
+
+
 def _grow_iso_forest(X, bags, rngs, height_limit):
     """Grow one isolation tree per generator in `rngs` on the rows bags[t]
     of X, all in lockstep on the shared preorder grower.
 
     Each tree draws `integers(0, k)` for its split feature among the k that
     vary and then `random()` for the threshold, from its own generator and
-    in the order a tree grown alone would draw them; one reduceat gives
-    every popped node its per-feature range. A row goes left when its value
-    is below the threshold. Every node stores its training size and depth.
+    in the order a tree grown alone would draw them; a round takes the
+    draws of all its split nodes in one step (`_TreeStreams`), and one
+    reduceat gives every popped node its per-feature range. A row goes left
+    when its value is below the threshold. Every node stores its training
+    size and depth.
     """
     XT = np.ascontiguousarray(X.T)
+    # a split node takes at most two outputs, and a tree of psi rows has
+    # about psi - 1 of them
+    streams = _TreeStreams(rngs, 2 * len(bags[0]))
 
     def choose(trees, at, first, size, depth):
         feature = np.full(len(trees), -1, dtype=np.int64)
@@ -95,9 +163,7 @@ def _grow_iso_forest(X, bags, rngs, height_limit):
             n_spread = spread.sum(axis=0)
             ok = np.flatnonzero(grows[some] & (n_spread > 0))
             split = some[ok]
-            draws = [(g.integers(0, k), g.random()) for g, k in zip(
-                [rngs[t] for t in trees[split].tolist()], n_spread[ok].tolist())]
-            j, u = np.array(draws, dtype=float).reshape(-1, 2).T
+            j, u = streams.take(trees[split], n_spread[ok])
             # the j-th feature (0-based) among those that vary
             f = np.argmax(np.cumsum(spread[:, ok], axis=0) > j, axis=0)
             lo_f, hi_f = lo[f, ok], hi[f, ok]
@@ -126,7 +192,8 @@ def _iso_ensemble(trees):
     """Isolation trees as one flat ensemble whose leaves hold the path
     length (depth + c(size)). The strict split `x < t` is stored as
     `x <= nextafter(t, -inf)`, which is the same test for every float. A
-    forest on two columns scores its points through cell tables."""
+    forest on two columns scores its points and grids through cell
+    tables."""
     paths = (np.concatenate([t["depth"] for t in trees])
              + _average_path_lengths(np.concatenate([t["size"] for t in trees])))
     ends = np.cumsum([len(t["depth"]) for t in trees])[:-1]
@@ -166,11 +233,25 @@ class IsolationForestModel:
 
     def grid_scores(self, xs, ys, dims, at):
         """`boundary_score` of every cell of `grid_cells(xs, ys, dims, at)`
-        as a (len(ys), len(xs)) array, with the path lengths painted from
-        leaf rectangles (`FlatEnsemble.grid_sum`), which gives the walk's
-        bits; returns (scores, sizes)."""
-        total, painted = self._paths.grid_sum(xs, ys, dims, at)
-        return 0.5 - self._anomaly(total / len(self.trees)), {"leaves_painted": painted}
+        as a (len(ys), len(xs)) array; returns (scores, sizes).
+
+        A forest with cell tables reads the grid from them
+        (`_CellTables.grid_total`), which adds the leaf values the walk
+        would reach in the walk's order; any other forest scores the
+        cells' rows. `sizes["scored_by"]` says which ("tables" or
+        "walk")."""
+        dims = tuple(dims)
+        if dims[0] == dims[1] or not all(0 <= d < self.n_features for d in dims):
+            raise InvalidSpec(f"dims must name two different columns of {self.n_features}")
+        at = as_rows(at, self.n_features, "isolation forest")[0]
+        tables = self._paths._cell_tables()
+        if tables is None:
+            cells = grid_cells(xs, ys, dims, at, self.n_features)
+            eh = self.expected_path_length(cells).reshape(len(ys), len(xs))
+        else:
+            xs, ys = (np.asarray(v, dtype=float) for v in (xs, ys))
+            eh = tables.grid_total(xs, ys, dims, at) / len(self.trees)
+        return 0.5 - self._anomaly(eh), {"scored_by": "walk" if tables is None else "tables"}
 
 
 def fit_isolation_forest(X, params: IsoForestParams = None):
@@ -373,20 +454,50 @@ class BoundaryGrid:
     points: list = field(default_factory=list)  # (x, y, score, tag)
     sizes: dict = field(default_factory=dict)   # what was scored; not in the CSV
 
-    def to_csv_text(self):
-        # each axis value is formatted once, not once per grid cell
-        xs = [repr(v) for v in np.asarray(self.x_values, dtype=float).tolist()]
-        ys = [repr(v) for v in np.asarray(self.y_values, dtype=float).tolist()]
-        scores = np.asarray(self.scores, dtype=float).tolist()
-        lines = ["kind,x,y,value,tag\n"]
-        for yv, row in zip(ys, scores):
-            lines.extend([f"grid,{xv},{yv},{score!r},\n" for xv, score in zip(xs, row)])
-        lines.extend([f"point,{float(x)!r},{float(y)!r},{float(score)!r},{tag}\n"
-                      for x, y, score, tag in self.points])
-        return "".join(lines)
+    def to_csv_text(self, shared=None):
+        """The grid as CSV text, every number written as its `repr`, each
+        distinct value formatted once.
+
+        `shared`, when given, is a dict that carries point text from one
+        call to the next, such as between two models' grids of one eye: a
+        call leaves the text of its points' coordinates there, and the next
+        call takes it out and reuses it when its coordinates are the same,
+        bit for bit. So the text is held between two calls at most."""
+        xs = _float_text(self.x_values)
+        ys = _float_text(self.y_values)
+        scores = _float_text(self.scores)
+        # one string per grid row and one for the points, so that few line
+        # strings are alive at once
+        parts = ["kind,x,y,value,tag\n"]
+        for i, yv in enumerate(ys):
+            row = scores[i * len(xs):(i + 1) * len(xs)]
+            parts.append("".join([f"grid,{xv},{yv},{score},\n"
+                                  for xv, score in zip(xs, row)]))
+        del scores
+        if self.points:
+            px, py, values, tags = zip(*self.points)
+            key = np.array([px, py], dtype=float).tobytes()
+            heads = shared.pop(key, None) if shared is not None else None
+            if heads is None:
+                heads = [f"point,{x},{y}," for x, y in zip(_float_text(px), _float_text(py))]
+                if shared is not None:
+                    shared.clear()
+                    shared[key] = heads
+            parts.append("".join([f"{head}{value},{tag}\n" for head, value, tag
+                                  in zip(heads, _float_text(values), tags)]))
+        return "".join(parts)
 
     def save(self, path):
         atomic_write_text(path, self.to_csv_text())
+
+
+def _float_text(values):
+    """`repr` of every value as floats, flattened, as a list; each distinct
+    value (bit pattern, so -0.0 is not 0.0) is formatted once."""
+    a = np.ascontiguousarray(values, dtype=float).ravel()
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def load_boundary_grid(path):

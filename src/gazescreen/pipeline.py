@@ -10,6 +10,7 @@ is therefore not expected to be identical between runs.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import hashlib
 import json
 import os
@@ -73,6 +74,12 @@ DEFAULT_TRAIN_CAPS = {"SVC": 16000, "RF": 16000, "GPC": 1000}
 
 EYE_CHANNELS = ("left", "right", "cyclopean")
 
+NOVELTY_METHODS = ("iforest", "ocsvm")
+# the order run_novelty fits them in for each eye: the one-class SVM's fit
+# is where a novelty run peaks in memory, so it runs while no point text is
+# held, and the forest's grid then reuses the text the SVM's grid formatted
+_NOVELTY_ORDER = ("ocsvm", "iforest")
+
 OUTDIR_ENV_VAR = "GAZESCREEN_OUTDIR"
 
 
@@ -108,7 +115,7 @@ class RunConfig:
     novelty_train: int = 10000
     novelty_test_per_class: int = 5000
     grid_resolution: int = 100
-    novelty_methods: tuple = ("iforest", "ocsvm")
+    novelty_methods: tuple = NOVELTY_METHODS
     allow_mixed_novelty_training: bool = False
 
     def __post_init__(self):
@@ -127,6 +134,11 @@ class RunConfig:
                     "allow_weighted_balanced_models=True to override")
         if self.seed < 0:
             raise InvalidSpec("seed must be >= 0")
+        unknown = [m for m in self.novelty_methods if m not in NOVELTY_METHODS]
+        if unknown:
+            raise InvalidSpec(f"unknown novelty method(s) {unknown}; valid: {NOVELTY_METHODS}")
+        if self.grid_resolution < 2:
+            raise InvalidSpec("grid_resolution must be >= 2")
 
     def resolved_outdir(self):
         """outdir with the environment override applied; entry points (CLI,
@@ -288,6 +300,21 @@ def _save_model(model, path):
     return _sha256_file(path)
 
 
+@contextlib.contextmanager
+def _removed_on_failure(outdir):
+    """The dict a run lists its output files in ({path under outdir:
+    sha256}). If the run fails, the files listed are deleted before the
+    error propagates, so a failed run leaves none of its outputs behind."""
+    outputs = {}
+    try:
+        yield outputs
+    except BaseException:
+        for name in outputs:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(outdir, name))
+        raise
+
+
 def _write_output(path, text, outputs):
     atomic_write_text(path, text)
     outputs[os.path.basename(path)] = hashlib.sha256(text.encode()).hexdigest()
@@ -334,7 +361,6 @@ def run_experiment(cfg, ds=None):
     outdir = cfg.outdir
     os.makedirs(os.path.join(outdir, "models"), exist_ok=True)
     stages = _Stages()
-    outputs = {}
 
     source = cfg.csv_path or f"synthetic cohort ({cfg.n_control}+{cfg.n_concussed} {cfg.test_kind})"
     if ds is None:
@@ -342,50 +368,51 @@ def run_experiment(cfg, ds=None):
     train_ds, val_ds, test_ds = stages.run(
         "split", f"{len(ds)} frames", split, ds, cfg.split_config())
 
-    per_model = {}
-    model_paths = {}
-    model_info = {}
-    for kind in cfg.models:
-        fm, info = stages.run("weight", f"model {kind}", training_matrix,
-                              kind, train_ds, cfg)
-        params = make_params(kind, cfg.hyper_overrides.get(kind))
-        model = stages.run("fit", f"model {kind} ({fm.n} rows)",
-                           fit_model, kind, fm, params, cfg.seed)
-        path = os.path.join(outdir, "models", f"{kind}.json")
-        outputs[f"models/{kind}.json"] = stages.run(
-            "save", f"model {kind}", _save_model, model, path)
-        model_paths[kind] = path
-        per_model[DISPLAY_NAMES[kind]] = stages.run(
-            "evaluate", f"model {kind}", evaluate_model, model, test_ds)
-        model_info[kind] = {**info, "fit": _checked_fit_diagnostics(kind, model)}
-    title = f"Evaluation on held-out test frames ({cfg.test_kind})"
-    report_txt = metrics_mod.render_report_text(per_model, title)
-    report_csv = metrics_mod.render_report_csv(per_model)
-    txt_path = os.path.join(outdir, "report.txt")
-    csv_path = os.path.join(outdir, "report.csv")
-    _write_output(txt_path, report_txt, outputs)
-    _write_output(csv_path, report_csv, outputs)
+    with _removed_on_failure(outdir) as outputs:
+        per_model = {}
+        model_paths = {}
+        model_info = {}
+        for kind in cfg.models:
+            fm, info = stages.run("weight", f"model {kind}", training_matrix,
+                                  kind, train_ds, cfg)
+            params = make_params(kind, cfg.hyper_overrides.get(kind))
+            model = stages.run("fit", f"model {kind} ({fm.n} rows)",
+                               fit_model, kind, fm, params, cfg.seed)
+            path = os.path.join(outdir, "models", f"{kind}.json")
+            outputs[f"models/{kind}.json"] = stages.run(
+                "save", f"model {kind}", _save_model, model, path)
+            model_paths[kind] = path
+            per_model[DISPLAY_NAMES[kind]] = stages.run(
+                "evaluate", f"model {kind}", evaluate_model, model, test_ds)
+            model_info[kind] = {**info, "fit": _checked_fit_diagnostics(kind, model)}
+        title = f"Evaluation on held-out test frames ({cfg.test_kind})"
+        report_txt = metrics_mod.render_report_text(per_model, title)
+        report_csv = metrics_mod.render_report_csv(per_model)
+        txt_path = os.path.join(outdir, "report.txt")
+        csv_path = os.path.join(outdir, "report.csv")
+        _write_output(txt_path, report_txt, outputs)
+        _write_output(csv_path, report_csv, outputs)
 
-    manifest_path = os.path.join(outdir, "manifest.json")
-    manifest = {
-        "tool": "gazescreen",
-        "command": "experiment",
-        "config": asdict(cfg),
-        "data": {
-            "source": source,
-            "sha256": _sha256_file(cfg.csv_path) if cfg.csv_path else None,
-            "frames": len(ds),
-            "split": {"train": len(train_ds), "validation": len(val_ds),
-                      "test": len(test_ds)},
-        },
-        "models": model_info,
-        "stages": stages.timings,
-        "peak_rss_mb": _peak_rss_mb(),
-        "outputs": outputs,
-    }
-    atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
-    return ExperimentResult(per_model, txt_path, csv_path, manifest_path,
-                            model_paths, stages.timings)
+        manifest_path = os.path.join(outdir, "manifest.json")
+        manifest = {
+            "tool": "gazescreen",
+            "command": "experiment",
+            "config": asdict(cfg),
+            "data": {
+                "source": source,
+                "sha256": _sha256_file(cfg.csv_path) if cfg.csv_path else None,
+                "frames": len(ds),
+                "split": {"train": len(train_ds), "validation": len(val_ds),
+                          "test": len(test_ds)},
+            },
+            "models": model_info,
+            "stages": stages.timings,
+            "peak_rss_mb": _peak_rss_mb(),
+            "outputs": outputs,
+        }
+        atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
+        return ExperimentResult(per_model, txt_path, csv_path, manifest_path,
+                                model_paths, stages.timings)
 
 
 def evaluate_model(model, test_ds):
@@ -446,7 +473,6 @@ def run_novelty(cfg, ds=None):
     outdir = cfg.outdir
     os.makedirs(outdir, exist_ok=True)
     stages = _Stages()
-    outputs = {}
 
     if ds is None:
         ds = stages.run("acquire", f"novelty cohort {cfg.test_kind}", _acquire, cfg)
@@ -476,51 +502,52 @@ def run_novelty(cfg, ds=None):
             rng.choice(np.nonzero(test_ds.labels == c)[0], size=k, replace=False)))
     test_reg, test_nov = test_parts
 
-    grid_paths = []
-    fits, grids = {}, {}
-    for method in cfg.novelty_methods:
+    with _removed_on_failure(outdir) as outputs:
+        grid_paths = []
+        fits, grids = {}, {}
+        # carries one eye's point text from its first grid's CSV to its
+        # second's
+        shared = {}
         for eye in EYE_CHANNELS:
             Xtr = train_pool.eye_dirs(eye)[:, :2]
             Xreg = test_reg.eye_dirs(eye)[:, :2]
             Xnov = test_nov.eye_dirs(eye)[:, :2]
-            if method == "iforest":
-                model = stages.run("novelty-fit", f"iforest {eye}",
-                                   fit_isolation_forest, Xtr,
-                                   IsoForestParams(seed=cfg.seed))
-            elif method == "ocsvm":
-                model = stages.run("novelty-fit", f"ocsvm {eye}",
-                                   fit_ocsvm, Xtr, OcsvmParams())
-            else:
-                raise PipelineError("novelty-fit", method,
-                                    InvalidSpec(f"unknown novelty method {method!r}"))
-            fits[f"{method} {eye}"] = _checked_fit_diagnostics(f"{method} {eye}", model)
-            grid = stages.run("novelty-grid", f"{method} {eye}",
-                              export_boundary_grid, model, Xtr, Xreg, Xnov,
-                              dims=(0, 1), resolution=cfg.grid_resolution)
-            grids[f"{method} {eye}"] = grid.sizes
-            path = os.path.join(outdir, f"{method}_{cfg.test_kind}_{eye}.csv")
-            stages.run("grid-write", f"{method} {eye}",
-                       lambda: _write_output(path, grid.to_csv_text(), outputs))
-            grid_paths.append(path)
-            # done with: dropped before the next fit, so that a forest and
-            # its cell tables (about 3 MB) do not add to that fit's peak RSS
-            del model, grid
+            for method in (m for m in _NOVELTY_ORDER if m in cfg.novelty_methods):
+                if method == "iforest":
+                    model = stages.run("novelty-fit", f"iforest {eye}",
+                                       fit_isolation_forest, Xtr,
+                                       IsoForestParams(seed=cfg.seed))
+                else:
+                    model = stages.run("novelty-fit", f"ocsvm {eye}",
+                                       fit_ocsvm, Xtr, OcsvmParams())
+                fits[f"{method} {eye}"] = _checked_fit_diagnostics(f"{method} {eye}", model)
+                grid = stages.run("novelty-grid", f"{method} {eye}",
+                                  export_boundary_grid, model, Xtr, Xreg, Xnov,
+                                  dims=(0, 1), resolution=cfg.grid_resolution)
+                grids[f"{method} {eye}"] = grid.sizes
+                path = os.path.join(outdir, f"{method}_{cfg.test_kind}_{eye}.csv")
+                stages.run("grid-write", f"{method} {eye}",
+                           lambda: _write_output(path, grid.to_csv_text(shared), outputs))
+                grid_paths.append(path)
+                # done with: dropped before the next fit, so that a forest and
+                # its cell tables (about 3 MB) do not add to that fit's peak RSS
+                del model, grid
 
-    manifest_path = os.path.join(outdir, "manifest.json")
-    manifest = {
-        "tool": "gazescreen",
-        "command": "novelty",
-        "config": asdict(cfg),
-        "data": {"train_rows": len(train_pool),
-                 "test_regular": len(test_reg), "test_novel": len(test_nov)},
-        "fits": fits,
-        "grids": grids,
-        "stages": stages.timings,
-        "peak_rss_mb": _peak_rss_mb(),
-        "outputs": outputs,
-    }
-    atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
-    return grid_paths
+        manifest_path = os.path.join(outdir, "manifest.json")
+        manifest = {
+            "tool": "gazescreen",
+            "command": "novelty",
+            "config": asdict(cfg),
+            "data": {"train_rows": len(train_pool),
+                     "test_regular": len(test_reg), "test_novel": len(test_nov)},
+            "fits": fits,
+            "grids": grids,
+            "stages": stages.timings,
+            "peak_rss_mb": _peak_rss_mb(),
+            "outputs": outputs,
+        }
+        atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
+        return grid_paths
 
 
 # -- full reproduction ----------------------------------------------------------------

@@ -24,6 +24,7 @@ from gazescreen.models import tree as tree_mod
 from gazescreen.novelty import (
     BoundaryGrid,
     IsoForestParams,
+    IsolationForestModel,
     OcsvmParams,
     _iso_ensemble,
     average_path_length,
@@ -204,8 +205,8 @@ def forest_inputs(draw, min_d=1, max_d=4):
 
 def export_boundary_grid_walk(model, X_train, X_regular, X_novel, dims=(0, 1),
                               resolution=100):
-    """Reference: the boundary grid with every grid cell walked through
-    `boundary_score`, as grids were scored before leaf painting."""
+    """Reference: the boundary grid with every grid cell scored through
+    `boundary_score`, one row per cell."""
     dims = tuple(dims)
     sets = [np.asarray(s, dtype=float) for s in (X_train, X_regular, X_novel)]
     allpts = np.concatenate([s[:, dims] for s in sets], axis=0)
@@ -436,6 +437,33 @@ class TestIsolationForest:
             assert set(g) == set(e)
             assert all(same_bits(g[k], e[k]) for k in e)
         assert got.n_nodes == sum(len(t["feature"]) for t in expect)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_round_draws_equal_generator_calls(self, data):
+        # integers(0, k) then random() per generator, from rounds over some
+        # of them in any order; k in 1..14 as an isolation tree draws it,
+        # or large enough for Lemire's rejection to fire; small blocks of
+        # raw outputs, so that they run out
+        n = data.draw(st.integers(1, 6))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        mine, ref = ([np.random.default_rng(np.random.SeedSequence((seed, i)))
+                      for i in range(n)] for _ in range(2))
+        for i in range(n):
+            # a bag draw may or may not leave a 32-bit half buffered
+            if data.draw(st.booleans()):
+                mine[i].integers(0, 3)
+                ref[i].integers(0, 3)
+                assert mine[i].bit_generator.state["has_uint32"] == 1
+        streams = novelty_mod._TreeStreams(mine, data.draw(st.integers(1, 4)))
+        ks = st.integers(1, 14) | st.integers(3 << 30, (1 << 32) - 1)
+        for _ in range(data.draw(st.integers(1, 12))):
+            gens = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+            k = data.draw(st.lists(ks, min_size=len(gens), max_size=len(gens)))
+            j, u = streams.take(np.array(gens, dtype=np.int64), k)
+            expect = [(ref[g].integers(0, kg), ref[g].random()) for g, kg in zip(gens, k)]
+            assert j.dtype == np.int64 and j.tolist() == [e[0] for e in expect]
+            assert same_bits(u, np.array([e[1] for e in expect]))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_lockstep_forest_equals_per_tree_grower_full_size(self, seed):
@@ -670,6 +698,25 @@ class TestBoundaryGrid:
             [(-0.0, 5e-324, 1e16, "train"), (1e-300, 0.1, -0.0, "novel")])
         assert grid.to_csv_text() == to_csv_text_reference(grid)
 
+    def test_shared_point_text_equals_scalar_writer(self):
+        # two grids of the same points, then one of other points, with one
+        # shared dict; the values mix -0.0 and 0.0, NaN and repeats
+        values = np.array([-0.0, 0.0, np.nan, 0.1, 0.1, 5e-324, -2.5, 1e16])
+        points = [(x, y, 0.5, "train") for x, y in zip(values, values[::-1])]
+        grids = [BoundaryGrid(values[:3], values[3:6], np.outer(values[:3], values[3:6]) * s,
+                              [(x, y, v * s, tag) for x, y, v, tag in points])
+                 for s in (1.0, -1.0)]
+        grids.append(BoundaryGrid(values[:2], values[:2], np.zeros((2, 2)),
+                                  [(y, x, 1.0, "novel") for x, y, _, _ in points]))
+        shared, held = {}, []
+        for grid in grids:
+            assert grid.to_csv_text(shared) == to_csv_text_reference(grid)
+            assert grid.to_csv_text() == to_csv_text_reference(grid)
+            held.append(len(shared))
+        # the first grid left its point text, the second took it out, and
+        # the third, of other points, left its own
+        assert held == [1, 0, 1]
+
     def test_exported_grid_csv_equals_scalar_writer(self):
         model, train, regular, novel = self.fitted()
         grid = export_boundary_grid(model, train, regular, novel, resolution=9)
@@ -693,10 +740,8 @@ class TestBoundaryGrid:
         assert same_bits(grid.scores, walk.scores)
         assert grid.points == walk.points
         assert grid.to_csv_text() == walk.to_csv_text()
-        n_leaves = sum(int(np.sum(t["feature"] < 0)) for t in model.trees)
-        assert grid.sizes["grid_cells"] == resolution ** 2
-        assert grid.sizes["points"] == 490
-        assert 25 <= grid.sizes["leaves_painted"] <= n_leaves
+        assert grid.sizes == {"grid_cells": resolution ** 2, "points": 490,
+                              "scored_by": "tables" if d == 2 else "walk"}
 
     def test_vms_eye_grid_equals_cell_walk(self):
         from gazescreen.simulate import generate_cohort
@@ -741,15 +786,33 @@ class TestBoundaryGrid:
         assert lines[-1].startswith("point,")
 
 
+def walk_grid_scores(model, xs, ys, dims, at):
+    """Reference: the boundary scores of the grid's rows from the walk
+    (`walk_sum`), as (len(ys), len(xs))."""
+    total = walk_sum(model._paths, meshgrid_rows(xs, ys, dims, at))
+    return (0.5 - model._anomaly(total / len(model.trees))).reshape(len(ys), len(xs))
+
+
+def hand_forest(trees, n_features):
+    """An isolation forest of hand-built trees in which node i has depth i
+    and size 1, so that a row's path length in a tree is its leaf's index."""
+    trees = [dict(t, depth=np.arange(len(t["feature"])),
+                  size=np.ones(len(t["feature"]), dtype=np.int64)) for t in trees]
+    return IsolationForestModel(trees, 2, n_features)
+
+
 @st.composite
 def painter_inputs(draw):
     """An isolation forest on 2-4 features, sometimes with a single-leaf
-    tree inserted, and grid axes of 2-30 lines drawn from its thresholds on
-    the plotted columns (exactly and one ulp either side) and the data,
-    sorted or shuffled; the pinned columns sit at the medians or on a split
-    threshold."""
+    tree inserted or with every column after the first two constant (so
+    that its splits read columns 0 and 1 alone and it has cell tables), and
+    grid axes of 2-30 lines drawn from its thresholds on the plotted columns
+    (exactly and one ulp either side) and the data, sorted or shuffled; the
+    pinned columns sit at the medians or on a split threshold."""
     X, params = draw(forest_inputs(min_d=2))
     d = X.shape[1]
+    if draw(st.booleans()):
+        X[:, 2:] = X[0, 2:]
     model = fit_isolation_forest(X, params)
     trees = list(model.trees)
     if draw(st.booleans()):
@@ -757,7 +820,7 @@ def painter_inputs(draw):
                 "left": np.array([-1]), "right": np.array([-1]),
                 "size": np.array([draw(st.integers(1, 9))]), "depth": np.array([0])}
         trees.insert(draw(st.integers(0, len(trees))), leaf)
-    dims = draw(st.sampled_from([(0, 1), (1, 0)] + ([(0, 2)] if d >= 3 else [])))
+    dims = draw(st.sampled_from([(0, 1), (1, 0)] + ([(0, 2), (2, 1)] if d >= 3 else [])))
 
     def thresholds(col):
         return np.concatenate([t["threshold"][t["feature"] == col] for t in trees])
@@ -780,39 +843,45 @@ def painter_inputs(draw):
         if t.size and draw(st.booleans()):
             raw = t[draw(st.integers(0, t.size - 1))]
             at[col] = draw(st.sampled_from([raw, np.nextafter(raw, -np.inf)]))
-    return _iso_ensemble(trees), xs, ys, dims, at
+    return IsolationForestModel(trees, model.psi, d), xs, ys, dims, at
 
 
 class TestGridPainter:
+    """Isolation-forest grids (`grid_scores`), read from the cell tables or
+    scored through the walk, against the walk of every grid row."""
+
     @given(painter_inputs())
     @settings(deadline=None, max_examples=200)
-    def test_grid_sum_equals_walk(self, inputs):
-        ens, xs, ys, dims, at = inputs
-        total, painted = ens.grid_sum(xs, ys, dims, at)
-        expect = walk_sum(ens, meshgrid_rows(xs, ys, dims, at)).reshape(len(ys), len(xs))
-        assert same_bits(total, expect)
-        # each tree's leaves tile the grid
-        assert len(ens.roots) <= painted <= int(ens.is_leaf.sum())
+    def test_grid_scores_equal_walk(self, inputs):
+        model, xs, ys, dims, at = inputs
+        scores, sizes = model.grid_scores(xs, ys, dims, at)
+        assert same_bits(scores, walk_grid_scores(model, xs, ys, dims, at))
+        tables = model._paths._cell_tables()
+        assert sizes == {"scored_by": "walk" if tables is None else "tables"}
 
     def test_pinned_column_on_threshold(self):
-        # x2 <= 1.0 at the root; a pinned value of exactly 1.0 goes left
-        tree = {"feature": np.array([2, 0, -1, -1, -1]),
-                "threshold": np.array([1.0, 0.5, 0.0, 0.0, 0.0]),
-                "left": np.array([1, 2, -1, -1, -1]),
-                "right": np.array([4, 3, -1, -1, -1])}
-        ens = tree_mod.FlatEnsemble([tree], [np.array([0.0, 0.0, 1.0, 2.0, 3.0])])
-        xs, ys = np.array([0.0, 0.5, np.nextafter(0.5, 1.0), 1.0]), np.array([7.0, 8.0])
-        for pinned, expect_row in ((1.0, [1.0, 1.0, 2.0, 2.0]),
-                                   (np.nextafter(1.0, 2.0), [3.0] * 4)):
-            at = np.array([0.0, 0.0, pinned])
-            total, painted = ens.grid_sum(xs, ys, (0, 1), at)
-            assert np.array_equal(total, [expect_row] * 2)
-            assert same_bits(total, walk_sum(ens, meshgrid_rows(xs, ys, (0, 1), at)).reshape(2, 4))
-        # the pinned split sends the grid right: one leaf paints it all
-        assert painted == 1
+        # x_pinned < 1.0 at the root, then x0 < 0.5: a pinned value of
+        # exactly 1.0 goes right, one ulp below it goes left; pinned column
+        # 1 leaves a forest on columns 0 and 1 (tables), column 2 does not
+        xs, ys = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, 1.0]), np.array([7.0, 8.0])
+        for pinned, dims, scored_by in ((1, (0, 2), "tables"), (2, (0, 1), "walk")):
+            tree = {"feature": np.array([pinned, 0, -1, -1, -1]),
+                    "threshold": np.array([1.0, 0.5, 0.0, 0.0, 0.0]),
+                    "left": np.array([1, 2, -1, -1, -1]),
+                    "right": np.array([4, 3, -1, -1, -1])}
+            for value, path_row in ((np.nextafter(1.0, 0.0), [2.0, 2.0, 3.0, 3.0]),
+                                    (1.0, [4.0] * 4)):
+                model = hand_forest([tree], 3)
+                at = np.array([0.0, 0.0, 0.0])
+                at[pinned] = value
+                scores, sizes = model.grid_scores(xs, ys, dims, at)
+                assert sizes == {"scored_by": scored_by}
+                assert same_bits(scores, walk_grid_scores(model, xs, ys, dims, at))
+                assert same_bits(scores, 0.5 - model._anomaly(np.array([path_row] * 2)))
 
-    def test_non_finite_thresholds_and_lines(self):
-        # NaN goes right at every split, as in the walk
+    def test_non_finite_thresholds_and_lines(self, monkeypatch):
+        # NaN goes right at every split, as in the walk; from the tables,
+        # then over a patched-small budget through the walk
         trees = [{"feature": np.array([0, -1, 1, -1, -1]),
                   "threshold": np.array([np.nan, 0.0, np.inf, 0.0, 0.0]),
                   "left": np.array([1, -1, 3, -1, -1]),
@@ -820,23 +889,45 @@ class TestGridPainter:
                  {"feature": np.array([1, -1, -1]),
                   "threshold": np.array([-np.inf, 0.0, 0.0]),
                   "left": np.array([1, -1, -1]), "right": np.array([2, -1, -1])}]
-        ens = tree_mod.FlatEnsemble(trees, [np.arange(5.0), np.array([0.0, 10.0, 20.0])])
         xs = np.array([np.nan, 1.0, -np.inf, np.inf, -0.0])
         ys = np.array([np.inf, np.nan, -np.inf, -1.0])
-        for dims in ((0, 1), (1, 0)):
-            total, _ = ens.grid_sum(xs, ys, dims, [0.0, 0.0])
-            expect = walk_sum(ens, meshgrid_rows(xs, ys, dims, [0.0, 0.0]))
-            assert same_bits(total, expect.reshape(len(ys), len(xs)))
+        for scored_by in ("tables", "walk"):
+            if scored_by == "walk":
+                monkeypatch.setattr(tree_mod, "_TABLE_ENTRIES", 10)
+            for dims in ((0, 1), (1, 0)):
+                model = hand_forest(trees, 2)
+                scores, sizes = model.grid_scores(xs, ys, dims, [0.0, 0.0])
+                assert sizes == {"scored_by": scored_by}
+                assert same_bits(scores, walk_grid_scores(model, xs, ys, dims, [0.0, 0.0]))
+
+    def test_over_budget_forest_scores_the_walk(self, monkeypatch):
+        # the same trees, with their tables and over a patched-small budget
+        X = cloud(300, seed=22)
+        trees = fit_isolation_forest(X, IsoForestParams(n_trees=20, seed=3)).trees
+        xs = np.linspace(-3.0, 3.0, 23)
+        ys = np.linspace(-2.5, 2.5, 19)
+        on_tables, sizes = IsolationForestModel(trees, 256, 2).grid_scores(
+            xs, ys, (0, 1), [0.0, 0.0])
+        assert sizes == {"scored_by": "tables"}
+        monkeypatch.setattr(tree_mod, "_TABLE_ENTRIES", 1000)
+        model = IsolationForestModel(trees, 256, 2)
+        walked, sizes = model.grid_scores(xs, ys, (0, 1), [0.0, 0.0])
+        assert sizes == {"scored_by": "walk"}
+        assert same_bits(walked, on_tables)
+        assert same_bits(walked, walk_grid_scores(model, xs, ys, (0, 1), [0.0, 0.0]))
 
     def test_empty_grid_and_bad_inputs(self):
-        ens = _iso_ensemble(fit_isolation_forest(cloud(50, d=3, seed=21),
-                                                 IsoForestParams(n_trees=3)).trees)
-        total, painted = ens.grid_sum(np.array([]), np.array([1.0]), (0, 1), np.zeros(3))
-        assert total.shape == (1, 0) and painted == 0
-        with pytest.raises(ValueError):
-            ens.grid_sum(np.zeros(2), np.zeros(2), (1, 1), np.zeros(3))
-        with pytest.raises(DimensionMismatch):
-            ens.grid_sum(np.zeros(2), np.zeros(2), (0, 1), np.zeros(2))
+        # a forest on two columns (tables) and on three (walk)
+        for d in (2, 3):
+            model = fit_isolation_forest(cloud(50, d=d, seed=21), IsoForestParams(n_trees=3))
+            assert (model._paths._cell_tables() is None) == (d == 3)
+            scores, _ = model.grid_scores(np.array([]), np.array([1.0]), (0, 1), np.zeros(d))
+            assert scores.shape == (1, 0)
+            for dims in ((1, 1), (0, d), (-1, 0)):
+                with pytest.raises(InvalidSpec):
+                    model.grid_scores(np.zeros(2), np.zeros(2), dims, np.zeros(d))
+            with pytest.raises(DimensionMismatch):
+                model.grid_scores(np.zeros(2), np.zeros(2), (0, 1), np.zeros(d - 1))
 
 
 _QUERY_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0]

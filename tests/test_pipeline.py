@@ -19,6 +19,7 @@ from gazescreen import pipeline as pipeline_mod
 from gazescreen.cli import main as cli_main
 from gazescreen.data import load_csv, split
 from gazescreen.errors import (
+    DataError,
     InsufficientClassSamples,
     InvalidSpec,
     PipelineError,
@@ -183,6 +184,7 @@ def test_ini_bool_parsing(tmp_path, raw, expected):
     {"weighting": "bogus"},
     {"models": ("NB", "XX")},
     {"seed": -1},
+    {"grid_resolution": 1},
 ])
 def test_config_rejects(kwargs):
     with pytest.raises(InvalidSpec):
@@ -420,6 +422,16 @@ def test_evaluate_scores_each_model_once(exp, monkeypatch):
     assert sorted(calls) == sorted(cfg.models)
 
 
+def test_failed_train_leaves_no_outputs(tmp_path, capsys):
+    # DT is fitted and saved, then NB cannot draw its balanced subset
+    out = tmp_path / "run"
+    assert cli_main(["train", "--n-control", "1", "--n-concussed", "1",
+                     "--models", "DT,NB", "--out-dir", str(out)]) == 3
+    assert "stage 'weight'" in capsys.readouterr().err
+    assert os.listdir(out) == ["models"]
+    assert os.listdir(out / "models") == []
+
+
 def test_experiment_error_carries_stage(tmp_path):
     # default balanced_per_class can't be met by a 2+2 cohort
     cfg = RunConfig(**SMALL | {"balanced_per_class": 8000,
@@ -491,12 +503,10 @@ def test_novelty_manifest(nov):
     grids = man["grids"]
     assert set(grids) == set(fits)
     for label, sizes in grids.items():
-        # 5 x 5 cells; 200 training, 50 regular and 50 novel points
-        painted = {"leaves_painted"} if label.startswith("iforest") else set()
-        assert set(sizes) == {"grid_cells", "points"} | painted
-        assert sizes["grid_cells"] == 25 and sizes["points"] == 300
-        if painted:
-            assert 100 <= sizes["leaves_painted"] <= fits[label]["nodes"]
+        # 5 x 5 cells; 200 training, 50 regular and 50 novel points; a
+        # forest on one eye's (x, y) reads its grid from its cell tables
+        scored = {"scored_by": "tables"} if label.startswith("iforest") else {}
+        assert sizes == {"grid_cells": 25, "points": 300, **scored}
 
 
 def test_novelty_warns_on_unconverged_ocsvm(tmp_path, monkeypatch):
@@ -530,14 +540,34 @@ def test_novelty_needs_control_frames(tmp_path):
 
 
 def test_novelty_unknown_method(tmp_path):
-    cfg = RunConfig(**SMALL | {"outdir": str(tmp_path),
-                               "novelty_methods": ("knn",),
-                               "novelty_train": 50,
-                               "novelty_test_per_class": 20,
-                               "grid_resolution": 4})
-    with pytest.raises(PipelineError) as ei:
-        run_novelty(cfg)
-    assert ei.value.stage == "novelty-fit"
+    # rejected by the config, before any fit
+    with pytest.raises(InvalidSpec, match="unknown novelty method"):
+        RunConfig(**SMALL | {"outdir": str(tmp_path),
+                             "novelty_methods": ("iforest", "knn"),
+                             "novelty_train": 50,
+                             "novelty_test_per_class": 20,
+                             "grid_resolution": 4})
+
+
+def test_novelty_failure_removes_its_grids(tmp_path, monkeypatch, capsys):
+    # both left-eye grids are written, then the right eye's one-class SVM
+    # fails
+    fit_ocsvm, fits = pipeline_mod.fit_ocsvm, []
+
+    def fit_then_fail(X, params):
+        fits.append(len(os.listdir(out)))
+        if len(fits) == 2:
+            raise DataError("one-class SVM failed")
+        return fit_ocsvm(X, params)
+
+    monkeypatch.setattr(pipeline_mod, "fit_ocsvm", fit_then_fail)
+    out = tmp_path / "nov"
+    assert cli_main(["novelty", "--n-control", "2", "--n-concussed", "2",
+                     "--out-dir", str(out), "--novelty-train", "100",
+                     "--novelty-test-per-class", "30", "--grid-resolution", "4"]) == 3
+    assert "stage 'novelty-fit' failed on ocsvm right" in capsys.readouterr().err
+    assert fits == [0, 2]
+    assert os.listdir(out) == []
 
 
 # -- full reproduction -----------------------------------------------------------
@@ -758,6 +788,26 @@ def test_cli_evaluate_binary_file_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error (evaluate): {data}: not a text file")
     assert "Traceback" not in err
+
+
+def test_cli_rejects_bad_novelty_settings_before_work(tmp_path, monkeypatch, capsys):
+    # an unknown method (INI key) or a one-line grid (INI key or flag) exits
+    # 2 before any cohort is drawn or file written
+    def no_work(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(pipeline_mod, "_acquire", no_work)
+    out = tmp_path / "out"
+    for i, (body, flags) in enumerate([
+            ("novelty_methods = iforest,bogus\n", []),
+            ("grid_resolution = 1\n", []),
+            ("", ["--grid-resolution", "1"])]):
+        ini = tmp_path / f"run{i}.ini"
+        ini.write_text("[run]\n" + body)
+        assert cli_main(["novelty", "--config", str(ini), "--out-dir", str(out)]
+                        + flags) == 2
+        assert "error (novelty):" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- the CLI surface ------------------------------------------------------------------
