@@ -47,11 +47,6 @@ class GaussianNaiveBayes(FittedModel):
                 axis=1)
         return out
 
-    def log_posterior(self, X):
-        jll = self.joint_log_likelihood(X)
-        norm = np.logaddexp(jll[:, 0], jll[:, 1])
-        return jll - norm[:, None]
-
     def _score(self, X):
         jll = self.joint_log_likelihood(X)
         return jll[:, 1] - jll[:, 0]

@@ -452,28 +452,20 @@ class _CellTables(NamedTuple):
             idx = idx + counts[:, np.searchsorted(lines, X[:, c], side="left")]
         return self.cells[idx]
 
-    def grid_total(self, xs, ys, dims, at):
+    def grid_total(self, xs, ys):
         """(len(ys), len(xs)) sum over the trees, in tree order, of the leaf
-        value of each row `at` with column dims[0] set to an x value and
-        dims[1] to a y value: the `values` of those rows, summed as
-        `FlatEnsemble.sum` sums them.
+        value of each grid point (x, y): the `values` of the grid's rows,
+        summed as `FlatEnsemble.sum` sums them.
 
-        A row's cell offset is a sum of one offset per column, so on a grid
-        it is an x offset plus a y offset (a column not plotted adds the
-        constant offset of its value in `at`), and each tree's grid is one
-        gather of its cells."""
-        n_trees = len(self.base)
-        offsets = [np.zeros((n_trees, len(xs)), dtype=np.int64),
-                   np.repeat(self.base[:, None], len(ys), axis=1)]
-        for c, (lines, counts) in enumerate(zip(self.lines, self.counts)):
-            if c in dims:
-                a = dims.index(c)
-                offsets[a] += counts[:, np.searchsorted(lines, (xs, ys)[a], side="left")]
-            else:
-                offsets[1] += counts[:, np.searchsorted(lines, at[c], side="left"), None]
-        ox, oy = offsets
+        A point's cell offset is its tree's base plus an x offset (column
+        0's counts) plus a y offset (column 1's, when some tree splits on
+        it), so each tree's grid is one gather of its cells."""
+        ox = np.zeros((len(self.base), len(xs)), dtype=np.int64)
+        oy = np.repeat(self.base[:, None], len(ys), axis=1)
+        for offsets, lines, counts, v in zip((ox, oy), self.lines, self.counts, (xs, ys)):
+            offsets += counts[:, np.searchsorted(lines, v, side="left")]
         total = np.zeros((len(ys), len(xs)))
-        for t in range(n_trees):
+        for t in range(len(self.base)):
             total += self.cells[oy[t][:, None] + ox[t]]
         return total
 

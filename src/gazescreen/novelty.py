@@ -27,23 +27,13 @@ from .kernels import KernelRowCache, kernel_expansion, resolve_gamma
 from .models.base import as_rows
 from .models.tree import FlatEnsemble, grow_preorder
 
-EULER_GAMMA = 0.5772156649
-
-_harmonic_cache = np.array([0.0])  # _harmonic_cache[i] = H(i)
-
-
 def harmonic_number(i):
-    """H(i) = sum_{k=1..i} 1/k, exact partial sums (cached); for large i
-    this agrees with ln(i) + Euler's constant to O(1/i)."""
-    global _harmonic_cache
+    """H(i) = sum_{k=1..i} 1/k, exact partial sums added in sequence from
+    1; for large i this agrees with ln(i) + Euler's constant to O(1/i)."""
     i = int(i)
     if i < 0:
         raise InvalidSpec("harmonic number needs i >= 0")
-    if i >= len(_harmonic_cache):
-        # one sequential cumsum from 1: its prefixes are the shorter
-        # cumsums, so H(k) does not depend on which sizes came first
-        _harmonic_cache = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, i + 1))])
-    return float(_harmonic_cache[i])
+    return float(np.cumsum(1.0 / np.arange(1, i + 1))[-1]) if i else 0.0
 
 
 def average_path_length(m):
@@ -182,9 +172,10 @@ def _average_path_lengths(sizes):
     out = np.zeros(len(m))
     big = m > 1
     if big.any():
-        harmonic_number(m.max() - 1)  # extend the cache
         mb = m[big]
-        out[big] = 2.0 * _harmonic_cache[mb - 1] - 2.0 * (mb - 1) / mb
+        # H[k] = H(k), the same sequential sums as `harmonic_number`
+        H = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, mb.max()))])
+        out[big] = 2.0 * H[mb - 1] - 2.0 * (mb - 1) / mb
     return out
 
 
@@ -231,26 +222,20 @@ class IsolationForestModel:
     def boundary_score(self, X):
         return 0.5 - self.anomaly_score(X)
 
-    def grid_scores(self, xs, ys, dims, at):
-        """`boundary_score` of every cell of `grid_cells(xs, ys, dims, at)`
-        as a (len(ys), len(xs)) array; returns (scores, sizes).
+    def grid_scores(self, xs, ys):
+        """`boundary_score` of the grid xs x ys (`grid_cells`) as a
+        (len(ys), len(xs)) array; returns (scores, sizes).
 
-        A forest with cell tables reads the grid from them
+        A two-column forest with cell tables reads the grid from them
         (`_CellTables.grid_total`), which adds the leaf values the walk
         would reach in the walk's order; any other forest scores the
-        cells' rows. `sizes["scored_by"]` says which ("tables" or
-        "walk")."""
-        dims = tuple(dims)
-        if dims[0] == dims[1] or not all(0 <= d < self.n_features for d in dims):
-            raise InvalidSpec(f"dims must name two different columns of {self.n_features}")
-        at = as_rows(at, self.n_features, "isolation forest")[0]
-        tables = self._paths._cell_tables()
+        grid's rows, and raises DimensionMismatch unless it has two
+        columns. `sizes["scored_by"]` says which ("tables" or "walk")."""
+        tables = self._paths._cell_tables() if self.n_features == 2 else None
         if tables is None:
-            cells = grid_cells(xs, ys, dims, at, self.n_features)
-            eh = self.expected_path_length(cells).reshape(len(ys), len(xs))
+            eh = self.expected_path_length(grid_cells(xs, ys)).reshape(len(ys), len(xs))
         else:
-            xs, ys = (np.asarray(v, dtype=float) for v in (xs, ys))
-            eh = tables.grid_total(xs, ys, dims, at) / len(self.trees)
+            eh = tables.grid_total(xs, ys) / len(self.trees)
         return 0.5 - self._anomaly(eh), {"scored_by": "walk" if tables is None else "tables"}
 
 
@@ -325,14 +310,10 @@ class OneClassSvmModel:
 
     boundary_score = decision_score
 
-    def grid_scores(self, xs, ys, dims, at):
-        """`decision_score` of every cell of `grid_cells(xs, ys, dims, at)`
-        as a (len(ys), len(xs)) array; returns (scores, sizes)."""
-        cells = grid_cells(xs, ys, dims, at, self.n_features)
-        return self.decision_score(cells).reshape(len(ys), len(xs)), {}
-
-    def predict_novel(self, X):
-        return (self.decision_score(X) < 0.0).astype(np.int64)
+    def grid_scores(self, xs, ys):
+        """`decision_score` of the grid xs x ys (`grid_cells`) as a
+        (len(ys), len(xs)) array; returns (scores, sizes)."""
+        return self.decision_score(grid_cells(xs, ys)).reshape(len(ys), len(xs)), {}
 
 
 # Byte budget of the one-class SVM's kernel-row cache. At 3000 training
@@ -533,49 +514,37 @@ def load_boundary_grid(path):
     return BoundaryGrid(np.array(xs), np.array(ys), scores, points)
 
 
-def grid_cells(xs, ys, dims, at, n_features):
-    """Rows of the grid xs x ys, x fastest: `at` with column dims[0] set
-    to the x value and dims[1] to the y value, or just the (x, y) pairs
-    for a model of two features plotted as (0, 1)."""
+def grid_cells(xs, ys):
+    """The (x, y) points of the grid xs x ys as rows, x fastest."""
     gx, gy = np.meshgrid(xs, ys)
-    pairs = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    if n_features == 2 and tuple(dims) == (0, 1):
-        return pairs
-    out = np.tile(at, (len(pairs), 1))
-    out[:, dims[0]] = pairs[:, 0]
-    out[:, dims[1]] = pairs[:, 1]
-    return out
+    return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
-def export_boundary_grid(model, X_train, X_regular, X_novel, dims=(0, 1),
-                         resolution=100):
+def export_boundary_grid(model, X_train, X_regular, X_novel, resolution=100):
     """Score a resolution^2 grid spanning all points (padded 10% per side)
     plus every point itself, tagged train/regular/novel.
 
-    Models fit on more than the two plotted dimensions are evaluated with
-    the remaining features pinned at the training medians. The model
-    scores the grid (`grid_scores`); the grid's `sizes` record the cells
-    and points scored and what the model reports of its grid.
+    The grid is (x, y): each set has two columns, x then y, and a set of
+    any other width raises DimensionMismatch. The model scores the grid
+    (`grid_scores`); the grid's `sizes` record the cells and points scored
+    and what the model reports of its grid.
     """
     if resolution < 2:
         raise InvalidSpec("resolution must be >= 2")
-    dims = tuple(dims)
-    if len(dims) != 2 or dims[0] == dims[1]:
-        raise InvalidSpec("dims must name two different columns")
-    sets = [np.asarray(s, dtype=float) for s in (X_train, X_regular, X_novel)]
-    allpts = np.concatenate([s[:, dims] for s in sets], axis=0)
+    sets = [as_rows(s, 2, "boundary grid") for s in (X_train, X_regular, X_novel)]
+    allpts = np.concatenate(sets, axis=0)
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
     pad = 0.1 * np.where(hi > lo, hi - lo, 1.0)
     xs = np.linspace(lo[0] - pad[0], hi[0] + pad[0], resolution)
     ys = np.linspace(lo[1] - pad[1], hi[1] + pad[1], resolution)
 
-    scores, model_sizes = model.grid_scores(xs, ys, dims, np.median(sets[0], axis=0))
+    scores, model_sizes = model.grid_scores(xs, ys)
 
     points = []
     for tag, pts in zip(("train", "regular", "novel"), sets):
         vals = model.boundary_score(pts).tolist()
-        px, py = pts[:, dims].T.tolist()
+        px, py = pts.T.tolist()
         points.extend((x, y, v, tag) for x, y, v in zip(px, py, vals))
     sizes = {"grid_cells": int(scores.size), "points": len(points), **model_sizes}
     return BoundaryGrid(xs, ys, scores, points, sizes)

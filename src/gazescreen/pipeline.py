@@ -523,7 +523,7 @@ def run_novelty(cfg, ds=None):
                 fits[f"{method} {eye}"] = _checked_fit_diagnostics(f"{method} {eye}", model)
                 grid = stages.run("novelty-grid", f"{method} {eye}",
                                   export_boundary_grid, model, Xtr, Xreg, Xnov,
-                                  dims=(0, 1), resolution=cfg.grid_resolution)
+                                  resolution=cfg.grid_resolution)
                 grids[f"{method} {eye}"] = grid.sizes
                 path = os.path.join(outdir, f"{method}_{cfg.test_kind}_{eye}.csv")
                 stages.run("grid-write", f"{method} {eye}",

@@ -97,12 +97,6 @@ class TestNaiveBayes:
         assert np.allclose(a.decision_score(grid), b.decision_score(grid),
                            rtol=1e-12)
 
-    def test_posterior_normalised(self):
-        X, y = blobs(10, seed=2)
-        model = fit_naive_bayes(fm(X, y))
-        post = np.exp(model.log_posterior(X))
-        assert np.allclose(post.sum(axis=1), 1.0, atol=1e-12)
-
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
             fit_naive_bayes(fm([[0], [1]], [0, 0]))

@@ -203,42 +203,29 @@ def forest_inputs(draw, min_d=1, max_d=4):
     return X, params
 
 
-def export_boundary_grid_walk(model, X_train, X_regular, X_novel, dims=(0, 1),
-                              resolution=100):
+def export_boundary_grid_walk(model, X_train, X_regular, X_novel, resolution=100):
     """Reference: the boundary grid with every grid cell scored through
     `boundary_score`, one row per cell."""
-    dims = tuple(dims)
     sets = [np.asarray(s, dtype=float) for s in (X_train, X_regular, X_novel)]
-    allpts = np.concatenate([s[:, dims] for s in sets], axis=0)
+    allpts = np.concatenate(sets, axis=0)
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
     pad = 0.1 * np.where(hi > lo, hi - lo, 1.0)
     xs = np.linspace(lo[0] - pad[0], hi[0] + pad[0], resolution)
     ys = np.linspace(lo[1] - pad[1], hi[1] + pad[1], resolution)
-    medians = np.median(sets[0], axis=0)
-    gx, gy = np.meshgrid(xs, ys)
-    cells = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    if not (model.n_features == 2 and dims == (0, 1)):
-        full = np.tile(medians, (len(cells), 1))
-        full[:, dims[0]] = cells[:, 0]
-        full[:, dims[1]] = cells[:, 1]
-        cells = full
-    scores = model.boundary_score(cells).reshape(resolution, resolution)
+    scores = model.boundary_score(meshgrid_rows(xs, ys)).reshape(resolution, resolution)
     points = []
     for tag, pts in zip(("train", "regular", "novel"), sets):
         vals = model.boundary_score(pts).tolist()
-        px, py = pts[:, dims].T.tolist()
+        px, py = pts.T.tolist()
         points.extend((x, y, v, tag) for x, y, v in zip(px, py, vals))
     return BoundaryGrid(xs, ys, scores, points)
 
 
-def meshgrid_rows(xs, ys, dims, at):
-    """Rows of the grid xs x ys, x fastest, with the other columns at `at`."""
+def meshgrid_rows(xs, ys):
+    """Rows (x, y) of the grid xs x ys, x fastest."""
     gx, gy = np.meshgrid(xs, ys)
-    rows = np.tile(np.asarray(at, dtype=float), (gx.size, 1))
-    rows[:, dims[0]] = gx.ravel()
-    rows[:, dims[1]] = gy.ravel()
-    return rows
+    return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
 def walk_sum(ens, X):
@@ -278,16 +265,11 @@ class TestPathLengthArithmetic:
     @given(st.lists(st.integers(0, 300), min_size=1, max_size=6))
     @settings(deadline=None, max_examples=100)
     def test_harmonic_is_history_free(self, requests):
-        # a fresh process's first request sums from 1 in one cumsum
+        # every request sums from 1 in one cumsum
         fresh = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, 301))])
-        saved = novelty_mod._harmonic_cache
-        novelty_mod._harmonic_cache = np.array([0.0])
-        try:
-            for k in requests:
-                assert harmonic_number(k) == fresh[k]
-            assert all(harmonic_number(k) == fresh[k] for k in range(301))
-        finally:
-            novelty_mod._harmonic_cache = saved
+        for k in requests:
+            assert harmonic_number(k) == fresh[k]
+        assert all(harmonic_number(k) == fresh[k] for k in range(301))
 
     def test_harmonic_rejects_negative(self):
         with pytest.raises(InvalidSpec):
@@ -484,6 +466,10 @@ class TestOcsvm:
             model.decision_score(cloud(5, d=width, seed=12))
         with pytest.raises(DimensionMismatch):
             model.boundary_score(np.zeros(width))
+        # a model of `width` columns has no (x, y) grid
+        wide = fit_ocsvm(cloud(60, d=width, seed=11), OcsvmParams(nu=0.2))
+        with pytest.raises(DimensionMismatch):
+            wide.grid_scores(np.zeros(2), np.zeros(2))
 
     def test_dual_feasibility(self):
         X = cloud(150, seed=7)
@@ -510,7 +496,6 @@ class TestOcsvm:
         X = cloud(150, seed=9)
         model = fit_ocsvm(X, OcsvmParams(nu=0.1))
         probe = np.array([[9.0, 9.0], [0.0, 0.0]])
-        assert list(model.predict_novel(probe)) == [1, 0]
         scores = model.decision_score(probe)
         assert scores[0] < 0.0 < scores[1]
         assert np.array_equal(model.boundary_score(probe), scores)
@@ -674,16 +659,14 @@ class TestBoundaryGrid:
         novel_scores = [p[2] for p in grid.points if p[3] == "novel"]
         assert np.median(novel_scores) < 0.0
 
-    def test_extra_dims_pinned_at_train_median(self):
-        train = cloud(100, d=4, seed=16)
-        model = fit_ocsvm(train, OcsvmParams(nu=0.3))
-        grid = export_boundary_grid(model, train, train[:5], train[:3] + 5.0,
-                                    dims=(0, 1), resolution=5)
-        med = np.median(train, axis=0)
-        probe = np.array([[grid.x_values[2], grid.y_values[3], med[2], med[3]]])
-        # batched grid evaluation may differ by an ulp from the single row
-        assert grid.scores[3, 2] == pytest.approx(model.boundary_score(probe)[0],
-                                                  rel=1e-12)
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_sets_of_other_widths_rejected(self, width):
+        model, *sets = self.fitted()
+        for k, s in enumerate(sets):
+            wrong = list(sets)
+            wrong[k] = cloud(len(s), d=width, seed=k)
+            with pytest.raises(DimensionMismatch):
+                export_boundary_grid(model, *wrong, resolution=4)
 
     def test_grid_rejects_silly_resolution(self):
         model, train, regular, novel = self.fitted()
@@ -723,25 +706,21 @@ class TestBoundaryGrid:
         assert all(type(v) is float for p in grid.points for v in p[:3])
         assert grid.to_csv_text() == to_csv_text_reference(grid)
 
-    @pytest.mark.parametrize("d, dims, resolution", [
-        (2, (0, 1), 100), (2, (1, 0), 17), (3, (0, 2), 30), (3, (2, 1), 2),
-        (4, (3, 0), 11)])
-    def test_isolation_forest_grid_equals_cell_walk(self, d, dims, resolution):
-        train = cloud(400, d=d, seed=17)
-        regular = cloud(60, d=d, seed=18)
-        novel = cloud(30, d=d, seed=19) * 3.0 + 2.0
-        model = fit_isolation_forest(train, IsoForestParams(n_trees=25, seed=d))
-        grid = export_boundary_grid(model, train, regular, novel, dims=dims,
-                                    resolution=resolution)
-        walk = export_boundary_grid_walk(model, train, regular, novel, dims=dims,
-                                         resolution=resolution)
+    @pytest.mark.parametrize("resolution", [100, 17, 2])
+    def test_isolation_forest_grid_equals_cell_walk(self, resolution):
+        train = cloud(400, seed=17)
+        regular = cloud(60, seed=18)
+        novel = cloud(30, seed=19) * 3.0 + 2.0
+        model = fit_isolation_forest(train, IsoForestParams(n_trees=25, seed=2))
+        grid = export_boundary_grid(model, train, regular, novel, resolution=resolution)
+        walk = export_boundary_grid_walk(model, train, regular, novel, resolution=resolution)
         assert same_bits(grid.x_values, walk.x_values)
         assert same_bits(grid.y_values, walk.y_values)
         assert same_bits(grid.scores, walk.scores)
         assert grid.points == walk.points
         assert grid.to_csv_text() == walk.to_csv_text()
         assert grid.sizes == {"grid_cells": resolution ** 2, "points": 490,
-                              "scored_by": "tables" if d == 2 else "walk"}
+                              "scored_by": "tables"}
 
     def test_vms_eye_grid_equals_cell_walk(self):
         from gazescreen.simulate import generate_cohort
@@ -760,21 +739,14 @@ class TestBoundaryGrid:
         assert grid.to_csv_text() == walk.to_csv_text()
 
     def test_ocsvm_grid_equals_cell_walk(self):
-        train = cloud(150, d=3, seed=20)
+        train = cloud(150, seed=20)
         model = fit_ocsvm(train, OcsvmParams(nu=0.2))
-        for dims in ((0, 1), (2, 0)):
-            grid = export_boundary_grid(model, train, train[:10], train[:5] + 4.0,
-                                        dims=dims, resolution=13)
-            walk = export_boundary_grid_walk(model, train, train[:10], train[:5] + 4.0,
-                                             dims=dims, resolution=13)
-            assert same_bits(grid.scores, walk.scores)
-            assert grid.points == walk.points
-            assert grid.sizes == {"grid_cells": 169, "points": 165}
-
-    def test_grid_rejects_repeated_dims(self):
-        model, train, regular, novel = self.fitted()
-        with pytest.raises(InvalidSpec):
-            export_boundary_grid(model, train, regular, novel, dims=(1, 1))
+        grid = export_boundary_grid(model, train, train[:10], train[:5] + 4.0, resolution=13)
+        walk = export_boundary_grid_walk(model, train, train[:10], train[:5] + 4.0,
+                                         resolution=13)
+        assert same_bits(grid.scores, walk.scores)
+        assert grid.points == walk.points
+        assert grid.sizes == {"grid_cells": 169, "points": 165}
 
     def test_first_column_is_kind(self, tmp_path):
         grid = BoundaryGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
@@ -786,10 +758,10 @@ class TestBoundaryGrid:
         assert lines[-1].startswith("point,")
 
 
-def walk_grid_scores(model, xs, ys, dims, at):
+def walk_grid_scores(model, xs, ys):
     """Reference: the boundary scores of the grid's rows from the walk
     (`walk_sum`), as (len(ys), len(xs))."""
-    total = walk_sum(model._paths, meshgrid_rows(xs, ys, dims, at))
+    total = walk_sum(model._paths, meshgrid_rows(xs, ys))
     return (0.5 - model._anomaly(total / len(model.trees))).reshape(len(ys), len(xs))
 
 
@@ -803,16 +775,11 @@ def hand_forest(trees, n_features):
 
 @st.composite
 def painter_inputs(draw):
-    """An isolation forest on 2-4 features, sometimes with a single-leaf
-    tree inserted or with every column after the first two constant (so
-    that its splits read columns 0 and 1 alone and it has cell tables), and
-    grid axes of 2-30 lines drawn from its thresholds on the plotted columns
-    (exactly and one ulp either side) and the data, sorted or shuffled; the
-    pinned columns sit at the medians or on a split threshold."""
-    X, params = draw(forest_inputs(min_d=2))
-    d = X.shape[1]
-    if draw(st.booleans()):
-        X[:, 2:] = X[0, 2:]
+    """An isolation forest on two columns, sometimes with a single-leaf
+    tree inserted, and grid axes of 2-30 lines drawn from its thresholds
+    on each column (exactly and one ulp either side) and the data, sorted
+    or shuffled."""
+    X, params = draw(forest_inputs(min_d=2, max_d=2))
     model = fit_isolation_forest(X, params)
     trees = list(model.trees)
     if draw(st.booleans()):
@@ -820,13 +787,9 @@ def painter_inputs(draw):
                 "left": np.array([-1]), "right": np.array([-1]),
                 "size": np.array([draw(st.integers(1, 9))]), "depth": np.array([0])}
         trees.insert(draw(st.integers(0, len(trees))), leaf)
-    dims = draw(st.sampled_from([(0, 1), (1, 0)] + ([(0, 2), (2, 1)] if d >= 3 else [])))
-
-    def thresholds(col):
-        return np.concatenate([t["threshold"][t["feature"] == col] for t in trees])
 
     def axis(col):
-        t = thresholds(col)
+        t = np.concatenate([t["threshold"][t["feature"] == col] for t in trees])
         lines = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
                                 X[:, col]])
         k = draw(st.integers(2, 30))
@@ -836,14 +799,7 @@ def painter_inputs(draw):
             values = values[draw(st.permutations(range(k)))]
         return values
 
-    xs, ys = axis(dims[0]), axis(dims[1])
-    at = np.median(X, axis=0)
-    for col in sorted(set(range(d)) - set(dims)):
-        t = thresholds(col)
-        if t.size and draw(st.booleans()):
-            raw = t[draw(st.integers(0, t.size - 1))]
-            at[col] = draw(st.sampled_from([raw, np.nextafter(raw, -np.inf)]))
-    return IsolationForestModel(trees, model.psi, d), xs, ys, dims, at
+    return IsolationForestModel(trees, model.psi, 2), axis(0), axis(1)
 
 
 class TestGridPainter:
@@ -853,35 +809,16 @@ class TestGridPainter:
     @given(painter_inputs())
     @settings(deadline=None, max_examples=200)
     def test_grid_scores_equal_walk(self, inputs):
-        model, xs, ys, dims, at = inputs
-        scores, sizes = model.grid_scores(xs, ys, dims, at)
-        assert same_bits(scores, walk_grid_scores(model, xs, ys, dims, at))
+        model, xs, ys = inputs
+        scores, sizes = model.grid_scores(xs, ys)
+        assert same_bits(scores, walk_grid_scores(model, xs, ys))
         tables = model._paths._cell_tables()
         assert sizes == {"scored_by": "walk" if tables is None else "tables"}
 
-    def test_pinned_column_on_threshold(self):
-        # x_pinned < 1.0 at the root, then x0 < 0.5: a pinned value of
-        # exactly 1.0 goes right, one ulp below it goes left; pinned column
-        # 1 leaves a forest on columns 0 and 1 (tables), column 2 does not
-        xs, ys = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, 1.0]), np.array([7.0, 8.0])
-        for pinned, dims, scored_by in ((1, (0, 2), "tables"), (2, (0, 1), "walk")):
-            tree = {"feature": np.array([pinned, 0, -1, -1, -1]),
-                    "threshold": np.array([1.0, 0.5, 0.0, 0.0, 0.0]),
-                    "left": np.array([1, 2, -1, -1, -1]),
-                    "right": np.array([4, 3, -1, -1, -1])}
-            for value, path_row in ((np.nextafter(1.0, 0.0), [2.0, 2.0, 3.0, 3.0]),
-                                    (1.0, [4.0] * 4)):
-                model = hand_forest([tree], 3)
-                at = np.array([0.0, 0.0, 0.0])
-                at[pinned] = value
-                scores, sizes = model.grid_scores(xs, ys, dims, at)
-                assert sizes == {"scored_by": scored_by}
-                assert same_bits(scores, walk_grid_scores(model, xs, ys, dims, at))
-                assert same_bits(scores, 0.5 - model._anomaly(np.array([path_row] * 2)))
-
     def test_non_finite_thresholds_and_lines(self, monkeypatch):
         # NaN goes right at every split, as in the walk; from the tables,
-        # then over a patched-small budget through the walk
+        # then over a patched-small budget through the walk; each axis
+        # takes both sets of values
         trees = [{"feature": np.array([0, -1, 1, -1, -1]),
                   "threshold": np.array([np.nan, 0.0, np.inf, 0.0, 0.0]),
                   "left": np.array([1, -1, 3, -1, -1]),
@@ -889,16 +826,16 @@ class TestGridPainter:
                  {"feature": np.array([1, -1, -1]),
                   "threshold": np.array([-np.inf, 0.0, 0.0]),
                   "left": np.array([1, -1, -1]), "right": np.array([2, -1, -1])}]
-        xs = np.array([np.nan, 1.0, -np.inf, np.inf, -0.0])
-        ys = np.array([np.inf, np.nan, -np.inf, -1.0])
+        lines = (np.array([np.nan, 1.0, -np.inf, np.inf, -0.0]),
+                 np.array([np.inf, np.nan, -np.inf, -1.0]))
         for scored_by in ("tables", "walk"):
             if scored_by == "walk":
                 monkeypatch.setattr(tree_mod, "_TABLE_ENTRIES", 10)
-            for dims in ((0, 1), (1, 0)):
+            for xs, ys in (lines, lines[::-1]):
                 model = hand_forest(trees, 2)
-                scores, sizes = model.grid_scores(xs, ys, dims, [0.0, 0.0])
+                scores, sizes = model.grid_scores(xs, ys)
                 assert sizes == {"scored_by": scored_by}
-                assert same_bits(scores, walk_grid_scores(model, xs, ys, dims, [0.0, 0.0]))
+                assert same_bits(scores, walk_grid_scores(model, xs, ys))
 
     def test_over_budget_forest_scores_the_walk(self, monkeypatch):
         # the same trees, with their tables and over a patched-small budget
@@ -906,28 +843,35 @@ class TestGridPainter:
         trees = fit_isolation_forest(X, IsoForestParams(n_trees=20, seed=3)).trees
         xs = np.linspace(-3.0, 3.0, 23)
         ys = np.linspace(-2.5, 2.5, 19)
-        on_tables, sizes = IsolationForestModel(trees, 256, 2).grid_scores(
-            xs, ys, (0, 1), [0.0, 0.0])
+        on_tables, sizes = IsolationForestModel(trees, 256, 2).grid_scores(xs, ys)
         assert sizes == {"scored_by": "tables"}
         monkeypatch.setattr(tree_mod, "_TABLE_ENTRIES", 1000)
         model = IsolationForestModel(trees, 256, 2)
-        walked, sizes = model.grid_scores(xs, ys, (0, 1), [0.0, 0.0])
+        walked, sizes = model.grid_scores(xs, ys)
         assert sizes == {"scored_by": "walk"}
         assert same_bits(walked, on_tables)
-        assert same_bits(walked, walk_grid_scores(model, xs, ys, (0, 1), [0.0, 0.0]))
+        assert same_bits(walked, walk_grid_scores(model, xs, ys))
 
-    def test_empty_grid_and_bad_inputs(self):
-        # a forest on two columns (tables) and on three (walk)
-        for d in (2, 3):
-            model = fit_isolation_forest(cloud(50, d=d, seed=21), IsoForestParams(n_trees=3))
-            assert (model._paths._cell_tables() is None) == (d == 3)
-            scores, _ = model.grid_scores(np.array([]), np.array([1.0]), (0, 1), np.zeros(d))
-            assert scores.shape == (1, 0)
-            for dims in ((1, 1), (0, d), (-1, 0)):
-                with pytest.raises(InvalidSpec):
-                    model.grid_scores(np.zeros(2), np.zeros(2), dims, np.zeros(d))
+    def test_empty_grid_and_bad_inputs(self, monkeypatch):
+        # an empty grid from the tables and, over a patched-small budget,
+        # through the walk
+        trees = fit_isolation_forest(cloud(50, seed=21), IsoForestParams(n_trees=3)).trees
+        for scored_by in ("tables", "walk"):
+            if scored_by == "walk":
+                monkeypatch.setattr(tree_mod, "_TABLE_ENTRIES", 10)
+            scores, sizes = IsolationForestModel(trees, 50, 2).grid_scores(
+                np.array([]), np.array([1.0]))
+            assert scores.shape == (1, 0) and sizes == {"scored_by": scored_by}
+        # a forest on 1 or 3 columns has no (x, y) grid, also when its
+        # splits read columns 0 and 1 alone and it has cell tables
+        monkeypatch.undo()
+        X = cloud(50, d=3, seed=21)
+        for wrong, has_tables in ((X[:, :1], True), (X, False),
+                                  (np.column_stack([X[:, :2], np.zeros(50)]), True)):
+            model = fit_isolation_forest(wrong, IsoForestParams(n_trees=3))
+            assert (model._paths._cell_tables() is not None) == has_tables
             with pytest.raises(DimensionMismatch):
-                model.grid_scores(np.zeros(2), np.zeros(2), (0, 1), np.zeros(d - 1))
+                model.grid_scores(np.zeros(2), np.zeros(2))
 
 
 _QUERY_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0]

@@ -50,10 +50,10 @@ def names_read(tree):
 
 
 def definitions_and_reads(tree):
-    """(name, line) of each module-level function and class, and every
-    name the module reads outside the definition of that same name: names
-    loaded, attribute names (`pipeline.fit_ocsvm` reads fit_ocsvm) and the
-    strings of __all__."""
+    """(name, line) of each module-level function, class and constant
+    (`NAME = ...`, but not `__all__`), and every name the module reads
+    outside the definition of that same name: names loaded, attribute names
+    (`pipeline.fit_ocsvm` reads fit_ocsvm) and the strings of __all__."""
     defined, read = [], exported(tree)
     for stmt in tree.body:
         names = set()
@@ -63,9 +63,14 @@ def definitions_and_reads(tree):
             elif isinstance(n, ast.Attribute):
                 names.add(n.attr)
         if isinstance(stmt, _DEFINITIONS):
-            defined.append((stmt.name, stmt.lineno))
-            names.discard(stmt.name)
-        read |= names
+            own = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            own = [t.id for t in stmt.targets
+                   if isinstance(t, ast.Name) and t.id != "__all__"]
+        else:
+            own = []
+        defined += [(name, stmt.lineno) for name in own]
+        read |= names - set(own)
     return defined, read
 
 
@@ -91,8 +96,9 @@ def test_checker_sees_an_unused_import():
 
 
 def test_every_definition_is_read():
-    """A module-level function or class of the package that src/ and
-    demos/ never read (outside its own definition) is dead or test-only."""
+    """A module-level function, class or constant of the package that src/
+    and demos/ never read (outside its own definition) is dead or
+    test-only."""
     defined, read = [], set()
     for path in READERS:
         names, reads = definitions_and_reads(ast.parse(path.read_text(), filename=str(path)))
@@ -109,9 +115,11 @@ def test_checker_sees_an_unread_definition():
         "def recursive(n):\n    return recursive(n - 1)\n"
         "class Exported:\n    pass\n"
         "def by_attribute():\n    pass\n"
+        "READ = 1\nUNREAD = READ + 1\nGROWN = 2\nGROWN = GROWN + 1\n"
         "__all__ = ['Exported']\nprint(used(), mod.by_attribute)\n"))
-    assert [n for n, _ in defined] == ["used", "recursive", "Exported", "by_attribute"]
-    assert [n for n, _ in defined if n not in read] == ["recursive"]
+    assert [n for n, _ in defined] == ["used", "recursive", "Exported", "by_attribute",
+                                       "READ", "UNREAD", "GROWN", "GROWN"]
+    assert [n for n, _ in defined if n not in read] == ["recursive", "UNREAD", "GROWN", "GROWN"]
 
 
 def imports_of_command(args, cwd):
