@@ -124,22 +124,6 @@ class GazeDataset:
     def __len__(self):
         return len(self.features)
 
-    @property
-    def t(self):
-        return self.features[:, _T]
-
-    @property
-    def left_dirs(self):
-        return self.features[:, _LEFT]
-
-    @property
-    def right_dirs(self):
-        return self.features[:, _RIGHT]
-
-    @property
-    def cyclopean_dirs(self):
-        return self.features[:, _CYC]
-
     def eye_dirs(self, eye):
         """Direction block for eye in {'left', 'right', 'cyclopean'}."""
         sl = {"left": _LEFT, "right": _RIGHT, "cyclopean": _CYC}.get(eye)

@@ -67,10 +67,6 @@ class LengthMismatch(DataError):
     pass
 
 
-class EmptyNode(DataError):
-    pass
-
-
 class TrainingSizeExceeded(DataError):
     """Training set larger than a model's dense-algebra cap."""
 

@@ -18,7 +18,7 @@ from .linear import (
 )
 from .naive_bayes import GaussianNaiveBayes, NBParams, fit_naive_bayes
 from .svm import SvcParams, SvcRbfModel, fit_svc_rbf
-from .tree import DecisionTreeModel, TreeParams, fit_decision_tree, gini_impurity
+from .tree import DecisionTreeModel, TreeParams, fit_decision_tree
 
 # canonical short kinds -> human-readable report names
 DISPLAY_NAMES = {
@@ -43,6 +43,6 @@ __all__ = [
     "PerceptronParams", "fit_logreg", "fit_perceptron", "logreg_objective",
     "GaussianNaiveBayes", "NBParams", "fit_naive_bayes",
     "SvcParams", "SvcRbfModel", "fit_svc_rbf",
-    "DecisionTreeModel", "TreeParams", "fit_decision_tree", "gini_impurity",
+    "DecisionTreeModel", "TreeParams", "fit_decision_tree",
     "DISPLAY_NAMES", "MODEL_KINDS",
 ]

@@ -101,14 +101,20 @@ class FeatureMatrix:
 
 
 class FittedModel:
-    """Base class: subclasses set `kind`, `threshold`, `n_features` and
-    implement `_score(X)` plus `_params_to_json` / `_apply_params`."""
+    """Base class: subclasses set `kind` and `threshold` and implement
+    `_score(X)` and `_params_to_json`.
+
+    A subclass has one constructor, `(n_features, **params)`, used both by
+    its fit and by `from_dict`: the keys of `_params_to_json` are its
+    arguments after `n_features`, and it converts each from its JSON form
+    and checks the width of each array that has one against `n_features`.
+    """
 
     kind = "?"
     threshold = 0.0
 
-    def __init__(self):
-        self.n_features = None
+    def __init__(self, n_features):
+        self.n_features = n_features
         self.meta = {}
 
     def _check_X(self, X):
@@ -139,11 +145,11 @@ class FittedModel:
 
     @classmethod
     def from_dict(cls, payload):
-        model = cls.__new__(cls)
-        FittedModel.__init__(model)
-        model.n_features = payload["n_features"]
+        try:
+            model = cls(payload["n_features"], **payload["params"])
+        except (KeyError, TypeError, ValueError, DimensionMismatch) as e:
+            raise InvalidSpec(f"{cls.kind} model file: bad or missing field: {e}") from None
         model.meta = payload.get("meta", {})
-        model._apply_params(payload["params"])
         return model
 
 
@@ -168,7 +174,13 @@ def model_from_dict(payload):
 
 def load_model(path):
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise InvalidSpec(f"{path}: not a JSON model file: {e}") from None
+    if not isinstance(payload, dict):
+        raise InvalidSpec(f"{path}: a model file holds a JSON object")
+    return model_from_dict(payload)
 
 
 def arr(x):

@@ -47,17 +47,13 @@ class AdaBoostModel(FittedModel):
     kind = "ADA"
     threshold = 0.0
 
-    def __init__(self, stumps, alphas, n_features):
-        super().__init__()
-        self.n_features = n_features
-        self._set_stumps(stumps, alphas)
-
-    def _set_stumps(self, stumps, alphas):
-        self.stumps = stumps
-        self.alphas = alphas
+    def __init__(self, n_features, alphas, stumps):
+        super().__init__(n_features)
+        self.alphas = [float(a) for a in alphas]
+        self.stumps = [nodes_from_json(s) for s in stumps]
         # each leaf holds alpha_m * h_m(x), with stump outputs mapped to +-1
-        self._weighted = FlatEnsemble(
-            stumps, [a * np.where(s["p1"] > 0.5, 1.0, -1.0) for s, a in zip(stumps, alphas)])
+        self._weighted = FlatEnsemble(self.stumps, [
+            a * np.where(s["p1"] > 0.5, 1.0, -1.0) for s, a in zip(self.stumps, self.alphas)])
 
     @property
     def n_nodes(self):
@@ -72,10 +68,6 @@ class AdaBoostModel(FittedModel):
             "alphas": list(self.alphas),
             "stumps": [nodes_to_json(s) for s in self.stumps],
         }
-
-    def _apply_params(self, p):
-        self._set_stumps([nodes_from_json(s) for s in p["stumps"]],
-                         [float(a) for a in p["alphas"]])
 
 
 def fit_adaboost(fm: FeatureMatrix, hp: AdaBoostParams = None, seed: int = 0):
@@ -107,7 +99,7 @@ def fit_adaboost(fm: FeatureMatrix, hp: AdaBoostParams = None, seed: int = 0):
         nodes = grow_tree(X, y, fm.normalized_weights(),
                           TreeParams(min_samples_split=len(X) + 1))
         stumps, alphas = [nodes], [0.0]
-    model = AdaBoostModel(stumps, alphas, fm.d)
+    model = AdaBoostModel(fm.d, alphas, stumps)
     model.meta = {"hyperparams": asdict(hp), "seed": seed,
                   "n_rounds": len(stumps)}
     return model

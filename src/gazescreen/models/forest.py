@@ -43,15 +43,12 @@ class RandomForestModel(FittedModel):
     kind = "RF"
     threshold = 0.5  # decision_score is the fraction of trees voting 1
 
-    def __init__(self, trees, n_features):
-        super().__init__()
-        self.n_features = n_features
-        self._set_trees(trees)
-
-    def _set_trees(self, trees):
-        self.trees = trees
+    def __init__(self, n_features, trees):
+        super().__init__(n_features)
+        self.trees = [nodes_from_json(t) for t in trees]
         # each tree's leaf votes 1 when its class-1 fraction exceeds 1/2
-        self._votes = FlatEnsemble(trees, [(t["p1"] > 0.5).astype(float) for t in trees])
+        self._votes = FlatEnsemble(self.trees,
+                                   [(t["p1"] > 0.5).astype(float) for t in self.trees])
 
     @property
     def n_nodes(self):
@@ -62,9 +59,6 @@ class RandomForestModel(FittedModel):
 
     def _params_to_json(self):
         return {"trees": [nodes_to_json(t) for t in self.trees]}
-
-    def _apply_params(self, p):
-        self._set_trees([nodes_from_json(t) for t in p["trees"]])
 
 
 def fit_random_forest(fm: FeatureMatrix, hp: ForestParams = None, seed: int = 0):
@@ -84,6 +78,6 @@ def fit_random_forest(fm: FeatureMatrix, hp: ForestParams = None, seed: int = 0)
     bags = [rng.integers(0, fm.n, size=n_draw) if hp.bootstrap else np.arange(n_draw)
             for rng in rngs]
     trees = CartGrower(fm.X, fm.y, tree_hp, max_features=m).grow(w, bags, rngs)
-    model = RandomForestModel(trees, fm.d)
+    model = RandomForestModel(fm.d, trees)
     model.meta = {"hyperparams": asdict(hp), "seed": seed}
     return model

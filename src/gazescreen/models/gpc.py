@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import InvalidHyperParam, KernelNotPD, TrainingSizeExceeded
 from ..kernels import squared_distances, squared_norms
-from .base import FeatureMatrix, FittedModel, arr, register_model
+from .base import FeatureMatrix, FittedModel, arr, as_rows, register_model
 
 _JITTER = 1e-8
 # Test rows per block of `GpcModel.latent`. BLAS rounds a product by its
@@ -176,14 +176,14 @@ class GpcModel(FittedModel):
     kind = "GPC"
     threshold = 0.0  # decision_score is the probit-scaled latent mean
 
-    def __init__(self, X_train, y_train, f_hat, theta, converged=True, L=None):
-        super().__init__()
-        self.X_train = X_train
-        self.y_train = y_train
-        self.f_hat = f_hat
-        self.theta = theta
-        self.converged = converged
-        self.n_features = X_train.shape[1]
+    def __init__(self, n_features, X_train, y_train, f_hat, theta, converged=True,
+                 L=None):
+        super().__init__(n_features)
+        self.X_train = as_rows(X_train, n_features, "GPC X_train")
+        self.y_train = np.asarray(y_train, dtype=np.int64)
+        self.f_hat = arr(f_hat)
+        self.theta = arr(theta)
+        self.converged = bool(converged)
         self._finalize(L)
 
     def _finalize(self, L=None):
@@ -239,11 +239,6 @@ class GpcModel(FittedModel):
         mean, var = self.latent(X)
         return mean / np.sqrt(1.0 + np.pi * var / 8.0)
 
-    def predict_proba(self, X):
-        from scipy.special import expit
-
-        return expit(self.decision_score(X))
-
     def _params_to_json(self):
         return {
             "X_train": self.X_train.tolist(),
@@ -252,15 +247,6 @@ class GpcModel(FittedModel):
             "theta": list(self.theta),
             "converged": self.converged,
         }
-
-    def _apply_params(self, p):
-        self.X_train = arr(p["X_train"])
-        self.y_train = np.asarray(p["y_train"], dtype=np.int64)
-        self.f_hat = arr(p["f_hat"])
-        self.theta = np.asarray(p["theta"], dtype=float)
-        self.converged = bool(p.get("converged", True))
-        self.n_features = self.X_train.shape[1]
-        self._finalize()
 
 
 def default_theta0(X):
@@ -326,7 +312,7 @@ def fit_gpc(fm: FeatureMatrix, hp: GpcParams = None, seed: int = 0):
         f_hat, _, _, _, L, _, steps = _posterior_mode(K, ypm, hp.newton_tol,
                                                      hp.max_iter_predict)
         newton_steps += steps
-    model = GpcModel(fm.X.copy(), fm.y.copy(), f_hat, theta, converged, L)
+    model = GpcModel(fm.d, fm.X.copy(), fm.y.copy(), f_hat, theta, converged, L)
     model.meta = {"hyperparams": {**asdict(hp), "theta0": None if hp.theta0 is None else list(hp.theta0)},
                   "seed": seed, "theta": [float(v) for v in theta],
                   "n_lml_evals": n_evals, "newton_steps": newton_steps,

@@ -1,5 +1,7 @@
 """Linear models: L2-regularised logistic regression (L-BFGS) and a
-mistake-driven perceptron with optional per-update L2 shrinkage.
+mistake-driven perceptron with optional per-update L2 shrinkage. Both fit
+the same model, `X @ weights + intercept` (`_LinearModel`), and differ in
+their kind and fit alone.
 
 scipy is imported inside the functions that call it: scoring a logistic
 regression is `X @ w + b`, and importing the package does not load scipy.
@@ -11,7 +13,26 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import InvalidHyperParam
-from .base import FeatureMatrix, FittedModel, arr, register_model
+from .base import FeatureMatrix, FittedModel, as_rows, register_model
+
+
+class _LinearModel(FittedModel):
+    """`X @ weights + intercept`, class 1 above 0."""
+
+    threshold = 0.0
+
+    def __init__(self, n_features, weights, intercept, converged=True):
+        super().__init__(n_features)
+        self.weights = as_rows(weights, n_features, f"{self.kind} weights")[0]
+        self.intercept = float(intercept)
+        self.converged = bool(converged)
+
+    def _score(self, X):
+        return X @ self.weights + self.intercept
+
+    def _params_to_json(self):
+        return {"weights": self.weights.tolist(), "intercept": self.intercept,
+                "converged": self.converged}
 
 
 # -- logistic regression -------------------------------------------------------
@@ -45,34 +66,8 @@ def logreg_objective(params, X, y, sample_weights, l2):
 
 
 @register_model
-class LogisticRegressionModel(FittedModel):
+class LogisticRegressionModel(_LinearModel):
     kind = "LR"
-    threshold = 0.0
-
-    def __init__(self, weights, intercept, converged=True):
-        super().__init__()
-        self.weights = weights
-        self.intercept = intercept
-        self.converged = converged
-        self.n_features = len(weights)
-
-    def _score(self, X):
-        return X @ self.weights + self.intercept
-
-    def predict_proba(self, X):
-        from scipy.special import expit
-
-        return expit(self.decision_score(X))
-
-    def _params_to_json(self):
-        return {"weights": self.weights.tolist(), "intercept": self.intercept,
-                "converged": self.converged}
-
-    def _apply_params(self, p):
-        self.weights = arr(p["weights"])
-        self.intercept = float(p["intercept"])
-        self.converged = bool(p.get("converged", True))
-        self.n_features = len(self.weights)
 
 
 def fit_logreg(fm: FeatureMatrix, hp: LogRegParams = None):
@@ -90,7 +85,7 @@ def fit_logreg(fm: FeatureMatrix, hp: LogRegParams = None):
         method="L-BFGS-B", jac=True,
         options={"maxiter": hp.max_iter, "gtol": hp.tol, "ftol": 1e-14})
     grad_inf = float(np.max(np.abs(res.jac)))
-    model = LogisticRegressionModel(res.x[:-1].copy(), float(res.x[-1]),
+    model = LogisticRegressionModel(fm.d, res.x[:-1].copy(), res.x[-1],
                                     converged=grad_inf <= hp.tol)
     model.meta = {"hyperparams": asdict(hp), "n_iter": int(res.nit),
                   "grad_inf_norm": grad_inf, "converged": model.converged}
@@ -127,29 +122,8 @@ class PerceptronParams:
 
 
 @register_model
-class PerceptronModel(FittedModel):
+class PerceptronModel(_LinearModel):
     kind = "PERC"
-    threshold = 0.0
-
-    def __init__(self, weights, intercept, converged=True):
-        super().__init__()
-        self.weights = weights
-        self.intercept = intercept
-        self.converged = converged
-        self.n_features = len(weights)
-
-    def _score(self, X):
-        return X @ self.weights + self.intercept
-
-    def _params_to_json(self):
-        return {"weights": self.weights.tolist(), "intercept": self.intercept,
-                "converged": self.converged}
-
-    def _apply_params(self, p):
-        self.weights = arr(p["weights"])
-        self.intercept = float(p["intercept"])
-        self.converged = bool(p.get("converged", True))
-        self.n_features = len(self.weights)
 
 
 def _perceptron_loss(X, ypm, sw, w, b):
@@ -232,7 +206,7 @@ def fit_perceptron(fm: FeatureMatrix, hp: PerceptronParams = None, seed: int = 0
     # a plateau is the normal stop on data that is not separable; only
     # running out of epochs leaves the fit unconverged
     converged = stop != "max_iter"
-    model = PerceptronModel(w, float(b), converged)
+    model = PerceptronModel(fm.d, w, b, converged)
     model.meta = {"hyperparams": asdict(hp), "seed": seed,
                   "n_epochs": epochs, "stop": stop, "converged": converged}
     return model

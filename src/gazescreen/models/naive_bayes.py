@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import InvalidHyperParam
-from .base import FeatureMatrix, FittedModel, arr, register_model
+from .base import FeatureMatrix, FittedModel, arr, as_rows, register_model
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -29,12 +29,11 @@ class GaussianNaiveBayes(FittedModel):
     kind = "NB"
     threshold = 0.0
 
-    def __init__(self, class_log_prior, means, variances):
-        super().__init__()
-        self.class_log_prior = class_log_prior
-        self.means = means          # (2, d)
-        self.variances = variances  # (2, d)
-        self.n_features = means.shape[1]
+    def __init__(self, n_features, class_log_prior, means, variances):
+        super().__init__(n_features)
+        self.class_log_prior = arr(class_log_prior)
+        self.means = as_rows(means, n_features, "NB means")              # (2, d)
+        self.variances = as_rows(variances, n_features, "NB variances")  # (2, d)
 
     def joint_log_likelihood(self, X):
         """(n, 2) array of log prior + sum of per-feature Gaussian log pdfs."""
@@ -57,12 +56,6 @@ class GaussianNaiveBayes(FittedModel):
             "means": self.means.tolist(),
             "variances": self.variances.tolist(),
         }
-
-    def _apply_params(self, p):
-        self.class_log_prior = arr(p["class_log_prior"])
-        self.means = arr(p["means"])
-        self.variances = arr(p["variances"])
-        self.n_features = self.means.shape[1]
 
 
 def fit_naive_bayes(fm: FeatureMatrix, hp: NBParams = None):
@@ -89,6 +82,6 @@ def fit_naive_bayes(fm: FeatureMatrix, hp: NBParams = None):
         log_prior[c] = np.log(wsum / total)
     if variances.min() <= 0:
         variances += max(eps, 1e-12)
-    model = GaussianNaiveBayes(log_prior, means, variances)
+    model = GaussianNaiveBayes(fm.d, log_prior, means, variances)
     model.meta = {"hyperparams": asdict(hp)}
     return model

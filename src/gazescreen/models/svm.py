@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import InvalidHyperParam
 from ..kernels import KernelRowCache, kernel_expansion, resolve_gamma
-from .base import FeatureMatrix, FittedModel, arr, register_model
+from .base import FeatureMatrix, FittedModel, arr, as_rows, register_model
 
 _TAU = 1e-12
 
@@ -43,14 +43,14 @@ class SvcRbfModel(FittedModel):
     kind = "SVC"
     threshold = 0.0
 
-    def __init__(self, support_X, dual_coef, intercept, gamma, converged=True):
-        super().__init__()
-        self.support_X = support_X
-        self.dual_coef = dual_coef  # alpha_i * y_i for support vectors
-        self.intercept = intercept
-        self.gamma = gamma
-        self.converged = converged
-        self.n_features = support_X.shape[1]
+    def __init__(self, n_features, support_X, dual_coef, intercept, gamma,
+                 converged=True):
+        super().__init__(n_features)
+        self.support_X = as_rows(support_X, n_features, "SVC support_X")
+        self.dual_coef = arr(dual_coef)  # alpha_i * y_i for support vectors
+        self.intercept = float(intercept)
+        self.gamma = float(gamma)
+        self.converged = bool(converged)
 
     def _score(self, X):
         out = kernel_expansion(X, self.support_X, self.gamma, self.dual_coef)
@@ -65,14 +65,6 @@ class SvcRbfModel(FittedModel):
             "gamma": self.gamma,
             "converged": self.converged,
         }
-
-    def _apply_params(self, p):
-        self.support_X = arr(p["support_X"])
-        self.dual_coef = arr(p["dual_coef"])
-        self.intercept = float(p["intercept"])
-        self.gamma = float(p["gamma"])
-        self.converged = bool(p["converged"])
-        self.n_features = self.support_X.shape[1]
 
 
 def fit_svc_rbf(fm: FeatureMatrix, hp: SvcParams = None, seed: int = 0):
@@ -185,7 +177,7 @@ def fit_svc_rbf(fm: FeatureMatrix, hp: SvcParams = None, seed: int = 0):
         b = float(0.5 * (hi + lo))
 
     sv = alpha > 1e-12
-    model = SvcRbfModel(X[sv].copy(), (alpha * y)[sv], b, gamma, converged)
+    model = SvcRbfModel(fm.d, X[sv].copy(), (alpha * y)[sv], b, gamma, converged)
     model.meta = {"hyperparams": {**asdict(hp), "gamma": str(hp.gamma)},
                   "seed": seed, "gamma_value": gamma, "n_iter": n_iter,
                   "n_support": int(sv.sum()), "converged": converged,

@@ -19,21 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import DimensionMismatch, EmptyNode, InvalidHyperParam
+from ..errors import DimensionMismatch, InvalidHyperParam
 from .base import FeatureMatrix, FittedModel, register_model
-
-
-def gini_impurity(labels, weights=None):
-    """1 - sum of squared class proportions (weighted when weights given)."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise EmptyNode("gini impurity of an empty node is undefined")
-    if weights is None:
-        weights = np.ones(labels.size)
-    total = weights.sum()
-    p1 = weights[labels == 1].sum() / total
-    p0 = 1.0 - p1
-    return 1.0 - (p0 * p0 + p1 * p1)
 
 
 @dataclass
@@ -673,10 +660,9 @@ class DecisionTreeModel(FittedModel):
     kind = "DT"
     threshold = 0.5  # decision_score is the leaf class-1 fraction
 
-    def __init__(self, nodes, n_features):
-        super().__init__()
-        self.nodes = nodes
-        self.n_features = n_features
+    def __init__(self, n_features, **nodes):
+        super().__init__(n_features)
+        self.nodes = nodes_from_json(nodes)
 
     @property
     def n_nodes(self):
@@ -695,14 +681,11 @@ class DecisionTreeModel(FittedModel):
     def _params_to_json(self):
         return nodes_to_json(self.nodes)
 
-    def _apply_params(self, p):
-        self.nodes = nodes_from_json(p)
-
 
 def fit_decision_tree(fm: FeatureMatrix, hp: TreeParams = None):
     hp = hp or TreeParams()
     w = fm.normalized_weights()
     nodes = grow_tree(fm.X, fm.y.astype(float), w, hp)
-    model = DecisionTreeModel(nodes, fm.d)
+    model = DecisionTreeModel(fm.d, **nodes)
     model.meta = {"hyperparams": asdict(hp)}
     return model

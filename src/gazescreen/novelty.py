@@ -525,13 +525,16 @@ def export_boundary_grid(model, X_train, X_regular, X_novel, resolution=100):
     plus every point itself, tagged train/regular/novel.
 
     The grid is (x, y): each set has two columns, x then y, and a set of
-    any other width raises DimensionMismatch. The model scores the grid
+    any other width raises DimensionMismatch; a set holding NaN or inf
+    raises DataError. The model scores the grid
     (`grid_scores`); the grid's `sizes` record the cells and points scored
     and what the model reports of its grid.
     """
     if resolution < 2:
         raise InvalidSpec("resolution must be >= 2")
     sets = [as_rows(s, 2, "boundary grid") for s in (X_train, X_regular, X_novel)]
+    for tag, pts in zip(("train", "regular", "novel"), sets):
+        _require_finite(pts, f"boundary grid {tag} points")
     allpts = np.concatenate(sets, axis=0)
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)

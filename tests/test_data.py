@@ -146,7 +146,7 @@ class TestCsv:
         text = path.read_text().replace("0.0,0.0,1.0", "0.0,0.0,1.0005")
         path.write_text(text)
         back = load_csv(path, "SP")
-        assert np.allclose(np.linalg.norm(back.left_dirs, axis=1), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(back.eye_dirs("left"), axis=1), 1.0, atol=1e-12)
 
     def test_badly_off_norms_rejected(self, tmp_path):
         ds = toy_dataset(3)

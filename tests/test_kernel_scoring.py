@@ -157,7 +157,7 @@ class TestScorers:
         L = gpc._L.copy()
         L[3, 1] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
-            GpcModel(gpc.X_train, gpc.y_train, gpc.f_hat, gpc.theta, L=L)
+            GpcModel(gpc.n_features, gpc.X_train, gpc.y_train, gpc.f_hat, gpc.theta, L=L)
 
     def test_no_rows(self, svc, ocsvm, gpc):
         assert svc.decision_score(np.empty((0, 14))).shape == (0,)

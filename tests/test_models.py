@@ -1,5 +1,6 @@
 """Per-classifier tests: hand-worked examples, exact reference
 implementations, gradient checks, and serialization round-trips."""
+import json
 import math
 from fractions import Fraction
 from unittest import mock
@@ -12,7 +13,6 @@ from hypothesis.extra import numpy as hnp
 
 from gazescreen.errors import (
     DimensionMismatch,
-    EmptyNode,
     InvalidHyperParam,
     InvalidSpec,
     SingleClass,
@@ -37,7 +37,6 @@ from gazescreen.models import (
     fit_perceptron,
     fit_random_forest,
     fit_svc_rbf,
-    gini_impurity,
     gpc_lml_and_grad,
     load_model,
     model_from_dict,
@@ -156,18 +155,6 @@ def tree_node_rows(nodes, X):
         out[int(nodes["right"][node])] = idx[~go_left]
         stack.extend([int(nodes["left"][node]), int(nodes["right"][node])])
     return out
-
-
-class TestGini:
-    def test_hand_values(self):
-        assert gini_impurity([1, 0, 0, 0]) == pytest.approx(0.375, abs=0)
-        assert gini_impurity([0, 0]) == 0.0
-        assert gini_impurity([0, 1]) == 0.5
-        assert gini_impurity([0, 1], np.array([1.0, 3.0])) == pytest.approx(0.375)
-
-    def test_empty_node(self):
-        with pytest.raises(EmptyNode):
-            gini_impurity([])
 
 
 class TestDecisionTree:
@@ -901,14 +888,6 @@ class TestLogReg:
         assert np.array_equal(a.weights, b.weights)
         assert a.intercept == b.intercept
 
-    def test_proba_is_sigmoid_of_score(self):
-        X, y = blobs(20, seed=18)
-        model = fit_logreg(fm(X, y))
-        p = model.predict_proba(X)
-        from scipy.special import expit
-        assert np.allclose(p, expit(model.decision_score(X)), atol=1e-12)
-        assert p.min() >= 0 and p.max() <= 1
-
 
 # -- perceptron ---------------------------------------------------------------
 
@@ -1069,7 +1048,8 @@ class TestGpc:
         model = fit_gpc(fm(X, y), GpcParams(optimize_hyperparams=False))
         origin = np.zeros((1, 2))
         assert abs(model.decision_score(origin)[0]) <= 1e-6
-        assert model.predict_proba(origin)[0] == pytest.approx(0.5, abs=1e-6)
+        from scipy.special import expit
+        assert expit(model.decision_score(origin))[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_separable_blobs_classified(self):
         X, y = blobs(20, seed=24, sep=5.0)
@@ -1077,7 +1057,8 @@ class TestGpc:
         assert np.array_equal(model.predict(X), y)
         # Laplace + MacKay damping keeps probabilities conservative, so just
         # require every point confidently on its own side
-        p = model.predict_proba(X)
+        from scipy.special import expit
+        p = expit(model.decision_score(X))
         assert np.all(p[y == 1] > 0.6) and np.all(p[y == 0] < 0.4)
 
     def test_hyperparameter_search_does_not_hurt_lml(self):
@@ -1161,6 +1142,7 @@ class TestSerialization:
             model.save(path)
             back = load_model(path)
             assert back.kind == model.kind
+            assert json.dumps(back.to_dict()) == json.dumps(model.to_dict())
             assert np.array_equal(back.decision_score(probe),
                                   model.decision_score(probe))
             assert np.array_equal(back.predict(probe), model.predict(probe))
@@ -1182,6 +1164,27 @@ class TestSerialization:
         with pytest.raises(InvalidSpec):
             model_from_dict({"format": "gazescreen-model", "version": 1,
                              "kind": "XX"})
+        good = fit_logreg(fm(*blobs(10, seed=7))).to_dict()
+        params = good["params"]
+        no_intercept = {k: v for k, v in params.items() if k != "intercept"}
+        no_n_features = {k: v for k, v in good.items() if k != "n_features"}
+        for payload, match in [
+                ({**good, "params": no_intercept}, "LR.*intercept"),
+                ({**good, "params": {**params, "bias": 0.0}}, "LR.*bias"),
+                ({**good, "params": {**params, "intercept": "abc"}}, "LR.*abc"),
+                ({**good, "n_features": 3}, r"LR.*expected \(n, 3\)"),
+                (no_n_features, "LR.*n_features")]:
+            with pytest.raises(InvalidSpec, match=match):
+                model_from_dict(payload)
+
+    def test_file_without_converged_loads_converged(self):
+        model = model_from_dict({
+            "format": "gazescreen-model", "version": 1, "kind": "LR",
+            "n_features": 2, "meta": {},
+            "params": {"weights": [1.0, -2.0], "intercept": 0.5}})
+        assert model.converged is True
+        assert np.array_equal(model.decision_score([[1.0, 1.0], [0.0, 0.0]]),
+                              [-0.5, 0.5])
 
 
 # -- flat ensemble scoring ---------------------------------------------------------

@@ -668,6 +668,15 @@ class TestBoundaryGrid:
             with pytest.raises(DimensionMismatch):
                 export_boundary_grid(model, *wrong, resolution=4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sets_with_non_finite_points_rejected(self, bad):
+        model, *sets = self.fitted()
+        for k, tag in enumerate(("train", "regular", "novel")):
+            wrong = [s.copy() for s in sets]
+            wrong[k][len(wrong[k]) // 2, 0] = bad
+            with pytest.raises(DataError, match=f"{tag} points"):
+                export_boundary_grid(model, *wrong, resolution=4)
+
     def test_grid_rejects_silly_resolution(self):
         model, train, regular, novel = self.fitted()
         with pytest.raises(InvalidSpec):

@@ -778,6 +778,22 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "--models-dir", str(tmp_path / "empty")]) == 2
     capsys.readouterr()                       # swallow the error chatter
 
+    # a truncated model file and one that lacks a parameter
+    assert cli_main(["train", "--n-control", "1", "--n-concussed", "1", "--seed", "0",
+                     "--models", "LR", "--out-dir", str(tmp_path / "lr")]) == 0
+    good = (tmp_path / "lr" / "models" / "LR.json").read_text()
+    payload = json.loads(good)
+    del payload["params"]["intercept"]
+    for name, text in [("truncated", good[:len(good) // 2]),
+                       ("no_intercept", json.dumps(payload))]:
+        os.makedirs(tmp_path / name)
+        (tmp_path / name / "LR.json").write_text(text)
+        capsys.readouterr()
+        assert cli_main(["evaluate", "--data", str(csv),
+                         "--models-dir", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (evaluate):") and "Traceback" not in err
+
 
 def test_cli_evaluate_binary_file_is_a_data_error(tmp_path, capsys):
     data = tmp_path / "image.png"

@@ -127,27 +127,27 @@ class TestEyeModel:
         for kind in ("SP", "VMS"):
             spec = SessionSpec(kind, seed=3, impairment=CLEAN)
             ds = simulate_session(spec)
-            target = target_trajectory(spec, ds.t)
-            assert np.array_equal(ds.left_dirs, target)
-            assert np.array_equal(ds.right_dirs, target)
-            assert np.allclose(ds.cyclopean_dirs, target, atol=1e-14)
+            target = target_trajectory(spec, ds.features[:, 0])
+            assert np.array_equal(ds.eye_dirs("left"), target)
+            assert np.array_equal(ds.eye_dirs("right"), target)
+            assert np.allclose(ds.eye_dirs("cyclopean"), target, atol=1e-14)
 
     def test_emitted_directions_unit_norm(self):
         ds = simulate_session(SessionSpec("VMS", label=1, seed=11))
-        for block in (ds.left_dirs, ds.right_dirs, ds.cyclopean_dirs):
-            assert np.allclose(np.linalg.norm(block, axis=1), 1.0, atol=1e-9)
+        for eye in ("left", "right", "cyclopean"):
+            assert np.allclose(np.linalg.norm(ds.eye_dirs(eye), axis=1), 1.0, atol=1e-9)
 
     def test_gain_scales_eccentricity(self):
         imp = ImpairmentParams(pursuit_gain=0.75, latency_s=0.0, noise_deg=0.0,
                                intrusion_rate_hz=0.0, intrusion_amp_deg=0.0)
         spec = SessionSpec("VMS", seed=0, impairment=imp)
         ds = simulate_session(spec)
-        target = target_trajectory(spec, ds.t)
+        target = target_trajectory(spec, ds.features[:, 0])
         ecc_target = np.arccos(np.clip(target[:, 2], -1, 1))
-        ecc_eye = np.arccos(np.clip(ds.left_dirs[:, 2], -1, 1))
+        ecc_eye = np.arccos(np.clip(ds.eye_dirs("left")[:, 2], -1, 1))
         assert np.allclose(ecc_eye, 0.75 * ecc_target, atol=1e-9)
         # undershoot keeps the sign of the yaw
-        assert np.all(np.sign(np.round(ds.left_dirs[:, 0], 12))
+        assert np.all(np.sign(np.round(ds.eye_dirs("left")[:, 0], 12))
                       == np.sign(np.round(target[:, 0], 12)))
 
     def test_latency_shifts_eye_behind_target(self):
@@ -155,8 +155,8 @@ class TestEyeModel:
                                intrusion_rate_hz=0.0, intrusion_amp_deg=0.0)
         spec = SessionSpec("VMS", seed=0, impairment=imp)
         ds = simulate_session(spec)
-        target = target_trajectory(spec, ds.t)
-        ex, tx = ds.left_dirs[:, 0], target[:, 0]
+        target = target_trajectory(spec, ds.features[:, 0])
+        ex, tx = ds.eye_dirs("left")[:, 0], target[:, 0]
 
         def corr_at(lag):
             a, b = ex[lag:], tx[: len(tx) - lag if lag else None]
@@ -173,8 +173,8 @@ class TestEyeModel:
                                    intrusion_rate_hz=0.0, intrusion_amp_deg=0.0)
             spec = SessionSpec("SP", seed=7, impairment=imp)
             ds = simulate_session(spec)
-            target = target_trajectory(spec, ds.t)
-            return angle_between(ds.left_dirs, target)
+            target = target_trajectory(spec, ds.features[:, 0])
+            return angle_between(ds.eye_dirs("left"), target)
 
         small, big = errs(0.3), errs(1.2)
         nz = small > 1e-10
@@ -185,8 +185,8 @@ class TestEyeModel:
                                intrusion_rate_hz=1.0, intrusion_amp_deg=3.0)
         spec = SessionSpec("SP", seed=5, impairment=imp)
         ds = simulate_session(spec)
-        target = target_trajectory(spec, ds.t)
-        err = angle_between(ds.left_dirs, target)
+        target = target_trajectory(spec, ds.features[:, 0])
+        err = angle_between(ds.eye_dirs("left"), target)
         nonzero = err[err > 1e-9]
         frac = len(nonzero) / len(err)
         assert 0.01 < frac < 0.3  # ~rate * pulse width of the session
@@ -197,8 +197,8 @@ class TestEyeModel:
     def test_zero_rate_means_no_intrusions(self):
         spec = SessionSpec("SP", seed=5, impairment=CLEAN)
         ds = simulate_session(spec)
-        target = target_trajectory(spec, ds.t)
-        assert np.array_equal(ds.left_dirs, target)
+        target = target_trajectory(spec, ds.features[:, 0])
+        assert np.array_equal(ds.eye_dirs("left"), target)
 
     def test_pupil_shift_and_floor(self):
         ctl = simulate_session(SessionSpec("SP", label=0, seed=1))
@@ -223,7 +223,7 @@ class TestSpectrum:
     def test_sp_sweep_frequency_matches_metronome(self):
         spec = SessionSpec("SP", seed=0, impairment=CLEAN)
         ds = simulate_session(spec)
-        x = ds.cyclopean_dirs[:900, 0]  # horizontal phase: 10 s at 90 Hz
+        x = ds.eye_dirs("cyclopean")[:900, 0]  # horizontal phase: 10 s at 90 Hz
         mag = np.abs(np.fft.rfft(x - x.mean()))
         mag[0] = 0.0
         assert np.argmax(mag) == 15  # 1.5 Hz = 180 bpm / 120 in 0.1 Hz bins
@@ -231,7 +231,7 @@ class TestSpectrum:
     def test_vms_rotation_frequency_matches_metronome(self):
         spec = SessionSpec("VMS", seed=0, impairment=CLEAN)
         ds = simulate_session(spec)
-        x = ds.cyclopean_dirs[:, 0]
+        x = ds.eye_dirs("cyclopean")[:, 0]
         mag = np.abs(np.fft.rfft(x - x.mean()))
         mag[0] = 0.0
         assert np.argmax(mag) == 10  # (1/2.4) Hz in 1/24 Hz bins
