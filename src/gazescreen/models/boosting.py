@@ -18,6 +18,7 @@ from .tree import (
     CartGrower,
     FlatEnsemble,
     TreeParams,
+    check_trees,
     descend,
     grow_tree,
     nodes_from_json,
@@ -51,6 +52,7 @@ class AdaBoostModel(FittedModel):
         super().__init__(n_features)
         self.alphas = [float(a) for a in alphas]
         self.stumps = [nodes_from_json(s) for s in stumps]
+        check_trees(self.stumps, n_features)
         # each leaf holds alpha_m * h_m(x), with stump outputs mapped to +-1
         self._weighted = FlatEnsemble(self.stumps, [
             a * np.where(s["p1"] > 0.5, 1.0, -1.0) for s, a in zip(self.stumps, self.alphas)])

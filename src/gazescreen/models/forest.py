@@ -8,7 +8,14 @@ import numpy as np
 
 from ..errors import InvalidHyperParam
 from .base import FeatureMatrix, FittedModel, register_model
-from .tree import CartGrower, FlatEnsemble, TreeParams, nodes_from_json, nodes_to_json
+from .tree import (
+    CartGrower,
+    FlatEnsemble,
+    TreeParams,
+    check_trees,
+    nodes_from_json,
+    nodes_to_json,
+)
 
 
 @dataclass
@@ -46,6 +53,7 @@ class RandomForestModel(FittedModel):
     def __init__(self, n_features, trees):
         super().__init__(n_features)
         self.trees = [nodes_from_json(t) for t in trees]
+        check_trees(self.trees, n_features)
         # each tree's leaf votes 1 when its class-1 fraction exceeds 1/2
         self._votes = FlatEnsemble(self.trees,
                                    [(t["p1"] > 0.5).astype(float) for t in self.trees])

@@ -2,9 +2,10 @@
 thresholds, with sample weights flowing through the impurity. Each fit
 ranks the values of every column once (`value_ranks`); a node orders its
 rows by a stable sort of their integer ranks, not of their float values.
-`grow_preorder` grows the trees of a forest in lockstep, one preorder node
-of every tree per round; `CartGrower` is its exact gini split rule, and the
-isolation forest hands it its own rule.
+`grow_preorder` grows the trees of a forest in lockstep, one split
+candidate of every tree per round: a node that is certainly a leaf is
+settled in its parent's round and never pops. `CartGrower` is its exact
+gini rule, and the isolation forest hands it its own rule.
 
 Tie-breaking is deterministic: among equal-gini splits the lowest feature
 index wins, then the lowest threshold; leaf majorities resolve toward
@@ -71,99 +72,176 @@ _SPLIT_CELLS = 1 << 13
 # even near 256 rows)
 _RADIX_WIDTH = 256
 
+# a split node's two children, left then right
+_LEFT_RIGHT = np.array([0, 1])
 
-def grow_preorder(XT, rows, sizes, choose):
+
+def grow_preorder(XT, rows, sizes, choose, settle):
     """Grow one tree per segment of `rows` in lockstep; returns each tree's
-    node arrays.
+    node arrays and the number of rounds taken.
 
     rows holds the column indices (of XT) of every tree's rows, tree t's
-    sizes[t] rows after those of the trees before it. Nodes are numbered in
-    preorder, left child first, and round r pops node r of every tree that
-    still has one, so a rule that draws from a per-tree generator draws in
-    the order a tree grown alone would. A node's rows keep the order they
-    have in its parent.
+    sizes[t] rows after those of the trees before it. A node's rows keep
+    the order they have in its parent.
 
-    choose(trees, at, first, size, depth) sees the popped nodes' trees, the
-    rows of node j at at[first[j]:first[j] + size[j]], and their depths. It
-    returns (feature, threshold, cut, columns): feature -1 marks a leaf, a
-    split node sends its rows with XT[feature, row] <= cut to the left child
-    (NaN goes right), and columns maps names to per-node arrays kept with
-    the nodes. A tree is a dict of feature, threshold, left, right and the
+    Two rules grow the trees. settle(at, first, size, depth) sees new
+    nodes (the roots, then the children of each round's splits, a tree's
+    left child before its right one) with the rows of node j at
+    at[first[j]:first[j] + size[j]]. It returns (leaf, columns): a mask of
+    the nodes that are certainly leaves and the columns of those leaves.
+    A settled leaf is recorded at once and never pushed, so each tree's
+    depth-first stack holds only split candidates, and round r pops the
+    r-th candidate of every tree that still has one, in preorder: a forest
+    takes as many rounds as its largest tree has candidates. A rule that
+    draws from a per-tree generator for its candidates alone draws in the
+    order a tree grown alone would.
+
+    choose(trees, at, first, size, depth) sees the popped candidates in
+    the same way. It returns (feature, threshold, cut, columns): feature -1
+    marks a leaf after all, a split node sends its rows with
+    XT[feature, row] <= cut to the left child (NaN goes right), and columns
+    maps names to per-node arrays kept with the nodes, with the names and
+    dtypes of settle's. Only the segments that split are partitioned.
+
+    The nodes are numbered in preorder, left child first, once all trees
+    are grown. A tree is a dict of feature, threshold, left, right and the
     columns.
     """
     rows = np.array(rows, dtype=np.int64)  # partitioned in place
     sizes = np.asarray(sizes, dtype=np.int64)
     n_trees = len(sizes)
-    # each tree's depth-first stack of pending (start, size, depth, parent,
-    # is_left), a node's rows being rows[start:start + size]; it never holds
-    # more than the tree's depth + 1 entries
-    stack = np.zeros((n_trees, 16, 5), dtype=np.int64)
-    stack[:, 0, 0] = np.cumsum(sizes) - sizes
-    stack[:, 0, 1] = sizes
-    stack[:, 0, 3] = -1
-    sp = np.ones(n_trees, dtype=np.int64)
+    # records of the popped candidates, in the order they are popped, and
+    # of the settled leaves; a node's code is 2 parent + (it is a right
+    # child), its parent being the candidate of that pop number, or -1
+    popped, settled = [], []
+    n_popped = 0
+    # each tree's depth-first stack of pending candidates (start, size,
+    # depth, code), a node's rows being rows[start:start + size]; it never
+    # holds more than the tree's depth + 1 entries
+    stack = np.zeros((n_trees, 16, 4), dtype=np.int64)
+    start = np.cumsum(sizes) - sizes
+    zeros = np.zeros(n_trees, dtype=np.int64)
+    leaf, columns = settle(rows, start, sizes, zeros)
+    settled.append((np.flatnonzero(leaf), zeros[leaf] - 1, zeros[leaf], None, None, columns))
+    stack[:, 0] = np.stack([start, sizes, zeros, zeros - 1], axis=1)
+    sp = (~leaf).astype(np.int64)
 
-    rounds = []  # per round: (trees, parent, is_left, feature, threshold, columns)
+    n_rounds = 0
     while True:
         live = np.flatnonzero(sp)
         if live.size == 0:
             break
+        n_rounds += 1
         sp[live] -= 1
-        start, size, depth, parent, is_left = stack[live, sp[live]].T
+        start, size, depth, code = stack[live, sp[live]].T
         first = np.cumsum(size) - size
         pos = np.arange(first[-1] + size[-1]) + np.repeat(start - first, size)
         at = rows[pos]
         feature, threshold, cut, columns = choose(live, at, first, size, depth)
-        split = np.flatnonzero(feature >= 0)
-        if split.size:
-            # a stable partition of every popped segment, leaves too (their
-            # rows are not read again): a stable sort of small integer keys
-            # 2 j + (row goes right), which is a radix sort
-            go_left = (XT.take(np.repeat(np.maximum(feature, 0) * XT.shape[1], size) + at)
-                       <= np.repeat(cut, size))
-            odd = np.arange(1, 2 * len(size), 2, dtype=np.min_scalar_type(2 * len(size)))
-            rows[pos] = at[np.argsort(np.repeat(odd, size) - go_left, kind="stable")]
-            lefts = np.concatenate([[0], np.cumsum(go_left)])
-            n_left = (lefts[first + size] - lefts[first])[split]
+        popped.append((live, code, depth, feature, threshold, columns))
+        pop_no = np.arange(n_popped, n_popped + len(live))
+        n_popped += len(live)
+        split = feature >= 0
+        if not split.all():
+            if not split.any():
+                continue
+            # partition only the segments that split
+            keep = np.repeat(split, size)
+            pos, at = pos[keep], at[keep]
+            live, start, size, depth, pop_no, feature, cut = (
+                a[split] for a in (live, start, size, depth, pop_no, feature, cut))
+            first = np.cumsum(size) - size
+        # a stable partition of every split segment: a stable sort of small
+        # integer keys 2 j + (row goes right), which is a radix sort
+        go_left = XT.take(np.repeat(feature * XT.shape[1], size) + at) <= np.repeat(cut, size)
+        odd = np.arange(1, 2 * len(size), 2, dtype=np.min_scalar_type(2 * len(size)))
+        at = at[np.argsort(np.repeat(odd, size) - go_left, kind="stable")]
+        rows[pos] = at
+        n_left = np.add.reduceat(go_left, first, dtype=np.int64)
 
-            trees = live[split]
-            top = sp[trees]
+        # each split node's (left, right) children: their first row in
+        # `at` (their start in `rows` once pushed), size, depth and code
+        child = np.empty((4, len(live), 2), dtype=np.int64)
+        child[0, :, 0] = first
+        np.add(first, n_left, out=child[0, :, 1])
+        child[1, :, 0] = n_left
+        np.subtract(size, n_left, out=child[1, :, 1])
+        child[2] = (depth + 1)[:, None]
+        child[3] = 2 * pop_no[:, None] + _LEFT_RIGHT
+        c_first, c_size, c_depth, c_code = child.reshape(4, -1)
+        c_tree = np.repeat(live, 2)
+        leaf, columns = settle(at, c_first, c_size, c_depth)
+        if leaf.any():
+            settled.append((c_tree[leaf], c_code[leaf], c_depth[leaf], None, None, columns))
+        push = ~leaf
+        if push.any():
+            top = sp[live]
             if top.max() + 2 > stack.shape[1]:
                 stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
-            # push the right child, then the left one, which pops first
-            s0, n = start[split], size[split]
-            child = np.stack([s0 + n_left, n - n_left, depth[split] + 1,
-                              np.full(split.size, len(rounds)), np.zeros_like(n)], axis=1)
-            stack[trees, top] = child
-            child[:, 0], child[:, 1], child[:, 4] = s0, n_left, 1
-            stack[trees, top + 1] = child
-            sp[trees] += 2
-        rounds.append((live, parent, is_left, feature, threshold, columns))
+            # the right child goes on first, so the left one pops first
+            pairs = push.reshape(-1, 2)
+            slot = (top[:, None] + pairs[:, 1:] * _LEFT_RIGHT[::-1]).ravel()
+            child[0] += (start - first)[:, None]
+            stack[c_tree[push], slot[push]] = child.reshape(4, -1).T[push]
+            sp[live] = top + pairs.sum(axis=1)
+    return _assemble(n_trees, popped, settled), n_rounds
 
-    # node r of tree t is the record of tree t in round r
-    slot = np.repeat(np.arange(len(rounds)), [len(rec[0]) for rec in rounds])
-    tree_of = np.concatenate([rec[0] for rec in rounds])
-    order = np.argsort(tree_of, kind="stable")
-    tree_of, slot = tree_of[order], slot[order]
-    parent, is_left, feature, threshold = (
-        np.concatenate([rec[i] for rec in rounds])[order] for i in range(1, 5))
-    columns = {k: np.concatenate([rec[5][k] for rec in rounds])[order]
-               for k in rounds[0][5]}
-    offset = np.concatenate([[0], np.cumsum(np.bincount(tree_of, minlength=n_trees))])
-    left = np.full(len(slot), -1, dtype=np.int64)
-    right = np.full(len(slot), -1, dtype=np.int64)
-    child = parent >= 0
-    at, to, is_left = offset[tree_of[child]] + parent[child], slot[child], is_left[child] == 1
-    left[at[is_left]] = to[is_left]
-    right[at[~is_left]] = to[~is_left]
-    arrays = {"feature": feature, "threshold": threshold, "left": left,
-              "right": right, **columns}
+
+def _assemble(n_trees, popped, settled):
+    """Per-tree node arrays, in preorder, of the records `grow_preorder`
+    kept, each (tree, code, depth, feature, threshold, columns): the popped
+    candidates in pop order, and the settled leaves, whose feature and
+    threshold are None (-1 and 0 in the arrays).
+
+    Subtree sizes are summed bottom-up, one depth level at a time. Then a
+    left child is numbered one after its parent, and a right child so that
+    its subtree ends where its parent's does."""
+    batches = popped + settled
+    tree, code, depth = (np.concatenate([b[i] for b in batches]) for i in range(3))
+    parent, is_right = code >> 1, (code & 1) == 1
+    by_depth = np.argsort(depth, kind="stable")
+    levels = np.split(by_depth, np.searchsorted(depth[by_depth], np.arange(1, depth.max() + 1)))
+    subtree = np.ones(len(tree), dtype=np.int64)
+    for level in levels[:0:-1]:
+        np.add.at(subtree, parent[level], subtree[level])
+    number = np.zeros(len(tree), dtype=np.int64)
+    for level in levels[1:]:
+        up = parent[level]
+        number[level] = np.where(is_right[level], number[up] + subtree[up] - subtree[level],
+                                 number[up] + 1)
+    n_nodes = np.zeros(n_trees, dtype=np.int64)
+    n_nodes[tree[levels[0]]] = subtree[levels[0]]
+    offset = np.concatenate([[0], np.cumsum(n_nodes)])
+    index = offset[tree] + number
+
+    total = int(offset[-1])
+    arrays = {"feature": np.full(total, -1, dtype=np.int64), "threshold": np.zeros(total),
+              "left": np.full(total, -1, dtype=np.int64),
+              "right": np.full(total, -1, dtype=np.int64)}
+    if popped:
+        inner = index[:sum(len(b[0]) for b in popped)]
+        arrays["feature"][inner] = np.concatenate([b[3] for b in popped])
+        arrays["threshold"][inner] = np.concatenate([b[4] for b in popped])
+    below = np.flatnonzero(parent >= 0)
+    for k, side in (("left", ~is_right[below]), ("right", is_right[below])):
+        arrays[k][index[parent[below[side]]]] = number[below[side]]
+    for k in batches[0][5]:
+        values = np.concatenate([b[5][k] for b in batches])
+        arrays[k] = np.empty(total, dtype=values.dtype)
+        arrays[k][index] = values
     return [{k: v[a:b] for k, v in arrays.items()}
             for a, b in zip(offset[:-1].tolist(), offset[1:].tolist())]
 
 
 class CartGrower:
     """Exact gini trees on rows of one matrix, grown in lockstep.
+
+    A pure node, a node under `min_samples_split` and a node at
+    `max_depth` are settled as leaves when their parent splits (`_settle`);
+    every other node is a split candidate that a round pops and searches
+    (`_choose`), and stays a leaf when no boundary is found. Both take a
+    node's weight and class-1 weight from the same per-node sums
+    (`_node_sums`), and only a candidate draws its features.
 
     The matrix is ranked once (`value_ranks`). Each round searches every
     popped node's candidate features in passes of about `_SPLIT_CELLS`
@@ -209,43 +287,38 @@ class CartGrower:
 
         def choose(trees, at, first, size, depth):
             return self._choose(w, rngs, keep_root, trees, at, first, size, depth)
-        return grow_preorder(self.XT, rows, sizes, choose)
+
+        def settle(at, first, size, depth):
+            return self._settle(w, at, first, size, depth)
+        return grow_preorder(self.XT, rows, sizes, choose, settle)[0]
+
+    def _settle(self, w, at, first, size, depth):
+        """Pure nodes, nodes under min_samples_split and nodes at max_depth
+        are leaves."""
+        hp = self.hp
+        yn = self.y.take(at)
+        leaf = ((np.minimum.reduceat(yn, first) == np.maximum.reduceat(yn, first))
+                | (size < hp.min_samples_split))
+        if hp.max_depth is not None:
+            leaf |= depth >= hp.max_depth
+        nodes = np.flatnonzero(leaf)
+        wsum, w1 = _node_sums(w[0].take(at), yn, first[nodes], size[nodes])
+        return leaf, {"p1": w1 / wsum, "node_weight": wsum}
 
     def _choose(self, w, rngs, keep_root, trees, at, first, size, depth):
-        hp = self.hp
-        k = len(trees)
-        yn, wn = self.y.take(at), w[0].take(at)
-        # each node's sums over its own rows in parent order, as a node grown
-        # alone sums them: pairwise summation depends on the order
-        sums, dots = [], []
-        for a, b in zip(first.tolist(), (first + size).tolist()):
-            sums.append(np.add.reduce(wn[a:b]))
-            dots.append(np.dot(wn[a:b], yn[a:b]))
-        wsum, w1 = np.array(sums), np.array(dots)
-        grows = ((np.minimum.reduceat(yn, first) != np.maximum.reduceat(yn, first))
-                 & (size >= hp.min_samples_split))
-        if hp.max_depth is not None:
-            grows &= depth < hp.max_depth
-        feature = np.full(k, -1, dtype=np.int64)
-        threshold = np.zeros(k)
-        nodes = np.flatnonzero(grows)
-        if nodes.size:
-            if self.m < self.d:
-                feats = np.array([rngs[t].choice(self.d, size=self.m, replace=False)
-                                  for t in trees[nodes].tolist()])
-                feats.sort(axis=1)
-            else:
-                feats = np.broadcast_to(np.arange(self.d), (nodes.size, self.d))
-            first, size = first[nodes], size[nodes]
-            passes = None
-            if keep_root and depth[0] == 0:
-                if self._root is None:
-                    self._root = list(self._sorted_passes(at, first, size, feats))
-                passes = self._root
-            found, _, f, thr = self.search(w, at, first, size, wsum[nodes],
-                                           w1[nodes], feats, passes)
-            feature[nodes[found]] = f[found]
-            threshold[nodes[found]] = thr[found]
+        wsum, w1 = _node_sums(w[0].take(at), self.y.take(at), first, size)
+        if self.m < self.d:
+            feats = np.array([rngs[t].choice(self.d, size=self.m, replace=False)
+                              for t in trees.tolist()])
+            feats.sort(axis=1)
+        else:
+            feats = np.broadcast_to(np.arange(self.d), (len(trees), self.d))
+        passes = None
+        if keep_root and depth[0] == 0:
+            if self._root is None:
+                self._root = list(self._sorted_passes(at, first, size, feats))
+            passes = self._root
+        _, _, feature, threshold = self.search(w, at, first, size, wsum, w1, feats, passes)
         return feature, threshold, threshold, {"p1": w1 / wsum, "node_weight": wsum}
 
     def search(self, w, rows, start, size, wsum, w1, feats, passes=None):
@@ -327,6 +400,17 @@ class CartGrower:
             per_node = np.diff(np.searchsorted(cells, np.arange(n_nodes + 1) * (n_f * width)))
             has = per_node > 0
             yield _Pass(nodes[has], per_node[has], f, at, xs, cells)
+
+
+def _node_sums(wn, yn, first, size):
+    """Each node's weight and class-1 weight, summed over its own rows in
+    parent order, as a node grown alone sums them: pairwise summation
+    depends on the order."""
+    sums, dots = [], []
+    for a, b in zip(first.tolist(), (first + size).tolist()):
+        sums.append(np.add.reduce(wn[a:b]))
+        dots.append(np.dot(wn[a:b], yn[a:b]))
+    return np.array(sums), np.array(dots)
 
 
 class _Pass(NamedTuple):
@@ -649,6 +733,34 @@ def nodes_from_json(p):
     return {k: np.asarray(p[k], dtype=dt) for k, dt in _NODE_DTYPES.items()}
 
 
+def check_trees(trees, n_features):
+    """Raise ValueError unless every tree's node arrays are one-dimensional,
+    of one non-zero length, every feature is in [-1, n_features), and the
+    children of inner node i are in (i, n_nodes) while those of a leaf are
+    -1. Preorder numbers keep every child after its parent, so a tree that
+    passes has no cycle and every walk from its root ends at a leaf."""
+    sizes = [len(t["feature"]) for t in trees]
+    for t, n in enumerate(sizes):
+        if n == 0 or any(v.shape != (n,) for v in trees[t].values()):
+            raise ValueError(f"tree {t}: node arrays must be one-dimensional, "
+                             "non-empty and of equal length")
+    feature = np.concatenate([t["feature"] for t in trees])
+    bad = feature[(feature < -1) | (feature >= n_features)]
+    if bad.size:
+        raise ValueError(f"split feature {bad[0]} is outside [-1, {n_features})")
+    # each node's tree, index within it and its tree's size
+    tree = np.repeat(np.arange(len(sizes)), sizes)
+    own = np.arange(len(tree)) - (np.cumsum(sizes) - sizes)[tree]
+    n = np.asarray(sizes)[tree]
+    for side in ("left", "right"):
+        child = np.concatenate([t[side] for t in trees])
+        bad = np.flatnonzero(np.where(feature >= 0, (child <= own) | (child >= n), child != -1))
+        if bad.size:
+            t, i = tree[bad[0]], own[bad[0]]
+            raise ValueError(f"tree {t}: node {i} has {side} child {child[bad[0]]}; an inner "
+                             f"node's must be in ({i}, {n[bad[0]]}) and a leaf's -1")
+
+
 def descend(nodes, X):
     """Vectorised root-to-leaf routing; returns the weighted class-1
     fraction at each row's leaf."""
@@ -663,6 +775,7 @@ class DecisionTreeModel(FittedModel):
     def __init__(self, n_features, **nodes):
         super().__init__(n_features)
         self.nodes = nodes_from_json(nodes)
+        check_trees([self.nodes], n_features)
 
     @property
     def n_nodes(self):

@@ -123,47 +123,50 @@ class _TreeStreams:
 
 def _grow_iso_forest(X, bags, rngs, height_limit):
     """Grow one isolation tree per generator in `rngs` on the rows bags[t]
-    of X, all in lockstep on the shared preorder grower.
+    of X, all in lockstep on the shared preorder grower; returns the trees
+    and the grower's round count.
 
-    Each tree draws `integers(0, k)` for its split feature among the k that
-    vary and then `random()` for the threshold, from its own generator and
-    in the order a tree grown alone would draw them; a round takes the
-    draws of all its split nodes in one step (`_TreeStreams`), and one
-    reduceat gives every popped node its per-feature range. A row goes left
-    when its value is below the threshold. Every node stores its training
-    size and depth.
+    A node of at most one row or at the height limit is settled as a leaf
+    when its parent splits, so a round pops only nodes that may split. Each
+    tree draws `integers(0, k)` for its split feature among the k that vary
+    and then `random()` for the threshold, from its own generator and in
+    the order a tree grown alone would draw them; a round takes the draws
+    of all its split nodes in one step (`_TreeStreams`), and one reduceat
+    gives every popped node its per-feature range. A row goes left when its
+    value is below the threshold, so a threshold equal to a node's minimum
+    leaves its left child empty. Every node stores its training size and
+    depth.
     """
     XT = np.ascontiguousarray(X.T)
     # a split node takes at most two outputs, and a tree of psi rows has
     # about psi - 1 of them
     streams = _TreeStreams(rngs, 2 * len(bags[0]))
 
+    def settle(at, first, size, depth):
+        leaf = (size <= 1) | (depth >= height_limit)
+        return leaf, {"size": size[leaf], "depth": depth[leaf]}
+
     def choose(trees, at, first, size, depth):
         feature = np.full(len(trees), -1, dtype=np.int64)
         threshold = np.zeros(len(trees))
-        grows = (size > 1) & (depth < height_limit)
-        if grows.any():
-            # ranges of the non-empty nodes (a threshold equal to a node's
-            # minimum sends none of its rows left)
-            some = np.flatnonzero(size > 0)
-            V = XT[:, at]
-            lo = np.minimum.reduceat(V, first[some], axis=1)
-            hi = np.maximum.reduceat(V, first[some], axis=1)
-            spread = hi > lo
-            n_spread = spread.sum(axis=0)
-            ok = np.flatnonzero(grows[some] & (n_spread > 0))
-            split = some[ok]
-            j, u = streams.take(trees[split], n_spread[ok])
+        V = XT[:, at]
+        lo = np.minimum.reduceat(V, first, axis=1)
+        hi = np.maximum.reduceat(V, first, axis=1)
+        spread = hi > lo
+        n_spread = spread.sum(axis=0)
+        split = np.flatnonzero(n_spread)
+        if split.size:
+            j, u = streams.take(trees[split], n_spread[split])
             # the j-th feature (0-based) among those that vary
-            f = np.argmax(np.cumsum(spread[:, ok], axis=0) > j, axis=0)
-            lo_f, hi_f = lo[f, ok], hi[f, ok]
+            f = np.argmax(np.cumsum(spread[:, split], axis=0) > j, axis=0)
+            lo_f, hi_f = lo[f, split], hi[f, split]
             feature[split] = f
             threshold[split] = lo_f + (hi_f - lo_f) * u  # what Generator.uniform computes
         # `x < t` is `x <= nextafter(t, -inf)` for every float
         return (feature, threshold, np.nextafter(threshold, -np.inf),
                 {"size": size, "depth": depth})
 
-    return grow_preorder(XT, np.concatenate(bags), [len(b) for b in bags], choose)
+    return grow_preorder(XT, np.concatenate(bags), [len(b) for b in bags], choose, settle)
 
 
 def _average_path_lengths(sizes):
@@ -256,8 +259,10 @@ def fit_isolation_forest(X, params: IsoForestParams = None):
     rngs = [np.random.default_rng(np.random.SeedSequence((params.seed, i)))
             for i in range(params.n_trees)]
     bags = [g.choice(len(X), size=psi, replace=False) for g in rngs]
-    trees = _grow_iso_forest(X, bags, rngs, height_limit)
-    return IsolationForestModel(trees, psi, X.shape[1])
+    trees, rounds = _grow_iso_forest(X, bags, rngs, height_limit)
+    model = IsolationForestModel(trees, psi, X.shape[1])
+    model.meta["grower_rounds"] = rounds
+    return model
 
 
 def _require_finite(X, what):

@@ -431,8 +431,8 @@ def fit_diagnostics(model):
     evaluations, Newton steps and bound flag the model has."""
     diag = {k: model.meta[k]
             for k in ("n_iter", "grad_inf_norm", "n_support", "n_rounds", "n_epochs",
-                      "stop", "n_trees", "kernel_rows", "theta", "n_lml_evals",
-                      "newton_steps", "theta_at_bound")
+                      "stop", "n_trees", "grower_rounds", "kernel_rows", "theta",
+                      "n_lml_evals", "newton_steps", "theta_at_bound")
             if k in model.meta}
     if hasattr(model, "converged"):
         diag["converged"] = bool(model.converged)

@@ -537,6 +537,58 @@ class TestExactSplitSearch:
         assert tree_mod.value_ranks(np.arange(65536.0)[:, None]).dtype == np.uint16
 
 
+def grower_rounds(fit):
+    """fit()'s result and the round count of each `grow_preorder` call it
+    made."""
+    rounds = []
+    grow = tree_mod.grow_preorder
+
+    def counted(*args):
+        trees, n_rounds = grow(*args)
+        rounds.append(n_rounds)
+        return trees, n_rounds
+    with mock.patch.object(tree_mod, "grow_preorder", counted):
+        return fit(), rounds
+
+
+class TestSettledLeaves:
+    """Pure nodes, nodes under min_samples_split and nodes at max_depth are
+    settled as leaves in their parent's round: no round pops them."""
+
+    def test_depth_one_stumps(self):
+        rng = np.random.default_rng(45)
+        X = np.round(rng.normal(0, 1, (80, 3)), 1)
+        y = (X[:, 0] + rng.normal(0, 0.5, 80) > 0).astype(float)
+        w = rng.uniform(0.5, 2.0, 80)
+        hp = TreeParams(max_depth=1)
+        got, rounds = grower_rounds(lambda: grow_tree(X, y, w, hp))
+        assert same_bits(got, grow_tree_reference(X, y, w, hp))
+        assert got["feature"].tolist()[1:] == [-1, -1] and rounds == [1]
+        # every AdaBoost round grows one stump in one grower round
+        model, rounds = grower_rounds(
+            lambda: fit_adaboost(fm(X, y.astype(int), w), AdaBoostParams(n_estimators=5)))
+        assert rounds == [1] * len(model.stumps)
+
+    @pytest.mark.parametrize("labels,min_split", [([1, 1, 1, 1, 1, 1], 2),
+                                                  ([0, 1, 0, 1, 1, 0], 7)])
+    def test_root_leaf(self, labels, min_split):
+        X = np.arange(12.0).reshape(6, 2)
+        y = np.array(labels, dtype=float)
+        w = np.array([1.0, 2.0, 0.5, 1.0, 3.0, 1.0])
+        hp = TreeParams(min_samples_split=min_split)
+        got, rounds = grower_rounds(lambda: grow_tree(X, y, w, hp))
+        assert same_bits(got, grow_tree_reference(X, y, w, hp))
+        assert len(got["feature"]) == 1 and rounds == [0]
+
+    def test_forest_rounds_equal_largest_candidate_count(self):
+        # distinct values: every node that is not settled splits, so the
+        # inner nodes are the candidates
+        X, y = blobs(60, d=3, sep=1.0, seed=46)
+        forest, rounds = grower_rounds(
+            lambda: fit_random_forest(fm(X, y), ForestParams(n_estimators=8), seed=3))
+        assert rounds == [max(np.count_nonzero(t["feature"] >= 0) for t in forest.trees)]
+
+
 # -- random forest ---------------------------------------------------------------
 
 class TestRandomForest:
@@ -1175,6 +1227,26 @@ class TestSerialization:
                 ({**good, "n_features": 3}, r"LR.*expected \(n, 3\)"),
                 (no_n_features, "LR.*n_features")]:
             with pytest.raises(InvalidSpec, match=match):
+                model_from_dict(payload)
+
+    @pytest.mark.parametrize("edit,match", [
+        ({"p1": [0.5]}, "equal length"),
+        ({"feature": [2, -1, -1]}, r"split feature 2 is outside \[-1, 2\)"),
+        ({"feature": [0, -2, -1]}, "split feature -2"),
+        ({"left": [3, -1, -1]}, r"node 0 has left child 3"),
+        ({"right": [0, -1, -1]}, r"node 0 has right child 0"),
+        ({"left": [1, 2, -1]}, r"node 1 has left child 2")])
+    def test_bad_tree_nodes_rejected(self, edit, match):
+        # a stump on 2 columns with one node array edited, in each tree kind
+        nodes = {"feature": [1, -1, -1], "threshold": [0.5, 0.0, 0.0],
+                 "left": [1, -1, -1], "right": [2, -1, -1],
+                 "p1": [0.5, 0.0, 1.0], "node_weight": [2.0, 1.0, 1.0]}
+        bad = {**nodes, **edit}
+        for kind, params in [("DT", bad), ("RF", {"trees": [nodes, bad]}),
+                             ("ADA", {"alphas": [1.0, 0.5], "stumps": [nodes, bad]})]:
+            payload = {"format": "gazescreen-model", "version": 1, "kind": kind,
+                       "n_features": 2, "meta": {}, "params": params}
+            with pytest.raises(InvalidSpec, match=f"{kind} model file.*{match}"):
                 model_from_dict(payload)
 
     def test_file_without_converged_loads_converged(self):

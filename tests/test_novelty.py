@@ -458,6 +458,48 @@ class TestIsolationForest:
             assert all(same_bits(g[k], e[k]) for k in e)
 
 
+class TestSettledIsolationLeaves:
+    """Nodes of at most one row and nodes at the height limit are settled as
+    leaves in their parent's round: no round pops them."""
+
+    @staticmethod
+    def candidates(model):
+        height_limit = int(np.ceil(np.log2(model.psi)))
+        return [np.count_nonzero((t["size"] > 1) & (t["depth"] < height_limit))
+                for t in model.trees]
+
+    @given(forest_inputs())
+    @settings(deadline=None, max_examples=100)
+    def test_rounds_equal_largest_candidate_count(self, inputs):
+        # duplicate rows make candidates that do not split after all
+        X, params = inputs
+        model = fit_isolation_forest(X, params)
+        assert model.meta["grower_rounds"] == max(self.candidates(model))
+
+    def test_empty_child(self):
+        # a column of two adjacent floats: lo + (hi - lo) u rounds to lo for
+        # u < 1/2, a threshold at the node minimum that sends no row left
+        X = np.column_stack([np.tile([1.0, np.nextafter(1.0, 2.0)], 20),
+                             cloud(40, d=1, seed=21)[:, 0] > 0])
+        params = IsoForestParams(n_trees=6, subsample=16, seed=4)
+        got = fit_isolation_forest(X, params)
+        assert any((t["size"] == 0).any() for t in got.trees)
+        for g, e in zip(got.trees, iso_forest_reference(X, params)):
+            assert all(same_bits(g[k], e[k]) for k in e)
+        assert got.meta["grower_rounds"] == max(self.candidates(got))
+
+    def test_two_row_subsample(self):
+        # psi = 2: the height limit is 1, so a root's children are settled
+        X = cloud(30, seed=22)
+        params = IsoForestParams(n_trees=10, subsample=2, seed=5)
+        got = fit_isolation_forest(X, params)
+        for g, e in zip(got.trees, iso_forest_reference(X, params)):
+            assert all(same_bits(g[k], e[k]) for k in e)
+            assert g["feature"][0] >= 0 and g["feature"][1:].tolist() == [-1, -1]
+            assert g["size"][0] == 2 and g["size"][1:].sum() == 2
+        assert got.meta["grower_rounds"] == 1
+
+
 class TestOcsvm:
     @pytest.mark.parametrize("width", [1, 3])
     def test_wrong_width_rejected(self, width):

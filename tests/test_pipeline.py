@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -493,9 +494,12 @@ def test_novelty_manifest(nov):
                          for e in ("left", "right", "cyclopean")}
     for eye in ("left", "right", "cyclopean"):
         iforest, ocsvm = fits[f"iforest {eye}"], fits[f"ocsvm {eye}"]
-        assert set(iforest) == {"n_trees", "nodes"}
+        assert set(iforest) == {"n_trees", "grower_rounds", "nodes"}
         assert iforest["n_trees"] == 100
         assert iforest["nodes"] >= 100 * 3
+        # one round per split candidate of the largest tree, which has
+        # fewer candidates than its 200 rows
+        assert 0 < iforest["grower_rounds"] < 200
         assert set(ocsvm) == {"converged", "n_iter", "n_support", "kernel_rows"}
         assert ocsvm["converged"] is True
         # the 20 starting rows (nu n = 0.1 * 200), then two per missing pair
@@ -793,6 +797,39 @@ def test_cli_exit_codes(tmp_path, capsys):
                          "--models-dir", str(tmp_path / name)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error (evaluate):") and "Traceback" not in err
+
+    # tree files that would split on a missing column, index past the node
+    # arrays, or loop forever at a root that is its own child
+    assert cli_main(["train", "--n-control", "1", "--n-concussed", "1", "--seed", "0",
+                     "--models", "DT", "--out-dir", str(tmp_path / "dt")]) == 0
+    tree = json.loads((tmp_path / "dt" / "models" / "DT.json").read_text())
+    assert tree["params"]["feature"][0] >= 0
+    for name, root in [("far_feature", {"feature": 20}), ("far_left", {"left": 10 ** 6}),
+                       ("own_child", {"left": 0, "right": 0})]:
+        params = {k: [root.get(k, v[0])] + v[1:] for k, v in tree["params"].items()}
+        os.makedirs(tmp_path / name)
+        (tmp_path / name / "DT.json").write_text(json.dumps({**tree, "params": params}))
+        capsys.readouterr()
+        with _time_limit(60):
+            assert cli_main(["evaluate", "--data", str(csv),
+                             "--models-dir", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (evaluate):") and "Traceback" not in err
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the main thread after `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_cli_evaluate_binary_file_is_a_data_error(tmp_path, capsys):
