@@ -345,72 +345,45 @@ def _allocate_per_class(counts, total_take):
 def split(ds, cfg=None):
     """Partition into (train, validation, test) GazeDatasets.
 
+    The shuffled unit is a frame, or under `by_session` a whole session.
     Every frame lands in exactly one part. In stratified mode the per-class
     allocation uses largest remainders, so each class count is within one
-    frame of the exact proportion.
+    unit of the exact proportion.
     """
     cfg = cfg or SplitConfig()
-    n = len(ds)
-    if n == 0:
+    if len(ds) == 0:
         raise EmptyDataset("cannot split an empty dataset")
     rng = np.random.default_rng(cfg.seed)
+    # the label of each unit: of each frame, or of each session's first frame
+    labels = ds.labels
     if cfg.by_session:
-        return _split_by_session(ds, cfg, rng)
-    n_train, n_val, n_test = split_sizes(n, cfg.test_fraction, cfg.validation_fraction)
+        sids, first = np.unique(ds.session_ids, return_index=True)
+        labels = labels[first]
+    n_train, n_val, n_test = split_sizes(len(labels), cfg.test_fraction,
+                                         cfg.validation_fraction)
     if cfg.stratified:
-        n0, n1 = ds.class_counts()
-        if n0 == 0 or n1 == 0:
+        by_class = [np.nonzero(labels == c)[0] for c in (0, 1)]
+        if len(by_class[0]) == 0 or len(by_class[1]) == 0:
             raise SingleClassStratify("stratified split needs both classes present")
-        take_test = _allocate_per_class((n0, n1), n_test)
+        take_test = _allocate_per_class([len(u) for u in by_class], n_test)
         test_idx, pool_idx = [], []
         for c in (0, 1):
-            perm = rng.permutation(np.nonzero(ds.labels == c)[0])
+            perm = rng.permutation(by_class[c])
             test_idx.append(perm[: take_test[c]])
             pool_idx.append(perm[take_test[c]:])
-        pool_counts = [len(p) for p in pool_idx]
-        take_val = _allocate_per_class(pool_counts, n_val)
-        val_idx = [pool_idx[c][: take_val[c]] for c in (0, 1)]
-        train_idx = [pool_idx[c][take_val[c]:] for c in (0, 1)]
+        take_val = _allocate_per_class([len(p) for p in pool_idx], n_val)
+        val_idx = np.concatenate([pool_idx[c][: take_val[c]] for c in (0, 1)])
+        train_idx = np.concatenate([pool_idx[c][take_val[c]:] for c in (0, 1)])
         test_idx = np.concatenate(test_idx)
-        val_idx = np.concatenate(val_idx)
-        train_idx = np.concatenate(train_idx)
     else:
-        perm = rng.permutation(n)
+        perm = rng.permutation(len(labels))
         test_idx = perm[:n_test]
         val_idx = perm[n_test:n_test + n_val]
         train_idx = perm[n_test + n_val:]
-    return ds.subset(train_idx), ds.subset(val_idx), ds.subset(test_idx)
-
-
-def _split_by_session(ds, cfg, rng):
-    # allocate whole sessions; a session's label is taken from its first frame
-    sids, starts = np.unique(ds.session_ids, return_index=True)
-    sess_labels = ds.labels[starts]
-    n_sess = len(sids)
-    nt_sess = _round_half_up(cfg.test_fraction * n_sess)
-    nv_sess = _round_half_up(cfg.validation_fraction * (n_sess - nt_sess))
-    if cfg.stratified:
-        counts = [int(np.sum(sess_labels == 0)), int(np.sum(sess_labels == 1))]
-        if counts[0] == 0 or counts[1] == 0:
-            raise SingleClassStratify("stratified split needs both classes present")
-        take_t = _allocate_per_class(counts, nt_sess)
-        test_s, pool_s = [], []
-        for c in (0, 1):
-            perm = rng.permutation(sids[sess_labels == c])
-            test_s.append(perm[: take_t[c]])
-            pool_s.append(perm[take_t[c]:])
-        take_v = _allocate_per_class([len(p) for p in pool_s], nv_sess)
-        val_s = np.concatenate([pool_s[c][: take_v[c]] for c in (0, 1)])
-        train_s = np.concatenate([pool_s[c][take_v[c]:] for c in (0, 1)])
-        test_s = np.concatenate(test_s)
-    else:
-        perm = rng.permutation(sids)
-        test_s = perm[:nt_sess]
-        val_s = perm[nt_sess:nt_sess + nv_sess]
-        train_s = perm[nt_sess + nv_sess:]
-    def pick(chosen):
-        return ds.subset(np.nonzero(np.isin(ds.session_ids, chosen))[0])
-    return pick(train_s), pick(val_s), pick(test_s)
+    parts = (train_idx, val_idx, test_idx)
+    if cfg.by_session:
+        parts = [np.nonzero(np.isin(ds.session_ids, sids[units]))[0] for units in parts]
+    return tuple(ds.subset(frames) for frames in parts)
 
 
 # -- class weighting ---------------------------------------------------------

@@ -1,12 +1,13 @@
 """Soft-margin RBF SVC trained by sequential minimal optimisation.
 
-The dual  min 1/2 a'Qa - e'a  s.t. y'a = 0, 0 <= a_i <= C_i  is solved by
-repeatedly optimising the maximal violating pair (first-order working-set
-selection) with the exact two-variable update, maintaining the full
-gradient and both selection masks, so a step selects with one masked
-argmax and one masked argmin and updates the masks at the pair alone.
-Per-sample box bounds C_i carry class weighting. Kernel rows are computed
-on demand and kept in a bounded LRU cache.
+The dual  min 1/2 a'Qa - e'a  s.t. y'a = 0, 0 <= a_i <= C_i, Q = yy'K, is
+solved in the variables b = y a, where it reads
+
+    min 1/2 b'Kb - y'b  s.t. sum b = 0, min(0, y_i C_i) <= b_i <= max(0, y_i C_i),
+
+by `smo`, the one-class SVM's solver. Per-sample box bounds C_i carry
+class weighting. Kernel rows are computed on demand and kept in a bounded
+LRU cache.
 """
 from __future__ import annotations
 
@@ -15,10 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import InvalidHyperParam
-from ..kernels import KernelRowCache, kernel_expansion, resolve_gamma
+from ..kernels import KernelRowCache, kernel_expansion, resolve_gamma, smo
 from .base import FeatureMatrix, FittedModel, arr, as_rows, register_model
-
-_TAU = 1e-12
 
 
 @dataclass
@@ -27,7 +26,6 @@ class SvcParams:
     gamma: object = "scale"
     tol: float = 1e-3
     max_iter: int = 200_000
-    cache_rows: int = 512
 
     def __post_init__(self):
         if self.C <= 0:
@@ -77,107 +75,27 @@ def fit_svc_rbf(fm: FeatureMatrix, hp: SvcParams = None, seed: int = 0):
     n = fm.n
     C = hp.C * fm.normalized_weights()
     gamma = resolve_gamma(hp.gamma, X)
-    cache = KernelRowCache(X, gamma, hp.cache_rows)
+    cache = KernelRowCache(X, gamma)
 
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # G = Q alpha - e
-    neg_y = -y
-    yg = np.empty(n)
-    # the selection masks, kept from step to step: up is 0 where a
-    # coefficient is in I_up and -inf where not, low 0 where it is in I_low
-    # and +inf where not; a mask added to the (finite) -y G gives the masked
-    # values, whose first argmax/argmin is the pair, and an infinite pick
-    # means an empty set
-    up = np.where(((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0)), 0.0, -np.inf)
-    low = np.where(((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0)), 0.0, np.inf)
-    masked = np.empty(n)
-    converged = False
-    n_iter = 0  # pair updates made
-    while n_iter < hp.max_iter:
-        np.multiply(neg_y, grad, out=yg)
-        i = np.add(yg, up, out=masked).argmax()
-        if masked[i] == -np.inf:
-            converged = True
-            break
-        j = np.add(yg, low, out=masked).argmin()
-        if masked[j] == np.inf:
-            converged = True
-            break
-        if yg[i] - yg[j] <= hp.tol:
-            converged = True
-            break
-        # one row per call, as SVC rows have always been computed: a pair
-        # would go through gemm instead of gemv and could move the last
-        # bits of the saved models and reports
-        Ki, = cache.rows([i])
-        Kj, = cache.rows([j])
-        Qi = y[i] * (y * Ki)
-        Qj = y[j] * (y * Kj)
-        old_i, old_j = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            quad = max(Qi[i] + Qj[j] + 2.0 * Qi[j], _TAU)
-            delta = (-grad[i] - grad[j]) / quad
-            diff = old_i - old_j
-            ai, aj = old_i + delta, old_j + delta
-            if diff > 0:
-                if aj < 0:
-                    aj = 0.0
-                    ai = diff
-            else:
-                if ai < 0:
-                    ai = 0.0
-                    aj = -diff
-            if diff > C[i] - C[j]:
-                if ai > C[i]:
-                    ai = C[i]
-                    aj = C[i] - diff
-            else:
-                if aj > C[j]:
-                    aj = C[j]
-                    ai = C[j] + diff
-        else:
-            quad = max(Qi[i] + Qj[j] - 2.0 * Qi[j], _TAU)
-            delta = (grad[i] - grad[j]) / quad
-            total = old_i + old_j
-            ai, aj = old_i - delta, old_j + delta
-            if total > C[i]:
-                if ai > C[i]:
-                    ai = C[i]
-                    aj = total - C[i]
-            else:
-                if aj < 0:
-                    aj = 0.0
-                    ai = total
-            if total > C[j]:
-                if aj > C[j]:
-                    aj = C[j]
-                    ai = total - C[j]
-            else:
-                if ai < 0:
-                    ai = 0.0
-                    aj = total
-        alpha[i], alpha[j] = ai, aj
-        grad += Qi * (ai - old_i) + Qj * (aj - old_j)
-        for k in (i, j):
-            below, above = alpha[k] < C[k], alpha[k] > 0
-            up[k] = 0.0 if (below if y[k] > 0 else above) else -np.inf
-            low[k] = 0.0 if (below if y[k] < 0 else above) else np.inf
-        n_iter += 1
+    beta = np.zeros(n)  # y * alpha
+    grad = -y  # K beta - y
+    lo = np.where(y < 0, -C, 0.0)
+    hi = np.where(y > 0, C, 0.0)
+    n_iter, converged = smo(cache, beta, grad, lo, hi, hp.tol, hp.max_iter)
 
     # intercept from free vectors, else midpoint of the final KKT interval
-    yg = neg_y * grad
+    yg = -grad
+    alpha = np.abs(beta)
     free = (alpha > 1e-8 * C) & (alpha < C * (1.0 - 1e-8))
     if free.any():
         b = float(np.mean(yg[free]))
     else:
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-        hi = yg[up].max() if up.any() else 0.0
-        lo = yg[low].min() if low.any() else 0.0
-        b = float(0.5 * (hi + lo))
+        up, low = beta < hi, beta > lo
+        b = float(0.5 * ((yg[up].max() if up.any() else 0.0)
+                         + (yg[low].min() if low.any() else 0.0)))
 
     sv = alpha > 1e-12
-    model = SvcRbfModel(fm.d, X[sv].copy(), (alpha * y)[sv], b, gamma, converged)
+    model = SvcRbfModel(fm.d, X[sv].copy(), beta[sv], b, gamma, converged)
     model.meta = {"hyperparams": {**asdict(hp), "gamma": str(hp.gamma)},
                   "seed": seed, "gamma_value": gamma, "n_iter": n_iter,
                   "n_support": int(sv.sum()), "converged": converged,

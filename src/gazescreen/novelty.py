@@ -23,7 +23,7 @@ from .errors import (
     InvalidSpec,
     MissingColumn,
 )
-from .kernels import KernelRowCache, kernel_expansion, resolve_gamma
+from .kernels import KernelRowCache, kernel_expansion, resolve_gamma, smo
 from .models.base import as_rows
 from .models.tree import FlatEnsemble, grow_preorder
 
@@ -321,24 +321,11 @@ class OneClassSvmModel:
         return self.decision_score(grid_cells(xs, ys)).reshape(len(ys), len(xs)), {}
 
 
-# Byte budget of the one-class SVM's kernel-row cache. At 3000 training
-# rows it holds about 2800 rows, so an SMO run there never evicts; at
-# 10,000 rows it holds about 840.
-_KERNEL_CACHE_BYTES = 64 << 20
-
-
 def fit_ocsvm(X, params: OcsvmParams = None):
-    """SMO on  min 1/2 a'Ka  s.t. sum a = 1, 0 <= a_i <= 1/(nu n).
-
-    The maximal violating pair transfers mass between a decreasable and an
-    increasable coefficient. The full gradient K a and both selection masks
-    are maintained, so a step selects with one masked argmax and one masked
-    argmin and updates the masks at the pair alone. Kernel rows are
-    computed on demand into an LRU cache and never one row alone: a one-row
-    product goes through BLAS gemv and rounds unlike the full n x n kernel
-    matrix this solver once built, while rows of a product of two or more
-    rows go through gemm and, at sizes such as 3000 rows, are bit-identical
-    to that matrix's rows.
+    """SMO on  min 1/2 a'Ka  s.t. sum a = 1, 0 <= a_i <= 1/(nu n): `smo`
+    with lo = 0, hi = 1/(nu n) and p = 0, from LIBSVM's start. Its kernel
+    rows, never computed one alone, are bit-identical to the rows of the
+    full n x n kernel matrix this solver once built (see `KernelRowCache`).
     """
     params = params or OcsvmParams()
     X = np.asarray(X, dtype=float)
@@ -350,7 +337,7 @@ def fit_ocsvm(X, params: OcsvmParams = None):
     if ub * n < 1.0 - 1e-12:
         raise InvalidHyperParam("infeasible: nu * n leaves too little mass")
     gamma = resolve_gamma(params.gamma, X)
-    cache = KernelRowCache(X, gamma, max(2, _KERNEL_CACHE_BYTES // (8 * n)))
+    cache = KernelRowCache(X, gamma)
 
     # LIBSVM-style start: pile the unit of mass onto the first ceil(nu n)
     # coefficients
@@ -370,42 +357,8 @@ def fit_ocsvm(X, params: OcsvmParams = None):
             if i < n_start:
                 grad += alpha[i] * row
 
-    # the selection masks, kept from step to step: can_dec is 0 where a
-    # coefficient can decrease and -inf where not, can_inc 0 where it can
-    # increase and +inf where not; a mask added to the (finite) gradient gives
-    # the masked values, whose first argmax/argmin is the pair, and an
-    # infinite pick means an empty set
-    can_dec = np.where(alpha > 1e-14, 0.0, -np.inf)
-    can_inc = np.where(alpha < ub - 1e-14, 0.0, np.inf)
-    masked = np.empty(n)
-    step = np.empty(n)
-    converged = False
-    n_iter = 0
-    while n_iter < params.max_iter:
-        i = np.add(grad, can_dec, out=masked).argmax()
-        if masked[i] == -np.inf:
-            converged = True
-            break
-        j = np.add(grad, can_inc, out=masked).argmin()
-        if masked[j] == np.inf:
-            converged = True
-            break
-        if grad[i] - grad[j] <= params.tol:
-            converged = True
-            break
-        Ki, Kj = cache.rows([i, j])
-        quad = max(Ki[i] + Kj[j] - 2.0 * Ki[j], 1e-12)
-        delta = (grad[i] - grad[j]) / quad
-        delta = min(delta, alpha[i], ub - alpha[j])
-        alpha[i] -= delta
-        alpha[j] += delta
-        np.subtract(Kj, Ki, out=step)
-        step *= delta
-        grad += step
-        for k in (i, j):
-            can_dec[k] = 0.0 if alpha[k] > 1e-14 else -np.inf
-            can_inc[k] = 0.0 if alpha[k] < ub - 1e-14 else np.inf
-        n_iter += 1
+    n_iter, converged = smo(cache, alpha, grad, np.zeros(n), np.full(n, ub),
+                            params.tol, params.max_iter)
 
     free = (alpha > ub * 1e-8) & (alpha < ub * (1.0 - 1e-8))
     if free.any():

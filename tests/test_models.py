@@ -18,7 +18,8 @@ from gazescreen.errors import (
     SingleClass,
     TrainingSizeExceeded,
 )
-from gazescreen.kernels import KernelRowCache, gamma_scale, rbf_kernel, resolve_gamma
+from gazescreen import kernels as kernels_mod
+from gazescreen.kernels import KernelRowCache, gamma_scale, rbf_kernel, resolve_gamma, smo
 from gazescreen.models import (
     AdaBoostParams,
     FeatureMatrix,
@@ -627,10 +628,12 @@ class TestKernels:
     # n covers every n % 8, which picks the BLAS kernels' edge blocks
     @pytest.mark.parametrize("d", [1, 2, 3, 14, 17])
     @pytest.mark.parametrize("n", range(24, 32))
-    def test_cached_rows_equal_rbf_kernel_calls(self, d, n):
+    def test_cached_rows_equal_rbf_kernel_calls(self, d, n, monkeypatch):
         X = np.random.default_rng(100 * d + n).normal(0.0, 1.0, (n, d))
         gamma = resolve_gamma("scale", X)
-        cache = KernelRowCache(X, gamma, capacity=2)
+        monkeypatch.setattr(kernels_mod, "_KERNEL_CACHE_BYTES", 2 * 8 * n)
+        cache = KernelRowCache(X, gamma)
+        assert cache.capacity == 2
         for idx in ([0], [n - 1], [5], [0, 1], [n - 1, 3], [7, 7 + n // 2]):
             rows = cache.rows(idx)
             expect = rbf_kernel(X[idx], X, gamma)
@@ -648,83 +651,40 @@ class TestKernels:
         assert gamma_scale(X) == pytest.approx(0.5, rel=1e-12)
 
 
-def fit_svc_rbf_reference(X, y, C, gamma, tol, max_iter):
-    """Reference: SMO that re-derives both selection masks and rescans the
-    working set at every step, with each kernel row from its own
-    `rbf_kernel` call, as `fit_svc_rbf` did before it kept its masks and the
-    squared norms. y holds -1/+1 and C the per-sample bounds. Returns
-    (alpha, intercept, n_iter, converged)."""
-    n = len(X)
-    alpha = np.zeros(n)
-    grad = -np.ones(n)
-    converged = False
-    n_iter = 0
-    while n_iter < max_iter:
-        yg = -y * grad
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-        up_idx = np.nonzero(up)[0]
-        low_idx = np.nonzero(low)[0]
-        if up_idx.size == 0 or low_idx.size == 0:
-            converged = True
-            break
-        i = up_idx[np.argmax(yg[up_idx])]
-        j = low_idx[np.argmin(yg[low_idx])]
-        if yg[i] - yg[j] <= tol:
-            converged = True
-            break
-        Ki = rbf_kernel(X[[i]], X, gamma)[0]
-        Kj = rbf_kernel(X[[j]], X, gamma)[0]
-        Qi = y[i] * (y * Ki)
-        Qj = y[j] * (y * Kj)
-        old_i, old_j = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            quad = max(Qi[i] + Qj[j] + 2.0 * Qi[j], 1e-12)
-            delta = (-grad[i] - grad[j]) / quad
-            diff = old_i - old_j
-            ai, aj = old_i + delta, old_j + delta
-            if diff > 0:
-                if aj < 0:
-                    aj = 0.0
-                    ai = diff
-            else:
-                if ai < 0:
-                    ai = 0.0
-                    aj = -diff
-            if diff > C[i] - C[j]:
-                if ai > C[i]:
-                    ai = C[i]
-                    aj = C[i] - diff
-            else:
-                if aj > C[j]:
-                    aj = C[j]
-                    ai = C[j] + diff
-        else:
-            quad = max(Qi[i] + Qj[j] - 2.0 * Qi[j], 1e-12)
-            delta = (grad[i] - grad[j]) / quad
-            total = old_i + old_j
-            ai, aj = old_i - delta, old_j + delta
-            if total > C[i]:
-                if ai > C[i]:
-                    ai = C[i]
-                    aj = total - C[i]
-            else:
-                if aj < 0:
-                    aj = 0.0
-                    ai = total
-            if total > C[j]:
-                if aj > C[j]:
-                    aj = C[j]
-                    ai = total - C[j]
-            else:
-                if ai < 0:
-                    ai = 0.0
-                    aj = total
-        alpha[i], alpha[j] = ai, aj
-        grad += Qi * (ai - old_i) + Qj * (aj - old_j)
-        n_iter += 1
+def smo_reference(X, gamma, beta, grad, lo, hi, tol, max_iter):
+    """Reference: `smo` rederiving both selection sets and rescanning them
+    at every step, with each pair's kernel rows from their own
+    `rbf_kernel` call. Updates beta and grad in place; returns (n_iter,
+    converged)."""
+    for n_iter in range(max_iter):
+        dec_idx = np.nonzero(beta > lo + 1e-14)[0]
+        inc_idx = np.nonzero(beta < hi - 1e-14)[0]
+        if dec_idx.size == 0 or inc_idx.size == 0:
+            return n_iter, True
+        i = dec_idx[np.argmax(grad[dec_idx])]
+        j = inc_idx[np.argmin(grad[inc_idx])]
+        if grad[i] - grad[j] <= tol:
+            return n_iter, True
+        Ki, Kj = rbf_kernel(X[[i, j]], X, gamma)
+        quad = max(Ki[i] + Kj[j] - 2.0 * Ki[j], 1e-12)
+        delta = min((grad[i] - grad[j]) / quad, beta[i] - lo[i], hi[j] - beta[j])
+        beta[i] -= delta
+        beta[j] += delta
+        grad += delta * (Kj - Ki)
+    return max_iter, False
 
-    yg = -y * grad
+
+def fit_svc_rbf_reference(X, y, C, gamma, tol, max_iter):
+    """Reference: the SVC dual in b = y * alpha solved by `smo_reference`.
+    y holds -1/+1 and C the per-sample bounds. Returns (alpha, intercept,
+    n_iter, converged)."""
+    beta = np.zeros(len(X))
+    grad = -y
+    lo = np.where(y < 0, -C, 0.0)
+    hi = np.where(y > 0, C, 0.0)
+    n_iter, converged = smo_reference(X, gamma, beta, grad, lo, hi, tol, max_iter)
+    alpha = y * beta
+    yg = -grad
     free = (alpha > 1e-8 * C) & (alpha < C * (1.0 - 1e-8))
     if free.any():
         b = float(np.mean(yg[free]))
@@ -735,6 +695,46 @@ def fit_svc_rbf_reference(X, y, C, gamma, tol, max_iter):
         lo = yg[low].min() if low.any() else 0.0
         b = float(0.5 * (hi + lo))
     return alpha, b, n_iter, converged
+
+
+@st.composite
+def smo_problems(draw):
+    """SVC-form problems: rows drawn with repeats from a small base matrix,
+    optionally rounded; labels of mixed sign; per-sample C, often tied;
+    tol 1e-3 or 1e-6; an early stop after 5 steps or none; and a cache of
+    one pair's rows or of every row."""
+    d = draw(st.integers(1, 14))
+    n0 = draw(st.integers(1, 30))
+    values = st.floats(-4, 4) | st.integers(-8, 8).map(lambda k: k / 4)
+    base = draw(hnp.arrays(float, (n0, d), elements=values))
+    if draw(st.booleans()):
+        base = np.round(base, 1)
+    n = draw(st.integers(2, 60))
+    X = base[draw(hnp.arrays(np.int64, n, elements=st.integers(0, n0 - 1)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    y = rng.choice([-1.0, 1.0], n)
+    C = np.round(rng.uniform(0.01, 10.0, n), draw(st.sampled_from([0, 2, 17]))) + 0.01
+    return (X, y, C, draw(st.sampled_from([1e-3, 1e-6])),
+            draw(st.sampled_from([5, 100_000])), draw(st.sampled_from([2, 1000])))
+
+
+class TestSmo:
+    @settings(max_examples=150, deadline=None)
+    @given(smo_problems())
+    def test_equals_rescanning_smo(self, problem):
+        X, y, C, tol, max_iter, capacity = problem
+        gamma = resolve_gamma("scale", X)
+        lo = np.where(y < 0, -C, 0.0)
+        hi = np.where(y > 0, C, 0.0)
+        beta, grad = np.zeros(len(X)), -y
+        ref_beta, ref_grad = beta.copy(), grad.copy()
+        with mock.patch.object(kernels_mod, "_KERNEL_CACHE_BYTES", capacity * 8 * len(X)):
+            cache = KernelRowCache(X, gamma)
+        got = smo(cache, beta, grad, lo, hi, tol, max_iter)
+        expect = smo_reference(X, gamma, ref_beta, ref_grad, lo, hi, tol, max_iter)
+        assert got == expect
+        assert beta.tobytes() == ref_beta.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 class TestSvc:
@@ -773,10 +773,12 @@ class TestSvc:
         assert not model.converged
         assert model.meta["n_iter"] == 5
 
-    def test_forced_eviction_equals_rescanning_smo(self):
+    def test_forced_eviction_equals_rescanning_smo(self, monkeypatch):
         X, y = blobs(40, d=14, sep=0.8, seed=23)
         full = fit_svc_rbf(fm(X, y), SvcParams())
-        model = self.assert_matches_reference(fm(X, y), SvcParams(cache_rows=2))
+        # room for the 2 rows of one pair
+        monkeypatch.setattr(kernels_mod, "_KERNEL_CACHE_BYTES", 2 * 8 * len(X))
+        model = self.assert_matches_reference(fm(X, y), SvcParams())
         assert model.meta["kernel_rows"] > full.meta["kernel_rows"]
         assert full.meta["kernel_rows"] <= 2 * full.meta["n_iter"]
 

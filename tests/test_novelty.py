@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gazescreen import kernels as kernels_mod
 from gazescreen import novelty as novelty_mod
 from gazescreen.errors import (
     DataError,
@@ -616,7 +617,7 @@ class TestOcsvm:
         full = fit_ocsvm(X, hp)
         # room for 5 rows: the 20 starting rows go in blocks of 4, and the
         # SMO pairs keep evicting each other
-        monkeypatch.setattr(novelty_mod, "_KERNEL_CACHE_BYTES", 5 * 8 * n)
+        monkeypatch.setattr(kernels_mod, "_KERNEL_CACHE_BYTES", 5 * 8 * n)
         model = self.assert_matches_dense_oracle(X, hp)
         assert model.meta["kernel_rows"] > full.meta["kernel_rows"]
 
@@ -626,18 +627,21 @@ class TestOcsvm:
     # benchmark's 3000 training rows are not such a size, which is what keeps
     # its grids bit-identical to the dense-matrix solver's.
     @pytest.mark.parametrize("n", [296, 3000])
-    def test_cached_rows_equal_dense_kernel_rows(self, n):
+    def test_cached_rows_equal_dense_kernel_rows(self, n, monkeypatch):
         X = cloud(n, seed=8)
         gamma = resolve_gamma("scale", X)
         K = rbf_kernel(X, X, gamma)
-        cache = KernelRowCache(X, gamma, capacity=50)
+        monkeypatch.setattr(kernels_mod, "_KERNEL_CACHE_BYTES", 50 * 8 * n)
+        cache = KernelRowCache(X, gamma)
         for idx in ([0, 1], list(range(30)), [n - 1, 7], [7, 150], [150, n - 1]):
             for i, row in zip(idx, cache.rows(idx)):
                 assert same_bits(row, K[i])
 
-    def test_row_cache_is_least_recently_used(self):
+    def test_row_cache_is_least_recently_used(self, monkeypatch):
         X = cloud(10, seed=9)
-        cache = KernelRowCache(X, 1.0, capacity=3)
+        monkeypatch.setattr(kernels_mod, "_KERNEL_CACHE_BYTES", 3 * 8 * 10)
+        cache = KernelRowCache(X, 1.0)
+        assert cache.capacity == 3
         cache.rows([0, 1])
         cache.rows([2, 3])        # evicts 0
         cache.rows([1])           # a hit, which makes 1 the most recent
