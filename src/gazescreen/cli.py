@@ -171,15 +171,10 @@ def _cmd_novelty(args):
 def _cmd_report(args):
     with open(args.metrics_csv) as fh:
         parsed = metrics_mod.parse_report_csv(fh.read())
-    per_model = {}
-    for model, vals in parsed.items():
-        per_model[model] = metrics_mod.MetricSet(
-            accuracy=vals.get("Accuracy", float("nan")),
-            sensitivity=vals.get("Sensitivity", float("nan")),
-            specificity=vals.get("Specificity", float("nan")),
-            precision=vals.get("Precision", float("nan")),
-            f1=vals.get("F1-score", float("nan")),
-            auc=vals.get("AUC", float("nan")))
+    per_model = {
+        model: metrics_mod.MetricSet(**{f: vals.get(name, float("nan"))
+                                        for name, f in metrics_mod.METRIC_FIELDS.items()})
+        for model, vals in parsed.items()}
     text = metrics_mod.render_report_text(per_model, args.title)
     if args.out:
         atomic_write_text(args.out, text)

@@ -413,13 +413,27 @@ def class_weights(ds_or_labels):
     return ClassWeights(control=n / (2.0 * n0), concussed=n / (2.0 * n1))
 
 
+def _draw_per_class(ds, take, seed):
+    """take[c] frames of each label c, sampled without replacement from one
+    generator, class 0 first (a draw of none consumes no randomness)."""
+    rng = np.random.default_rng(seed)
+    picked = [rng.choice(np.nonzero(ds.labels == c)[0], size=take[c], replace=False)
+              for c in (0, 1)]
+    return ds.subset(np.concatenate(picked))
+
+
 def balanced_subset(ds, per_class, seed=0):
     """Exactly per_class frames of each label, sampled without replacement."""
     n0, n1 = ds.class_counts()
     if n0 < per_class or n1 < per_class:
         raise InsufficientClassSamples(
             f"need {per_class} per class, have control={n0} concussed={n1}")
-    rng = np.random.default_rng(seed)
-    picked = [rng.choice(np.nonzero(ds.labels == c)[0], size=per_class, replace=False)
-              for c in (0, 1)]
-    return ds.subset(np.concatenate(picked))
+    return _draw_per_class(ds, (per_class, per_class), seed)
+
+
+def stratified_cap(ds, cap, seed=0):
+    """At most cap frames, each label's share allocated by largest
+    remainders and sampled without replacement; ds itself when it fits."""
+    if len(ds) <= cap:
+        return ds
+    return _draw_per_class(ds, _allocate_per_class(ds.class_counts(), cap), seed)

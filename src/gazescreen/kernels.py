@@ -178,13 +178,18 @@ def smo(cache, beta, grad, lo, hi, tol, max_iter):
     return n_iter, False
 
 
+def mean_variance(X):
+    """The mean per-feature variance of X, the scale that SVM's gamma and
+    GPC's length-scale start from; 1.0 for constant data, so that the
+    kernel stays defined."""
+    v = float(np.mean(np.var(X, axis=0)))
+    return 1.0 if v <= 0 else v
+
+
 def gamma_scale(X):
     """The 'scale' heuristic: 1 / (d * mean per-feature variance)."""
     X = np.asarray(X, dtype=float)
-    v = float(np.mean(np.var(X, axis=0)))
-    if v <= 0:
-        v = 1.0  # constant data: fall back so the kernel stays defined
-    return 1.0 / (X.shape[1] * v)
+    return 1.0 / (X.shape[1] * mean_variance(X))
 
 
 def resolve_gamma(gamma, X):

@@ -12,14 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LengthMismatch, MissingColumn, NonBinaryLabel, SingleClass
+from .models import MODEL_KINDS
 
-METRIC_ORDER = ["Accuracy", "Sensitivity", "Specificity", "Precision", "F1-score", "AUC"]
-
-# report column order; extra model names are appended after these
-MODEL_DISPLAY_ORDER = [
-    "Random Forest", "AdaBoost", "Gaussian Process Classifier", "Decision Tree",
-    "Naive Bayes", "SVM", "Logistic Regression", "Perceptron",
-]
+# each report metric's name -> its MetricSet field, in report row order
+METRIC_FIELDS = {"Accuracy": "accuracy", "Sensitivity": "sensitivity",
+                 "Specificity": "specificity", "Precision": "precision",
+                 "F1-score": "f1", "AUC": "auc"}
 
 
 @dataclass(frozen=True)
@@ -67,14 +65,7 @@ class MetricSet:
     undefined: dict = field(default_factory=dict)
 
     def by_name(self):
-        return {
-            "Accuracy": self.accuracy,
-            "Sensitivity": self.sensitivity,
-            "Specificity": self.specificity,
-            "Precision": self.precision,
-            "F1-score": self.f1,
-            "AUC": self.auc,
-        }
+        return {name: getattr(self, f) for name, f in METRIC_FIELDS.items()}
 
 
 def _midrank(values):
@@ -200,21 +191,23 @@ def _fmt_pct(v):
 
 
 def _ordered_models(per_model):
-    names = [m for m in MODEL_DISPLAY_ORDER if m in per_model]
-    names += [m for m in per_model if m not in MODEL_DISPLAY_ORDER]
-    return names
+    """The report's columns: the model kinds' names in table order, then
+    any other names in the order given."""
+    known = [k.name for k in MODEL_KINDS.values()]
+    return ([m for m in known if m in per_model]
+            + [m for m in per_model if m not in known])
 
 
 def render_report_text(per_model, title):
     """Fixed-width table: metric rows in report order, one column per model."""
     names = _ordered_models(per_model)
-    width = max([len(m) for m in METRIC_ORDER] + [10])
+    width = max([len(m) for m in METRIC_FIELDS] + [10])
     cols = [max(len(n), 5) for n in names]
     lines = [title, ""]
     header = " " * width + "  " + "  ".join(n.rjust(c) for n, c in zip(names, cols))
     lines.append(header)
     lines.append("-" * len(header))
-    for metric in METRIC_ORDER:
+    for metric in METRIC_FIELDS:
         cells = [_fmt_pct(per_model[n].by_name()[metric]).rjust(c)
                  for n, c in zip(names, cols)]
         lines.append(metric.ljust(width) + "  " + "  ".join(cells))
@@ -225,7 +218,7 @@ def render_report_csv(per_model):
     """Long-form CSV `metric,model,value_percent`; undefined cells are empty."""
     buf = io.StringIO()
     buf.write("metric,model,value_percent\n")
-    for metric in METRIC_ORDER:
+    for metric in METRIC_FIELDS:
         for name in _ordered_models(per_model):
             v = per_model[name].by_name()[metric]
             cell = "" if np.isnan(v) else f"{100.0 * v:.1f}"

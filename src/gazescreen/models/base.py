@@ -1,5 +1,6 @@
 """Shared training-input container, fitted-model contract and JSON
-serialisation for every classifier in this package.
+serialisation for every classifier in this package; `MODEL_KINDS` (in
+``models/__init__.py``) finds the class that loads each kind's files.
 
 Scores and labels obey one convention: ``predict`` returns 1 exactly when
 ``decision_score`` exceeds the model's ``threshold`` attribute; a score
@@ -151,36 +152,6 @@ class FittedModel:
             raise InvalidSpec(f"{cls.kind} model file: bad or missing field: {e}") from None
         model.meta = payload.get("meta", {})
         return model
-
-
-_REGISTRY = {}
-
-
-def register_model(cls):
-    _REGISTRY[cls.kind] = cls
-    return cls
-
-
-def model_from_dict(payload):
-    if payload.get("format") != FORMAT_NAME:
-        raise InvalidSpec("not a model file")
-    if payload.get("version") != FORMAT_VERSION:
-        raise InvalidSpec(f"unsupported model format version {payload.get('version')}")
-    kind = payload.get("kind")
-    if kind not in _REGISTRY:
-        raise InvalidSpec(f"unknown model kind {kind!r}")
-    return _REGISTRY[kind].from_dict(payload)
-
-
-def load_model(path):
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise InvalidSpec(f"{path}: not a JSON model file: {e}") from None
-    if not isinstance(payload, dict):
-        raise InvalidSpec(f"{path}: a model file holds a JSON object")
-    return model_from_dict(payload)
 
 
 def arr(x):

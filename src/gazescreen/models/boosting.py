@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import InvalidHyperParam
-from .base import FeatureMatrix, FittedModel, register_model
+from .base import FeatureMatrix, FittedModel
 from .tree import (
     CartGrower,
     FlatEnsemble,
@@ -43,7 +43,6 @@ class AdaBoostParams:
             raise InvalidHyperParam("base_max_depth must be >= 1")
 
 
-@register_model
 class AdaBoostModel(FittedModel):
     kind = "ADA"
     threshold = 0.0

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import InvalidHyperParam
-from .base import FeatureMatrix, FittedModel, register_model
+from .base import FeatureMatrix, FittedModel
 from .tree import (
     CartGrower,
     FlatEnsemble,
@@ -45,7 +45,6 @@ def _tree_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
-@register_model
 class RandomForestModel(FittedModel):
     kind = "RF"
     threshold = 0.5  # decision_score is the fraction of trees voting 1

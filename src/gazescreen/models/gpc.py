@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import InvalidHyperParam, KernelNotPD, TrainingSizeExceeded
-from ..kernels import squared_distances, squared_norms
-from .base import FeatureMatrix, FittedModel, arr, as_rows, register_model
+from ..kernels import mean_variance, squared_distances, squared_norms
+from .base import FeatureMatrix, FittedModel, arr, as_rows
 
 _JITTER = 1e-8
 # Test rows per block of `GpcModel.latent`. BLAS rounds a product by its
@@ -33,14 +33,14 @@ _MAX_JITTER_TRIES = 3
 class GpcParams:
     """theta0 entries are (log length-scale, log amplitude); None picks the
     length-scale from the data scale (sqrt of d * mean feature variance)
-    and unit amplitude. max_iter_predict caps the Newton mode search."""
+    and unit amplitude. max_iter_predict caps the Newton mode search;
+    optimizer_max_iter = 0 keeps theta0."""
 
     max_iter_predict: int = 100
     newton_tol: float = 1e-8
     max_train: int = 2000
     optimizer_max_iter: int = 30
     theta0: tuple = None
-    optimize_hyperparams: bool = True
 
     def __post_init__(self):
         if self.max_iter_predict < 1 or self.optimizer_max_iter < 0:
@@ -171,7 +171,6 @@ def _evaluate(theta, X, ypm, newton_tol, newton_cap):
     return _Evaluation(float(lml), grad, f, L, steps)
 
 
-@register_model
 class GpcModel(FittedModel):
     kind = "GPC"
     threshold = 0.0  # decision_score is the probit-scaled latent mean
@@ -250,10 +249,7 @@ class GpcModel(FittedModel):
 
 
 def default_theta0(X):
-    v = float(np.mean(np.var(X, axis=0)))
-    if v <= 0:
-        v = 1.0
-    ell0 = np.sqrt(X.shape[1] * v)
+    ell0 = np.sqrt(X.shape[1] * mean_variance(X))
     return np.array([np.log(ell0), 0.0])
 
 
@@ -283,7 +279,7 @@ def fit_gpc(fm: FeatureMatrix, hp: GpcParams = None, seed: int = 0):
     at_bound = False
     last = {}  # theta bytes -> the evaluation at that theta
     n_evals = newton_steps = 0
-    if hp.optimize_hyperparams and hp.optimizer_max_iter > 0:
+    if hp.optimizer_max_iter > 0:
         bounds = [(theta[0] - np.log(1e3), theta[0] + np.log(1e3)),
                   (np.log(1e-2), np.log(1e2))]
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import InvalidHyperParam
-from .base import FeatureMatrix, FittedModel, as_rows, register_model
+from .base import FeatureMatrix, FittedModel, as_rows
 
 
 class _LinearModel(FittedModel):
@@ -65,14 +65,14 @@ def logreg_objective(params, X, y, sample_weights, l2):
     return value, grad
 
 
-@register_model
 class LogisticRegressionModel(_LinearModel):
     kind = "LR"
 
 
-def fit_logreg(fm: FeatureMatrix, hp: LogRegParams = None):
+def fit_logreg(fm: FeatureMatrix, hp: LogRegParams = None, seed: int = 0):
     """L-BFGS on the penalised NLL; stops at projected-gradient infinity
-    norm <= tol or at the iteration cap (then flagged non-converged)."""
+    norm <= tol or at the iteration cap (then flagged non-converged). The
+    fit draws nothing, so `seed` leaves it unchanged."""
     from scipy.optimize import minimize
 
     hp = hp or LogRegParams()
@@ -88,7 +88,7 @@ def fit_logreg(fm: FeatureMatrix, hp: LogRegParams = None):
     model = LogisticRegressionModel(fm.d, res.x[:-1].copy(), res.x[-1],
                                     converged=grad_inf <= hp.tol)
     model.meta = {"hyperparams": asdict(hp), "n_iter": int(res.nit),
-                  "grad_inf_norm": grad_inf, "converged": model.converged}
+                  "grad_inf_norm": grad_inf}
     return model
 
 
@@ -121,7 +121,6 @@ class PerceptronParams:
             raise InvalidHyperParam("max_iter, tol and n_iter_no_change must be positive")
 
 
-@register_model
 class PerceptronModel(_LinearModel):
     kind = "PERC"
 
@@ -205,8 +204,7 @@ def fit_perceptron(fm: FeatureMatrix, hp: PerceptronParams = None, seed: int = 0
         best_loss = min(best_loss, loss)
     # a plateau is the normal stop on data that is not separable; only
     # running out of epochs leaves the fit unconverged
-    converged = stop != "max_iter"
-    model = PerceptronModel(fm.d, w, b, converged)
+    model = PerceptronModel(fm.d, w, b, converged=stop != "max_iter")
     model.meta = {"hyperparams": asdict(hp), "seed": seed,
-                  "n_epochs": epochs, "stop": stop, "converged": converged}
+                  "n_epochs": epochs, "stop": stop}
     return model

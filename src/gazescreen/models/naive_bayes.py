@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import InvalidHyperParam
-from .base import FeatureMatrix, FittedModel, arr, as_rows, register_model
+from .base import FeatureMatrix, FittedModel, arr, as_rows
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -24,7 +24,6 @@ class NBParams:
             raise InvalidHyperParam("var_smoothing must be >= 0")
 
 
-@register_model
 class GaussianNaiveBayes(FittedModel):
     kind = "NB"
     threshold = 0.0
@@ -58,10 +57,10 @@ class GaussianNaiveBayes(FittedModel):
         }
 
 
-def fit_naive_bayes(fm: FeatureMatrix, hp: NBParams = None):
+def fit_naive_bayes(fm: FeatureMatrix, hp: NBParams = None, seed: int = 0):
     """Weighted ML estimates: weighted means, biased weighted variances and
     weighted class priors, so integer weights reproduce row replication
-    exactly."""
+    exactly. The fit draws nothing, so `seed` leaves it unchanged."""
     hp = hp or NBParams()
     fm.require_both_classes()
     w = fm.normalized_weights()

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import InvalidHyperParam
 from ..kernels import KernelRowCache, kernel_expansion, resolve_gamma, smo
-from .base import FeatureMatrix, FittedModel, arr, as_rows, register_model
+from .base import FeatureMatrix, FittedModel, arr, as_rows
 
 
 @dataclass
@@ -36,7 +36,6 @@ class SvcParams:
             raise InvalidHyperParam("max_iter must be >= 1")
 
 
-@register_model
 class SvcRbfModel(FittedModel):
     kind = "SVC"
     threshold = 0.0
@@ -98,6 +97,5 @@ def fit_svc_rbf(fm: FeatureMatrix, hp: SvcParams = None, seed: int = 0):
     model = SvcRbfModel(fm.d, X[sv].copy(), beta[sv], b, gamma, converged)
     model.meta = {"hyperparams": {**asdict(hp), "gamma": str(hp.gamma)},
                   "seed": seed, "gamma_value": gamma, "n_iter": n_iter,
-                  "n_support": int(sv.sum()), "converged": converged,
-                  "kernel_rows": cache.computed}
+                  "n_support": int(sv.sum()), "kernel_rows": cache.computed}
     return model

@@ -21,19 +21,16 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import DimensionMismatch, InvalidHyperParam
-from .base import FeatureMatrix, FittedModel, register_model
+from .base import FeatureMatrix, FittedModel
 
 
 @dataclass
 class TreeParams:
-    criterion: str = "gini"
     min_samples_split: int = 2
     min_samples_leaf: int = 1
     max_depth: int = None
 
     def __post_init__(self):
-        if self.criterion != "gini":
-            raise InvalidHyperParam(f"unsupported criterion {self.criterion!r}")
         if self.min_samples_split < 2:
             raise InvalidHyperParam("min_samples_split must be >= 2")
         if self.min_samples_leaf < 1:
@@ -767,7 +764,6 @@ def descend(nodes, X):
     return FlatEnsemble([nodes], [nodes["p1"]]).sum(X)
 
 
-@register_model
 class DecisionTreeModel(FittedModel):
     kind = "DT"
     threshold = 0.5  # decision_score is the leaf class-1 fraction
@@ -781,13 +777,6 @@ class DecisionTreeModel(FittedModel):
     def n_nodes(self):
         return len(self.nodes["feature"])
 
-    @property
-    def root_split(self):
-        """(feature, threshold) of the root, or None for a leaf-only tree."""
-        if self.nodes["feature"][0] < 0:
-            return None
-        return int(self.nodes["feature"][0]), float(self.nodes["threshold"][0])
-
     def _score(self, X):
         return descend(self.nodes, X)
 
@@ -795,7 +784,8 @@ class DecisionTreeModel(FittedModel):
         return nodes_to_json(self.nodes)
 
 
-def fit_decision_tree(fm: FeatureMatrix, hp: TreeParams = None):
+def fit_decision_tree(fm: FeatureMatrix, hp: TreeParams = None, seed: int = 0):
+    """The exact CART tree; it draws nothing, so `seed` leaves it unchanged."""
     hp = hp or TreeParams()
     w = fm.normalized_weights()
     nodes = grow_tree(fm.X, fm.y.astype(float), w, hp)

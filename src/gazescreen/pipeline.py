@@ -29,6 +29,7 @@ from .data import (
     class_weights,
     load_csv,
     split,
+    stratified_cap,
 )
 from .errors import (
     GazeScreenError,
@@ -36,28 +37,7 @@ from .errors import (
     PipelineError,
     SingleClass,
 )
-from .models import (
-    DISPLAY_NAMES,
-    MODEL_KINDS,
-    AdaBoostParams,
-    FeatureMatrix,
-    ForestParams,
-    GpcParams,
-    LogRegParams,
-    NBParams,
-    PerceptronParams,
-    SvcParams,
-    TreeParams,
-    fit_adaboost,
-    fit_decision_tree,
-    fit_gpc,
-    fit_logreg,
-    fit_naive_bayes,
-    fit_perceptron,
-    fit_random_forest,
-    fit_svc_rbf,
-    load_model,
-)
+from .models import MODEL_KINDS, FeatureMatrix, load_model, model_kind
 from .novelty import (
     IsoForestParams,
     OcsvmParams,
@@ -74,11 +54,17 @@ DEFAULT_TRAIN_CAPS = {"SVC": 16000, "RF": 16000, "GPC": 1000}
 
 EYE_CHANNELS = ("left", "right", "cyclopean")
 
-NOVELTY_METHODS = ("iforest", "ocsvm")
-# the order run_novelty fits them in for each eye: the one-class SVM's fit
-# is where a novelty run peaks in memory, so it runs while no point text is
-# held, and the forest's grid then reuses the text the SVM's grid formatted
-_NOVELTY_ORDER = ("ocsvm", "iforest")
+# each novelty method's fit (X, seed), in the order run_novelty fits them
+# for each eye: the one-class SVM's fit is where a novelty run peaks in
+# memory, so it runs while no point text is held, and the forest's grid
+# then reuses the text the SVM's grid formatted. Each fit is looked up in
+# this module when it is called, so a replaced `fit_ocsvm` or
+# `fit_isolation_forest` is the one that runs.
+_NOVELTY_FITS = {
+    "ocsvm": lambda X, seed: fit_ocsvm(X, OcsvmParams()),
+    "iforest": lambda X, seed: fit_isolation_forest(X, IsoForestParams(seed=seed)),
+}
+NOVELTY_METHODS = tuple(sorted(_NOVELTY_FITS))
 
 OUTDIR_ENV_VAR = "GAZESCREEN_OUTDIR"
 
@@ -125,7 +111,7 @@ class RunConfig:
             raise InvalidSpec(f"unknown weighting mode {self.weighting!r}")
         unknown = [m for m in self.models if m not in MODEL_KINDS]
         if unknown:
-            raise InvalidSpec(f"unknown model kind(s) {unknown}; valid: {MODEL_KINDS}")
+            raise InvalidSpec(f"unknown model kind(s) {unknown}; valid: {list(MODEL_KINDS)}")
         if self.weighting == "class-weights" and not self.allow_weighted_balanced_models:
             clash = [m for m in self.models if m in BALANCED_SUBSET_KINDS]
             if clash:
@@ -188,53 +174,18 @@ def run_config_from_ini(path, section="run"):
 
 # -- model dispatch -------------------------------------------------------------
 
-_PARAM_TYPES = {
-    "NB": NBParams, "DT": TreeParams, "RF": ForestParams, "SVC": SvcParams,
-    "ADA": AdaBoostParams, "GPC": GpcParams, "LR": LogRegParams,
-    "PERC": PerceptronParams,
-}
-
-
 def make_params(kind, overrides=None):
-    cls = _PARAM_TYPES[kind]
+    """The params record of `kind` with `overrides` applied; an unknown
+    kind or hyperparameter raises InvalidSpec."""
     try:
-        return cls(**(overrides or {}))
+        return model_kind(kind).params(**(overrides or {}))
     except TypeError as e:
         raise InvalidSpec(f"{kind}: {e}") from None
 
 
 def fit_model(kind, fm, params=None, seed=0):
-    """Dispatch to the model-specific fit with its params record."""
-    if kind == "NB":
-        return fit_naive_bayes(fm, params)
-    if kind == "DT":
-        return fit_decision_tree(fm, params)
-    if kind == "RF":
-        return fit_random_forest(fm, params, seed=seed)
-    if kind == "SVC":
-        return fit_svc_rbf(fm, params, seed=seed)
-    if kind == "ADA":
-        return fit_adaboost(fm, params, seed=seed)
-    if kind == "GPC":
-        return fit_gpc(fm, params, seed=seed)
-    if kind == "LR":
-        return fit_logreg(fm, params)
-    if kind == "PERC":
-        return fit_perceptron(fm, params, seed=seed)
-    raise InvalidSpec(f"unknown model kind {kind!r}")
-
-
-def _stratified_cap(ds, cap, seed):
-    """Stratified subsample down to cap rows (largest-remainder per class)."""
-    if len(ds) <= cap:
-        return ds
-    from .data import _allocate_per_class  # shared arithmetic
-    n0, n1 = ds.class_counts()
-    take = _allocate_per_class((n0, n1), cap)
-    rng = np.random.default_rng(seed)
-    picked = [rng.choice(np.nonzero(ds.labels == c)[0], size=take[c], replace=False)
-              for c in (0, 1) if take[c] > 0]
-    return ds.subset(np.concatenate(picked))
+    """The fit of `kind`, with its params record and seed."""
+    return model_kind(kind).fit(fm, params, seed)
 
 
 def training_matrix(kind, train_ds, cfg):
@@ -254,7 +205,7 @@ def training_matrix(kind, train_ds, cfg):
         sub = balanced_subset(train_ds, per_class, seed=cfg.seed)
         info["per_class"] = per_class
         return FeatureMatrix.from_dataset(sub), info
-    capped = _stratified_cap(train_ds, cap, cfg.seed) if cap is not None else train_ds
+    capped = stratified_cap(train_ds, cap, cfg.seed) if cap is not None else train_ds
     cw = class_weights(capped)
     info["train_rows"] = len(capped)
     info["class_weights"] = [cw.control, cw.concussed]
@@ -382,7 +333,7 @@ def run_experiment(cfg, ds=None):
             outputs[f"models/{kind}.json"] = stages.run(
                 "save", f"model {kind}", _save_model, model, path)
             model_paths[kind] = path
-            per_model[DISPLAY_NAMES[kind]] = stages.run(
+            per_model[MODEL_KINDS[kind].name] = stages.run(
                 "evaluate", f"model {kind}", evaluate_model, model, test_ds)
             model_info[kind] = {**info, "fit": _checked_fit_diagnostics(kind, model)}
         title = f"Evaluation on held-out test frames ({cfg.test_kind})"
@@ -455,7 +406,7 @@ def evaluate_saved_models(model_paths, test_ds):
     per_model = {}
     for path in model_paths:
         model = load_model(path)
-        per_model[DISPLAY_NAMES.get(model.kind, model.kind)] = evaluate_model(model, test_ds)
+        per_model[MODEL_KINDS[model.kind].name] = evaluate_model(model, test_ds)
     return per_model
 
 
@@ -512,14 +463,10 @@ def run_novelty(cfg, ds=None):
             Xtr = train_pool.eye_dirs(eye)[:, :2]
             Xreg = test_reg.eye_dirs(eye)[:, :2]
             Xnov = test_nov.eye_dirs(eye)[:, :2]
-            for method in (m for m in _NOVELTY_ORDER if m in cfg.novelty_methods):
-                if method == "iforest":
-                    model = stages.run("novelty-fit", f"iforest {eye}",
-                                       fit_isolation_forest, Xtr,
-                                       IsoForestParams(seed=cfg.seed))
-                else:
-                    model = stages.run("novelty-fit", f"ocsvm {eye}",
-                                       fit_ocsvm, Xtr, OcsvmParams())
+            for method, fit in _NOVELTY_FITS.items():
+                if method not in cfg.novelty_methods:
+                    continue
+                model = stages.run("novelty-fit", f"{method} {eye}", fit, Xtr, cfg.seed)
                 fits[f"{method} {eye}"] = _checked_fit_diagnostics(f"{method} {eye}", model)
                 grid = stages.run("novelty-grid", f"{method} {eye}",
                                   export_boundary_grid, model, Xtr, Xreg, Xnov,

@@ -17,7 +17,7 @@ from conftest import record_gate
 from gazescreen.data import SplitConfig, class_weights, split
 from gazescreen.metrics import ConfusionMatrix, auc_score, compute_metrics
 from gazescreen.models import (
-    DISPLAY_NAMES,
+    MODEL_KINDS,
     FeatureMatrix,
     PerceptronParams,
     fit_decision_tree,
@@ -35,6 +35,8 @@ from gazescreen.novelty import (
 )
 from gazescreen.pipeline import RunConfig, reproduce, run_experiment
 from gazescreen.simulate import ImpairmentParams, generate_cohort
+
+DISPLAY_NAMES = {kind: entry.name for kind, entry in MODEL_KINDS.items()}
 
 
 def _gate(name, ok, detail=""):
@@ -162,7 +164,7 @@ def test_decision_tree_matches_exhaustive_search():
             y[0] ^= 1
         model = fit_decision_tree(FeatureMatrix(X, y))
 
-        f_i, thr_i = model.root_split
+        f_i, thr_i = model.nodes["feature"][0], model.nodes["threshold"][0]
         members = _exact_argmin_splits(X, y, np.arange(n))
         root_ok += any(
             f_i == f and np.array_equal(X[:, f_i] <= thr_i, X[:, f] <= bv)

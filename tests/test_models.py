@@ -158,10 +158,15 @@ def tree_node_rows(nodes, X):
     return out
 
 
+def root_split(model):
+    """(feature, threshold) of a tree model's root node."""
+    return model.nodes["feature"][0], model.nodes["threshold"][0]
+
+
 class TestDecisionTree:
     def test_hand_split(self):
         model = fit_decision_tree(fm([[1], [2], [3], [4]], [0, 0, 1, 1]))
-        assert model.root_split == (0, 2.5)
+        assert root_split(model) == (0, 2.5)
         assert model.n_nodes == 3
         assert np.array_equal(model.predict(np.array([[1.0], [2.4], [2.6], [9.0]])),
                               [0, 0, 1, 1])
@@ -169,12 +174,12 @@ class TestDecisionTree:
     def test_threshold_tie_takes_lowest(self):
         # splits at 1.5 and 3.5 are exactly tied; first minimum wins
         model = fit_decision_tree(fm([[1], [2], [3], [4]], [0, 1, 0, 1]))
-        assert model.root_split == (0, 1.5)
+        assert root_split(model) == (0, 1.5)
 
     def test_feature_tie_takes_lowest(self):
         X = np.array([[1, -1], [2, -2], [3, -3], [4, -4]], dtype=float)
         model = fit_decision_tree(fm(X, [0, 0, 1, 1]))
-        assert model.root_split == (0, 2.5)
+        assert root_split(model) == (0, 2.5)
 
     def test_pure_data_is_a_leaf(self):
         model = fit_decision_tree(fm([[0], [1], [2]], [1, 1, 1]))
@@ -188,7 +193,7 @@ class TestDecisionTree:
         a, b = 1.0 + eps, 1.0 + 2 * eps
         assert 0.5 * (a + b) == b
         model = fit_decision_tree(fm([[a], [b]], [0, 1]))
-        f, thr = model.root_split
+        f, thr = root_split(model)
         assert a <= thr < b
         assert np.array_equal(model.predict(np.array([[a], [b]])), [0, 1])
 
@@ -257,7 +262,7 @@ class TestDecisionTree:
         b = fit_decision_tree(fm(X[rep], y[rep]))
         grid = rng.uniform(-1, 7, (60, 2))
         assert np.array_equal(a.predict(grid), b.predict(grid))
-        assert a.root_split == b.root_split
+        assert root_split(a) == root_split(b)
 
     def test_descend_matches_scalar_routing(self):
         rng = np.random.default_rng(9)
@@ -1099,7 +1104,7 @@ class TestGpc:
         pos = rng.normal(1.5, 1.0, (20, 2))
         X = np.vstack([pos, -pos])
         y = np.array([1] * 20 + [0] * 20)
-        model = fit_gpc(fm(X, y), GpcParams(optimize_hyperparams=False))
+        model = fit_gpc(fm(X, y), GpcParams(optimizer_max_iter=0))
         origin = np.zeros((1, 2))
         assert abs(model.decision_score(origin)[0]) <= 1e-6
         from scipy.special import expit
@@ -1144,7 +1149,7 @@ class TestGpc:
         monkeypatch.undo()
         # the fit at the final theta without a search recomputes the mode
         again = fit_gpc(fm(X, y), GpcParams(theta0=tuple(model.theta),
-                                            optimize_hyperparams=False))
+                                            optimizer_max_iter=0))
         assert again.meta["n_lml_evals"] == 0 and again.meta["newton_steps"] > 0
         assert again.meta["theta_at_bound"] is False
         assert np.array_equal(again.f_hat, model.f_hat)
@@ -1172,7 +1177,7 @@ class TestGpc:
 def fitted_zoo():
     X, y = blobs(15, seed=27, sep=3.0)
     matrix = fm(X, y)
-    small_gpc = GpcParams(optimize_hyperparams=False)
+    small_gpc = GpcParams(optimizer_max_iter=0)
     return X, [
         fit_naive_bayes(matrix),
         fit_decision_tree(matrix),

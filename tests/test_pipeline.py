@@ -27,7 +27,7 @@ from gazescreen.errors import (
     SingleClass,
 )
 from gazescreen.metrics import parse_report_csv
-from gazescreen.models import FittedModel, LogRegParams
+from gazescreen.models import MODEL_KINDS, FeatureMatrix, FittedModel, LogRegParams, load_model
 from gazescreen.novelty import OcsvmParams, load_boundary_grid
 from gazescreen.pipeline import (
     DEFAULT_TRAIN_CAPS,
@@ -207,6 +207,37 @@ def test_make_params():
     assert make_params("DT", {"max_depth": 2}).max_depth == 2
     with pytest.raises(InvalidSpec):
         make_params("DT", {"not_a_knob": 3})
+    with pytest.raises(InvalidSpec, match="unknown model kind"):
+        make_params("XGB")
+
+
+@pytest.mark.parametrize("kind", list(MODEL_KINDS))
+def test_model_kind_table(kind, tmp_path):
+    """Each kind's fit takes a seed, `fit_model` passes it on and returns
+    the table's class, and a saved file loads back as that class."""
+    entry = MODEL_KINDS[kind]
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.normal(0, 1, (30, 3)), rng.normal(2, 1, (30, 3))])
+    fm = FeatureMatrix(X, np.repeat([0, 1], 30))
+    model = pipeline_mod.fit_model(kind, fm, None, 4)
+    assert type(model) is entry.model and model.kind == kind
+    assert model.to_dict() == entry.fit(fm, seed=4).to_dict()
+    path = str(tmp_path / f"{kind}.json")
+    model.save(path)
+    assert type(load_model(path)) is entry.model
+
+
+@pytest.mark.parametrize("kind, knob, value", [("DT", "criterion", "gini"),
+                                              ("GPC", "optimize_hyperparams", False)])
+def test_removed_hyperparameter_exits_2(kind, knob, value, tmp_path):
+    # both knobs are gone; each value was once legal
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[run]\nmodels = {kind}\n"
+                   f"hyper_overrides = {json.dumps({kind: {knob: value}})}\n")
+    argv = ["train", "--config", str(ini), "--n-control", "1", "--n-concussed", "1",
+            "--balanced-per-class", "100", "--out-dir", str(tmp_path / "out")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli_main(argv) == 2
 
 
 # -- cohort synthesis ---------------------------------------------------------

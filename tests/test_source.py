@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 import ast
+import collections
 import os
 import pathlib
 import subprocess
@@ -12,7 +13,8 @@ SRC = ROOT / "src" / "gazescreen"
 MODULES = sorted(SRC.rglob("*.py"))
 # the code whose reads keep a definition of the package alive; tests do not
 READERS = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "demos").rglob("*.py"))
-_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = (*_FUNCTIONS, ast.ClassDef)
 
 
 def module_imports(tree):
@@ -49,6 +51,14 @@ def names_read(tree):
             and isinstance(n.ctx, ast.Load)} | exported(tree)
 
 
+def reads_in(node):
+    """The names read anywhere under node, once per read: names loaded and
+    attribute names (`pipeline.fit_ocsvm` reads fit_ocsvm)."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)]
+
+
 def definitions_and_reads(tree):
     """(name, line) of each module-level function, class and constant
     (`NAME = ...`, but not `__all__`), and every name the module reads
@@ -56,12 +66,7 @@ def definitions_and_reads(tree):
     (`pipeline.fit_ocsvm` reads fit_ocsvm) and the strings of __all__."""
     defined, read = [], exported(tree)
     for stmt in tree.body:
-        names = set()
-        for n in ast.walk(stmt):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                names.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                names.add(n.attr)
+        names = set(reads_in(stmt))
         if isinstance(stmt, _DEFINITIONS):
             own = [stmt.name]
         elif isinstance(stmt, ast.Assign):
@@ -107,6 +112,57 @@ def test_every_definition_is_read():
             defined += [f"{path.relative_to(SRC)}:{line} {name}" for name, line in names]
     unread = [d for d in defined if d.rpartition(" ")[2] not in read]
     assert defined and not unread, f"defined but never read: {', '.join(unread)}"
+
+
+# methods kept though src/ and demos/ never call them: public API that
+# README defines
+PUBLIC_METHODS = {"FittedModel.predict"}
+
+
+def methods_and_reads(tree):
+    """(Class.name, line) of each method and property of each module-level
+    class, dunders aside, and a count of each name and attribute name the
+    module reads, less the reads in the body of a method of that name (a
+    method that only calls itself is unread)."""
+    defined, reads = [], collections.Counter(reads_in(tree))
+    reads.update(exported(tree))
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, _FUNCTIONS) and not item.name.startswith("__"):
+                defined.append((f"{cls.name}.{item.name}", item.lineno))
+                reads[item.name] -= reads_in(item).count(item.name)
+    return defined, reads
+
+
+def test_every_method_is_read():
+    """A method or property of a package class that src/ and demos/ never
+    read is dead or test-only, unless it is public API (PUBLIC_METHODS)."""
+    defined, reads = [], collections.Counter()
+    for path in READERS:
+        names, counts = methods_and_reads(ast.parse(path.read_text(), filename=str(path)))
+        reads.update(counts)
+        if SRC in path.parents:
+            defined += [(name, f"{path.relative_to(SRC)}:{line} {name}")
+                        for name, line in names]
+    unread = [where for name, where in defined
+              if name not in PUBLIC_METHODS and reads[name.partition(".")[2]] <= 0]
+    assert defined and not unread, f"defined but never read: {', '.join(unread)}"
+
+
+def test_checker_sees_an_unread_method():
+    defined, reads = methods_and_reads(ast.parse(
+        "class A:\n"
+        "    def __init__(self):\n        self.used()\n"
+        "    def used(self):\n        pass\n"
+        "    def recursive(self):\n        return self.recursive()\n"
+        "    @property\n    def unread(self):\n        return 1\n"
+        "    @property\n    def read(self):\n        return 2\n"
+        "print(A().read)\n"))
+    assert [n for n, _ in defined] == ["A.used", "A.recursive", "A.unread", "A.read"]
+    assert [n for n, _ in defined if reads[n.partition(".")[2]] <= 0] == [
+        "A.recursive", "A.unread"]
 
 
 def test_checker_sees_an_unread_definition():
