@@ -49,7 +49,8 @@ def main():
                                     resolution=40)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "grid.csv")
-            grid.save(path)
+            with open(path, "w") as fh:
+                fh.write(grid.to_csv_text())
             again = load_boundary_grid(path)
             print(f"  grid {again.scores.shape[1]}x{again.scores.shape[0]}, "
                   f"{len(again.points)} overlay points, "

@@ -125,13 +125,16 @@ class PerceptronModel(_LinearModel):
     kind = "PERC"
 
 
+# rows the perceptron scans per vectorised margin check
+_CHUNK = 2048
+
+
 def _perceptron_loss(X, ypm, sw, w, b):
     margins = ypm * (X @ w + b)
     return float(sw @ np.maximum(0.0, -margins))
 
 
-def fit_perceptron(fm: FeatureMatrix, hp: PerceptronParams = None, seed: int = 0,
-                   chunk: int = 2048):
+def fit_perceptron(fm: FeatureMatrix, hp: PerceptronParams = None, seed: int = 0):
     """Classic mistake-driven updates: on a sample with non-positive signed
     margin, w <- (1 - eta0*alpha) w + eta0*s_i*y_i*x_i (and the intercept
     moves by eta0*s_i*y_i). Scanning is chunked so epochs over mostly
@@ -175,10 +178,10 @@ def fit_perceptron(fm: FeatureMatrix, hp: PerceptronParams = None, seed: int = 0
         mistakes = 0
         ptr = 0
         while ptr < len(Xe):
-            margins = ye[ptr:ptr + chunk] * (Xe[ptr:ptr + chunk] @ w + b)
+            margins = ye[ptr:ptr + _CHUNK] * (Xe[ptr:ptr + _CHUNK] @ w + b)
             bad = np.flatnonzero(margins <= 0.0)
             if bad.size == 0:
-                ptr += chunk
+                ptr += _CHUNK
                 continue
             k = ptr + bad[0]
             step = hp.eta0 * se[k] * ye[k]

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import atomic_write_text
 from .errors import (
     DataError,
     EmptyDataset,
@@ -425,9 +424,6 @@ class BoundaryGrid:
             parts.append("".join([f"{head}{value},{tag}\n" for head, value, tag
                                   in zip(heads, _float_text(values), tags)]))
         return "".join(parts)
-
-    def save(self, path):
-        atomic_write_text(path, self.to_csv_text())
 
 
 def _float_text(values):

@@ -68,6 +68,11 @@ NOVELTY_METHODS = tuple(sorted(_NOVELTY_FITS))
 
 OUTDIR_ENV_VAR = "GAZESCREEN_OUTDIR"
 
+# the least value of each integer run field; below it a run cannot work (a
+# novelty fit needs two rows, and each test class and balanced subset one)
+_LEAST = {"n_control": 0, "n_concussed": 0, "seed": 0, "balanced_per_class": 1,
+          "novelty_train": 2, "novelty_test_per_class": 1, "grid_resolution": 2}
+
 
 @dataclass
 class RunConfig:
@@ -118,13 +123,31 @@ class RunConfig:
                 raise InvalidSpec(
                     f"{clash} train on balanced subsets by protocol; pass "
                     "allow_weighted_balanced_models=True to override")
-        if self.seed < 0:
-            raise InvalidSpec("seed must be >= 0")
+        for name, least in _LEAST.items():
+            if getattr(self, name) < least:
+                raise InvalidSpec(f"{name} must be >= {least}, got {getattr(self, name)}")
+        self.split_config()  # checks both fractions
         unknown = [m for m in self.novelty_methods if m not in NOVELTY_METHODS]
         if unknown:
             raise InvalidSpec(f"unknown novelty method(s) {unknown}; valid: {NOVELTY_METHODS}")
-        if self.grid_resolution < 2:
-            raise InvalidSpec("grid_resolution must be >= 2")
+        for name in ("train_caps", "hyper_overrides", "control_overrides",
+                     "concussed_overrides"):
+            if not isinstance(getattr(self, name), dict):
+                raise InvalidSpec(f"{name} must be a JSON object, got {getattr(self, name)!r}")
+        unknown = [k for k in (*self.train_caps, *self.hyper_overrides) if k not in MODEL_KINDS]
+        if unknown:
+            raise InvalidSpec(f"unknown model kind(s) {unknown} in train_caps or hyper_overrides")
+        for kind, cap in self.train_caps.items():
+            # fewer than two rows cannot hold both classes
+            if isinstance(cap, bool) or not isinstance(cap, int) or cap < 2:
+                raise InvalidSpec(f"train_caps[{kind!r}] must be an integer >= 2, got {cap!r}")
+        for kind, knobs in self.hyper_overrides.items():
+            if not isinstance(knobs, dict):
+                raise InvalidSpec(f"hyper_overrides[{kind!r}] must be a JSON object, got {knobs!r}")
+        for name in ("control_overrides", "concussed_overrides"):
+            for key, value in getattr(self, name).items():
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise InvalidSpec(f"{name}[{key!r}] must be a number, got {value!r}")
 
     def resolved_outdir(self):
         """outdir with the environment override applied; entry points (CLI,
@@ -212,22 +235,64 @@ def training_matrix(kind, train_ds, cfg):
     return FeatureMatrix.from_dataset(capped, cw.per_sample(capped.labels)), info
 
 
-# -- stage bookkeeping ------------------------------------------------------------
+# -- the run record ----------------------------------------------------------------
 
-class _Stages:
-    def __init__(self):
-        self.timings = []
+class _Run:
+    """The record of one pipeline command, used as a context manager. It
+    makes the output directory, times each stage, lists each file written
+    under it with the file's sha256, deletes those files if the block
+    raises (so a failed run leaves none of its outputs behind), and writes
+    all of it to manifest.json."""
 
-    def run(self, name, detail, fn, *args, **kwargs):
+    def __init__(self, outdir, command):
+        os.makedirs(outdir, exist_ok=True)
+        self.outdir = outdir
+        self.command = command
+        self.stages = []
+        self.outputs = {}
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            for name in self.outputs:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(os.path.join(self.outdir, name))
+
+    def stage(self, name, detail, fn, *args):
         t0 = time.perf_counter()
         try:
-            out = fn(*args, **kwargs)
+            out = fn(*args)
         except GazeScreenError as e:
             raise PipelineError(name, detail, e) from e
-        self.timings.append({"stage": name, "label": detail,
-                             "seconds": time.perf_counter() - t0,
-                             "peak_rss_mb": _peak_rss_mb()})
+        self.stages.append({"stage": name, "label": detail,
+                            "seconds": time.perf_counter() - t0,
+                            "peak_rss_mb": _peak_rss_mb()})
         return out
+
+    def write(self, name, text):
+        """Write `text` to `name` under the output directory; returns its path."""
+        path = os.path.join(self.outdir, name)
+        atomic_write_text(path, text)
+        self.outputs[name] = hashlib.sha256(text.encode()).hexdigest()
+        return path
+
+    def save_model(self, model, name):
+        """Write a model file to `name` under the output directory; returns its path."""
+        path = os.path.join(self.outdir, name)
+        model.save(path)
+        self.outputs[name] = _sha256_file(path)
+        return path
+
+    def finish(self, **body):
+        """Write manifest.json: the common keys plus the runner's `body`;
+        returns its path."""
+        path = os.path.join(self.outdir, "manifest.json")
+        manifest = {"tool": "gazescreen", "command": self.command, "stages": self.stages,
+                    "peak_rss_mb": _peak_rss_mb(), "outputs": self.outputs, **body}
+        atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True))
+        return path
 
 
 def _peak_rss_mb():
@@ -243,32 +308,6 @@ def _sha256_file(path):
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
-
-
-def _save_model(model, path):
-    """Write a model file; returns its sha256."""
-    model.save(path)
-    return _sha256_file(path)
-
-
-@contextlib.contextmanager
-def _removed_on_failure(outdir):
-    """The dict a run lists its output files in ({path under outdir:
-    sha256}). If the run fails, the files listed are deleted before the
-    error propagates, so a failed run leaves none of its outputs behind."""
-    outputs = {}
-    try:
-        yield outputs
-    except BaseException:
-        for name in outputs:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(outdir, name))
-        raise
-
-
-def _write_output(path, text, outputs):
-    atomic_write_text(path, text)
-    outputs[os.path.basename(path)] = hashlib.sha256(text.encode()).hexdigest()
 
 
 def synthesize_cohort(cfg):
@@ -302,68 +341,47 @@ class ExperimentResult:
     report_csv_path: str
     manifest_path: str
     model_paths: dict
-    timings: list
 
 
 def run_experiment(cfg, ds=None):
     """Simulate/load -> split -> per-model weight/cap/fit -> evaluate ->
     report + manifest. Returns an ExperimentResult. `ds`, when given, is
     the cohort `cfg` describes, already acquired."""
-    outdir = cfg.outdir
-    os.makedirs(os.path.join(outdir, "models"), exist_ok=True)
-    stages = _Stages()
-
-    source = cfg.csv_path or f"synthetic cohort ({cfg.n_control}+{cfg.n_concussed} {cfg.test_kind})"
-    if ds is None:
-        ds = stages.run("acquire", source, _acquire, cfg)
-    train_ds, val_ds, test_ds = stages.run(
-        "split", f"{len(ds)} frames", split, ds, cfg.split_config())
-
-    with _removed_on_failure(outdir) as outputs:
+    with _Run(cfg.outdir, "experiment") as run:
+        os.makedirs(os.path.join(cfg.outdir, "models"), exist_ok=True)
+        source = cfg.csv_path or f"synthetic cohort ({cfg.n_control}+{cfg.n_concussed} {cfg.test_kind})"
+        if ds is None:
+            ds = run.stage("acquire", source, _acquire, cfg)
+        train_ds, val_ds, test_ds = run.stage(
+            "split", f"{len(ds)} frames", split, ds, cfg.split_config())
         per_model = {}
         model_paths = {}
         model_info = {}
         for kind in cfg.models:
-            fm, info = stages.run("weight", f"model {kind}", training_matrix,
-                                  kind, train_ds, cfg)
+            fm, info = run.stage("weight", f"model {kind}", training_matrix,
+                                 kind, train_ds, cfg)
             params = make_params(kind, cfg.hyper_overrides.get(kind))
-            model = stages.run("fit", f"model {kind} ({fm.n} rows)",
-                               fit_model, kind, fm, params, cfg.seed)
-            path = os.path.join(outdir, "models", f"{kind}.json")
-            outputs[f"models/{kind}.json"] = stages.run(
-                "save", f"model {kind}", _save_model, model, path)
-            model_paths[kind] = path
-            per_model[MODEL_KINDS[kind].name] = stages.run(
+            model = run.stage("fit", f"model {kind} ({fm.n} rows)",
+                              fit_model, kind, fm, params, cfg.seed)
+            model_paths[kind] = run.stage("save", f"model {kind}", run.save_model,
+                                          model, f"models/{kind}.json")
+            per_model[MODEL_KINDS[kind].name] = run.stage(
                 "evaluate", f"model {kind}", evaluate_model, model, test_ds)
             model_info[kind] = {**info, "fit": _checked_fit_diagnostics(kind, model)}
         title = f"Evaluation on held-out test frames ({cfg.test_kind})"
-        report_txt = metrics_mod.render_report_text(per_model, title)
-        report_csv = metrics_mod.render_report_csv(per_model)
-        txt_path = os.path.join(outdir, "report.txt")
-        csv_path = os.path.join(outdir, "report.csv")
-        _write_output(txt_path, report_txt, outputs)
-        _write_output(csv_path, report_csv, outputs)
-
-        manifest_path = os.path.join(outdir, "manifest.json")
-        manifest = {
-            "tool": "gazescreen",
-            "command": "experiment",
-            "config": asdict(cfg),
-            "data": {
+        txt_path = run.write("report.txt", metrics_mod.render_report_text(per_model, title))
+        csv_path = run.write("report.csv", metrics_mod.render_report_csv(per_model))
+        manifest_path = run.finish(
+            config=asdict(cfg),
+            data={
                 "source": source,
                 "sha256": _sha256_file(cfg.csv_path) if cfg.csv_path else None,
                 "frames": len(ds),
                 "split": {"train": len(train_ds), "validation": len(val_ds),
                           "test": len(test_ds)},
             },
-            "models": model_info,
-            "stages": stages.timings,
-            "peak_rss_mb": _peak_rss_mb(),
-            "outputs": outputs,
-        }
-        atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
-        return ExperimentResult(per_model, txt_path, csv_path, manifest_path,
-                                model_paths, stages.timings)
+            models=model_info)
+        return ExperimentResult(per_model, txt_path, csv_path, manifest_path, model_paths)
 
 
 def evaluate_model(model, test_ds):
@@ -402,10 +420,15 @@ def _checked_fit_diagnostics(label, model):
 
 
 def evaluate_saved_models(model_paths, test_ds):
-    """Re-evaluate serialised models on a dataset; returns {display: MetricSet}."""
-    per_model = {}
+    """Re-evaluate serialised models on a dataset; returns {display: MetricSet}.
+    The report has one column per kind, so a second file of a kind raises
+    InvalidSpec."""
+    per_model, paths = {}, {}
     for path in model_paths:
         model = load_model(path)
+        if model.kind in paths:
+            raise InvalidSpec(f"{paths[model.kind]} and {path} are both {model.kind} models")
+        paths[model.kind] = path
         per_model[MODEL_KINDS[model.kind].name] = evaluate_model(model, test_ds)
     return per_model
 
@@ -421,39 +444,35 @@ def run_novelty(cfg, ds=None):
     diagnostics and each grid's sizes. `ds`, when given, is the cohort
     `cfg` describes, already acquired.
     """
-    outdir = cfg.outdir
-    os.makedirs(outdir, exist_ok=True)
-    stages = _Stages()
+    with _Run(cfg.outdir, "novelty") as run:
+        if ds is None:
+            ds = run.stage("acquire", f"novelty cohort {cfg.test_kind}", _acquire, cfg)
+        train_ds, _, test_ds = run.stage("split", f"{len(ds)} frames",
+                                         split, ds, cfg.split_config())
+        rng = np.random.default_rng(cfg.seed)
+        if cfg.allow_mixed_novelty_training:
+            pool_idx = np.arange(len(train_ds))
+        else:
+            # training pool must be regular-only for novelty detection
+            pool_idx = np.nonzero(train_ds.labels == 0)[0]
+        if pool_idx.size == 0:
+            raise PipelineError("novelty-train", "control pool",
+                                SingleClass("no control frames to train on"))
+        take = min(cfg.novelty_train, pool_idx.size)
+        train_pool = train_ds.subset(rng.choice(pool_idx, size=take, replace=False))
 
-    if ds is None:
-        ds = stages.run("acquire", f"novelty cohort {cfg.test_kind}", _acquire, cfg)
-    train_ds, _, test_ds = stages.run("split", f"{len(ds)} frames",
-                                      split, ds, cfg.split_config())
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.allow_mixed_novelty_training:
-        pool_idx = np.arange(len(train_ds))
-    else:
-        # training pool must be regular-only for novelty detection
-        pool_idx = np.nonzero(train_ds.labels == 0)[0]
-    if pool_idx.size == 0:
-        raise PipelineError("novelty-train", "control pool",
-                            SingleClass("no control frames to train on"))
-    take = min(cfg.novelty_train, pool_idx.size)
-    train_pool = train_ds.subset(rng.choice(pool_idx, size=take, replace=False))
+        per_class = cfg.novelty_test_per_class
+        n0, n1 = test_ds.class_counts()
+        test_parts = []
+        for c, avail in ((0, n0), (1, n1)):
+            k = min(per_class, avail)
+            if k == 0:
+                raise PipelineError("novelty-test", f"class {c}",
+                                    SingleClass(f"no class-{c} frames in the test split"))
+            test_parts.append(test_ds.subset(
+                rng.choice(np.nonzero(test_ds.labels == c)[0], size=k, replace=False)))
+        test_reg, test_nov = test_parts
 
-    per_class = cfg.novelty_test_per_class
-    n0, n1 = test_ds.class_counts()
-    test_parts = []
-    for c, avail in ((0, n0), (1, n1)):
-        k = min(per_class, avail)
-        if k == 0:
-            raise PipelineError("novelty-test", f"class {c}",
-                                SingleClass(f"no class-{c} frames in the test split"))
-        test_parts.append(test_ds.subset(
-            rng.choice(np.nonzero(test_ds.labels == c)[0], size=k, replace=False)))
-    test_reg, test_nov = test_parts
-
-    with _removed_on_failure(outdir) as outputs:
         grid_paths = []
         fits, grids = {}, {}
         # carries one eye's point text from its first grid's CSV to its
@@ -466,34 +485,23 @@ def run_novelty(cfg, ds=None):
             for method, fit in _NOVELTY_FITS.items():
                 if method not in cfg.novelty_methods:
                     continue
-                model = stages.run("novelty-fit", f"{method} {eye}", fit, Xtr, cfg.seed)
-                fits[f"{method} {eye}"] = _checked_fit_diagnostics(f"{method} {eye}", model)
-                grid = stages.run("novelty-grid", f"{method} {eye}",
-                                  export_boundary_grid, model, Xtr, Xreg, Xnov,
-                                  resolution=cfg.grid_resolution)
-                grids[f"{method} {eye}"] = grid.sizes
-                path = os.path.join(outdir, f"{method}_{cfg.test_kind}_{eye}.csv")
-                stages.run("grid-write", f"{method} {eye}",
-                           lambda: _write_output(path, grid.to_csv_text(shared), outputs))
-                grid_paths.append(path)
+                label = f"{method} {eye}"
+                model = run.stage("novelty-fit", label, fit, Xtr, cfg.seed)
+                fits[label] = _checked_fit_diagnostics(label, model)
+                grid = run.stage("novelty-grid", label, export_boundary_grid,
+                                 model, Xtr, Xreg, Xnov, cfg.grid_resolution)
+                grids[label] = grid.sizes
+                name = f"{method}_{cfg.test_kind}_{eye}.csv"
+                grid_paths.append(run.stage(
+                    "grid-write", label, lambda: run.write(name, grid.to_csv_text(shared))))
                 # done with: dropped before the next fit, so that a forest and
                 # its cell tables (about 3 MB) do not add to that fit's peak RSS
                 del model, grid
 
-        manifest_path = os.path.join(outdir, "manifest.json")
-        manifest = {
-            "tool": "gazescreen",
-            "command": "novelty",
-            "config": asdict(cfg),
-            "data": {"train_rows": len(train_pool),
-                     "test_regular": len(test_reg), "test_novel": len(test_nov)},
-            "fits": fits,
-            "grids": grids,
-            "stages": stages.timings,
-            "peak_rss_mb": _peak_rss_mb(),
-            "outputs": outputs,
-        }
-        atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
+        run.finish(config=asdict(cfg),
+                   data={"train_rows": len(train_pool),
+                         "test_regular": len(test_reg), "test_novel": len(test_nov)},
+                   fits=fits, grids=grids)
         return grid_paths
 
 
@@ -509,29 +517,19 @@ def reproduce(cfg):
     if cfg.csv_path:
         raise InvalidSpec("reproduce simulates its cohorts; csv_path must be unset")
     outdir = cfg.resolved_outdir()
-    os.makedirs(outdir, exist_ok=True)
-    stages = _Stages()
     results = {}
     sections = {}
-    for kind in ("SP", "VMS"):
-        exp_cfg = replace(cfg, test_kind=kind, outdir=os.path.join(outdir, kind.lower()))
-        ds = stages.run("acquire",
-                        f"synthetic cohort ({cfg.n_control}+{cfg.n_concussed} {kind})",
-                        _acquire, exp_cfg)
-        results[kind] = run_experiment(exp_cfg, ds)
-        nov_cfg = replace(cfg, test_kind=kind,
-                          outdir=os.path.join(outdir, "novelty", kind.lower()))
-        results[f"novelty-{kind}"] = run_novelty(nov_cfg, ds)
-        sections[kind] = os.path.join(kind.lower(), "manifest.json")
-        sections[f"novelty-{kind}"] = os.path.join("novelty", kind.lower(), "manifest.json")
-    manifest = {
-        "tool": "gazescreen",
-        "command": "reproduce",
-        "seed": cfg.seed,
-        "sections": sections,
-        "stages": stages.timings,
-        "peak_rss_mb": _peak_rss_mb(),
-    }
-    atomic_write_text(os.path.join(outdir, "manifest.json"),
-                      json.dumps(manifest, indent=2, sort_keys=True))
+    with _Run(outdir, "reproduce") as run:
+        for kind in ("SP", "VMS"):
+            exp_cfg = replace(cfg, test_kind=kind, outdir=os.path.join(outdir, kind.lower()))
+            ds = run.stage("acquire",
+                           f"synthetic cohort ({cfg.n_control}+{cfg.n_concussed} {kind})",
+                           _acquire, exp_cfg)
+            results[kind] = run_experiment(exp_cfg, ds)
+            nov_cfg = replace(cfg, test_kind=kind,
+                              outdir=os.path.join(outdir, "novelty", kind.lower()))
+            results[f"novelty-{kind}"] = run_novelty(nov_cfg, ds)
+            sections[kind] = os.path.join(kind.lower(), "manifest.json")
+            sections[f"novelty-{kind}"] = os.path.join("novelty", kind.lower(), "manifest.json")
+        run.finish(seed=cfg.seed, sections=sections)
     return results

@@ -44,6 +44,7 @@ from gazescreen.models import (
 )
 from gazescreen.models.linear import logreg_objective
 from gazescreen.models import gpc as gpc_mod
+from gazescreen.models import linear as linear_mod
 from gazescreen.models import tree as tree_mod
 from gazescreen.models.tree import descend, grow_tree
 
@@ -1012,12 +1013,13 @@ class TestPerceptron:
     @pytest.mark.parametrize("shuffle", [True, False])
     @pytest.mark.parametrize("validation_fraction", [0.0, 0.1])
     def test_contiguous_scan_equals_gathering_scan(self, chunk, shuffle,
-                                                   validation_fraction):
+                                                   validation_fraction, monkeypatch):
         X, y = blobs(300, d=4, seed=45, sep=1.5, spread=1.5)
         matrix = fm(X, y, np.random.default_rng(46).uniform(0.5, 2.0, 600))
         hp = PerceptronParams(shuffle=shuffle, validation_fraction=validation_fraction,
                               max_iter=15)
-        model = fit_perceptron(matrix, hp, seed=3, chunk=chunk)
+        monkeypatch.setattr(linear_mod, "_CHUNK", chunk)
+        model = fit_perceptron(matrix, hp, seed=3)
         w, b, epochs, stop = fit_perceptron_reference(matrix, hp, seed=3, chunk=chunk)
         assert model.weights.tobytes() == w.tobytes()
         assert np.float64(model.intercept).tobytes() == np.float64(b).tobytes()

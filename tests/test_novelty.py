@@ -676,7 +676,7 @@ class TestBoundaryGrid:
         model, train, regular, novel = self.fitted()
         grid = export_boundary_grid(model, train, regular, novel, resolution=8)
         path = tmp_path / "grid.csv"
-        grid.save(path)
+        path.write_text(grid.to_csv_text())
         back = load_boundary_grid(path)
         assert np.array_equal(back.x_values, grid.x_values)
         assert np.array_equal(back.y_values, grid.y_values)

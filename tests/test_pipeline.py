@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import signal
 
 import numpy as np
@@ -454,6 +455,19 @@ def test_evaluate_scores_each_model_once(exp, monkeypatch):
     assert sorted(calls) == sorted(cfg.models)
 
 
+def test_evaluate_refuses_two_files_of_a_kind(exp, tmp_path):
+    # the report has one column per kind, so a copy of a model file would
+    # silently replace the original's column
+    cfg, res = exp
+    models = tmp_path / "models"
+    models.mkdir()
+    for name in ("DT.json", "DT_old.json"):
+        shutil.copy(res.model_paths["DT"], models / name)
+    _, _, test_ds = split(synthesize_cohort(cfg), cfg.split_config())
+    with pytest.raises(InvalidSpec, match=r"DT\.json and .*DT_old\.json are both DT"):
+        evaluate_saved_models(sorted(str(p) for p in models.iterdir()), test_ds)
+
+
 def test_failed_train_leaves_no_outputs(tmp_path, capsys):
     # DT is fitted and saved, then NB cannot draw its balanced subset
     out = tmp_path / "run"
@@ -692,6 +706,24 @@ def test_reproduce_sections_record_the_callers_config(tmp_path):
         man = json.loads((tmp_path / rel / "manifest.json").read_text())
         assert man["config"] == expected | {"test_kind": kind,
                                             "outdir": str(tmp_path / rel)}, rel
+
+
+def test_every_manifest_has_the_common_keys(tmp_path):
+    reproduce(RunConfig(seed=2, outdir=str(tmp_path), n_control=2, n_concussed=2,
+                        models=("NB",), balanced_per_class=250, novelty_train=80,
+                        novelty_test_per_class=20, grid_resolution=3,
+                        novelty_methods=("iforest",)))
+    for rel, command, outputs in (
+            ("", "reproduce", set()),
+            ("sp", "experiment", {"models/NB.json", "report.txt", "report.csv"}),
+            ("novelty/vms", "novelty", {f"iforest_VMS_{eye}.csv"
+                                        for eye in ("left", "right", "cyclopean")})):
+        man = json.loads((tmp_path / rel / "manifest.json").read_text())
+        assert {"tool", "command", "stages", "peak_rss_mb", "outputs"} <= set(man), rel
+        assert (man["tool"], man["command"]) == ("gazescreen", command)
+        assert set(man["outputs"]) == outputs, rel
+        assert man["stages"] and all(s["stage"] and s["label"] for s in man["stages"]), rel
+        assert man["peak_rss_mb"] > 0
 
 
 def test_reproduce_rejects_csv_path(tmp_path):
@@ -968,3 +1000,34 @@ def test_cli_bad_flag_values_exit_2(argv, tmp_path, capsys):
     assert code == 2
     assert not (tmp_path / "out").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, flags, ini", [
+    ("train", ["--n-control", "-1"], ""),
+    ("train", ["--models", "NB", "--balanced-per-class", "-5"], ""),
+    ("train", ["--models", "NB", "--balanced-per-class", "0"], ""),
+    ("novelty", ["--novelty-train", "1"], ""),
+    ("novelty", ["--novelty-test-per-class", "0"], ""),
+    ("novelty", ["--test-fraction", "1.5"], ""),
+    ("train", ["--validation-fraction", "1"], ""),
+    ("train", [], 'hyper_overrides = ["NB"]'),
+    ("train", [], 'hyper_overrides = {"NB": 3}'),
+    ("train", [], "train_caps = 5"),
+    ("train", [], 'train_caps = {"SVC": 0}'),
+    ("train", [], 'train_caps = {"XGB": 100}'),
+    ("train", [], 'control_overrides = {"noise_deg": "big"}'),
+    ("novelty", [], 'concussed_overrides = {"noise_deg": true}'),
+])
+def test_cli_bad_run_values_exit_2_before_work(command, flags, ini, tmp_path,
+                                               monkeypatch, capsys):
+    def no_work(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(pipeline_mod, "_acquire", no_work)
+    path = tmp_path / "run.ini"
+    path.write_text(f"[run]\n{ini}\n")
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(path), "--out-dir", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error ({command}):") and "Traceback" not in err
+    assert not out.exists()
