@@ -299,7 +299,6 @@ class SplitConfig:
     test_fraction: float = 0.2
     validation_fraction: float = 0.1
     seed: int = 0
-    stratified: bool = True
     by_session: bool = False
 
     def __post_init__(self):
@@ -346,9 +345,9 @@ def split(ds, cfg=None):
     """Partition into (train, validation, test) GazeDatasets.
 
     The shuffled unit is a frame, or under `by_session` a whole session.
-    Every frame lands in exactly one part. In stratified mode the per-class
-    allocation uses largest remainders, so each class count is within one
-    unit of the exact proportion.
+    Every frame lands in exactly one part. The split is stratified: the
+    per-class allocation uses largest remainders, so each class count is
+    within one unit of the exact proportion.
     """
     cfg = cfg or SplitConfig()
     if len(ds) == 0:
@@ -361,25 +360,19 @@ def split(ds, cfg=None):
         labels = labels[first]
     n_train, n_val, n_test = split_sizes(len(labels), cfg.test_fraction,
                                          cfg.validation_fraction)
-    if cfg.stratified:
-        by_class = [np.nonzero(labels == c)[0] for c in (0, 1)]
-        if len(by_class[0]) == 0 or len(by_class[1]) == 0:
-            raise SingleClassStratify("stratified split needs both classes present")
-        take_test = _allocate_per_class([len(u) for u in by_class], n_test)
-        test_idx, pool_idx = [], []
-        for c in (0, 1):
-            perm = rng.permutation(by_class[c])
-            test_idx.append(perm[: take_test[c]])
-            pool_idx.append(perm[take_test[c]:])
-        take_val = _allocate_per_class([len(p) for p in pool_idx], n_val)
-        val_idx = np.concatenate([pool_idx[c][: take_val[c]] for c in (0, 1)])
-        train_idx = np.concatenate([pool_idx[c][take_val[c]:] for c in (0, 1)])
-        test_idx = np.concatenate(test_idx)
-    else:
-        perm = rng.permutation(len(labels))
-        test_idx = perm[:n_test]
-        val_idx = perm[n_test:n_test + n_val]
-        train_idx = perm[n_test + n_val:]
+    by_class = [np.nonzero(labels == c)[0] for c in (0, 1)]
+    if len(by_class[0]) == 0 or len(by_class[1]) == 0:
+        raise SingleClassStratify("stratified split needs both classes present")
+    take_test = _allocate_per_class([len(u) for u in by_class], n_test)
+    test_idx, pool_idx = [], []
+    for c in (0, 1):
+        perm = rng.permutation(by_class[c])
+        test_idx.append(perm[: take_test[c]])
+        pool_idx.append(perm[take_test[c]:])
+    take_val = _allocate_per_class([len(p) for p in pool_idx], n_val)
+    val_idx = np.concatenate([pool_idx[c][: take_val[c]] for c in (0, 1)])
+    train_idx = np.concatenate([pool_idx[c][take_val[c]:] for c in (0, 1)])
+    test_idx = np.concatenate(test_idx)
     parts = (train_idx, val_idx, test_idx)
     if cfg.by_session:
         parts = [np.nonzero(np.isin(ds.session_ids, sids[units]))[0] for units in parts]

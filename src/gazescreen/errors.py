@@ -100,3 +100,7 @@ class PipelineError(GazeScreenError):
         self.cause = cause
         super().__init__(f"stage '{stage}' failed on {detail}: {cause}")
         self.__cause__ = cause
+
+    def __reduce__(self):
+        # the default rebuilds from `args`, the one message string
+        return type(self), (self.stage, self.detail, self.cause)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatch, MissingColumn, NonBinaryLabel, SingleClass
+from .errors import DataError, LengthMismatch, MissingColumn, NonBinaryLabel, SingleClass
 from .models import MODEL_KINDS
 
 # each report metric's name -> its MetricSet field, in report row order
@@ -227,12 +227,19 @@ def render_report_csv(per_model):
 
 
 def parse_report_csv(text):
-    """Inverse of render_report_csv: {model: {metric: fraction or nan}}."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != "metric,model,value_percent":
+    """Inverse of render_report_csv: {model: {metric: fraction or nan}}. A
+    row that is not three fields ending in a number or an empty cell raises
+    DataError naming its line."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != "metric,model,value_percent":
         raise MissingColumn("report CSV must start with metric,model,value_percent")
     out = {}
-    for ln in lines[1:]:
-        metric, model, cell = ln.split(",")
-        out.setdefault(model, {})[metric] = float(cell) / 100.0 if cell else float("nan")
+    for n, ln in lines[1:]:
+        try:
+            metric, model, cell = ln.split(",")
+            value = float(cell) / 100.0 if cell else float("nan")
+        except ValueError:
+            raise DataError(f"report CSV line {n}: expected metric,model,value_percent, "
+                            f"got {ln!r}") from None
+        out.setdefault(model, {})[metric] = value
     return out

@@ -56,7 +56,7 @@ def model_kind(kind):
     try:
         return MODEL_KINDS[kind]
     except (KeyError, TypeError):
-        raise InvalidSpec(f"unknown model kind {kind!r}") from None
+        raise InvalidSpec(f"unknown model kind {kind!r}; valid: {list(MODEL_KINDS)}") from None
 
 
 def model_from_dict(payload):

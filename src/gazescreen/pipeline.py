@@ -83,6 +83,8 @@ class RunConfig:
     per-model training sizes (stratified subsample) so quadratic solvers
     stay desk-sized; `weighting` is 'auto' (class weights, except the
     balanced-subset models), 'class-weights', or 'balanced-subset'.
+    Building one checks every setting: `hyperparams[kind]` and
+    `impairments[label]` are the records the run uses, overrides applied.
     """
 
     test_kind: str = "SP"
@@ -94,7 +96,6 @@ class RunConfig:
     models: tuple = tuple(MODEL_KINDS)
     test_fraction: float = 0.2
     validation_fraction: float = 0.1
-    stratified: bool = True
     weighting: str = "auto"
     balanced_per_class: int = 8000
     train_caps: dict = field(default_factory=lambda: dict(DEFAULT_TRAIN_CAPS))
@@ -107,16 +108,14 @@ class RunConfig:
     novelty_test_per_class: int = 5000
     grid_resolution: int = 100
     novelty_methods: tuple = NOVELTY_METHODS
-    allow_mixed_novelty_training: bool = False
 
     def __post_init__(self):
         if self.test_kind not in ("SP", "VMS"):
             raise InvalidSpec(f"test_kind must be SP or VMS, got {self.test_kind!r}")
         if self.weighting not in ("auto", "class-weights", "balanced-subset"):
             raise InvalidSpec(f"unknown weighting mode {self.weighting!r}")
-        unknown = [m for m in self.models if m not in MODEL_KINDS]
-        if unknown:
-            raise InvalidSpec(f"unknown model kind(s) {unknown}; valid: {list(MODEL_KINDS)}")
+        if len(set(self.models)) < len(self.models):
+            raise InvalidSpec(f"models names a kind more than once: {list(self.models)}")
         if self.weighting == "class-weights" and not self.allow_weighted_balanced_models:
             clash = [m for m in self.models if m in BALANCED_SUBSET_KINDS]
             if clash:
@@ -134,20 +133,24 @@ class RunConfig:
                      "concussed_overrides"):
             if not isinstance(getattr(self, name), dict):
                 raise InvalidSpec(f"{name} must be a JSON object, got {getattr(self, name)!r}")
-        unknown = [k for k in (*self.train_caps, *self.hyper_overrides) if k not in MODEL_KINDS]
+        unknown = [k for k in self.train_caps if k not in MODEL_KINDS]
         if unknown:
-            raise InvalidSpec(f"unknown model kind(s) {unknown} in train_caps or hyper_overrides")
+            raise InvalidSpec(f"unknown model kind(s) {unknown} in train_caps")
         for kind, cap in self.train_caps.items():
             # fewer than two rows cannot hold both classes
             if isinstance(cap, bool) or not isinstance(cap, int) or cap < 2:
                 raise InvalidSpec(f"train_caps[{kind!r}] must be an integer >= 2, got {cap!r}")
-        for kind, knobs in self.hyper_overrides.items():
-            if not isinstance(knobs, dict):
-                raise InvalidSpec(f"hyper_overrides[{kind!r}] must be a JSON object, got {knobs!r}")
-        for name in ("control_overrides", "concussed_overrides"):
-            for key, value in getattr(self, name).items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise InvalidSpec(f"{name}[{key!r}] must be a number, got {value!r}")
+        # each record checks its own values; these are not fields, so asdict
+        # and == see only the settings
+        self.hyperparams = {kind: make_params(kind, self.hyper_overrides.get(kind))
+                            for kind in (*self.models, *self.hyper_overrides)}
+        self.impairments = {}
+        for label, name in ((0, "control_overrides"), (1, "concussed_overrides")):
+            try:
+                self.impairments[label] = replace(ImpairmentParams.for_label(label),
+                                                  **getattr(self, name))
+            except (TypeError, InvalidSpec) as e:
+                raise InvalidSpec(f"{name}: {e}") from None
 
     def resolved_outdir(self):
         """outdir with the environment override applied; entry points (CLI,
@@ -157,7 +160,7 @@ class RunConfig:
     def split_config(self):
         return SplitConfig(test_fraction=self.test_fraction,
                            validation_fraction=self.validation_fraction,
-                           seed=self.seed, stratified=self.stratified)
+                           seed=self.seed)
 
 
 def _parse_bool(raw):
@@ -201,7 +204,7 @@ def make_params(kind, overrides=None):
     """The params record of `kind` with `overrides` applied; an unknown
     kind or hyperparameter raises InvalidSpec."""
     try:
-        return model_kind(kind).params(**(overrides or {}))
+        return model_kind(kind).params(**({} if overrides is None else overrides))
     except TypeError as e:
         raise InvalidSpec(f"{kind}: {e}") from None
 
@@ -311,19 +314,10 @@ def _sha256_file(path):
 
 
 def synthesize_cohort(cfg):
-    """Simulate the configured cohort, applying any per-field impairment
-    overrides on top of the label defaults."""
-    ctl = dict(cfg.control_overrides)
-    con = dict(cfg.concussed_overrides)
-    base_c = asdict(ImpairmentParams.control())
-    base_k = asdict(ImpairmentParams.concussed())
-    bad = (set(ctl) | set(con)) - set(base_c)
-    if bad:
-        raise InvalidSpec(f"unknown impairment override(s) {sorted(bad)}")
+    """Simulate the configured cohort with its two impairment records."""
     return generate_cohort(
         cfg.n_control, cfg.n_concussed, cfg.test_kind, base_seed=cfg.seed,
-        control_impairment=ImpairmentParams(**{**base_c, **ctl}),
-        concussed_impairment=ImpairmentParams(**{**base_k, **con}))
+        control_impairment=cfg.impairments[0], concussed_impairment=cfg.impairments[1])
 
 
 def _acquire(cfg):
@@ -360,17 +354,17 @@ def run_experiment(cfg, ds=None):
         for kind in cfg.models:
             fm, info = run.stage("weight", f"model {kind}", training_matrix,
                                  kind, train_ds, cfg)
-            params = make_params(kind, cfg.hyper_overrides.get(kind))
             model = run.stage("fit", f"model {kind} ({fm.n} rows)",
-                              fit_model, kind, fm, params, cfg.seed)
+                              fit_model, kind, fm, cfg.hyperparams[kind], cfg.seed)
             model_paths[kind] = run.stage("save", f"model {kind}", run.save_model,
                                           model, f"models/{kind}.json")
             per_model[MODEL_KINDS[kind].name] = run.stage(
                 "evaluate", f"model {kind}", evaluate_model, model, test_ds)
             model_info[kind] = {**info, "fit": _checked_fit_diagnostics(kind, model)}
         title = f"Evaluation on held-out test frames ({cfg.test_kind})"
-        txt_path = run.write("report.txt", metrics_mod.render_report_text(per_model, title))
-        csv_path = run.write("report.csv", metrics_mod.render_report_csv(per_model))
+        txt_path, csv_path = run.stage("report", f"{len(per_model)} models", lambda: (
+            run.write("report.txt", metrics_mod.render_report_text(per_model, title)),
+            run.write("report.csv", metrics_mod.render_report_csv(per_model))))
         manifest_path = run.finish(
             config=asdict(cfg),
             data={
@@ -450,11 +444,8 @@ def run_novelty(cfg, ds=None):
         train_ds, _, test_ds = run.stage("split", f"{len(ds)} frames",
                                          split, ds, cfg.split_config())
         rng = np.random.default_rng(cfg.seed)
-        if cfg.allow_mixed_novelty_training:
-            pool_idx = np.arange(len(train_ds))
-        else:
-            # training pool must be regular-only for novelty detection
-            pool_idx = np.nonzero(train_ds.labels == 0)[0]
+        # novelty detectors train on regular (control) frames only
+        pool_idx = np.nonzero(train_ds.labels == 0)[0]
         if pool_idx.size == 0:
             raise PipelineError("novelty-train", "control pool",
                                 SingleClass("no control frames to train on"))

@@ -17,7 +17,8 @@ All directions are unit vectors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,6 +54,10 @@ class ImpairmentParams:
     pupil_shift_mm: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidSpec(f"{f.name} must be a number, got {value!r}")
         if not 0.0 < self.pursuit_gain <= 1.5:
             raise InvalidSpec(f"pursuit_gain must be in (0, 1.5], got {self.pursuit_gain}")
         if self.latency_s < 0:

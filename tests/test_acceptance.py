@@ -304,8 +304,7 @@ def test_class_weighting_lifts_minority_sensitivity():
         ds = generate_cohort(99, 1, "VMS", base_seed=seed,
                              concussed_impairment=imp, vms_repetitions=2)
         train, _, test = split(ds, SplitConfig(
-            test_fraction=0.2, validation_fraction=0.0, seed=seed,
-            stratified=True))
+            test_fraction=0.2, validation_fraction=0.0, seed=seed))
         cw = class_weights(train)
         weighted = fit_logreg(FeatureMatrix(
             train.features, train.labels, cw.per_sample(train.labels)))

@@ -406,11 +406,6 @@ class TestSplitArithmetic:
         with pytest.raises(SingleClassStratify):
             split(ds, SplitConfig())
 
-    def test_unstratified_allows_single_class(self):
-        ds = toy_dataset(50)
-        tr, va, te = split(ds, SplitConfig(stratified=False))
-        assert len(tr) + len(va) + len(te) == 50
-
     def test_bad_fractions_rejected(self):
         with pytest.raises(InvalidSpec):
             SplitConfig(test_fraction=0.0)

@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import shutil
 import signal
 
@@ -79,19 +80,17 @@ outdir = runs/x
 models = RF, NB
 test_fraction = 0.25
 validation_fraction = 0.05
-stratified = false
 weighting = balanced-subset
 balanced_per_class = 123
 train_caps = {"SVC": 500}
 allow_weighted_balanced_models = yes
-hyper_overrides = {"RF": {"n_trees": 7}}
+hyper_overrides = {"RF": {"n_estimators": 7}}
 control_overrides = {"noise_deg": 0.1}
 concussed_overrides = {"pupil_shift_mm": 0.5}
 novelty_train = 77
 novelty_test_per_class = 33
 grid_resolution = 9
 novelty_methods = iforest
-allow_mixed_novelty_training = on
 """
 
 
@@ -108,14 +107,14 @@ def test_ini_round_trip(tmp_path):
     assert run_config_from_ini(str(path)) == RunConfig(
         test_kind="VMS", n_control=5, n_concussed=7, csv_path="some.csv",
         seed=3, outdir="runs/x", models=("RF", "NB"), test_fraction=0.25,
-        validation_fraction=0.05, stratified=False,
+        validation_fraction=0.05,
         weighting="balanced-subset", balanced_per_class=123,
         train_caps={"SVC": 500}, allow_weighted_balanced_models=True,
-        hyper_overrides={"RF": {"n_trees": 7}},
+        hyper_overrides={"RF": {"n_estimators": 7}},
         control_overrides={"noise_deg": 0.1},
         concussed_overrides={"pupil_shift_mm": 0.5},
         novelty_train=77, novelty_test_per_class=33, grid_resolution=9,
-        novelty_methods=("iforest",), allow_mixed_novelty_training=True)
+        novelty_methods=("iforest",))
 
 
 def test_ini_defaults_round_trip(tmp_path):
@@ -130,7 +129,6 @@ outdir = runs/out
 models = RF,ADA,GPC,DT,NB,SVC,LR,PERC
 test_fraction = 0.2
 validation_fraction = 0.1
-stratified = True
 weighting = auto
 balanced_per_class = 8000
 train_caps = {"SVC": 16000, "RF": 16000, "GPC": 1000}
@@ -142,7 +140,6 @@ novelty_train = 10000
 novelty_test_per_class = 5000
 grid_resolution = 100
 novelty_methods = iforest,ocsvm
-allow_mixed_novelty_training = False
 """
     assert _ini_keys(text) == {f.name for f in dataclasses.fields(RunConfig)} - {"csv_path"}
     path = tmp_path / "run.ini"
@@ -174,8 +171,8 @@ def test_ini_missing_file(tmp_path):
 ])
 def test_ini_bool_parsing(tmp_path, raw, expected):
     path = tmp_path / "b.ini"
-    path.write_text(f"[run]\nstratified = {raw}\n")
-    assert run_config_from_ini(str(path)).stratified is expected
+    path.write_text(f"[run]\nallow_weighted_balanced_models = {raw}\n")
+    assert run_config_from_ini(str(path)).allow_weighted_balanced_models is expected
 
 
 # -- RunConfig validation -----------------------------------------------------
@@ -253,9 +250,8 @@ def test_cohort_label_layout():
 
 
 def test_cohort_override_unknown_field():
-    cfg = RunConfig(**SMALL | {"control_overrides": {"sharpness": 1.0}})
     with pytest.raises(InvalidSpec, match="sharpness"):
-        synthesize_cohort(cfg)
+        RunConfig(**SMALL | {"control_overrides": {"sharpness": 1.0}})
 
 
 def test_cohort_override_touches_only_its_class():
@@ -358,7 +354,8 @@ def test_experiment_manifest(exp):
         with open(os.path.join(cfg.outdir, rel), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, rel
     assert {s["stage"] for s in man["stages"]} == {
-        "acquire", "split", "weight", "fit", "save", "evaluate"}
+        "acquire", "split", "weight", "fit", "save", "evaluate", "report"}
+    assert man["stages"][-1]["stage"] == "report"
     assert man["peak_rss_mb"] > 0
 
 
@@ -478,6 +475,14 @@ def test_failed_train_leaves_no_outputs(tmp_path, capsys):
     assert os.listdir(out / "models") == []
 
 
+def test_pipeline_error_pickles():
+    err = pickle.loads(pickle.dumps(PipelineError("fit", "model NB", SingleClass("x"))))
+    assert (err.stage, err.detail, str(err)) == ("fit", "model NB",
+                                                 "stage 'fit' failed on model NB: x")
+    assert type(err.cause) is SingleClass and str(err.cause) == "x"
+    assert err.__cause__ is err.cause
+
+
 def test_experiment_error_carries_stage(tmp_path):
     # default balanced_per_class can't be met by a 2+2 cohort
     cfg = RunConfig(**SMALL | {"balanced_per_class": 8000,
@@ -578,12 +583,16 @@ def test_novelty_warns_on_unconverged_ocsvm(tmp_path, monkeypatch):
 
 
 def test_novelty_needs_control_frames(tmp_path):
-    cfg = RunConfig(test_kind="SP", n_control=0, n_concussed=2,
-                    stratified=False, novelty_train=50,
-                    novelty_test_per_class=20, grid_resolution=4,
+    # one control frame, which a high test fraction sends to the test split
+    cfg = RunConfig(test_kind="SP", n_control=1, n_concussed=1, test_fraction=0.9,
+                    novelty_train=50, novelty_test_per_class=20, grid_resolution=4,
                     outdir=str(tmp_path))
+    ds = synthesize_cohort(cfg)
+    ds = ds.subset(np.r_[0, np.nonzero(ds.labels == 1)[0]])
+    _, _, test_ds = split(ds, cfg.split_config())
+    assert test_ds.class_counts()[0] == 1
     with pytest.raises(PipelineError) as ei:
-        run_novelty(cfg)
+        run_novelty(cfg, ds)
     assert ei.value.stage == "novelty-train"
     assert isinstance(ei.value.cause, SingleClass)
 
@@ -906,6 +915,17 @@ def test_cli_evaluate_binary_file_is_a_data_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("row", ["AUC,SVM", "AUC,SVM,abc"])
+def test_cli_report_malformed_row_is_a_data_error(row, tmp_path, capsys):
+    csv = tmp_path / "f.csv"
+    csv.write_text(f"metric,model,value_percent\nAUC,SVM,99.5\n{row}\n")
+    assert cli_main(["report", "--metrics-csv", str(csv)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (report): report CSV line 3: expected "
+                          f"metric,model,value_percent, got {row!r}")
+    assert "Traceback" not in err
+
+
 def test_cli_rejects_bad_novelty_settings_before_work(tmp_path, monkeypatch, capsys):
     # an unknown method (INI key) or a one-line grid (INI key or flag) exits
     # 2 before any cohort is drawn or file written
@@ -1017,6 +1037,9 @@ def test_cli_bad_flag_values_exit_2(argv, tmp_path, capsys):
     ("train", [], 'train_caps = {"XGB": 100}'),
     ("train", [], 'control_overrides = {"noise_deg": "big"}'),
     ("novelty", [], 'concussed_overrides = {"noise_deg": true}'),
+    ("train", [], 'hyper_overrides = {"PERC": {"bogus": 1}}'),
+    ("train", ["--csv-path", "x.csv"], 'control_overrides = {"sharpness": 1.0}'),
+    ("train", ["--models", "NB,NB"], ""),
 ])
 def test_cli_bad_run_values_exit_2_before_work(command, flags, ini, tmp_path,
                                                monkeypatch, capsys):
