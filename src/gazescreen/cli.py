@@ -64,7 +64,7 @@ def _load_config(args):
 # the RunConfig fields each subcommand takes as flags
 _RUN_FLAGS = ("test_kind", "n_control", "n_concussed", "csv_path", "seed", "outdir",
               "models", "test_fraction", "validation_fraction", "balanced_per_class",
-              "weighting", "novelty_train", "novelty_test_per_class", "grid_resolution")
+              "novelty_train", "novelty_test_per_class", "grid_resolution")
 _REPRODUCE_FLAGS = ("seed", "outdir", "n_control", "n_concussed", "models",
                     "balanced_per_class", "train_caps", "novelty_train",
                     "novelty_test_per_class", "grid_resolution")
@@ -169,8 +169,12 @@ def _cmd_novelty(args):
 
 
 def _cmd_report(args):
-    with open(args.metrics_csv) as fh:
-        parsed = metrics_mod.parse_report_csv(fh.read())
+    try:
+        with open(args.metrics_csv) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{args.metrics_csv}: not a text file: {e}") from None
+    parsed = metrics_mod.parse_report_csv(text)
     per_model = {
         model: metrics_mod.MetricSet(**{f: vals.get(name, float("nan"))
                                         for name, f in metrics_mod.METRIC_FIELDS.items()})

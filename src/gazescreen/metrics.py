@@ -228,8 +228,9 @@ def render_report_csv(per_model):
 
 def parse_report_csv(text):
     """Inverse of render_report_csv: {model: {metric: fraction or nan}}. A
-    row that is not three fields ending in a number or an empty cell raises
-    DataError naming its line."""
+    row that is not three fields ending in a number or an empty cell, names
+    a metric outside METRIC_FIELDS, or repeats a (metric, model) pair
+    raises DataError naming its line."""
     lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != "metric,model,value_percent":
         raise MissingColumn("report CSV must start with metric,model,value_percent")
@@ -241,5 +242,11 @@ def parse_report_csv(text):
         except ValueError:
             raise DataError(f"report CSV line {n}: expected metric,model,value_percent, "
                             f"got {ln!r}") from None
-        out.setdefault(model, {})[metric] = value
+        if metric not in METRIC_FIELDS:
+            raise DataError(f"report CSV line {n}: unknown metric {metric!r}; "
+                            f"valid: {list(METRIC_FIELDS)}")
+        values = out.setdefault(model, {})
+        if metric in values:
+            raise DataError(f"report CSV line {n}: a second {metric} for {model!r}")
+        values[metric] = value
     return out

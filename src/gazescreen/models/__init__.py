@@ -2,8 +2,10 @@
 
 `MODEL_KINDS` declares each kind once, in report column order: its report
 name, its model class (whose constructor is its loader), its
-hyperparameter record and its fit, ``fit(fm, hp=None, seed=0) ->
-FittedModel``. Fitting, loading and the report's column order all look a
+hyperparameter record, its fit, ``fit(fm, hp=None, seed=0) ->
+FittedModel``, its training protocol (a balanced per-class subset or all
+rows with class weights) and its default cap on training rows. Fitting,
+loading, the training matrix and the report's column order all look a
 kind up there. A fitted model has ``predict`` / ``decision_score`` /
 ``save``; ``load_model`` restores any of them from the versioned JSON
 that ``save`` writes.
@@ -31,23 +33,31 @@ from .tree import DecisionTreeModel, TreeParams, fit_decision_tree
 
 
 class ModelKind(NamedTuple):
-    name: str     # report name
-    model: type   # the FittedModel subclass; its constructor loads its files
-    params: type  # hyperparameter record
-    fit: object   # fit(fm, hp=None, seed=0) -> model
+    name: str       # report name
+    model: type     # the FittedModel subclass; its constructor loads its files
+    params: type    # hyperparameter record
+    fit: object     # fit(fm, hp=None, seed=0) -> model
+    weighting: str  # training protocol: "balanced-subset" or "class-weights"
+    cap: int        # default cap on training rows (None: uncapped)
 
 
 # short kind -> its entry, in report column order
 MODEL_KINDS = {
-    "RF": ModelKind("Random Forest", RandomForestModel, ForestParams, fit_random_forest),
-    "ADA": ModelKind("AdaBoost", AdaBoostModel, AdaBoostParams, fit_adaboost),
-    "GPC": ModelKind("Gaussian Process Classifier", GpcModel, GpcParams, fit_gpc),
-    "DT": ModelKind("Decision Tree", DecisionTreeModel, TreeParams, fit_decision_tree),
-    "NB": ModelKind("Naive Bayes", GaussianNaiveBayes, NBParams, fit_naive_bayes),
-    "SVC": ModelKind("SVM", SvcRbfModel, SvcParams, fit_svc_rbf),
+    "RF": ModelKind("Random Forest", RandomForestModel, ForestParams, fit_random_forest,
+                    "class-weights", 16000),
+    "ADA": ModelKind("AdaBoost", AdaBoostModel, AdaBoostParams, fit_adaboost,
+                     "balanced-subset", None),
+    "GPC": ModelKind("Gaussian Process Classifier", GpcModel, GpcParams, fit_gpc,
+                     "balanced-subset", 1000),
+    "DT": ModelKind("Decision Tree", DecisionTreeModel, TreeParams, fit_decision_tree,
+                    "class-weights", None),
+    "NB": ModelKind("Naive Bayes", GaussianNaiveBayes, NBParams, fit_naive_bayes,
+                    "balanced-subset", None),
+    "SVC": ModelKind("SVM", SvcRbfModel, SvcParams, fit_svc_rbf, "class-weights", 16000),
     "LR": ModelKind("Logistic Regression", LogisticRegressionModel, LogRegParams,
-                    fit_logreg),
-    "PERC": ModelKind("Perceptron", PerceptronModel, PerceptronParams, fit_perceptron),
+                    fit_logreg, "class-weights", None),
+    "PERC": ModelKind("Perceptron", PerceptronModel, PerceptronParams, fit_perceptron,
+                      "class-weights", None),
 }
 
 

@@ -47,11 +47,6 @@ from .novelty import (
 )
 from .simulate import ImpairmentParams, generate_cohort
 
-# models whose protocol trains on a balanced subset instead of class weights
-BALANCED_SUBSET_KINDS = ("NB", "ADA", "GPC")
-
-DEFAULT_TRAIN_CAPS = {"SVC": 16000, "RF": 16000, "GPC": 1000}
-
 EYE_CHANNELS = ("left", "right", "cyclopean")
 
 # each novelty method's fit (X, seed), in the order run_novelty fits them
@@ -76,13 +71,12 @@ _LEAST = {"n_control": 0, "n_concussed": 0, "seed": 0, "balanced_per_class": 1,
 
 @dataclass
 class RunConfig:
-    """One experiment: data source, split, weighting, models, novelty.
+    """One experiment: data source, split, models, novelty.
 
     Data comes from `csv_path` when set, otherwise from simulating
-    n_control + n_concussed sessions of `test_kind`. `train_caps` bounds
-    per-model training sizes (stratified subsample) so quadratic solvers
-    stay desk-sized; `weighting` is 'auto' (class weights, except the
-    balanced-subset models), 'class-weights', or 'balanced-subset'.
+    n_control + n_concussed sessions of `test_kind`. Each model trains by
+    the protocol its `MODEL_KINDS` entry declares, on at most its entry's
+    cap of rows; `train_caps` overrides that cap kind by kind.
     Building one checks every setting: `hyperparams[kind]` and
     `impairments[label]` are the records the run uses, overrides applied.
     """
@@ -96,10 +90,8 @@ class RunConfig:
     models: tuple = tuple(MODEL_KINDS)
     test_fraction: float = 0.2
     validation_fraction: float = 0.1
-    weighting: str = "auto"
     balanced_per_class: int = 8000
-    train_caps: dict = field(default_factory=lambda: dict(DEFAULT_TRAIN_CAPS))
-    allow_weighted_balanced_models: bool = False
+    train_caps: dict = field(default_factory=dict)
     hyper_overrides: dict = field(default_factory=dict)
     control_overrides: dict = field(default_factory=dict)
     concussed_overrides: dict = field(default_factory=dict)
@@ -112,16 +104,8 @@ class RunConfig:
     def __post_init__(self):
         if self.test_kind not in ("SP", "VMS"):
             raise InvalidSpec(f"test_kind must be SP or VMS, got {self.test_kind!r}")
-        if self.weighting not in ("auto", "class-weights", "balanced-subset"):
-            raise InvalidSpec(f"unknown weighting mode {self.weighting!r}")
         if len(set(self.models)) < len(self.models):
             raise InvalidSpec(f"models names a kind more than once: {list(self.models)}")
-        if self.weighting == "class-weights" and not self.allow_weighted_balanced_models:
-            clash = [m for m in self.models if m in BALANCED_SUBSET_KINDS]
-            if clash:
-                raise InvalidSpec(
-                    f"{clash} train on balanced subsets by protocol; pass "
-                    "allow_weighted_balanced_models=True to override")
         for name, least in _LEAST.items():
             if getattr(self, name) < least:
                 raise InvalidSpec(f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -163,18 +147,14 @@ class RunConfig:
                            seed=self.seed)
 
 
-def _parse_bool(raw):
-    return raw.strip().lower() in ("1", "true", "yes", "on")
-
-
 def _parse_list(raw):
     return tuple(v.strip() for v in raw.split(",") if v.strip())
 
 
 # how a text value (INI or flag) becomes each RunConfig field, chosen by
 # the field's annotation; a field of any other type fails here, at import
-_TEXT_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
-                 "tuple": _parse_list, "dict": json.loads}
+_TEXT_PARSERS = {"str": str, "int": int, "float": float, "tuple": _parse_list,
+                 "dict": json.loads}
 FIELD_PARSERS = {f.name: _TEXT_PARSERS[f.type] for f in fields(RunConfig)}
 
 
@@ -215,16 +195,15 @@ def fit_model(kind, fm, params=None, seed=0):
 
 
 def training_matrix(kind, train_ds, cfg):
-    """Apply the per-model weighting protocol and training-size cap.
+    """Apply the training protocol and row cap `kind` declares; a cap in
+    `cfg.train_caps` replaces the declared one.
 
     Returns (FeatureMatrix, description dict for the manifest).
     """
-    cap = cfg.train_caps.get(kind)
-    mode = cfg.weighting
-    if mode == "auto":
-        mode = "balanced-subset" if kind in BALANCED_SUBSET_KINDS else "class-weights"
-    info = {"weighting": mode}
-    if mode == "balanced-subset":
+    entry = model_kind(kind)
+    cap = cfg.train_caps.get(kind, entry.cap)
+    info = {"weighting": entry.weighting}
+    if entry.weighting == "balanced-subset":
         per_class = cfg.balanced_per_class
         if cap is not None:
             per_class = min(per_class, cap // 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazescreen.errors import LengthMismatch, NonBinaryLabel, SingleClass
+from gazescreen.errors import DataError, LengthMismatch, NonBinaryLabel, SingleClass
 from gazescreen.metrics import (
     ConfusionMatrix,
     _midrank,
@@ -194,6 +194,17 @@ def test_report_shows_na_for_undefined():
     assert "n/a" in text
     parsed = parse_report_csv(render_report_csv(per_model))
     assert np.isnan(parsed["Naive Bayes"]["Sensitivity"])
+
+
+@pytest.mark.parametrize("row, message", [
+    ("Bogus,SVM,50", "line 3: unknown metric 'Bogus'"),
+    ("AUC,SVM,12", "line 3: a second AUC for 'SVM'"),
+])
+def test_parse_report_refuses_rows_it_cannot_mean(row, message):
+    # an unknown metric would be dropped, a repeated pair would replace the
+    # first value; both are refused instead
+    with pytest.raises(DataError, match=message):
+        parse_report_csv(f"metric,model,value_percent\nAUC,SVM,99.5\n{row}\n")
 
 
 @given(st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, float("nan")]),

@@ -32,7 +32,6 @@ from gazescreen.metrics import parse_report_csv
 from gazescreen.models import MODEL_KINDS, FeatureMatrix, FittedModel, LogRegParams, load_model
 from gazescreen.novelty import OcsvmParams, load_boundary_grid
 from gazescreen.pipeline import (
-    DEFAULT_TRAIN_CAPS,
     OUTDIR_ENV_VAR,
     RunConfig,
     evaluate_saved_models,
@@ -80,10 +79,8 @@ outdir = runs/x
 models = RF, NB
 test_fraction = 0.25
 validation_fraction = 0.05
-weighting = balanced-subset
 balanced_per_class = 123
 train_caps = {"SVC": 500}
-allow_weighted_balanced_models = yes
 hyper_overrides = {"RF": {"n_estimators": 7}}
 control_overrides = {"noise_deg": 0.1}
 concussed_overrides = {"pupil_shift_mm": 0.5}
@@ -107,9 +104,7 @@ def test_ini_round_trip(tmp_path):
     assert run_config_from_ini(str(path)) == RunConfig(
         test_kind="VMS", n_control=5, n_concussed=7, csv_path="some.csv",
         seed=3, outdir="runs/x", models=("RF", "NB"), test_fraction=0.25,
-        validation_fraction=0.05,
-        weighting="balanced-subset", balanced_per_class=123,
-        train_caps={"SVC": 500}, allow_weighted_balanced_models=True,
+        validation_fraction=0.05, balanced_per_class=123, train_caps={"SVC": 500},
         hyper_overrides={"RF": {"n_estimators": 7}},
         control_overrides={"noise_deg": 0.1},
         concussed_overrides={"pupil_shift_mm": 0.5},
@@ -129,10 +124,8 @@ outdir = runs/out
 models = RF,ADA,GPC,DT,NB,SVC,LR,PERC
 test_fraction = 0.2
 validation_fraction = 0.1
-weighting = auto
 balanced_per_class = 8000
-train_caps = {"SVC": 16000, "RF": 16000, "GPC": 1000}
-allow_weighted_balanced_models = False
+train_caps = {}
 hyper_overrides = {}
 control_overrides = {}
 concussed_overrides = {}
@@ -165,14 +158,9 @@ def test_ini_missing_file(tmp_path):
         run_config_from_ini(str(tmp_path / "nope.ini"))
 
 
-@pytest.mark.parametrize("raw, expected", [
-    ("yes", True), ("1", True), ("TRUE", True), ("on", True),
-    ("no", False), ("0", False), ("off", False),
-])
-def test_ini_bool_parsing(tmp_path, raw, expected):
-    path = tmp_path / "b.ini"
-    path.write_text(f"[run]\nallow_weighted_balanced_models = {raw}\n")
-    assert run_config_from_ini(str(path)).allow_weighted_balanced_models is expected
+def test_every_text_parser_serves_a_field():
+    # a missing parser fails at import; an unused one would linger unseen
+    assert set(pipeline_mod._TEXT_PARSERS) == {f.type for f in dataclasses.fields(RunConfig)}
 
 
 # -- RunConfig validation -----------------------------------------------------
@@ -180,7 +168,7 @@ def test_ini_bool_parsing(tmp_path, raw, expected):
 
 @pytest.mark.parametrize("kwargs", [
     {"test_kind": "XX"},
-    {"weighting": "bogus"},
+    {"novelty_methods": ("bogus",)},
     {"models": ("NB", "XX")},
     {"seed": -1},
     {"grid_resolution": 1},
@@ -188,17 +176,6 @@ def test_ini_bool_parsing(tmp_path, raw, expected):
 def test_config_rejects(kwargs):
     with pytest.raises(InvalidSpec):
         RunConfig(**kwargs)
-
-
-def test_config_weighting_clash():
-    # forcing class weights onto the balanced-subset models needs an opt-in
-    with pytest.raises(InvalidSpec, match="balanced subsets"):
-        RunConfig(weighting="class-weights")
-    cfg = RunConfig(weighting="class-weights",
-                    allow_weighted_balanced_models=True)
-    assert cfg.weighting == "class-weights"
-    # no clash when those models aren't requested
-    RunConfig(weighting="class-weights", models=("DT", "LR"))
 
 
 def test_make_params():
@@ -296,20 +273,24 @@ def test_training_matrix_cap(train_ds):
 def test_training_matrix_cap_bounds_balanced_subset(train_ds):
     # GPC's dense-algebra cap halves into the per-class subset size
     cfg = RunConfig(**SMALL | {"balanced_per_class": 2000})
-    assert DEFAULT_TRAIN_CAPS["GPC"] == 1000
+    assert MODEL_KINDS["GPC"].cap == 1000
     fm, info = training_matrix("GPC", train_ds, cfg)
     assert info["per_class"] == 500
     assert fm.X.shape[0] == 1000
 
 
-def test_training_matrix_forced_modes(train_ds):
-    cfg = RunConfig(**SMALL | {"weighting": "balanced-subset"})
-    _, info = training_matrix("DT", train_ds, cfg)
-    assert info["weighting"] == "balanced-subset"
-    cfg = RunConfig(**SMALL | {"weighting": "class-weights",
-                               "allow_weighted_balanced_models": True})
-    _, info = training_matrix("NB", train_ds, cfg)
-    assert info["weighting"] == "class-weights"
+def test_partial_train_caps_keep_the_other_default_caps(train_ds, monkeypatch):
+    # a cap for one kind replaces that kind's default cap and no other
+    cfg = RunConfig(**SMALL | {"balanced_per_class": 2000, "train_caps": {"SVC": 500}})
+    fm, info = training_matrix("GPC", train_ds, cfg)
+    assert info["per_class"] == 500 and fm.X.shape[0] == 1000
+    fm, info = training_matrix("SVC", train_ds, cfg)
+    assert info["train_rows"] == fm.X.shape[0] == 500
+    # RF's default of 16000 is above this cohort's training rows, so a
+    # smaller declared cap stands in for it
+    monkeypatch.setitem(MODEL_KINDS, "RF", MODEL_KINDS["RF"]._replace(cap=1000))
+    fm, info = training_matrix("RF", train_ds, cfg)
+    assert info["train_rows"] == fm.X.shape[0] == 1000 < len(train_ds)
 
 
 # -- experiment runner -----------------------------------------------------------
@@ -926,6 +907,28 @@ def test_cli_report_malformed_row_is_a_data_error(row, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("row, message", [
+    ("Bogus,SVM,50", "unknown metric 'Bogus'"),
+    ("AUC,SVM,12", "a second AUC for 'SVM'"),
+])
+def test_cli_report_row_it_cannot_mean_is_a_data_error(row, message, tmp_path, capsys):
+    csv = tmp_path / "f.csv"
+    csv.write_text(f"metric,model,value_percent\nAUC,SVM,99.5\n{row}\n")
+    assert cli_main(["report", "--metrics-csv", str(csv)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (report): report CSV line 3: {message}")
+    assert "Traceback" not in err
+
+
+def test_cli_report_binary_file_is_a_data_error(tmp_path, capsys):
+    csv = tmp_path / "image.png"
+    csv.write_bytes(b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR\xff\xfe")
+    assert cli_main(["report", "--metrics-csv", str(csv)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (report): {csv}: not a text file")
+    assert "Traceback" not in err
+
+
 def test_cli_rejects_bad_novelty_settings_before_work(tmp_path, monkeypatch, capsys):
     # an unknown method (INI key) or a one-line grid (INI key or flag) exits
     # 2 before any cohort is drawn or file written
@@ -952,7 +955,7 @@ def test_cli_rejects_bad_novelty_settings_before_work(tmp_path, monkeypatch, cap
 _RUN_OPTIONS = {
     "-h", "--help", "--config", "--test-kind", "--n-control", "--n-concussed",
     "--csv-path", "--seed", "--out-dir", "--models", "--test-fraction",
-    "--validation-fraction", "--balanced-per-class", "--weighting",
+    "--validation-fraction", "--balanced-per-class",
     "--novelty-train", "--novelty-test-per-class", "--grid-resolution"}
 _CLI_OPTIONS = {
     "simulate": _RUN_OPTIONS | {"--out"},
@@ -1007,7 +1010,7 @@ def test_cli_reproduce_defaults(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["train", "--n-control", "abc"],
     ["train", "--test-kind", "XX"],
-    ["train", "--weighting", "bogus"],
+    ["train", "--weighting", "auto"],     # the flag is gone
     ["reproduce", "--train-caps", "{bad"],
 ])
 def test_cli_bad_flag_values_exit_2(argv, tmp_path, capsys):
@@ -1040,6 +1043,8 @@ def test_cli_bad_flag_values_exit_2(argv, tmp_path, capsys):
     ("train", [], 'hyper_overrides = {"PERC": {"bogus": 1}}'),
     ("train", ["--csv-path", "x.csv"], 'control_overrides = {"sharpness": 1.0}'),
     ("train", ["--models", "NB,NB"], ""),
+    ("train", [], "weighting = auto"),
+    ("train", [], "allow_weighted_balanced_models = no"),
 ])
 def test_cli_bad_run_values_exit_2_before_work(command, flags, ini, tmp_path,
                                                monkeypatch, capsys):
