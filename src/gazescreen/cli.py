@@ -15,14 +15,8 @@ import os
 import sys
 
 from . import metrics as metrics_mod
-from .data import atomic_write_text, load_csv, write_csv
-from .errors import (
-    ConfigError,
-    DataError,
-    GazeScreenError,
-    NumericError,
-    PipelineError,
-)
+from .data import TEST_KINDS, atomic_write_text, load_csv, write_csv
+from .errors import DataError, GazeScreenError, InvalidSpec, NumericError, PipelineError
 from .pipeline import (
     FIELD_PARSERS,
     OUTDIR_ENV_VAR,
@@ -42,7 +36,7 @@ EXIT_NUMERIC = 4
 
 def _exit_code_for(err):
     cause = err.cause if isinstance(err, PipelineError) else err
-    if isinstance(cause, ConfigError):
+    if isinstance(cause, InvalidSpec):
         return EXIT_CONFIG
     if isinstance(cause, DataError):
         return EXIT_DATA
@@ -98,7 +92,7 @@ def build_parser():
 
     p = sub.add_parser("evaluate", help="evaluate saved models on a CSV")
     p.add_argument("--data", required=True, help="gaze CSV to evaluate on")
-    p.add_argument("--test-kind", dest="test_kind", choices=("SP", "VMS"), default="SP")
+    p.add_argument("--test-kind", dest="test_kind", choices=TEST_KINDS, default="SP")
     p.add_argument("--models-dir", required=True, help="directory of model JSON files")
     p.add_argument("--out-dir", dest="outdir", default=".")
 
@@ -147,7 +141,7 @@ def _cmd_evaluate(args):
         os.path.join(args.models_dir, f) for f in os.listdir(args.models_dir)
         if f.endswith(".json") and f != "manifest.json")
     if not paths:
-        raise ConfigError(f"no model files in {args.models_dir}")
+        raise InvalidSpec(f"no model files in {args.models_dir}")
     per_model = evaluate_saved_models(paths, ds)
     outdir = os.environ.get(OUTDIR_ENV_VAR, "") or args.outdir
     os.makedirs(outdir, exist_ok=True)
@@ -189,7 +183,7 @@ def _cmd_report(args):
 
 def _cmd_reproduce(args):
     results = reproduce(_load_config(args))
-    for kind in ("SP", "VMS"):
+    for kind in TEST_KINDS:
         print(f"{kind}: report {results[kind].report_csv_path}")
     return 0
 

@@ -15,19 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadLabel,
-    DataError,
-    EmptyDataset,
-    InsufficientClassSamples,
-    InvalidSpec,
-    LengthMismatch,
-    MissingColumn,
-    NonMonotonicTime,
-    NonUnitDirection,
-    SingleClass,
-    SingleClassStratify,
-)
+from .errors import DataError, InvalidSpec, SingleClass
 
 COLUMNS = [
     "session_id", "t",
@@ -40,11 +28,9 @@ N_FEATURES = len(FEATURE_COLUMNS)
 
 TEST_KINDS = ("SP", "VMS")
 
-# column slices inside the feature matrix
+# column slices inside the feature matrix: each eye's direction block
+EYE_SLICES = {"left": slice(1, 4), "right": slice(4, 7), "cyclopean": slice(7, 10)}
 _T = 0
-_LEFT = slice(1, 4)
-_RIGHT = slice(4, 7)
-_CYC = slice(7, 10)
 _LPUPIL, _RPUPIL, _LOPEN, _ROPEN = 10, 11, 12, 13
 
 UNIT_NORM_TOL = 1e-6       # constructor invariant on direction norms
@@ -85,38 +71,38 @@ class GazeDataset:
 
     def _validate(self):
         if self.features.ndim != 2 or self.features.shape[1] != N_FEATURES:
-            raise LengthMismatch(
+            raise DataError(
                 f"feature matrix must be (n, {N_FEATURES}), got {self.features.shape}")
         n = len(self.features)
         if len(self.labels) != n or len(self.session_ids) != n:
-            raise LengthMismatch("features, labels and session_ids must align")
+            raise DataError("features, labels and session_ids must align")
         if self.test_kind not in TEST_KINDS:
             raise InvalidSpec(f"unknown test kind {self.test_kind!r}")
         if n == 0:
             return
         if not np.all(np.isfinite(self.features)):
-            raise BadLabel("non-finite value in feature matrix")
+            raise DataError("non-finite value in feature matrix")
         bad = ~np.isin(self.labels, (0, 1))
         if bad.any():
-            raise BadLabel(f"labels must be 0 or 1, found {self.labels[bad][0]}")
-        for name, sl in (("left", _LEFT), ("right", _RIGHT), ("cyclopean", _CYC)):
+            raise DataError(f"labels must be 0 or 1, found {self.labels[bad][0]}")
+        for name, sl in EYE_SLICES.items():
             norms = np.linalg.norm(self.features[:, sl], axis=1)
             dev = np.abs(norms - 1.0)
             if dev.max() > UNIT_NORM_TOL:
                 i = int(dev.argmax())
-                raise NonUnitDirection(
+                raise DataError(
                     f"{name} direction at row {i} has norm {norms[i]:.6f}")
         if self.features[:, [_LPUPIL, _RPUPIL]].min() <= 0:
-            raise BadLabel("pupil diameters must be positive")
+            raise DataError("pupil diameters must be positive")
         op = self.features[:, [_LOPEN, _ROPEN]]
         if op.min() < 0 or op.max() > 1:
-            raise BadLabel("openness must lie in [0, 1]")
+            raise DataError("openness must lie in [0, 1]")
         # strictly increasing time within each contiguous session run
         same = self.session_ids[1:] == self.session_ids[:-1]
         dt = np.diff(self.features[:, _T])
         if np.any(dt[same] <= 0):
             i = int(np.nonzero(same & (dt <= 0))[0][0])
-            raise NonMonotonicTime(
+            raise DataError(
                 f"session {self.session_ids[i]!r}: t does not increase at row {i + 1}")
 
     # -- accessors -----------------------------------------------------------
@@ -126,7 +112,7 @@ class GazeDataset:
 
     def eye_dirs(self, eye):
         """Direction block for eye in {'left', 'right', 'cyclopean'}."""
-        sl = {"left": _LEFT, "right": _RIGHT, "cyclopean": _CYC}.get(eye)
+        sl = EYE_SLICES.get(eye)
         if sl is None:
             raise InvalidSpec(f"unknown eye channel {eye!r}")
         return self.features[:, sl]
@@ -147,7 +133,7 @@ class GazeDataset:
     def concatenate(cls, parts):
         parts = list(parts)
         if not parts:
-            raise EmptyDataset("nothing to concatenate")
+            raise DataError("nothing to concatenate")
         kind = parts[0].test_kind
         if any(p.test_kind != kind for p in parts):
             raise InvalidSpec("cannot concatenate datasets of different test kinds")
@@ -188,7 +174,7 @@ def load_csv(path, test_kind):
     A file laid out as write_csv writes it is parsed in one np.loadtxt
     pass; any other file is parsed row by row, which is also where every
     parse error is raised. Directions whose norm deviates from 1 by more
-    than 1e-3 are rejected (NonUnitDirection); smaller deviations are
+    than 1e-3 are rejected (DataError); smaller deviations are
     silently re-normalised.
     """
     try:
@@ -197,13 +183,13 @@ def load_csv(path, test_kind):
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not a text file: {e}") from None
     sids, feats, labels = _parse_written(text) or _parse_rows(text, path)
-    for name, sl in (("left", _LEFT), ("right", _RIGHT), ("cyclopean", _CYC)):
+    for name, sl in EYE_SLICES.items():
         block = feats[:, sl]
         norms = np.linalg.norm(block, axis=1)
         dev = np.abs(norms - 1.0)
         if dev.max() > CSV_NORM_TOL:
             i = int(dev.argmax())
-            raise NonUnitDirection(
+            raise DataError(
                 f"{path}: row {i + 2}: {name} direction norm {norms[i]:.4f}")
         # re-normalise only rows that need it, so clean files round-trip
         # bit-exactly through repr()
@@ -258,30 +244,30 @@ def _parse_rows(text, path):
     try:
         header = next(reader)
     except StopIteration:
-        raise EmptyDataset(f"{path}: empty file") from None
+        raise DataError(f"{path}: empty file") from None
     if header != COLUMNS:
         missing = [c for c in COLUMNS if c not in header]
         if missing:
-            raise MissingColumn(f"{path}: missing column(s) {missing}")
-        raise MissingColumn(f"{path}: header must be exactly {COLUMNS}")
+            raise DataError(f"{path}: missing column(s) {missing}")
+        raise DataError(f"{path}: header must be exactly {COLUMNS}")
     sids, rows, labels = [], [], []
     for lineno, rec in enumerate(reader, start=2):
         if not rec:
             continue
         if len(rec) != len(COLUMNS):
-            raise MissingColumn(
+            raise DataError(
                 f"{path}:{lineno}: expected {len(COLUMNS)} fields, got {len(rec)}")
         sids.append(rec[0])
         try:
             rows.append([float(v) for v in rec[1:15]])
         except ValueError as e:
-            raise BadLabel(f"{path}:{lineno}: {e}") from None
+            raise DataError(f"{path}:{lineno}: {e}") from None
         lab = rec[15].strip()
         if lab not in ("0", "1"):
-            raise BadLabel(f"{path}:{lineno}: label must be 0 or 1, got {lab!r}")
+            raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {lab!r}")
         labels.append(int(lab))
     if not rows:
-        raise EmptyDataset(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     return np.array(sids), np.array(rows, dtype=float), np.array(labels)
 
 
@@ -351,7 +337,7 @@ def split(ds, cfg=None):
     """
     cfg = cfg or SplitConfig()
     if len(ds) == 0:
-        raise EmptyDataset("cannot split an empty dataset")
+        raise DataError("cannot split an empty dataset")
     rng = np.random.default_rng(cfg.seed)
     # the label of each unit: of each frame, or of each session's first frame
     labels = ds.labels
@@ -362,7 +348,7 @@ def split(ds, cfg=None):
                                          cfg.validation_fraction)
     by_class = [np.nonzero(labels == c)[0] for c in (0, 1)]
     if len(by_class[0]) == 0 or len(by_class[1]) == 0:
-        raise SingleClassStratify("stratified split needs both classes present")
+        raise SingleClass("stratified split needs both classes present")
     take_test = _allocate_per_class([len(u) for u in by_class], n_test)
     test_idx, pool_idx = [], []
     for c in (0, 1):
@@ -398,7 +384,7 @@ def class_weights(ds_or_labels):
     labels = ds_or_labels.labels if isinstance(ds_or_labels, GazeDataset) else np.asarray(ds_or_labels)
     n = len(labels)
     if n == 0:
-        raise EmptyDataset("cannot weight an empty dataset")
+        raise DataError("cannot weight an empty dataset")
     n1 = int(np.sum(labels == 1))
     n0 = n - n1
     if n0 == 0 or n1 == 0:
@@ -415,12 +401,17 @@ def _draw_per_class(ds, take, seed):
     return ds.subset(np.concatenate(picked))
 
 
-def balanced_subset(ds, per_class, seed=0):
-    """Exactly per_class frames of each label, sampled without replacement."""
+def require_per_class(ds, per_class):
+    """Raise DataError unless ds holds per_class frames of each label."""
     n0, n1 = ds.class_counts()
     if n0 < per_class or n1 < per_class:
-        raise InsufficientClassSamples(
+        raise DataError(
             f"need {per_class} per class, have control={n0} concussed={n1}")
+
+
+def balanced_subset(ds, per_class, seed=0):
+    """Exactly per_class frames of each label, sampled without replacement."""
+    require_per_class(ds, per_class)
     return _draw_per_class(ds, (per_class, per_class), seed)
 
 

@@ -1,7 +1,12 @@
 """Exception hierarchy shared across the package.
 
-The three intermediate bases carry the CLI exit-code contract:
-ConfigError -> 2, DataError -> 3, NumericError -> 4.
+One class per CLI exit code: InvalidSpec -> 2 (a bad run config,
+hyperparameter, spec or model file), DataError -> 3 (bad or insufficient
+input data), NumericError -> 4 (a numerical failure). A PipelineError
+wraps one of them with the stage that raised it and exits with its code.
+SingleClass is the one subclass, because `metrics.compute_metrics`
+catches it to report an undefined AUC where any other DataError must
+propagate.
 """
 
 
@@ -9,86 +14,20 @@ class GazeScreenError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class ConfigError(GazeScreenError):
-    """Bad configuration: hyperparameters, run config, spec files."""
+class InvalidSpec(GazeScreenError):
+    """Bad configuration: run config, hyperparameters, spec and model files."""
 
 
 class DataError(GazeScreenError):
     """Bad or insufficient input data."""
 
 
-class NumericError(GazeScreenError):
-    """Numerical failure (non-convergence, indefinite kernel, ...)."""
-
-
-# --- data / dataset errors -------------------------------------------------
-
-class MissingColumn(DataError):
-    pass
-
-
-class NonUnitDirection(DataError):
-    pass
-
-
-class BadLabel(DataError):
-    pass
-
-
-class NonBinaryLabel(BadLabel):
-    pass
-
-
-class NonMonotonicTime(DataError):
-    pass
-
-
-class EmptyDataset(DataError):
-    pass
-
-
 class SingleClass(DataError):
     """An operation that needs both classes saw only one."""
 
 
-class SingleClassStratify(SingleClass):
-    pass
-
-
-class InsufficientClassSamples(DataError):
-    pass
-
-
-class DimensionMismatch(DataError):
-    pass
-
-
-class LengthMismatch(DataError):
-    pass
-
-
-class TrainingSizeExceeded(DataError):
-    """Training set larger than a model's dense-algebra cap."""
-
-
-# --- config errors ----------------------------------------------------------
-
-class InvalidSpec(ConfigError):
-    pass
-
-
-class OutOfRangeTime(InvalidSpec):
-    """Trajectory queried outside the session's time span."""
-
-
-class InvalidHyperParam(ConfigError):
-    pass
-
-
-# --- numeric errors ---------------------------------------------------------
-
-class KernelNotPD(NumericError):
-    """Kernel matrix stayed non positive definite after jitter retries."""
+class NumericError(GazeScreenError):
+    """Numerical failure (non-convergence, indefinite kernel, ...)."""
 
 
 class PipelineError(GazeScreenError):

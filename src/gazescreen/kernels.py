@@ -6,7 +6,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .errors import InvalidHyperParam
+from .errors import InvalidSpec
 
 
 def squared_norms(B):
@@ -197,5 +197,5 @@ def resolve_gamma(gamma, X):
         return gamma_scale(X)
     g = float(gamma)
     if g <= 0:
-        raise InvalidHyperParam(f"gamma must be positive, got {gamma!r}")
+        raise InvalidSpec(f"gamma must be positive, got {gamma!r}")
     return g

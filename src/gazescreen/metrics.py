@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, LengthMismatch, MissingColumn, NonBinaryLabel, SingleClass
+from .errors import DataError, SingleClass
 from .models import MODEL_KINDS
 
 # each report metric's name -> its MetricSet field, in report row order
@@ -35,7 +35,7 @@ class ConfusionMatrix:
 def _check_binary(arr, what):
     arr = np.asarray(arr)
     if arr.size and not np.isin(arr, (0, 1)).all():
-        raise NonBinaryLabel(f"{what} must be 0/1")
+        raise DataError(f"{what} must be 0/1")
     return arr.astype(np.int64)
 
 
@@ -43,7 +43,7 @@ def confusion_matrix(y_true, y_pred):
     y_true = _check_binary(y_true, "y_true")
     y_pred = _check_binary(y_pred, "y_pred")
     if len(y_true) != len(y_pred):
-        raise LengthMismatch("y_true and y_pred differ in length")
+        raise DataError("y_true and y_pred differ in length")
     tp = int(np.sum((y_true == 1) & (y_pred == 1)))
     fp = int(np.sum((y_true == 0) & (y_pred == 1)))
     tn = int(np.sum((y_true == 0) & (y_pred == 0)))
@@ -95,7 +95,7 @@ def auc_score(y_true, scores):
     y_true = _check_binary(y_true, "y_true")
     scores = np.asarray(scores, dtype=float)
     if len(y_true) != len(scores):
-        raise LengthMismatch("labels and scores differ in length")
+        raise DataError("labels and scores differ in length")
     n1 = int(np.sum(y_true == 1))
     n0 = len(y_true) - n1
     if n0 == 0 or n1 == 0:
@@ -162,7 +162,7 @@ def compute_metrics(cm, y_true=None, scores=None):
     auc_from_labels = False
     if scores is not None:
         if y_true is None:
-            raise LengthMismatch("scores were given without y_true")
+            raise DataError("scores were given without y_true")
         try:
             auc = auc_score(y_true, scores)
         except SingleClass:
@@ -233,7 +233,7 @@ def parse_report_csv(text):
     raises DataError naming its line."""
     lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != "metric,model,value_percent":
-        raise MissingColumn("report CSV must start with metric,model,value_percent")
+        raise DataError("report CSV must start with metric,model,value_percent")
     out = {}
     for n, ln in lines[1:]:
         try:

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import atomic_write_text
-from ..errors import (
-    DimensionMismatch,
-    EmptyDataset,
-    InvalidSpec,
-    LengthMismatch,
-    NonBinaryLabel,
-    SingleClass,
-)
+from ..errors import DataError, InvalidSpec, SingleClass
 
 FORMAT_NAME = "gazescreen-model"
 FORMAT_VERSION = 1
@@ -30,12 +23,12 @@ FORMAT_VERSION = 1
 
 def as_rows(X, n_features, what):
     """X as a float (n, n_features) array, a 1-D X being one row; any other
-    shape raises DimensionMismatch."""
+    shape raises DataError."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
     if X.ndim != 2 or X.shape[1] != n_features:
-        raise DimensionMismatch(
+        raise DataError(
             f"{what}: expected (n, {n_features}) inputs, got {X.shape}")
     return X
 
@@ -53,20 +46,20 @@ class FeatureMatrix:
         self.X = np.asarray(self.X, dtype=float)
         self.y = np.asarray(self.y)
         if self.X.ndim != 2:
-            raise DimensionMismatch(f"X must be 2-D, got shape {self.X.shape}")
+            raise DataError(f"X must be 2-D, got shape {self.X.shape}")
         if len(self.X) == 0:
-            raise EmptyDataset("feature matrix has no rows")
+            raise DataError("feature matrix has no rows")
         if not np.all(np.isfinite(self.X)):
-            raise InvalidSpec("features must be finite")
+            raise DataError("features must be finite")
         if self.y.shape != (len(self.X),):
-            raise LengthMismatch("y must align with the rows of X")
+            raise DataError("y must align with the rows of X")
         if not np.isin(self.y, (0, 1)).all():
-            raise NonBinaryLabel("labels must be 0/1")
+            raise DataError("labels must be 0/1")
         self.y = self.y.astype(np.int64)
         if self.sample_weights is not None:
             self.sample_weights = np.asarray(self.sample_weights, dtype=float)
             if self.sample_weights.shape != (len(self.X),):
-                raise LengthMismatch("sample_weights must align with rows")
+                raise DataError("sample_weights must align with rows")
             if not np.all(np.isfinite(self.sample_weights)) or self.sample_weights.min() <= 0:
                 raise InvalidSpec("sample weights must be positive and finite")
 
@@ -148,7 +141,7 @@ class FittedModel:
     def from_dict(cls, payload):
         try:
             model = cls(payload["n_features"], **payload["params"])
-        except (KeyError, TypeError, ValueError, DimensionMismatch) as e:
+        except (KeyError, TypeError, ValueError, DataError) as e:
             raise InvalidSpec(f"{cls.kind} model file: bad or missing field: {e}") from None
         model.meta = payload.get("meta", {})
         return model

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import InvalidHyperParam
+from ..errors import InvalidSpec
 from .base import FeatureMatrix, FittedModel
 from .tree import (
     CartGrower,
@@ -36,11 +36,11 @@ class AdaBoostParams:
 
     def __post_init__(self):
         if self.n_estimators < 1:
-            raise InvalidHyperParam("n_estimators must be >= 1")
+            raise InvalidSpec("n_estimators must be >= 1")
         if self.learning_rate <= 0:
-            raise InvalidHyperParam("learning_rate must be positive")
+            raise InvalidSpec("learning_rate must be positive")
         if self.base_max_depth < 1:
-            raise InvalidHyperParam("base_max_depth must be >= 1")
+            raise InvalidSpec("base_max_depth must be >= 1")
 
 
 class AdaBoostModel(FittedModel):

@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import InvalidHyperParam
+from ..errors import InvalidSpec
 from .base import FeatureMatrix, FittedModel
 from .tree import (
     CartGrower,
@@ -33,11 +33,11 @@ class ForestParams:
 
     def __post_init__(self):
         if self.n_estimators < 1:
-            raise InvalidHyperParam("n_estimators must be >= 1")
+            raise InvalidSpec("n_estimators must be >= 1")
         if self.max_features is not None and self.max_features < 1:
-            raise InvalidHyperParam("max_features must be >= 1 when set")
+            raise InvalidSpec("max_features must be >= 1 when set")
         if self.max_samples is not None and self.max_samples < 1:
-            raise InvalidHyperParam("max_samples must be >= 1 when set")
+            raise InvalidSpec("max_samples must be >= 1 when set")
 
 
 def _tree_rng(seed, index):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import InvalidHyperParam, KernelNotPD, TrainingSizeExceeded
+from ..errors import DataError, InvalidSpec, NumericError
 from ..kernels import mean_variance, squared_distances, squared_norms
 from .base import FeatureMatrix, FittedModel, arr, as_rows
 
@@ -44,11 +44,11 @@ class GpcParams:
 
     def __post_init__(self):
         if self.max_iter_predict < 1 or self.optimizer_max_iter < 0:
-            raise InvalidHyperParam("iteration caps must be positive")
+            raise InvalidSpec("iteration caps must be positive")
         if self.newton_tol <= 0:
-            raise InvalidHyperParam("newton_tol must be positive")
+            raise InvalidSpec("newton_tol must be positive")
         if self.max_train < 2:
-            raise InvalidHyperParam("max_train must be >= 2")
+            raise InvalidSpec("max_train must be >= 2")
 
 
 def _chol_with_jitter(M):
@@ -61,7 +61,7 @@ def _chol_with_jitter(M):
                 break
             M = M + jitter * np.eye(len(M))
             jitter *= 10.0
-    raise KernelNotPD("kernel matrix not positive definite after jitter retries")
+    raise NumericError("kernel matrix not positive definite after jitter retries")
 
 
 def _kernel_from_theta(sqdist, theta, out=None):
@@ -212,13 +212,13 @@ class GpcModel(FittedModel):
         per call: the kernel k*, then in place W^1/2 k* in its transpose,
         which is the Fortran-ordered right-hand side the triangular solve
         overwrites with v = L^-1 W^1/2 k*, then v * v (GPML Alg. 3.2).
-        X holding NaN or inf raises ValueError here, once, and `_finalize`
+        X holding NaN or inf raises DataError here, once, and `_finalize`
         checked L, so the solve skips its own per-block finiteness scans."""
         from scipy.linalg import solve_triangular
 
         X = self._check_X(X)
         if not np.isfinite(X).all():
-            raise ValueError("GPC: inputs must not contain infs or NaNs")
+            raise DataError("GPC: inputs must not contain infs or NaNs")
         mean = np.empty(len(X))
         var = np.empty(len(X))
         buf = np.empty((min(_LATENT_ROWS, len(X)), len(self.X_train)))
@@ -271,7 +271,7 @@ def fit_gpc(fm: FeatureMatrix, hp: GpcParams = None, seed: int = 0):
     hp = hp or GpcParams()
     fm.require_both_classes()
     if fm.n > hp.max_train:
-        raise TrainingSizeExceeded(
+        raise DataError(
             f"GPC dense solve capped at {hp.max_train} rows, got {fm.n}")
     ypm = fm.signed_labels()
     theta = np.asarray(hp.theta0, dtype=float) if hp.theta0 is not None else default_theta0(fm.X)

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import InvalidHyperParam
+from ..errors import InvalidSpec
 from .base import FeatureMatrix, FittedModel, as_rows
 
 
@@ -45,9 +45,9 @@ class LogRegParams:
 
     def __post_init__(self):
         if self.l2 < 0:
-            raise InvalidHyperParam("l2 must be >= 0")
+            raise InvalidSpec("l2 must be >= 0")
         if self.tol <= 0 or self.max_iter < 1:
-            raise InvalidHyperParam("tol must be > 0 and max_iter >= 1")
+            raise InvalidSpec("tol must be > 0 and max_iter >= 1")
 
 
 def logreg_objective(params, X, y, sample_weights, l2):
@@ -112,13 +112,13 @@ class PerceptronParams:
 
     def __post_init__(self):
         if self.eta0 <= 0:
-            raise InvalidHyperParam("eta0 must be positive")
+            raise InvalidSpec("eta0 must be positive")
         if self.alpha < 0:
-            raise InvalidHyperParam("alpha must be >= 0")
+            raise InvalidSpec("alpha must be >= 0")
         if not 0.0 <= self.validation_fraction < 1.0:
-            raise InvalidHyperParam("validation_fraction must be in [0, 1)")
+            raise InvalidSpec("validation_fraction must be in [0, 1)")
         if self.max_iter < 1 or self.tol <= 0 or self.n_iter_no_change < 1:
-            raise InvalidHyperParam("max_iter, tol and n_iter_no_change must be positive")
+            raise InvalidSpec("max_iter, tol and n_iter_no_change must be positive")
 
 
 class PerceptronModel(_LinearModel):
@@ -163,7 +163,7 @@ def fit_perceptron(fm: FeatureMatrix, hp: PerceptronParams = None, seed: int = 0
     b = 0.0
     shrink = 1.0 - hp.eta0 * hp.alpha
     if shrink <= 0:
-        raise InvalidHyperParam("eta0 * alpha must be < 1")
+        raise InvalidSpec("eta0 * alpha must be < 1")
     best_loss = np.inf
     no_change = 0
     stop = "max_iter"

@@ -5,7 +5,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import InvalidHyperParam
+from ..errors import InvalidSpec
 from .base import FeatureMatrix, FittedModel, arr, as_rows
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -21,7 +21,7 @@ class NBParams:
 
     def __post_init__(self):
         if self.var_smoothing < 0:
-            raise InvalidHyperParam("var_smoothing must be >= 0")
+            raise InvalidSpec("var_smoothing must be >= 0")
 
 
 class GaussianNaiveBayes(FittedModel):

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import InvalidHyperParam
+from ..errors import InvalidSpec
 from ..kernels import KernelRowCache, kernel_expansion, resolve_gamma, smo
 from .base import FeatureMatrix, FittedModel, arr, as_rows
 
@@ -29,11 +29,11 @@ class SvcParams:
 
     def __post_init__(self):
         if self.C <= 0:
-            raise InvalidHyperParam("C must be positive")
+            raise InvalidSpec("C must be positive")
         if self.tol <= 0:
-            raise InvalidHyperParam("tol must be positive")
+            raise InvalidSpec("tol must be positive")
         if self.max_iter < 1:
-            raise InvalidHyperParam("max_iter must be >= 1")
+            raise InvalidSpec("max_iter must be >= 1")
 
 
 class SvcRbfModel(FittedModel):

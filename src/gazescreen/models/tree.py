@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import DimensionMismatch, InvalidHyperParam
+from ..errors import DataError, InvalidSpec
 from .base import FeatureMatrix, FittedModel
 
 
@@ -32,11 +32,11 @@ class TreeParams:
 
     def __post_init__(self):
         if self.min_samples_split < 2:
-            raise InvalidHyperParam("min_samples_split must be >= 2")
+            raise InvalidSpec("min_samples_split must be >= 2")
         if self.min_samples_leaf < 1:
-            raise InvalidHyperParam("min_samples_leaf must be >= 1")
+            raise InvalidSpec("min_samples_leaf must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:
-            raise InvalidHyperParam("max_depth must be >= 1 when set")
+            raise InvalidSpec("max_depth must be >= 1 when set")
 
 
 def value_ranks(X):
@@ -585,8 +585,8 @@ class FlatEnsemble:
         if d < self.n_columns:
             # the flat row-major lookup of the walk would read a neighbouring
             # row, and the tables a missing column
-            raise DimensionMismatch(f"trees split on column {self.n_columns - 1}, "
-                                    f"inputs have {d} columns")
+            raise DataError(f"trees split on column {self.n_columns - 1}, "
+                            f"inputs have {d} columns")
 
     def leaves(self, X):
         """(trees, rows) leaf index of every row in every tree.

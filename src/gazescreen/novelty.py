@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    EmptyDataset,
-    InvalidHyperParam,
-    InvalidSpec,
-    MissingColumn,
-)
+from .errors import DataError, InvalidSpec
 from .kernels import KernelRowCache, kernel_expansion, resolve_gamma, smo
 from .models.base import as_rows
 from .models.tree import FlatEnsemble, grow_preorder
@@ -54,7 +48,7 @@ class IsoForestParams:
 
     def __post_init__(self):
         if self.n_trees < 1 or self.subsample < 2:
-            raise InvalidHyperParam("need n_trees >= 1 and subsample >= 2")
+            raise InvalidSpec("need n_trees >= 1 and subsample >= 2")
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -231,7 +225,7 @@ class IsolationForestModel:
         A two-column forest with cell tables reads the grid from them
         (`_CellTables.grid_total`), which adds the leaf values the walk
         would reach in the walk's order; any other forest scores the
-        grid's rows, and raises DimensionMismatch unless it has two
+        grid's rows, and raises DataError unless it has two
         columns. `sizes["scored_by"]` says which ("tables" or "walk")."""
         tables = self._paths._cell_tables() if self.n_features == 2 else None
         if tables is None:
@@ -245,7 +239,7 @@ def fit_isolation_forest(X, params: IsoForestParams = None):
     params = params or IsoForestParams()
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(X) < 2:
-        raise EmptyDataset("isolation forest needs at least 2 rows")
+        raise DataError("isolation forest needs at least 2 rows")
     _require_finite(X, "isolation forest")
     # a split threshold is drawn from [lo, hi) of a feature; the spread
     # hi - lo must be a finite float
@@ -284,9 +278,9 @@ class OcsvmParams:
 
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
-            raise InvalidHyperParam("nu must be in (0, 1]")
+            raise InvalidSpec("nu must be in (0, 1]")
         if self.tol <= 0 or self.max_iter < 1:
-            raise InvalidHyperParam("tol and max_iter must be positive")
+            raise InvalidSpec("tol and max_iter must be positive")
 
 
 class OneClassSvmModel:
@@ -329,12 +323,12 @@ def fit_ocsvm(X, params: OcsvmParams = None):
     params = params or OcsvmParams()
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(X) < 2:
-        raise EmptyDataset("one-class SVM needs at least 2 rows")
+        raise DataError("one-class SVM needs at least 2 rows")
     _require_finite(X, "one-class SVM")
     n = len(X)
     ub = 1.0 / (params.nu * n)
     if ub * n < 1.0 - 1e-12:
-        raise InvalidHyperParam("infeasible: nu * n leaves too little mass")
+        raise InvalidSpec("infeasible: nu * n leaves too little mass")
     gamma = resolve_gamma(params.gamma, X)
     cache = KernelRowCache(X, gamma)
 
@@ -440,13 +434,13 @@ def load_boundary_grid(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["kind", "x", "y", "value", "tag"]:
-            raise MissingColumn(f"{path}: expected header kind,x,y,value,tag")
+            raise DataError(f"{path}: expected header kind,x,y,value,tag")
         grid_rows, points = [], []
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
             if len(rec) != 5:
-                raise MissingColumn(f"{path}:{lineno}: expected 5 fields, got {len(rec)}")
+                raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(rec)}")
             kind, x, y, value, tag = rec
             if kind not in ("grid", "point"):
                 raise DataError(f"{path}:{lineno}: unknown row kind {kind!r}")
@@ -479,9 +473,8 @@ def export_boundary_grid(model, X_train, X_regular, X_novel, resolution=100):
     plus every point itself, tagged train/regular/novel.
 
     The grid is (x, y): each set has two columns, x then y, and a set of
-    any other width raises DimensionMismatch; a set holding NaN or inf
-    raises DataError. The model scores the grid
-    (`grid_scores`); the grid's `sizes` record the cells and points scored
+    any other width, or holding NaN or inf, raises DataError. The model
+    scores the grid (`grid_scores`); the grid's `sizes` record the cells and points scored
     and what the model reports of its grid.
     """
     if resolution < 2:

@@ -23,20 +23,18 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .data import (
+    EYE_SLICES,
+    TEST_KINDS,
     SplitConfig,
     atomic_write_text,
     balanced_subset,
     class_weights,
     load_csv,
+    require_per_class,
     split,
     stratified_cap,
 )
-from .errors import (
-    GazeScreenError,
-    InvalidSpec,
-    PipelineError,
-    SingleClass,
-)
+from .errors import DataError, GazeScreenError, InvalidSpec, PipelineError, SingleClass
 from .models import MODEL_KINDS, FeatureMatrix, load_model, model_kind
 from .novelty import (
     IsoForestParams,
@@ -47,7 +45,7 @@ from .novelty import (
 )
 from .simulate import ImpairmentParams, generate_cohort
 
-EYE_CHANNELS = ("left", "right", "cyclopean")
+EYE_CHANNELS = tuple(EYE_SLICES)
 
 # each novelty method's fit (X, seed), in the order run_novelty fits them
 # for each eye: the one-class SVM's fit is where a novelty run peaks in
@@ -102,7 +100,7 @@ class RunConfig:
     novelty_methods: tuple = NOVELTY_METHODS
 
     def __post_init__(self):
-        if self.test_kind not in ("SP", "VMS"):
+        if self.test_kind not in TEST_KINDS:
             raise InvalidSpec(f"test_kind must be SP or VMS, got {self.test_kind!r}")
         if len(set(self.models)) < len(self.models):
             raise InvalidSpec(f"models names a kind more than once: {list(self.models)}")
@@ -194,6 +192,18 @@ def fit_model(kind, fm, params=None, seed=0):
     return model_kind(kind).fit(fm, params, seed)
 
 
+def _train_cap(kind, cfg):
+    """The row cap of `kind`: its entry's, unless `cfg.train_caps` replaces it."""
+    return cfg.train_caps.get(kind, model_kind(kind).cap)
+
+
+def _balanced_per_class(kind, cfg):
+    """Frames per class of `kind`'s balanced subset: `cfg.balanced_per_class`,
+    at most half the kind's cap."""
+    cap = _train_cap(kind, cfg)
+    return cfg.balanced_per_class if cap is None else min(cfg.balanced_per_class, cap // 2)
+
+
 def training_matrix(kind, train_ds, cfg):
     """Apply the training protocol and row cap `kind` declares; a cap in
     `cfg.train_caps` replaces the declared one.
@@ -201,15 +211,13 @@ def training_matrix(kind, train_ds, cfg):
     Returns (FeatureMatrix, description dict for the manifest).
     """
     entry = model_kind(kind)
-    cap = cfg.train_caps.get(kind, entry.cap)
     info = {"weighting": entry.weighting}
     if entry.weighting == "balanced-subset":
-        per_class = cfg.balanced_per_class
-        if cap is not None:
-            per_class = min(per_class, cap // 2)
+        per_class = _balanced_per_class(kind, cfg)
         sub = balanced_subset(train_ds, per_class, seed=cfg.seed)
         info["per_class"] = per_class
         return FeatureMatrix.from_dataset(sub), info
+    cap = _train_cap(kind, cfg)
     capped = stratified_cap(train_ds, cap, cfg.seed) if cap is not None else train_ds
     cw = class_weights(capped)
     info["train_rows"] = len(capped)
@@ -327,6 +335,14 @@ def run_experiment(cfg, ds=None):
             ds = run.stage("acquire", source, _acquire, cfg)
         train_ds, val_ds, test_ds = run.stage(
             "split", f"{len(ds)} frames", split, ds, cfg.split_config())
+        # a balanced subset the split cannot hold fails its weight stage
+        # here, before any model is fitted
+        for kind in cfg.models:
+            if MODEL_KINDS[kind].weighting == "balanced-subset":
+                try:
+                    require_per_class(train_ds, _balanced_per_class(kind, cfg))
+                except DataError as e:
+                    raise PipelineError("weight", f"model {kind}", e) from e
         per_model = {}
         model_paths = {}
         model_info = {}
@@ -490,7 +506,7 @@ def reproduce(cfg):
     results = {}
     sections = {}
     with _Run(outdir, "reproduce") as run:
-        for kind in ("SP", "VMS"):
+        for kind in TEST_KINDS:
             exp_cfg = replace(cfg, test_kind=kind, outdir=os.path.join(outdir, kind.lower()))
             ds = run.stage("acquire",
                            f"synthetic cohort ({cfg.n_control}+{cfg.n_concussed} {kind})",

@@ -22,8 +22,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import GazeDataset, N_FEATURES
-from .errors import InvalidSpec, OutOfRangeTime
+from .data import GazeDataset, N_FEATURES, TEST_KINDS
+from .errors import InvalidSpec
 
 PUPIL_BASE_MM = 3.5
 PUPIL_NOISE_STD_MM = 0.25
@@ -107,7 +107,7 @@ class SessionSpec:
     impairment: ImpairmentParams = None
 
     def __post_init__(self):
-        if self.test_kind not in ("SP", "VMS"):
+        if self.test_kind not in TEST_KINDS:
             raise InvalidSpec(f"test_kind must be SP or VMS, got {self.test_kind!r}")
         if self.label not in (0, 1):
             raise InvalidSpec(f"label must be 0 or 1, got {self.label!r}")
@@ -157,7 +157,7 @@ def target_trajectory(spec, t):
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if t_arr.size and (t_arr.min() < -1e-9 or t_arr.max() > spec.duration_s + 1e-9):
-        raise OutOfRangeTime(
+        raise InvalidSpec(
             f"t must lie in [0, {spec.duration_s}], got [{t_arr.min()}, {t_arr.max()}]")
     period = spec.sweep_period_s
     if spec.test_kind == "SP":

@@ -21,18 +21,7 @@ from gazescreen.data import (
     split_sizes,
     write_csv,
 )
-from gazescreen.errors import (
-    BadLabel,
-    DataError,
-    EmptyDataset,
-    InsufficientClassSamples,
-    InvalidSpec,
-    MissingColumn,
-    NonMonotonicTime,
-    NonUnitDirection,
-    SingleClass,
-    SingleClassStratify,
-)
+from gazescreen.errors import DataError, InvalidSpec, SingleClass
 from gazescreen.simulate import SessionSpec, generate_cohort, simulate_session
 
 
@@ -55,21 +44,21 @@ class TestValidation:
         assert ds.class_counts() == (10, 0)
 
     def test_rejects_bad_label(self):
-        with pytest.raises(BadLabel):
+        with pytest.raises(DataError, match="labels must be 0 or 1, found 2"):
             toy_dataset(label_pattern=[0] * 9 + [2])
 
     def test_rejects_non_unit_direction(self):
         ds = toy_dataset()
         feats = ds.features.copy()
         feats[3, 1:4] = [0.0, 0.0, 1.01]
-        with pytest.raises(NonUnitDirection):
+        with pytest.raises(DataError, match="left direction at row 3 has norm 1.01"):
             GazeDataset(feats, ds.labels, ds.session_ids, "SP")
 
     def test_rejects_non_monotonic_time(self):
         ds = toy_dataset()
         feats = ds.features.copy()
         feats[5, 0] = feats[4, 0]
-        with pytest.raises(NonMonotonicTime):
+        with pytest.raises(DataError, match="t does not increase at row 5"):
             GazeDataset(feats, ds.labels, ds.session_ids, "SP")
 
     def test_time_reset_allowed_across_sessions(self):
@@ -125,7 +114,7 @@ class TestCsv:
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("session_id,t,lx\n")
-        with pytest.raises(MissingColumn):
+        with pytest.raises(DataError, match=r"bad\.csv: missing column\(s\)"):
             load_csv(path, "SP")
 
     def test_bad_label_rejected(self, tmp_path):
@@ -136,7 +125,7 @@ class TestCsv:
         lines = text.splitlines()
         lines[1] = lines[1].rsplit(",", 1)[0] + ",7"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(BadLabel):
+        with pytest.raises(DataError, match=r"t\.csv:2: label must be 0 or 1, got '7'"):
             load_csv(path, "SP")
 
     def test_slightly_off_norms_renormalised(self, tmp_path):
@@ -153,13 +142,13 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_csv(ds, path)
         path.write_text(path.read_text().replace("0.0,0.0,1.0", "0.0,0.0,1.2"))
-        with pytest.raises(NonUnitDirection):
+        with pytest.raises(DataError, match=r"t\.csv: row 2: left direction norm 1\.2000"):
             load_csv(path, "SP")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("")
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(DataError, match=r"e\.csv: empty file"):
             load_csv(path, "SP")
 
     # the edges of the wire format; each file below is one that write_csv
@@ -203,7 +192,7 @@ class TestCsv:
     def test_whitespace_only_line_rejected_with_line_number(self, tmp_path):
         lines = self.toy_lines(tmp_path)
         lines.insert(2, "   ")
-        with pytest.raises(MissingColumn, match=r"edited\.csv:3: expected 16 fields, got 1"):
+        with pytest.raises(DataError, match=r"edited\.csv:3: expected 16 fields, got 1"):
             self.load_lines(tmp_path, lines)
 
     @pytest.mark.parametrize("n_fields", [15, 17])
@@ -211,7 +200,7 @@ class TestCsv:
         lines = self.toy_lines(tmp_path)
         fields = lines[3].split(",")
         lines[3] = ",".join(fields[:15] if n_fields == 15 else [*fields, "0"])
-        with pytest.raises(MissingColumn,
+        with pytest.raises(DataError,
                            match=rf"edited\.csv:4: expected 16 fields, got {n_fields}"):
             self.load_lines(tmp_path, lines)
 
@@ -220,7 +209,7 @@ class TestCsv:
         fields = lines[2].split(",")
         fields[5] = "abc"
         lines[2] = ",".join(fields)
-        with pytest.raises(BadLabel, match=r"edited\.csv:3: could not convert"):
+        with pytest.raises(DataError, match=r"edited\.csv:3: could not convert"):
             self.load_lines(tmp_path, lines)
 
     def test_label_with_spaces_accepted(self, tmp_path):
@@ -232,7 +221,7 @@ class TestCsv:
     def test_comment_line_rejected(self, tmp_path):
         lines = self.toy_lines(tmp_path)
         lines.insert(2, "# a comment")
-        with pytest.raises(MissingColumn, match=r"edited\.csv:3: expected 16 fields"):
+        with pytest.raises(DataError, match=r"edited\.csv:3: expected 16 fields"):
             self.load_lines(tmp_path, lines)
 
     def test_hash_is_an_ordinary_session_id_character(self, tmp_path):
@@ -254,7 +243,7 @@ class TestCsv:
         fields = lines[2].split(",")
         fields[1] = "nan"                     # t
         lines[2] = ",".join(fields)
-        with pytest.raises(BadLabel, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite value in feature matrix"):
             self.load_lines(tmp_path, lines)
 
 
@@ -403,7 +392,7 @@ class TestSplitArithmetic:
 
     def test_single_class_stratify_raises(self):
         ds = toy_dataset(50)
-        with pytest.raises(SingleClassStratify):
+        with pytest.raises(SingleClass, match="stratified split needs both classes present"):
             split(ds, SplitConfig())
 
     def test_bad_fractions_rejected(self):
@@ -416,7 +405,7 @@ class TestSplitArithmetic:
 
     def test_empty_dataset_raises(self):
         ds = toy_dataset(3).subset([])
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(DataError, match="cannot split an empty dataset"):
             split(ds, SplitConfig())
 
     def test_split_by_session_keeps_sessions_whole(self):
@@ -484,7 +473,7 @@ class TestWeights:
     def test_balanced_subset_insufficient(self):
         labels = np.array([0] * 900 + [1] * 100)
         ds = toy_dataset(1000, label_pattern=labels)
-        with pytest.raises(InsufficientClassSamples):
+        with pytest.raises(DataError, match="need 101 per class, have control=900 concussed=100"):
             balanced_subset(ds, 101)
 
 

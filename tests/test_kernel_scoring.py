@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from gazescreen import kernels
+from gazescreen.errors import DataError
 from gazescreen.kernels import rbf_kernel, squared_distances
 from gazescreen.models import FeatureMatrix, GpcModel, GpcParams, fit_gpc, fit_svc_rbf
 from gazescreen.novelty import OcsvmParams, fit_ocsvm
@@ -150,7 +151,7 @@ class TestScorers:
     def test_gpc_rejects_non_finite_rows(self, gpc, bad, n):
         X = probe(n, 14)
         X[n - 1, 5] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
+        with pytest.raises(DataError, match="GPC: inputs must not contain infs or NaNs"):
             gpc.decision_score(X)
 
     def test_gpc_rejects_non_finite_factor(self, gpc):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazescreen.errors import DataError, LengthMismatch, NonBinaryLabel, SingleClass
+from gazescreen.errors import DataError, SingleClass
 from gazescreen.metrics import (
     ConfusionMatrix,
     _midrank,
@@ -139,9 +139,9 @@ def test_single_class_auc_raises():
 
 
 def test_input_validation():
-    with pytest.raises(NonBinaryLabel):
+    with pytest.raises(DataError, match="y_true must be 0/1"):
         confusion_matrix([0, 2], [0, 1])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="y_true and y_pred differ in length"):
         confusion_matrix([0, 1], [0, 1, 1])
 
 

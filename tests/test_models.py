@@ -11,13 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gazescreen.errors import (
-    DimensionMismatch,
-    InvalidHyperParam,
-    InvalidSpec,
-    SingleClass,
-    TrainingSizeExceeded,
-)
+from gazescreen.errors import DataError, InvalidSpec, SingleClass
 from gazescreen import kernels as kernels_mod
 from gazescreen.kernels import KernelRowCache, gamma_scale, rbf_kernel, resolve_gamma, smo
 from gazescreen.models import (
@@ -60,6 +54,15 @@ def blobs(n_per_class, d=2, sep=4.0, seed=0, spread=1.0):
     X = np.vstack([a, b])
     y = np.repeat([0, 1], n_per_class)
     return X, y
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_feature_matrix_refuses_non_finite_features_as_data(bad):
+    # a data error (exit 3), as GazeDataset refuses the same matrix
+    X, y = blobs(3)
+    X[1, 0] = bad
+    with pytest.raises(DataError, match="features must be finite"):
+        fm(X, y)
 
 
 # -- naive Bayes ---------------------------------------------------------------
@@ -286,7 +289,7 @@ class TestDecisionTree:
 
     def test_dimension_mismatch(self):
         model = fit_decision_tree(fm([[1], [2]], [0, 1]))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match=r"DT: expected \(n, 1\) inputs, got \(3, 2\)"):
             model.predict(np.zeros((3, 2)))
 
 
@@ -832,7 +835,7 @@ class TestSvc:
         X, y = blobs(10, seed=12)
         model = fit_svc_rbf(fm(X, y), SvcParams(gamma="scale"))
         assert model.gamma == pytest.approx(gamma_scale(X))
-        with pytest.raises(InvalidHyperParam):
+        with pytest.raises(InvalidSpec, match="gamma must be positive, got -1.0"):
             fit_svc_rbf(fm(X, y), SvcParams(gamma=-1.0))
 
 
@@ -1068,12 +1071,12 @@ class TestPerceptron:
         assert not model_from_dict(model.to_dict()).converged
 
     def test_hyperparameter_validation(self):
-        with pytest.raises(InvalidHyperParam):
+        with pytest.raises(InvalidSpec, match="eta0 must be positive"):
             PerceptronParams(eta0=0.0)
-        with pytest.raises(InvalidHyperParam):
+        with pytest.raises(InvalidSpec, match="alpha must be >= 0"):
             PerceptronParams(alpha=-1.0)
         X, y = blobs(5, seed=0)
-        with pytest.raises(InvalidHyperParam):
+        with pytest.raises(InvalidSpec, match=r"eta0 \* alpha must be < 1"):
             fit_perceptron(fm(X, y), PerceptronParams(eta0=2.0, alpha=0.5))
 
 
@@ -1132,7 +1135,7 @@ class TestGpc:
 
     def test_training_size_cap(self):
         X, y = blobs(20, seed=26)
-        with pytest.raises(TrainingSizeExceeded):
+        with pytest.raises(DataError, match="GPC dense solve capped at 10 rows"):
             fit_gpc(fm(X, y), GpcParams(max_train=10))
 
     def test_final_mode_reuses_last_evaluation(self, monkeypatch):

@@ -11,14 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from gazescreen import kernels as kernels_mod
 from gazescreen import novelty as novelty_mod
-from gazescreen.errors import (
-    DataError,
-    DimensionMismatch,
-    EmptyDataset,
-    InvalidHyperParam,
-    InvalidSpec,
-    MissingColumn,
-)
+from gazescreen.errors import DataError, InvalidSpec
 from gazescreen.kernels import KernelRowCache, rbf_kernel, resolve_gamma
 from gazescreen.models import FeatureMatrix, ForestParams, fit_decision_tree, fit_random_forest
 from gazescreen.models import tree as tree_mod
@@ -340,14 +333,14 @@ class TestIsolationForest:
 
     def test_too_few_columns_rejected(self):
         model = fit_isolation_forest(cloud(100, d=3, seed=9), IsoForestParams(n_trees=5))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match=r"expected \(n, 3\) inputs, got \(10, 2\)"):
             model.anomaly_score(cloud(10, d=2, seed=10))
 
     def test_too_many_columns_rejected(self):
         # the splits read columns 0 and 1 only, so a third column would
         # otherwise be ignored
         model = fit_isolation_forest(cloud(100, seed=9), IsoForestParams(n_trees=5))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match=r"expected \(n, 2\) inputs, got \(10, 3\)"):
             model.boundary_score(cloud(10, d=3, seed=10))
 
     def test_degenerate_data_scores_exactly_half(self):
@@ -391,9 +384,9 @@ class TestIsolationForest:
         assert model.psi == 40
 
     def test_input_validation(self):
-        with pytest.raises(InvalidHyperParam):
+        with pytest.raises(InvalidSpec, match="need n_trees >= 1 and subsample >= 2"):
             IsoForestParams(n_trees=0)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(DataError, match="isolation forest needs at least 2 rows"):
             fit_isolation_forest(np.zeros((1, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -505,13 +498,13 @@ class TestOcsvm:
     @pytest.mark.parametrize("width", [1, 3])
     def test_wrong_width_rejected(self, width):
         model = fit_ocsvm(cloud(60, seed=11), OcsvmParams(nu=0.2))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match=rf"expected \(n, 2\) inputs, got \(5, {width}\)"):
             model.decision_score(cloud(5, d=width, seed=12))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match=rf"expected \(n, 2\) inputs, got \(1, {width}\)"):
             model.boundary_score(np.zeros(width))
         # a model of `width` columns has no (x, y) grid
         wide = fit_ocsvm(cloud(60, d=width, seed=11), OcsvmParams(nu=0.2))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match=rf"expected \(n, {width}\) inputs, got \(4, 2\)"):
             wide.grid_scores(np.zeros(2), np.zeros(2))
 
     def test_dual_feasibility(self):
@@ -559,9 +552,9 @@ class TestOcsvm:
         assert np.all(np.abs(f[free]) <= slack)
 
     def test_nu_validation(self):
-        with pytest.raises(InvalidHyperParam):
+        with pytest.raises(InvalidSpec, match=r"nu must be in \(0, 1\]"):
             OcsvmParams(nu=0.0)
-        with pytest.raises(InvalidHyperParam):
+        with pytest.raises(InvalidSpec, match=r"nu must be in \(0, 1\]"):
             OcsvmParams(nu=1.5)
 
     def test_deterministic(self):
@@ -684,7 +677,7 @@ class TestBoundaryGrid:
         assert back.points == grid.points
 
     @pytest.mark.parametrize("row, error, message", [
-        ("grid,1.0,2.0", MissingColumn, r"g\.csv:3: expected 5 fields, got 3"),
+        ("grid,1.0,2.0", DataError, r"g\.csv:3: expected 5 fields, got 3"),
         ("grid,1.0,abc,3.0,", DataError, r"g\.csv:3: could not convert string to float"),
         ("cell,1.0,2.0,3.0,", DataError, r"g\.csv:3: unknown row kind 'cell'"),
     ])
@@ -711,7 +704,8 @@ class TestBoundaryGrid:
         for k, s in enumerate(sets):
             wrong = list(sets)
             wrong[k] = cloud(len(s), d=width, seed=k)
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(DataError, match=rf"boundary grid: expected \(n, 2\) inputs, "
+                                                rf"got \({len(s)}, {width}\)"):
                 export_boundary_grid(model, *wrong, resolution=4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -925,7 +919,7 @@ class TestGridPainter:
                                   (np.column_stack([X[:, :2], np.zeros(50)]), True)):
             model = fit_isolation_forest(wrong, IsoForestParams(n_trees=3))
             assert (model._paths._cell_tables() is not None) == has_tables
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(DataError, match=r"expected \(n, \d\) inputs, got \(4, 2\)"):
                 model.grid_scores(np.zeros(2), np.zeros(2))
 
 
@@ -1071,5 +1065,5 @@ class TestCellTables:
         ens = _iso_ensemble(fit_isolation_forest(cloud(100, seed=35),
                                                  IsoForestParams(n_trees=5)).trees)
         assert ens._cell_tables() is not None
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match="trees split on column 1, inputs have 1 columns"):
             ens.sum(cloud(10, d=1, seed=36))

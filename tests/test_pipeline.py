@@ -21,13 +21,7 @@ from gazescreen import cli
 from gazescreen import pipeline as pipeline_mod
 from gazescreen.cli import main as cli_main
 from gazescreen.data import load_csv, split
-from gazescreen.errors import (
-    DataError,
-    InsufficientClassSamples,
-    InvalidSpec,
-    PipelineError,
-    SingleClass,
-)
+from gazescreen.errors import DataError, InvalidSpec, PipelineError, SingleClass
 from gazescreen.metrics import parse_report_csv
 from gazescreen.models import MODEL_KINDS, FeatureMatrix, FittedModel, LogRegParams, load_model
 from gazescreen.novelty import OcsvmParams, load_boundary_grid
@@ -471,8 +465,24 @@ def test_experiment_error_carries_stage(tmp_path):
     with pytest.raises(PipelineError) as ei:
         run_experiment(cfg)
     assert ei.value.stage == "weight"
-    assert isinstance(ei.value.cause, InsufficientClassSamples)
+    assert isinstance(ei.value.cause, DataError)
+    assert str(ei.value.cause).startswith("need 8000 per class, have control=")
     assert "weight" in str(ei.value)
+
+
+def test_balanced_shortfall_is_refused_before_any_fit(tmp_path, capsys, monkeypatch):
+    # NB's balanced subset needs 8000 frames per class; a 1+1 cohort has
+    # fewer, which the run learns right after the split, not after DT's fit
+    fits = []
+    real = pipeline_mod.fit_model
+    monkeypatch.setattr(pipeline_mod, "fit_model",
+                        lambda kind, *args: fits.append(kind) or real(kind, *args))
+    assert cli_main(["train", "--n-control", "1", "--n-concussed", "1",
+                     "--models", "DT,NB", "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'weight' failed on model NB: need 8000 per class" in err
+    assert fits == []
+    assert os.listdir(tmp_path / "models") == []
 
 
 # -- novelty runner ----------------------------------------------------------------

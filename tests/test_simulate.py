@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gazescreen.errors import InvalidSpec, OutOfRangeTime
+from gazescreen.errors import InvalidSpec
 from gazescreen.simulate import (
     ImpairmentParams,
     SessionSpec,
@@ -98,9 +98,9 @@ class TestTrajectoryGeometry:
 
     def test_out_of_range_time(self):
         spec = SessionSpec("SP")
-        with pytest.raises(OutOfRangeTime):
+        with pytest.raises(InvalidSpec, match=r"t must lie in \[0, .*\], got \[-0\.5, -0\.5\]"):
             target_trajectory(spec, -0.5)
-        with pytest.raises(OutOfRangeTime):
+        with pytest.raises(InvalidSpec, match=r"t must lie in \[0, "):
             target_trajectory(spec, spec.duration_s + 1.0)
 
 
