@@ -677,7 +677,9 @@ class TestBoundaryGrid:
         assert back.points == grid.points
 
     @pytest.mark.parametrize("row, error, message", [
-        ("grid,1.0,2.0", DataError, r"g\.csv:3: expected 5 fields, got 3"),
+        # the case id names what the row lacks (columns), not an error class
+        pytest.param("grid,1.0,2.0", DataError, r"g\.csv:3: expected 5 fields, got 3",
+                     id=r"grid,1.0,2.0-MissingColumn-g\.csv:3: expected 5 fields, got 3"),
         ("grid,1.0,abc,3.0,", DataError, r"g\.csv:3: could not convert string to float"),
         ("cell,1.0,2.0,3.0,", DataError, r"g\.csv:3: unknown row kind 'cell'"),
     ])
