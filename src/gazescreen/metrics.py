@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, SingleClass
+from .errors import DataError, NumericError, SingleClass
 from .models import MODEL_KINDS
 
 # each report metric's name -> its MetricSet field, in report row order
@@ -91,11 +91,15 @@ def _midrank(values):
 
 
 def auc_score(y_true, scores):
-    """Rank-based AUC (Mann-Whitney with ties counted half)."""
+    """Rank-based AUC (Mann-Whitney with ties counted half); a NaN or
+    infinite score raises NumericError, since it has no rank."""
     y_true = _check_binary(y_true, "y_true")
     scores = np.asarray(scores, dtype=float)
     if len(y_true) != len(scores):
         raise DataError("labels and scores differ in length")
+    if not np.isfinite(scores).all():
+        raise NumericError(f"{np.count_nonzero(~np.isfinite(scores))} of {len(scores)} "
+                           "scores are NaN or infinite")
     n1 = int(np.sum(y_true == 1))
     n0 = len(y_true) - n1
     if n0 == 0 or n1 == 0:

@@ -33,6 +33,17 @@ def as_rows(X, n_features, what):
     return X
 
 
+def require_finite(**params):
+    """Raise ValueError naming the first of `params` that holds a NaN or an
+    infinity; a model's constructor checks its float parameters with it, so
+    a model file holding one is refused when it loads."""
+    for name, value in params.items():
+        bad = np.count_nonzero(~np.isfinite(value))
+        if bad:
+            raise ValueError(f"{name} must be finite; {bad} of {np.size(value)} "
+                             "entries are NaN or infinite")
+
+
 @dataclass
 class FeatureMatrix:
     """Validated training input: dense features, binary labels, optional

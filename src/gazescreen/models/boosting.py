@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import InvalidSpec
-from .base import FeatureMatrix, FittedModel
+from .base import FeatureMatrix, FittedModel, require_finite
 from .tree import (
     CartGrower,
     FlatEnsemble,
@@ -50,6 +50,7 @@ class AdaBoostModel(FittedModel):
     def __init__(self, n_features, alphas, stumps):
         super().__init__(n_features)
         self.alphas = [float(a) for a in alphas]
+        require_finite(alphas=self.alphas)
         self.stumps = [nodes_from_json(s) for s in stumps]
         check_trees(self.stumps, n_features)
         # each leaf holds alpha_m * h_m(x), with stump outputs mapped to +-1

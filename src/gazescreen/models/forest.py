@@ -6,6 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .. import forked
 from ..errors import InvalidSpec
 from .base import FeatureMatrix, FittedModel
 from .tree import (
@@ -40,6 +41,14 @@ class ForestParams:
             raise InvalidSpec("max_samples must be >= 1 when set")
 
 
+# bag rows (trees times rows drawn per tree) per process of a split fit: a
+# fit grows in one piece per this many rows, at most one per CPU. On a
+# 2-core Xeon (100 trees, medians of 15 alternating fits) two processes
+# against one took 30.3 vs 27.4 ms at 15,000 bag rows, 53.3 vs 49.7 ms at
+# 30,000, 68.9 vs 71.2 ms at 40,000 and 110.6 vs 146.0 ms at 60,000
+_BAG_ROWS_PER_PROCESS = 30_000
+
+
 def _tree_rng(seed, index):
     # per-tree stream: SeedSequence keyed by (forest seed, tree index)
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
@@ -71,7 +80,9 @@ class RandomForestModel(FittedModel):
 def fit_random_forest(fm: FeatureMatrix, hp: ForestParams = None, seed: int = 0):
     """Each tree draws its bootstrap and then its split features from its own
     RNG stream derived from (seed, tree_index), so results do not depend on
-    scheduling; the trees grow in lockstep."""
+    scheduling. The trees grow in lockstep, in contiguous ranges of tree
+    indices, one per process of `forked.run_pieces`, and are concatenated
+    in index order: one process or several give the same trees."""
     hp = hp or ForestParams()
     w = fm.normalized_weights()
     m = hp.max_features if hp.max_features is not None else max(1, int(np.sqrt(fm.d)))
@@ -81,10 +92,17 @@ def fit_random_forest(fm: FeatureMatrix, hp: ForestParams = None, seed: int = 0)
     tree_hp = TreeParams(min_samples_split=hp.min_samples_split,
                          min_samples_leaf=hp.min_samples_leaf,
                          max_depth=hp.max_depth)
-    rngs = [_tree_rng(seed, i) for i in range(hp.n_estimators)]
-    bags = [rng.integers(0, fm.n, size=n_draw) if hp.bootstrap else np.arange(n_draw)
-            for rng in rngs]
-    trees = CartGrower(fm.X, fm.y, tree_hp, max_features=m).grow(w, bags, rngs)
-    model = RandomForestModel(fm.d, trees)
+    grower = CartGrower(fm.X, fm.y, tree_hp, max_features=m)
+    n_trees = hp.n_estimators
+    k = max(1, min(forked.worker_count(), n_trees,
+                   n_trees * n_draw // _BAG_ROWS_PER_PROCESS))
+    ends = [n_trees * j // k for j in range(k + 1)]
+
+    def grow(piece):
+        rngs = [_tree_rng(seed, i) for i in range(ends[piece], ends[piece + 1])]
+        bags = [rng.integers(0, fm.n, size=n_draw) if hp.bootstrap else np.arange(n_draw)
+                for rng in rngs]
+        return grower.grow(w, bags, rngs)
+    model = RandomForestModel(fm.d, [t for trees in forked.run_pieces(grow, k) for t in trees])
     model.meta = {"hyperparams": asdict(hp), "seed": seed}
     return model

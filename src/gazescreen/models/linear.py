@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import InvalidSpec
-from .base import FeatureMatrix, FittedModel, as_rows
+from .base import FeatureMatrix, FittedModel, as_rows, require_finite
 
 
 class _LinearModel(FittedModel):
@@ -26,6 +26,7 @@ class _LinearModel(FittedModel):
         self.weights = as_rows(weights, n_features, f"{self.kind} weights")[0]
         self.intercept = float(intercept)
         self.converged = bool(converged)
+        require_finite(weights=self.weights, intercept=self.intercept)
 
     def _score(self, X):
         return X @ self.weights + self.intercept

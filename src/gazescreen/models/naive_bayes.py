@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import InvalidSpec
-from .base import FeatureMatrix, FittedModel, arr, as_rows
+from .base import FeatureMatrix, FittedModel, arr, as_rows, require_finite
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -33,6 +33,8 @@ class GaussianNaiveBayes(FittedModel):
         self.class_log_prior = arr(class_log_prior)
         self.means = as_rows(means, n_features, "NB means")              # (2, d)
         self.variances = as_rows(variances, n_features, "NB variances")  # (2, d)
+        require_finite(class_log_prior=self.class_log_prior, means=self.means,
+                       variances=self.variances)
 
     def joint_log_likelihood(self, X):
         """(n, 2) array of log prior + sum of per-feature Gaussian log pdfs."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import InvalidSpec
 from ..kernels import KernelRowCache, kernel_expansion, resolve_gamma, smo
-from .base import FeatureMatrix, FittedModel, arr, as_rows
+from .base import FeatureMatrix, FittedModel, arr, as_rows, require_finite
 
 
 @dataclass
@@ -48,6 +48,8 @@ class SvcRbfModel(FittedModel):
         self.intercept = float(intercept)
         self.gamma = float(gamma)
         self.converged = bool(converged)
+        require_finite(support_X=self.support_X, dual_coef=self.dual_coef,
+                       intercept=self.intercept, gamma=self.gamma)
 
     def _score(self, X):
         out = kernel_expansion(X, self.support_X, self.gamma, self.dual_coef)

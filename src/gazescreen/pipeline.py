@@ -1,11 +1,14 @@
 """End-to-end experiment orchestration: simulate or load data, split,
 weight, fit every requested model, evaluate, and render the report table,
-with a manifest recording config, seeds, content hashes and stage timings.
+with a manifest recording config, seeds, content hashes, stage timings and
+the host.
 
-Model training is sequential and fully seeded, so two runs with the same
-config produce byte-identical report CSVs (the acceptance bar for
-reproducibility); the manifest additionally carries wall-clock timings and
-is therefore not expected to be identical between runs.
+Models are fitted one after another and fully seeded; a random forest
+grows its trees on the CPUs this process may use (`forked`), with the same
+trees on any number of them. So two runs with the same config produce
+byte-identical report CSVs and model files (the acceptance bar for
+reproducibility); the manifest additionally carries wall-clock timings
+and the host and is therefore not expected to be identical between runs.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from . import forked
 from . import metrics as metrics_mod
 from .data import (
     EYE_SLICES,
@@ -280,16 +284,56 @@ class _Run:
         returns its path."""
         path = os.path.join(self.outdir, "manifest.json")
         manifest = {"tool": "gazescreen", "command": self.command, "stages": self.stages,
-                    "peak_rss_mb": _peak_rss_mb(), "outputs": self.outputs, **body}
+                    "peak_rss_mb": _peak_rss_mb(), "host": _host(),
+                    "outputs": self.outputs, **body}
         atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True))
         return path
 
 
-def _peak_rss_mb():
-    """Peak resident set size of this process so far (ru_maxrss is in KiB
-    on Linux and in bytes on macOS)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+def _peak_rss_mb(who=resource.RUSAGE_SELF):
+    """Peak resident set size so far of this process, or with
+    RUSAGE_CHILDREN of its largest reaped child (ru_maxrss is in KiB on
+    Linux and in bytes on macOS)."""
+    peak = resource.getrusage(who).ru_maxrss
     return peak / (1 << 20) if sys.platform == "darwin" else peak / (1 << 10)
+
+
+def _host():
+    """Where the run ran: the CPUs this process may use, the peak RSS of
+    its largest reaped child (the random forest's worker processes), the
+    numpy version, scipy's when the run loaded it, and numpy's BLAS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    host = {"cpus": forked.cpu_count(),
+            "workers_peak_rss_mb": _peak_rss_mb(resource.RUSAGE_CHILDREN),
+            "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                     "threads": _blas_threads()}}
+    scipy = sys.modules.get("scipy")
+    if scipy is not None:
+        host["scipy"] = scipy.__version__
+    return host
+
+
+def _blas_threads():
+    """Threads of numpy's OpenBLAS, asked through the library's own
+    symbol, or None where it cannot be found (no /proc/self/maps, or
+    another BLAS). numpy's copy has the 64-bit-integer symbols; scipy's
+    own copy, when loaded, has the plain ones."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+    except OSError:
+        return None
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        for path in libs:
+            fn = getattr(ctypes.CDLL(path), symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
 
 
 def _sha256_file(path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazescreen.errors import DataError, SingleClass
+from gazescreen.errors import DataError, NumericError, SingleClass
 from gazescreen.metrics import (
     ConfusionMatrix,
     _midrank,
@@ -86,6 +86,15 @@ def test_auc_equals_pairwise_oracle_exactly():
         # quantised scores force plenty of ties
         s = np.round(rng.normal(size=n), 1)
         assert auc_score(y, s) == pairwise_auc(y, s)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auc_refuses_non_finite_scores(bad):
+    # NaN has no rank: _midrank gives each NaN its own, in input order, so
+    # all-NaN scores would read as a perfect AUC for labels [0, 0, 1, 1]
+    for scores in ([bad] * 4, [0.1, bad, 0.3, 0.4]):
+        with pytest.raises(NumericError, match="scores are NaN or infinite"):
+            auc_score([0, 0, 1, 1], scores)
 
 
 def test_auc_perfect_and_reversed():

@@ -1241,6 +1241,29 @@ class TestSerialization:
             with pytest.raises(InvalidSpec, match=match):
                 model_from_dict(payload)
 
+    # one float parameter of each kind that checks them, and where it sits
+    @pytest.mark.parametrize("kind,field,index", [
+        ("LR", "weights", 0), ("LR", "intercept", None), ("PERC", "weights", 1),
+        ("PERC", "intercept", None), ("NB", "class_log_prior", 0), ("NB", "means", 0),
+        ("NB", "variances", 1), ("SVC", "support_X", 0), ("SVC", "dual_coef", 0),
+        ("SVC", "intercept", None), ("SVC", "gamma", None), ("ADA", "alphas", 0)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, kind, field, index, bad):
+        # a NaN weight would score every row NaN, which ranks as a number
+        model = next(m for m in fitted_zoo()[1] if m.kind == kind)
+        payload = json.loads(json.dumps(model.to_dict()))
+        params = payload["params"]
+        if index is None:
+            params[field] = bad
+        else:
+            value = params[field][index]
+            if isinstance(value, list):
+                value[0] = bad
+            else:
+                params[field][index] = bad
+        with pytest.raises(InvalidSpec, match=f"{kind} model file.*{field} must be finite"):
+            model_from_dict(payload)
+
     @pytest.mark.parametrize("edit,match", [
         ({"p1": [0.5]}, "equal length"),
         ({"feature": [2, -1, -1]}, r"split feature 2 is outside \[-1, 2\)"),

@@ -851,8 +851,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     good = (tmp_path / "lr" / "models" / "LR.json").read_text()
     payload = json.loads(good)
     del payload["params"]["intercept"]
+    # a NaN weight scores every row NaN, which once read as AUC 100.0
+    nan_weight = json.loads(good)
+    nan_weight["params"]["weights"][0] = float("nan")
     for name, text in [("truncated", good[:len(good) // 2]),
-                       ("no_intercept", json.dumps(payload))]:
+                       ("no_intercept", json.dumps(payload)),
+                       ("nan_weight", json.dumps(nan_weight))]:
         os.makedirs(tmp_path / name)
         (tmp_path / name / "LR.json").write_text(text)
         capsys.readouterr()
