@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Subcommands: simulate, train, evaluate, novelty, report, reproduce.
-Values resolve flag > config file > built-in default; the output
-directory can additionally be forced with the GAZESCREEN_OUTDIR
-environment variable. Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numerical failure.
+Subcommands: simulate, train, evaluate, novelty, report, reproduce. The
+run commands (all but evaluate and report) take --config and one flag
+per `RunConfig` field; values resolve flag > config file > command
+default > field default, and the GAZESCREEN_OUTDIR environment variable
+forces the output directory. Exit codes: 0 success, and for an error the
+code its class declares (`errors.exit_code_of`): 2 configuration error,
+3 data error (an OSError too), 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -16,65 +18,39 @@ import sys
 
 from . import metrics as metrics_mod
 from .data import TEST_KINDS, atomic_write_text, load_csv, write_csv
-from .errors import DataError, GazeScreenError, InvalidSpec, NumericError, PipelineError
+from .errors import DataError, GazeScreenError, InvalidSpec, exit_code_of
 from .pipeline import (
     FIELD_PARSERS,
-    OUTDIR_ENV_VAR,
     RunConfig,
     evaluate_saved_models,
     reproduce,
+    resolved_outdir,
     run_config_from_ini,
     run_experiment,
     run_novelty,
     synthesize_cohort,
 )
 
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
+
+def _load_config(args, **defaults):
+    """RunConfig from `defaults`, then --config's keys (if given), then the
+    flags that are set, with the output directory resolved."""
+    cfg = run_config_from_ini(args.config, **defaults) if args.config else RunConfig(**defaults)
+    updates = {name: value for name in FIELD_PARSERS
+               if (value := getattr(args, name, None)) is not None}
+    updates["outdir"] = resolved_outdir(updates.get("outdir", cfg.outdir))
+    return dataclasses.replace(cfg, **updates)
 
 
-def _exit_code_for(err):
-    cause = err.cause if isinstance(err, PipelineError) else err
-    if isinstance(cause, InvalidSpec):
-        return EXIT_CONFIG
-    if isinstance(cause, DataError):
-        return EXIT_DATA
-    if isinstance(cause, NumericError):
-        return EXIT_NUMERIC
-    return 1
-
-
-def _load_config(args):
-    """RunConfig from --config (if given) with set flags layered on top."""
-    config = getattr(args, "config", None)
-    cfg = run_config_from_ini(config) if config else RunConfig()
-    updates = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
-               if getattr(args, f.name, None) is not None}
-    cfg = dataclasses.replace(cfg, **updates)
-    return dataclasses.replace(cfg, outdir=cfg.resolved_outdir())
-
-
-# the RunConfig fields each subcommand takes as flags
-_RUN_FLAGS = ("test_kind", "n_control", "n_concussed", "csv_path", "seed", "outdir",
-              "models", "test_fraction", "validation_fraction", "balanced_per_class",
-              "novelty_train", "novelty_test_per_class", "grid_resolution")
-_REPRODUCE_FLAGS = ("seed", "outdir", "n_control", "n_concussed", "models",
-                    "balanced_per_class", "train_caps", "novelty_train",
-                    "novelty_test_per_class", "grid_resolution")
-
-
-def _add_run_flags(p, names):
-    """One flag per RunConfig field, parsed as its INI key is; unset flags
-    stay None so the config file or the field default applies."""
-    for name in names:
-        flag = "--out-dir" if name == "outdir" else "--" + name.replace("_", "-")
-        p.add_argument(flag, dest=name, type=FIELD_PARSERS[name])
-
-
-def _add_common(p):
+def _add_run_flags(p, fixed=()):
+    """--config, and one flag per RunConfig field but the `fixed` ones,
+    parsed as its INI key is; unset flags stay None so the config file or
+    a default applies."""
     p.add_argument("--config", help="INI file with a [run] section")
-    _add_run_flags(p, _RUN_FLAGS)
+    for name, parse in FIELD_PARSERS.items():
+        if name not in fixed:
+            flag = "--out-dir" if name == "outdir" else "--" + name.replace("_", "-")
+            p.add_argument(flag, dest=name, type=parse)
 
 
 def build_parser():
@@ -84,11 +60,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic cohort CSV")
-    _add_common(p)
+    _add_run_flags(p)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("train", help="fit the configured models; writes models + report")
-    _add_common(p)
+    _add_run_flags(p)
 
     p = sub.add_parser("evaluate", help="evaluate saved models on a CSV")
     p.add_argument("--data", required=True, help="gaze CSV to evaluate on")
@@ -97,7 +73,7 @@ def build_parser():
     p.add_argument("--out-dir", dest="outdir", default=".")
 
     p = sub.add_parser("novelty", help="fit novelty detectors and export boundary grids")
-    _add_common(p)
+    _add_run_flags(p)
 
     p = sub.add_parser("report", help="re-render a report CSV as a text table")
     p.add_argument("--metrics-csv", required=True)
@@ -105,8 +81,8 @@ def build_parser():
     p.add_argument("--title", default="Evaluation on held-out test frames")
 
     p = sub.add_parser("reproduce", help="run both experiments plus novelty under one seed")
-    _add_run_flags(p, _REPRODUCE_FLAGS)
-    p.set_defaults(outdir="runs/reproduce")
+    # each section sets its own test_kind; the cohorts are always simulated
+    _add_run_flags(p, fixed=("test_kind", "csv_path"))
     return parser
 
 
@@ -143,7 +119,7 @@ def _cmd_evaluate(args):
     if not paths:
         raise InvalidSpec(f"no model files in {args.models_dir}")
     per_model = evaluate_saved_models(paths, ds)
-    outdir = os.environ.get(OUTDIR_ENV_VAR, "") or args.outdir
+    outdir = resolved_outdir(args.outdir)
     os.makedirs(outdir, exist_ok=True)
     title = f"Evaluation on {os.path.basename(args.data)} ({args.test_kind})"
     text = metrics_mod.render_report_text(per_model, title)
@@ -182,7 +158,7 @@ def _cmd_report(args):
 
 
 def _cmd_reproduce(args):
-    results = reproduce(_load_config(args))
+    results = reproduce(_load_config(args, outdir="runs/reproduce"))
     for kind in TEST_KINDS:
         print(f"{kind}: report {results[kind].report_csv_path}")
     return 0
@@ -202,12 +178,6 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except PipelineError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _exit_code_for(e)
-    except GazeScreenError as e:
+    except (GazeScreenError, OSError) as e:
         print(f"error ({args.command}): {e}", file=sys.stderr)
-        return _exit_code_for(e)
-    except FileNotFoundError as e:
-        print(f"error ({args.command}): {e}", file=sys.stderr)
-        return EXIT_DATA
+        return exit_code_of(e)

@@ -26,6 +26,10 @@ import threading
 
 from .errors import GazeScreenError
 
+# the largest ru_maxrss of any child `run_pieces` has reaped in this
+# process; 0 before any split
+workers_peak_rss = 0
+
 
 def cpu_count():
     """CPUs in this process's affinity mask (`taskset -c 0` gives 1), or
@@ -80,7 +84,7 @@ def run_pieces(fn, k):
                 data = fh.read()
             children[i] = (pid, None)
             os.close(r)
-            status = os.waitpid(pid, 0)[1]
+            status = _reap(pid)
             del children[i]
             if os.waitstatus_to_exitcode(status) != 0:
                 results.append(fn(i))
@@ -96,7 +100,16 @@ def run_pieces(fn, k):
                 os.close(r)
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            _reap(pid)
+
+
+def _reap(pid):
+    """Wait for child pid to end; returns its wait status, and keeps its
+    peak RSS in `workers_peak_rss`."""
+    global workers_peak_rss
+    _, status, usage = os.wait4(pid, 0)
+    workers_peak_rss = max(workers_peak_rss, usage.ru_maxrss)
+    return status
 
 
 def _serve(fn, i, w):

@@ -106,6 +106,9 @@ class RunConfig:
     def __post_init__(self):
         if self.test_kind not in TEST_KINDS:
             raise InvalidSpec(f"test_kind must be SP or VMS, got {self.test_kind!r}")
+        for name in ("models", "novelty_methods"):
+            if not getattr(self, name):
+                raise InvalidSpec(f"{name} is empty; a run needs at least one")
         if len(set(self.models)) < len(self.models):
             raise InvalidSpec(f"models names a kind more than once: {list(self.models)}")
         for name, least in _LEAST.items():
@@ -138,11 +141,6 @@ class RunConfig:
             except (TypeError, InvalidSpec) as e:
                 raise InvalidSpec(f"{name}: {e}") from None
 
-    def resolved_outdir(self):
-        """outdir with the environment override applied; entry points (CLI,
-        reproduce) call this once so nested stages keep their subdirectories."""
-        return os.environ.get(OUTDIR_ENV_VAR, "") or self.outdir
-
     def split_config(self):
         return SplitConfig(test_fraction=self.test_fraction,
                            validation_fraction=self.validation_fraction,
@@ -160,16 +158,28 @@ _TEXT_PARSERS = {"str": str, "int": int, "float": float, "tuple": _parse_list,
 FIELD_PARSERS = {f.name: _TEXT_PARSERS[f.type] for f in fields(RunConfig)}
 
 
-def run_config_from_ini(path, section="run"):
+def resolved_outdir(outdir):
+    """`outdir`, unless the GAZESCREEN_OUTDIR environment variable forces
+    another; entry points (CLI, reproduce) call this once so nested stages
+    keep their subdirectories."""
+    return os.environ.get(OUTDIR_ENV_VAR, "") or outdir
+
+
+def run_config_from_ini(path, section="run", **defaults):
     """Read a RunConfig from an INI file whose keys are RunConfig field
-    names. Dict-valued keys take JSON; tuple-valued keys take
-    comma-separated lists."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise InvalidSpec(f"cannot read config file {path}")
+    names; a field the file does not set takes `defaults`, then its own
+    default. Dict-valued keys take JSON; tuple-valued keys take
+    comma-separated lists; a `%` is literal."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        if not parser.read(path):
+            raise InvalidSpec(f"cannot read config file {path}")
+    except (configparser.Error, UnicodeDecodeError) as e:
+        # on one line: some of configparser's messages span three
+        raise InvalidSpec(f"cannot parse config file {path}: {' '.join(str(e).split())}") from None
     if not parser.has_section(section):
         raise InvalidSpec(f"{path}: missing [{section}] section")
-    kwargs = {}
+    kwargs = dict(defaults)
     for key, raw in parser.items(section):
         if key not in FIELD_PARSERS:
             raise InvalidSpec(f"{path} [{section}]: unknown key {key!r}")
@@ -290,21 +300,23 @@ class _Run:
         return path
 
 
-def _peak_rss_mb(who=resource.RUSAGE_SELF):
-    """Peak resident set size so far of this process, or with
-    RUSAGE_CHILDREN of its largest reaped child (ru_maxrss is in KiB on
-    Linux and in bytes on macOS)."""
-    peak = resource.getrusage(who).ru_maxrss
-    return peak / (1 << 20) if sys.platform == "darwin" else peak / (1 << 10)
+def _mb(maxrss):
+    """A ru_maxrss in MB (it is in KiB on Linux and in bytes on macOS)."""
+    return maxrss / (1 << 20) if sys.platform == "darwin" else maxrss / (1 << 10)
+
+
+def _peak_rss_mb():
+    """Peak resident set size so far of this process."""
+    return _mb(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def _host():
     """Where the run ran: the CPUs this process may use, the peak RSS of
-    its largest reaped child (the random forest's worker processes), the
-    numpy version, scipy's when the run loaded it, and numpy's BLAS."""
+    the largest random forest worker it has reaped (0 before any split),
+    the numpy version, scipy's when the run loaded it, and numpy's BLAS."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     host = {"cpus": forked.cpu_count(),
-            "workers_peak_rss_mb": _peak_rss_mb(resource.RUSAGE_CHILDREN),
+            "workers_peak_rss_mb": _mb(forked.workers_peak_rss),
             "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version"),
                      "threads": _blas_threads()}}
@@ -399,7 +411,7 @@ def run_experiment(cfg, ds=None):
                                           model, f"models/{kind}.json")
             per_model[MODEL_KINDS[kind].name] = run.stage(
                 "evaluate", f"model {kind}", evaluate_model, model, test_ds)
-            model_info[kind] = {**info, "fit": _checked_fit_diagnostics(kind, model)}
+            model_info[kind] = {**info, "fit": fit_diagnostics(kind, model)}
         title = f"Evaluation on held-out test frames ({cfg.test_kind})"
         txt_path, csv_path = run.stage("report", f"{len(per_model)} models", lambda: (
             run.write("report.txt", metrics_mod.render_report_text(per_model, title)),
@@ -425,31 +437,19 @@ def evaluate_model(model, test_ds):
     return metrics_mod.evaluate_predictions(test_ds.labels, pred, scores)
 
 
-def fit_diagnostics(model):
-    """How a fit behaved, from the model's attributes and meta: whichever of
-    converged, n_iter, the final gradient's infinity norm, n_support,
-    n_rounds, n_epochs, the stop reason, the tree and node counts, the
-    kernel rows computed, and GPC's final theta, marginal-likelihood
-    evaluations, Newton steps and bound flag the model has."""
-    diag = {k: model.meta[k]
-            for k in ("n_iter", "grad_inf_norm", "n_support", "n_rounds", "n_epochs",
-                      "stop", "n_trees", "grower_rounds", "kernel_rows", "theta",
-                      "n_lml_evals", "newton_steps", "theta_at_bound")
-            if k in model.meta}
-    if hasattr(model, "converged"):
-        diag["converged"] = bool(model.converged)
+def fit_diagnostics(label, model):
+    """How the fit of `label` behaved: the model's meta but its
+    hyperparameters and seed (which the config records), with whether it
+    converged and its tree nodes where the model has them. A fit that did
+    not converge also prints a warning on stderr."""
+    diag = {k: v for k, v in model.meta.items() if k not in ("hyperparams", "seed")}
     if hasattr(model, "n_nodes"):
         diag["nodes"] = int(model.n_nodes)
+    if hasattr(model, "converged"):
+        diag["converged"] = bool(model.converged)
+        if not model.converged:
+            print(f"warning: {label} fit did not converge", file=sys.stderr)
     return diag
-
-
-def _checked_fit_diagnostics(label, model):
-    """`fit_diagnostics`, with a warning on stderr when the fit did not
-    converge."""
-    fit = fit_diagnostics(model)
-    if not fit.get("converged", True):
-        print(f"warning: {label} fit did not converge", file=sys.stderr)
-    return fit
 
 
 def evaluate_saved_models(model_paths, test_ds):
@@ -517,7 +517,7 @@ def run_novelty(cfg, ds=None):
                     continue
                 label = f"{method} {eye}"
                 model = run.stage("novelty-fit", label, fit, Xtr, cfg.seed)
-                fits[label] = _checked_fit_diagnostics(label, model)
+                fits[label] = fit_diagnostics(label, model)
                 grid = run.stage("novelty-grid", label, export_boundary_grid,
                                  model, Xtr, Xreg, Xnov, cfg.grid_resolution)
                 grids[label] = grid.sizes
@@ -546,7 +546,7 @@ def reproduce(cfg):
     points to each section's own manifest."""
     if cfg.csv_path:
         raise InvalidSpec("reproduce simulates its cohorts; csv_path must be unset")
-    outdir = cfg.resolved_outdir()
+    outdir = resolved_outdir(cfg.outdir)
     results = {}
     sections = {}
     with _Run(outdir, "reproduce") as run:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import unreaped_child
-from gazescreen import forked
+from gazescreen import forked, pipeline
 from gazescreen.errors import DataError
 from gazescreen.models import FeatureMatrix, ForestParams, fit_random_forest
 from gazescreen.models import forest as forest_mod
@@ -140,6 +140,13 @@ def test_results_larger_than_a_pipe_buffer_arrive_in_piece_order():
     results = forked.run_pieces(lambda i: bytes([i]) * 300_000, 3)
     assert results == [bytes([i]) * 300_000 for i in range(3)]
     assert_no_children()
+
+
+def test_reaped_workers_peak_rss_is_kept(monkeypatch):
+    monkeypatch.setattr(forked, "workers_peak_rss", 0)
+    forked.run_pieces(lambda i: i, 2)
+    assert forked.workers_peak_rss > 0
+    assert pipeline._host()["workers_peak_rss_mb"] > 0
 
 
 def test_pieces_run_here_when_fork_fails(monkeypatch):

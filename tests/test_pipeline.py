@@ -13,6 +13,9 @@ import os
 import pickle
 import shutil
 import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -139,12 +142,23 @@ novelty_methods = iforest,ocsvm
     "[run]\nbogus_key = 1\n",              # unknown key
     "[run]\nn_control = abc\n",            # bad int
     "[run]\ntrain_caps = not json\n",      # bad dict
+    "seed = 1\n",                         # no section header
+    "[run]\nseed = 1\nseed = 2\n",          # a key twice
+    "[run]\nseed = 1\n[run]\nseed = 2\n",  # a section twice
 ])
 def test_ini_bad_inputs(tmp_path, body):
     path = tmp_path / "bad.ini"
     path.write_text(body)
     with pytest.raises(InvalidSpec):
         run_config_from_ini(str(path))
+
+
+def test_ini_percent_is_literal_and_defaults_rank_below_the_file(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\noutdir = runs/100%\n")
+    assert run_config_from_ini(str(path)).outdir == "runs/100%"
+    cfg = run_config_from_ini(str(path), outdir="runs/default", seed=4)
+    assert (cfg.outdir, cfg.seed) == ("runs/100%", 4)
 
 
 def test_ini_missing_file(tmp_path):
@@ -166,6 +180,8 @@ def test_every_text_parser_serves_a_field():
     {"models": ("NB", "XX")},
     {"seed": -1},
     {"grid_resolution": 1},
+    {"models": ()},                   # a run that would fit nothing
+    {"novelty_methods": ()},          # a novelty run that would fit nothing
 ])
 def test_config_rejects(kwargs):
     with pytest.raises(InvalidSpec):
@@ -376,7 +392,8 @@ def test_manifest_fit_diagnostics_and_convergence_warning(exp_all_models):
     # how far the unconverged fit stopped from its tolerance
     assert fits["LR"]["grad_inf_norm"] > LogRegParams().tol
     assert fits["NB"] == {}
-    assert set(fits["SVC"]) == {"converged", "n_iter", "n_support", "kernel_rows"}
+    assert set(fits["SVC"]) == {"converged", "n_iter", "n_support", "kernel_rows",
+                                "gamma_value"}
     assert fits["SVC"]["n_iter"] > 0
     # a step computes at most its two rows, and the first step both
     assert 2 <= fits["SVC"]["kernel_rows"] <= 2 * fits["SVC"]["n_iter"]
@@ -965,25 +982,27 @@ def test_cli_rejects_bad_novelty_settings_before_work(tmp_path, monkeypatch, cap
 
 # -- the CLI surface ------------------------------------------------------------------
 
-# each subcommand's option strings, as given since the flags were first spelled
-_RUN_OPTIONS = {
-    "-h", "--help", "--config", "--test-kind", "--n-control", "--n-concussed",
-    "--csv-path", "--seed", "--out-dir", "--models", "--test-fraction",
-    "--validation-fraction", "--balanced-per-class",
-    "--novelty-train", "--novelty-test-per-class", "--grid-resolution"}
+# each subcommand's option strings: a run command takes --config and one
+# flag per RunConfig field, its name with - for _ (outdir is --out-dir);
+# reproduce sets test_kind per section and refuses csv_path
+_RUN_OPTIONS = {"-h", "--help", "--config"} | {
+    "--out-dir" if f.name == "outdir" else "--" + f.name.replace("_", "-")
+    for f in dataclasses.fields(RunConfig)}
 _CLI_OPTIONS = {
     "simulate": _RUN_OPTIONS | {"--out"},
     "train": _RUN_OPTIONS,
     "evaluate": {"-h", "--help", "--data", "--test-kind", "--models-dir", "--out-dir"},
     "novelty": _RUN_OPTIONS,
     "report": {"-h", "--help", "--metrics-csv", "--out", "--title"},
-    "reproduce": {"-h", "--help", "--seed", "--out-dir", "--n-control",
-                  "--n-concussed", "--models", "--balanced-per-class", "--train-caps",
-                  "--novelty-train", "--novelty-test-per-class", "--grid-resolution"},
+    "reproduce": _RUN_OPTIONS - {"--test-kind", "--csv-path"},
 }
 
 
 def test_cli_option_strings():
+    # the flags spelled before they were derived from the fields keep working
+    assert {"--test-kind", "--n-control", "--csv-path", "--out-dir", "--test-fraction",
+            "--balanced-per-class", "--train-caps", "--novelty-test-per-class",
+            "--grid-resolution"} <= _RUN_OPTIONS
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert set(sub.choices) == set(_CLI_OPTIONS)
@@ -991,8 +1010,10 @@ def test_cli_option_strings():
         assert {o for a in p._actions for o in a.option_strings} == _CLI_OPTIONS[name], name
 
 
-def test_cli_reproduce_defaults(tmp_path, monkeypatch):
-    # the config of each section, captured before any work is done
+@pytest.fixture
+def reproduce_sections(tmp_path, monkeypatch):
+    """The config of each section of the next `reproduce`, captured before
+    any work is done; the run's working directory is tmp_path."""
     seen = []
 
     class Done:
@@ -1007,6 +1028,11 @@ def test_cli_reproduce_defaults(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline_mod, "_acquire", lambda cfg: None)
     monkeypatch.setattr(pipeline_mod, "run_experiment", capture)
     monkeypatch.setattr(pipeline_mod, "run_novelty", capture)
+    return seen
+
+
+def test_cli_reproduce_defaults(reproduce_sections):
+    seen = reproduce_sections
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli_main(["reproduce"]) == 0
     assert [(c.test_kind, c.outdir) for c in seen] == [
@@ -1019,6 +1045,102 @@ def test_cli_reproduce_defaults(tmp_path, monkeypatch):
             (0, 100, 100, 8000)
         assert (c.novelty_train, c.novelty_test_per_class, c.grid_resolution) == \
             (10000, 5000, 100)
+
+
+@pytest.mark.parametrize("ini, flags, outdir", [
+    ("seed = 4\n", [], "runs/reproduce"),                       # command default
+    ("outdir = from-file\n", [], "from-file"),                  # beats it
+    ("outdir = from-file\n", ["--out-dir", "from-flag"], "from-flag"),
+])
+def test_cli_reproduce_outdir_ranks_flag_file_command_default(
+        reproduce_sections, ini, flags, outdir, tmp_path):
+    (tmp_path / "run.ini").write_text("[run]\n" + ini)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["reproduce", "--config", "run.ini"] + flags) == 0
+    assert [c.outdir for c in reproduce_sections] == [
+        os.path.join(outdir, rel) for rel in ("sp", "novelty/sp", "vms", "novelty/vms")]
+
+
+def test_cli_reproduce_config_file_with_flag_override(tmp_path, monkeypatch):
+    # the file sets the output directory, which reproduce's own default
+    # does not replace, and the seed, which the flag does
+    monkeypatch.delenv(OUTDIR_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text(
+        "[run]\nn_control = 2\nn_concussed = 2\nmodels = NB\nbalanced_per_class = 300\n"
+        "novelty_train = 100\nnovelty_test_per_class = 30\ngrid_resolution = 4\n"
+        "novelty_methods = iforest\nseed = 11\noutdir = from-file\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["reproduce", "--config", "run.ini", "--seed", "3"]) == 0
+    assert not (tmp_path / "runs").exists()
+    assert json.loads((tmp_path / "from-file" / "manifest.json").read_text())["seed"] == 3
+    config = json.loads((tmp_path / "from-file" / "vms" / "manifest.json").read_text())["config"]
+    assert (config["seed"], config["balanced_per_class"], config["test_kind"]) == (3, 300, "VMS")
+
+
+def test_cli_train_caps_flag(tmp_path):
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["train", "--n-control", "2", "--n-concussed", "2", "--seed", "1",
+                         "--models", "SVC", "--train-caps", '{"SVC": 500}',
+                         "--out-dir", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["config"]["train_caps"] == {"SVC": 500}
+    assert man["models"]["SVC"]["train_rows"] == 500
+
+
+def _one_error_line(err, command):
+    return len(err.splitlines()) == 1 and err.startswith(f"error ({command}):")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+def test_cli_directory_for_a_file_is_a_data_error(command, tmp_path, capsys):
+    argv = {"evaluate": ["evaluate", "--data", str(tmp_path), "--models-dir", str(tmp_path)],
+            "report": ["report", "--metrics-csv", str(tmp_path)]}[command]
+    assert cli_main(argv) == 3
+    assert _one_error_line(capsys.readouterr().err, command)
+
+
+@pytest.mark.parametrize("body", [
+    "seed = 1\n",                         # no section header
+    "[run]\nseed = 1\nseed = 2\n",          # a key twice
+    "[run]\nseed = 1\n[run]\nseed = 2\n",  # a section twice
+    b"\xff\xfe[run]\nseed = 1\n",           # not text
+])
+def test_cli_config_file_configparser_cannot_read_exits_2(body, tmp_path, capsys):
+    (tmp_path / "run.ini").write_bytes(body if isinstance(body, bytes) else body.encode())
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", str(tmp_path / "run.ini"),
+                     "--out-dir", str(out)]) == 2
+    assert _one_error_line(capsys.readouterr().err, "train")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--models", "--novelty-methods"])
+def test_cli_run_that_would_do_nothing_exits_2(flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_main(["train", flag, "", "--out-dir", str(out)]) == 2
+    assert _one_error_line(capsys.readouterr().err, "train")
+    assert not out.exists()
+
+
+def test_workers_peak_rss_counts_no_other_child(tmp_path):
+    """A fresh process that reaped a child of its own (here one that
+    touched about 100 MB) but split no fit reports 0 for its workers."""
+    script = textwrap.dedent(f"""
+        import subprocess, sys
+        from gazescreen.pipeline import RunConfig, run_experiment
+        subprocess.run([sys.executable, "-c", "b = b'x' * (100 << 20)"], check=True)
+        run_experiment(RunConfig(n_control=1, n_concussed=1, models=("NB",),
+                                 balanced_per_class=100, outdir={str(tmp_path)!r}))
+        """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    host = json.loads((tmp_path / "manifest.json").read_text())["host"]
+    assert host["workers_peak_rss_mb"] == 0
 
 
 @pytest.mark.parametrize("argv", [
