@@ -11,7 +11,6 @@ code its class declares (`errors.exit_code_of`): 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -33,13 +32,14 @@ from .pipeline import (
 
 
 def _load_config(args, **defaults):
-    """RunConfig from `defaults`, then --config's keys (if given), then the
-    flags that are set, with the output directory resolved."""
-    cfg = run_config_from_ini(args.config, **defaults) if args.config else RunConfig(**defaults)
-    updates = {name: value for name in FIELD_PARSERS
-               if (value := getattr(args, name, None)) is not None}
-    updates["outdir"] = resolved_outdir(updates.get("outdir", cfg.outdir))
-    return dataclasses.replace(cfg, **updates)
+    """The one RunConfig built from `defaults`, then --config's keys (if
+    given), then the flags that are set, merged in that order, with the
+    output directory resolved; only the merged values are checked."""
+    values = {**defaults, **(run_config_from_ini(args.config) if args.config else {})}
+    values.update((name, value) for name in FIELD_PARSERS
+                  if (value := getattr(args, name, None)) is not None)
+    values["outdir"] = resolved_outdir(values.get("outdir", RunConfig.outdir))
+    return RunConfig(**values)
 
 
 def _add_run_flags(p, fixed=()):
@@ -81,8 +81,10 @@ def build_parser():
     p.add_argument("--title", default="Evaluation on held-out test frames")
 
     p = sub.add_parser("reproduce", help="run both experiments plus novelty under one seed")
-    # each section sets its own test_kind; the cohorts are always simulated
+    # each section sets its own test_kind, so a config file's is not read;
+    # the cohorts are always simulated
     _add_run_flags(p, fixed=("test_kind", "csv_path"))
+    p.set_defaults(test_kind=TEST_KINDS[0])
     return parser
 
 

@@ -2,6 +2,8 @@
 and the SMO solver of the two SVMs' duals."""
 from __future__ import annotations
 
+import math
+import numbers
 from collections import OrderedDict
 
 import numpy as np
@@ -192,10 +194,17 @@ def gamma_scale(X):
     return 1.0 / (X.shape[1] * mean_variance(X))
 
 
-def resolve_gamma(gamma, X):
-    if gamma == "scale":
-        return gamma_scale(X)
-    g = float(gamma)
-    if g <= 0:
+def check_gamma(gamma):
+    """Raise InvalidSpec unless `gamma` is "scale" or a positive finite
+    number; an RBF model's params record checks its gamma with it."""
+    if isinstance(gamma, str) and gamma == "scale":
+        return
+    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real):
+        raise InvalidSpec(f"gamma must be 'scale' or a number, got {gamma!r}")
+    if not 0 < gamma < math.inf:
         raise InvalidSpec(f"gamma must be positive, got {gamma!r}")
-    return g
+
+
+def resolve_gamma(gamma, X):
+    """`gamma` as a number (one `check_gamma` passed), "scale" resolved on X."""
+    return gamma_scale(X) if gamma == "scale" else float(gamma)

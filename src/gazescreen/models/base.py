@@ -9,6 +9,7 @@ matching the vote/gini tie-breaks used while fitting).
 """
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 
@@ -105,18 +106,35 @@ class FeatureMatrix:
         return 2.0 * self.y - 1.0
 
 
+def json_form(value):
+    """`value` with each array in it, through lists and dicts, as its
+    `tolist()`: what json.dumps writes."""
+    if isinstance(value, dict):
+        return {k: json_form(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [json_form(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 class FittedModel:
     """Base class: subclasses set `kind` and `threshold` and implement
-    `_score(X)` and `_params_to_json`.
+    `_score(X)`.
 
     A subclass has one constructor, `(n_features, **params)`, used both by
-    its fit and by `from_dict`: the keys of `_params_to_json` are its
-    arguments after `n_features`, and it converts each from its JSON form
-    and checks the width of each array that has one against `n_features`.
+    its fit and by `from_dict`. A model file's `params` are the
+    constructor's arguments after `n_features` (`file_keys`), each written
+    from the attribute of that name; a file with any other key is refused.
+    The constructor converts each from its JSON form and checks the width
+    of each array that has one against `n_features`.
     """
 
     kind = "?"
     threshold = 0.0
+
+    def __init_subclass__(cls):
+        if "file_keys" not in vars(cls):  # a constructor taking **params declares them
+            args = list(inspect.signature(cls.__init__).parameters.values())[2:]
+            cls.file_keys = tuple(a.name for a in args if a.kind is a.POSITIONAL_OR_KEYWORD)
 
     def __init__(self, n_features):
         self.n_features = n_features
@@ -135,6 +153,9 @@ class FittedModel:
 
     # -- serialisation --------------------------------------------------------
 
+    def file_params(self):
+        return {k: getattr(self, k) for k in self.file_keys}
+
     def to_dict(self):
         return {
             "format": FORMAT_NAME,
@@ -142,7 +163,7 @@ class FittedModel:
             "kind": self.kind,
             "n_features": self.n_features,
             "meta": self.meta,
-            "params": self._params_to_json(),
+            "params": json_form(self.file_params()),
         }
 
     def save(self, path):
@@ -151,7 +172,10 @@ class FittedModel:
     @classmethod
     def from_dict(cls, payload):
         try:
-            model = cls(payload["n_features"], **payload["params"])
+            params = payload["params"]
+            if set(params) - set(cls.file_keys):
+                raise TypeError(f"params hold key(s) {sorted(set(params) - set(cls.file_keys))}")
+            model = cls(payload["n_features"], **params)
         except (KeyError, TypeError, ValueError, DataError) as e:
             raise InvalidSpec(f"{cls.kind} model file: bad or missing field: {e}") from None
         model.meta = payload.get("meta", {})

@@ -14,16 +14,7 @@ import numpy as np
 
 from ..errors import InvalidSpec
 from .base import FeatureMatrix, FittedModel, require_finite
-from .tree import (
-    CartGrower,
-    FlatEnsemble,
-    TreeParams,
-    check_trees,
-    descend,
-    grow_tree,
-    nodes_from_json,
-    nodes_to_json,
-)
+from .tree import CartGrower, FlatEnsemble, TreeParams, checked_trees, descend, grow_tree
 
 _EPS_FLOOR = 1e-10
 
@@ -51,8 +42,7 @@ class AdaBoostModel(FittedModel):
         super().__init__(n_features)
         self.alphas = [float(a) for a in alphas]
         require_finite(alphas=self.alphas)
-        self.stumps = [nodes_from_json(s) for s in stumps]
-        check_trees(self.stumps, n_features)
+        self.stumps = checked_trees(stumps, n_features)
         # each leaf holds alpha_m * h_m(x), with stump outputs mapped to +-1
         self._weighted = FlatEnsemble(self.stumps, [
             a * np.where(s["p1"] > 0.5, 1.0, -1.0) for s, a in zip(self.stumps, self.alphas)])
@@ -64,12 +54,6 @@ class AdaBoostModel(FittedModel):
     def _score(self, X):
         """Sum of alpha_m * h_m(x) over the rounds."""
         return self._weighted.sum(X)
-
-    def _params_to_json(self):
-        return {
-            "alphas": list(self.alphas),
-            "stumps": [nodes_to_json(s) for s in self.stumps],
-        }
 
 
 def fit_adaboost(fm: FeatureMatrix, hp: AdaBoostParams = None, seed: int = 0):

@@ -9,14 +9,7 @@ import numpy as np
 from .. import forked
 from ..errors import InvalidSpec
 from .base import FeatureMatrix, FittedModel
-from .tree import (
-    CartGrower,
-    FlatEnsemble,
-    TreeParams,
-    check_trees,
-    nodes_from_json,
-    nodes_to_json,
-)
+from .tree import CartGrower, FlatEnsemble, TreeParams, checked_trees
 
 
 @dataclass
@@ -60,8 +53,7 @@ class RandomForestModel(FittedModel):
 
     def __init__(self, n_features, trees):
         super().__init__(n_features)
-        self.trees = [nodes_from_json(t) for t in trees]
-        check_trees(self.trees, n_features)
+        self.trees = checked_trees(trees, n_features)
         # each tree's leaf votes 1 when its class-1 fraction exceeds 1/2
         self._votes = FlatEnsemble(self.trees,
                                    [(t["p1"] > 0.5).astype(float) for t in self.trees])
@@ -72,9 +64,6 @@ class RandomForestModel(FittedModel):
 
     def _score(self, X):
         return self._votes.sum(X) / len(self.trees)
-
-    def _params_to_json(self):
-        return {"trees": [nodes_to_json(t) for t in self.trees]}
 
 
 def fit_random_forest(fm: FeatureMatrix, hp: ForestParams = None, seed: int = 0):

@@ -13,6 +13,8 @@ package (and every command that fits or scores no GPC) does not load it.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -49,6 +51,10 @@ class GpcParams:
             raise InvalidSpec("newton_tol must be positive")
         if self.max_train < 2:
             raise InvalidSpec("max_train must be >= 2")
+        if self.theta0 is not None and not (len(self.theta0) == 2 and all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+                for v in self.theta0)):
+            raise InvalidSpec(f"theta0 must be two finite numbers, got {self.theta0!r}")
 
 
 def _chol_with_jitter(M):
@@ -175,22 +181,19 @@ class GpcModel(FittedModel):
     kind = "GPC"
     threshold = 0.0  # decision_score is the probit-scaled latent mean
 
-    def __init__(self, n_features, X_train, y_train, f_hat, theta, converged=True,
+    def __init__(self, n_features, X_train, y_train, f_hat, theta, converged=True, *,
                  L=None):
+        """Keeps the prediction terms at the mode; L, when the fit already
+        factored B at this mode and theta, is that factor. A factor holding
+        NaN or inf raises ValueError, so `latent` need not check it per block."""
+        from scipy.special import expit
+
         super().__init__(n_features)
         self.X_train = as_rows(X_train, n_features, "GPC X_train")
         self.y_train = np.asarray(y_train, dtype=np.int64)
         self.f_hat = arr(f_hat)
         self.theta = arr(theta)
         self.converged = bool(converged)
-        self._finalize(L)
-
-    def _finalize(self, L=None):
-        """Prediction terms at the mode; L, when the fit already factored B
-        at this mode and theta, is that factor. A factor holding NaN or inf
-        raises ValueError here, so `latent` need not check it per block."""
-        from scipy.special import expit
-
         ypm = 2.0 * self.y_train - 1.0
         pi = expit(self.f_hat)
         self._grad_ll = 0.5 * (ypm + 1.0) - pi
@@ -212,8 +215,8 @@ class GpcModel(FittedModel):
         per call: the kernel k*, then in place W^1/2 k* in its transpose,
         which is the Fortran-ordered right-hand side the triangular solve
         overwrites with v = L^-1 W^1/2 k*, then v * v (GPML Alg. 3.2).
-        X holding NaN or inf raises DataError here, once, and `_finalize`
-        checked L, so the solve skips its own per-block finiteness scans."""
+        X holding NaN or inf raises DataError here, once, and the
+        constructor checked L, so the solve skips its per-block scans."""
         from scipy.linalg import solve_triangular
 
         X = self._check_X(X)
@@ -237,15 +240,6 @@ class GpcModel(FittedModel):
     def _score(self, X):
         mean, var = self.latent(X)
         return mean / np.sqrt(1.0 + np.pi * var / 8.0)
-
-    def _params_to_json(self):
-        return {
-            "X_train": self.X_train.tolist(),
-            "y_train": self.y_train.tolist(),
-            "f_hat": self.f_hat.tolist(),
-            "theta": list(self.theta),
-            "converged": self.converged,
-        }
 
 
 def default_theta0(X):
@@ -308,7 +302,7 @@ def fit_gpc(fm: FeatureMatrix, hp: GpcParams = None, seed: int = 0):
         f_hat, _, _, _, L, _, steps = _posterior_mode(K, ypm, hp.newton_tol,
                                                      hp.max_iter_predict)
         newton_steps += steps
-    model = GpcModel(fm.d, fm.X.copy(), fm.y.copy(), f_hat, theta, converged, L)
+    model = GpcModel(fm.d, fm.X.copy(), fm.y.copy(), f_hat, theta, converged, L=L)
     model.meta = {"hyperparams": {**asdict(hp), "theta0": None if hp.theta0 is None else list(hp.theta0)},
                   "seed": seed, "theta": [float(v) for v in theta],
                   "n_lml_evals": n_evals, "newton_steps": newton_steps,

@@ -31,10 +31,6 @@ class _LinearModel(FittedModel):
     def _score(self, X):
         return X @ self.weights + self.intercept
 
-    def _params_to_json(self):
-        return {"weights": self.weights.tolist(), "intercept": self.intercept,
-                "converged": self.converged}
-
 
 # -- logistic regression -------------------------------------------------------
 

@@ -51,13 +51,6 @@ class GaussianNaiveBayes(FittedModel):
         jll = self.joint_log_likelihood(X)
         return jll[:, 1] - jll[:, 0]
 
-    def _params_to_json(self):
-        return {
-            "class_log_prior": self.class_log_prior.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-        }
-
 
 def fit_naive_bayes(fm: FeatureMatrix, hp: NBParams = None, seed: int = 0):
     """Weighted ML estimates: weighted means, biased weighted variances and

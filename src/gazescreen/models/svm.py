@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import InvalidSpec
-from ..kernels import KernelRowCache, kernel_expansion, resolve_gamma, smo
+from ..kernels import KernelRowCache, check_gamma, kernel_expansion, resolve_gamma, smo
 from .base import FeatureMatrix, FittedModel, arr, as_rows, require_finite
 
 
@@ -30,6 +30,7 @@ class SvcParams:
     def __post_init__(self):
         if self.C <= 0:
             raise InvalidSpec("C must be positive")
+        check_gamma(self.gamma)
         if self.tol <= 0:
             raise InvalidSpec("tol must be positive")
         if self.max_iter < 1:
@@ -55,15 +56,6 @@ class SvcRbfModel(FittedModel):
         out = kernel_expansion(X, self.support_X, self.gamma, self.dual_coef)
         out += self.intercept
         return out
-
-    def _params_to_json(self):
-        return {
-            "support_X": self.support_X.tolist(),
-            "dual_coef": self.dual_coef.tolist(),
-            "intercept": self.intercept,
-            "gamma": self.gamma,
-            "converged": self.converged,
-        }
 
 
 def fit_svc_rbf(fm: FeatureMatrix, hp: SvcParams = None, seed: int = 0):

@@ -721,21 +721,18 @@ _NODE_DTYPES = {"feature": np.int64, "threshold": float, "left": np.int64,
                 "right": np.int64, "p1": float, "node_weight": float}
 
 
-def nodes_to_json(nodes):
-    return {k: v.tolist() for k, v in nodes.items()}
-
-
-def nodes_from_json(p):
-    """Inverse of `nodes_to_json` for the node arrays `grow_tree` returns."""
-    return {k: np.asarray(p[k], dtype=dt) for k, dt in _NODE_DTYPES.items()}
-
-
-def check_trees(trees, n_features):
-    """Raise ValueError unless every tree's node arrays are one-dimensional,
-    of one non-zero length, every feature is in [-1, n_features), and the
+def checked_trees(trees, n_features):
+    """The node arrays of each of `trees`, dicts that hold the arrays
+    `grow_tree` returns in any array-like form and no other key. Raise
+    ValueError unless every tree's node arrays are one-dimensional, of one
+    non-zero length, every feature is in [-1, n_features), and the
     children of inner node i are in (i, n_nodes) while those of a leaf are
     -1. Preorder numbers keep every child after its parent, so a tree that
     passes has no cycle and every walk from its root ends at a leaf."""
+    for t in trees:
+        if set(t) - set(_NODE_DTYPES):
+            raise ValueError(f"tree nodes hold key(s) {sorted(set(t) - set(_NODE_DTYPES))}")
+    trees = [{k: np.asarray(t[k], dtype=dt) for k, dt in _NODE_DTYPES.items()} for t in trees]
     sizes = [len(t["feature"]) for t in trees]
     for t, n in enumerate(sizes):
         if n == 0 or any(v.shape != (n,) for v in trees[t].values()):
@@ -756,6 +753,7 @@ def check_trees(trees, n_features):
             t, i = tree[bad[0]], own[bad[0]]
             raise ValueError(f"tree {t}: node {i} has {side} child {child[bad[0]]}; an inner "
                              f"node's must be in ({i}, {n[bad[0]]}) and a leaf's -1")
+    return trees
 
 
 def descend(nodes, X):
@@ -767,11 +765,11 @@ def descend(nodes, X):
 class DecisionTreeModel(FittedModel):
     kind = "DT"
     threshold = 0.5  # decision_score is the leaf class-1 fraction
+    file_keys = tuple(_NODE_DTYPES)  # the keys of **nodes
 
     def __init__(self, n_features, **nodes):
         super().__init__(n_features)
-        self.nodes = nodes_from_json(nodes)
-        check_trees([self.nodes], n_features)
+        (self.nodes,) = checked_trees([nodes], n_features)
 
     @property
     def n_nodes(self):
@@ -780,8 +778,8 @@ class DecisionTreeModel(FittedModel):
     def _score(self, X):
         return descend(self.nodes, X)
 
-    def _params_to_json(self):
-        return nodes_to_json(self.nodes)
+    def file_params(self):
+        return self.nodes
 
 
 def fit_decision_tree(fm: FeatureMatrix, hp: TreeParams = None, seed: int = 0):

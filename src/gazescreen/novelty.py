@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, InvalidSpec
-from .kernels import KernelRowCache, kernel_expansion, resolve_gamma, smo
+from .kernels import KernelRowCache, check_gamma, kernel_expansion, resolve_gamma, smo
 from .models.base import as_rows
 from .models.tree import FlatEnsemble, grow_preorder
 
@@ -279,6 +279,7 @@ class OcsvmParams:
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
             raise InvalidSpec("nu must be in (0, 1]")
+        check_gamma(self.gamma)
         if self.tol <= 0 or self.max_iter < 1:
             raise InvalidSpec("tol and max_iter must be positive")
 

@@ -16,6 +16,7 @@ import configparser
 import contextlib
 import hashlib
 import json
+import numbers
 import os
 import resource
 import sys
@@ -107,10 +108,9 @@ class RunConfig:
         if self.test_kind not in TEST_KINDS:
             raise InvalidSpec(f"test_kind must be SP or VMS, got {self.test_kind!r}")
         for name in ("models", "novelty_methods"):
-            if not getattr(self, name):
-                raise InvalidSpec(f"{name} is empty; a run needs at least one")
-        if len(set(self.models)) < len(self.models):
-            raise InvalidSpec(f"models names a kind more than once: {list(self.models)}")
+            names = getattr(self, name)
+            if not names or len(set(names)) < len(names):
+                raise InvalidSpec(f"{name} must name at least one, each once; got {list(names)}")
         for name, least in _LEAST.items():
             if getattr(self, name) < least:
                 raise InvalidSpec(f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -165,11 +165,11 @@ def resolved_outdir(outdir):
     return os.environ.get(OUTDIR_ENV_VAR, "") or outdir
 
 
-def run_config_from_ini(path, section="run", **defaults):
-    """Read a RunConfig from an INI file whose keys are RunConfig field
-    names; a field the file does not set takes `defaults`, then its own
-    default. Dict-valued keys take JSON; tuple-valued keys take
-    comma-separated lists; a `%` is literal."""
+def run_config_from_ini(path):
+    """The RunConfig fields an INI file's [run] section sets, each parsed
+    from its text: dict-valued keys take JSON, tuple-valued keys
+    comma-separated lists, and a `%` is literal. The values are checked
+    when a RunConfig is built from them."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         if not parser.read(path):
@@ -177,27 +177,43 @@ def run_config_from_ini(path, section="run", **defaults):
     except (configparser.Error, UnicodeDecodeError) as e:
         # on one line: some of configparser's messages span three
         raise InvalidSpec(f"cannot parse config file {path}: {' '.join(str(e).split())}") from None
-    if not parser.has_section(section):
-        raise InvalidSpec(f"{path}: missing [{section}] section")
-    kwargs = dict(defaults)
-    for key, raw in parser.items(section):
+    if not parser.has_section("run"):
+        raise InvalidSpec(f"{path}: missing [run] section")
+    values = {}
+    for key, raw in parser.items("run"):
         if key not in FIELD_PARSERS:
-            raise InvalidSpec(f"{path} [{section}]: unknown key {key!r}")
+            raise InvalidSpec(f"{path} [run]: unknown key {key!r}")
         try:
-            kwargs[key] = FIELD_PARSERS[key](raw)
+            values[key] = FIELD_PARSERS[key](raw)
         except ValueError as e:
-            raise InvalidSpec(f"{path} [{section}]: bad value for {key}: {e}") from None
-    return RunConfig(**kwargs)
+            raise InvalidSpec(f"{path} [run]: bad value for {key}: {e}") from None
+    return values
 
 
 # -- model dispatch -------------------------------------------------------------
 
+# the types each hyperparameter annotation takes; a bool, which is an int
+# to isinstance, only where it is "bool" or "object" (a record checks those)
+_TAKES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
+          "tuple": (list, tuple), "object": object}
+
+
 def make_params(kind, overrides=None):
-    """The params record of `kind` with `overrides` applied; an unknown
-    kind or hyperparameter raises InvalidSpec."""
+    """The params record of `kind` with `overrides` applied. An unknown
+    kind or hyperparameter raises InvalidSpec, and so does a value its
+    field's annotation does not take (None only where it is the default)."""
+    entry = model_kind(kind)
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise InvalidSpec(f"{kind}: hyperparameters must be a JSON object, got {overrides!r}")
+    for f in fields(entry.params):
+        value = overrides.get(f.name, f.default)
+        if not (value is None and f.default is None or isinstance(value, _TAKES[f.type])
+                and (f.type in ("bool", "object") or not isinstance(value, bool))):
+            raise InvalidSpec(f"{kind}: {f.name} must be {f.type}, got {value!r}")
     try:
-        return model_kind(kind).params(**({} if overrides is None else overrides))
-    except TypeError as e:
+        return entry.params(**overrides)
+    except (TypeError, InvalidSpec) as e:
         raise InvalidSpec(f"{kind}: {e}") from None
 
 

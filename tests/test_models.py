@@ -1270,7 +1270,8 @@ class TestSerialization:
         ({"feature": [0, -2, -1]}, "split feature -2"),
         ({"left": [3, -1, -1]}, r"node 0 has left child 3"),
         ({"right": [0, -1, -1]}, r"node 0 has right child 0"),
-        ({"left": [1, 2, -1]}, r"node 1 has left child 2")])
+        ({"left": [1, 2, -1]}, r"node 1 has left child 2"),
+        ({"depth": [0, 1, 1]}, r"key\(s\) \['depth'\]")])
     def test_bad_tree_nodes_rejected(self, edit, match):
         # a stump on 2 columns with one node array edited, in each tree kind
         nodes = {"feature": [1, -1, -1], "threshold": [0.5, 0.0, 0.0],

@@ -23,7 +23,7 @@ import pytest
 from gazescreen import cli
 from gazescreen import pipeline as pipeline_mod
 from gazescreen.cli import main as cli_main
-from gazescreen.data import load_csv, split
+from gazescreen.data import load_csv, split, write_csv
 from gazescreen.errors import DataError, InvalidSpec, PipelineError, SingleClass
 from gazescreen.metrics import parse_report_csv
 from gazescreen.models import MODEL_KINDS, FeatureMatrix, FittedModel, LogRegParams, load_model
@@ -98,7 +98,7 @@ def test_ini_round_trip(tmp_path):
     assert _ini_keys(_FULL_INI) == {f.name for f in dataclasses.fields(RunConfig)}
     path = tmp_path / "run.ini"
     path.write_text(_FULL_INI)
-    assert run_config_from_ini(str(path)) == RunConfig(
+    assert RunConfig(**run_config_from_ini(str(path))) == RunConfig(
         test_kind="VMS", n_control=5, n_concussed=7, csv_path="some.csv",
         seed=3, outdir="runs/x", models=("RF", "NB"), test_fraction=0.25,
         validation_fraction=0.05, balanced_per_class=123, train_caps={"SVC": 500},
@@ -134,7 +134,7 @@ novelty_methods = iforest,ocsvm
     assert _ini_keys(text) == {f.name for f in dataclasses.fields(RunConfig)} - {"csv_path"}
     path = tmp_path / "run.ini"
     path.write_text(text)
-    assert run_config_from_ini(str(path)) == RunConfig()
+    assert RunConfig(**run_config_from_ini(str(path))) == RunConfig()
 
 
 @pytest.mark.parametrize("body", [
@@ -153,11 +153,12 @@ def test_ini_bad_inputs(tmp_path, body):
         run_config_from_ini(str(path))
 
 
-def test_ini_percent_is_literal_and_defaults_rank_below_the_file(tmp_path):
+def test_ini_percent_is_literal_and_defaults_rank_below_the_file(tmp_path, monkeypatch):
+    monkeypatch.delenv(OUTDIR_ENV_VAR, raising=False)
     path = tmp_path / "run.ini"
     path.write_text("[run]\noutdir = runs/100%\n")
-    assert run_config_from_ini(str(path)).outdir == "runs/100%"
-    cfg = run_config_from_ini(str(path), outdir="runs/default", seed=4)
+    assert run_config_from_ini(str(path)) == {"outdir": "runs/100%"}
+    cfg = cli._load_config(argparse.Namespace(config=str(path)), outdir="runs/default", seed=4)
     assert (cfg.outdir, cfg.seed) == ("runs/100%", 4)
 
 
@@ -171,6 +172,12 @@ def test_every_text_parser_serves_a_field():
     assert set(pipeline_mod._TEXT_PARSERS) == {f.type for f in dataclasses.fields(RunConfig)}
 
 
+def test_every_hyperparameter_annotation_has_a_type_check():
+    # a missing check would fail only when that field is overridden
+    assert set(pipeline_mod._TAKES) == {
+        f.type for entry in MODEL_KINDS.values() for f in dataclasses.fields(entry.params)}
+
+
 # -- RunConfig validation -----------------------------------------------------
 
 
@@ -182,6 +189,7 @@ def test_every_text_parser_serves_a_field():
     {"grid_resolution": 1},
     {"models": ()},                   # a run that would fit nothing
     {"novelty_methods": ()},          # a novelty run that would fit nothing
+    {"novelty_methods": ("iforest", "iforest")},
 ])
 def test_config_rejects(kwargs):
     with pytest.raises(InvalidSpec):
@@ -194,6 +202,24 @@ def test_make_params():
         make_params("DT", {"not_a_knob": 3})
     with pytest.raises(InvalidSpec, match="unknown model kind"):
         make_params("XGB")
+    # a float field takes an int; None only where None is the default
+    assert make_params("LR", {"l2": 2}).l2 == 2
+    assert make_params("DT", {"max_depth": None}).max_depth is None
+    assert make_params("GPC", {"theta0": [0.5, -1]}).theta0 == [0.5, -1]
+    assert make_params("SVC", {"gamma": 0.25}).gamma == 0.25
+    for kind, overrides, match in [
+            ("NB", {"var_smoothing": None}, "NB: var_smoothing must be float, got None"),
+            ("LR", {"max_iter": 100.0}, "LR: max_iter must be int, got 100.0"),
+            ("PERC", {"shuffle": 1}, "PERC: shuffle must be bool, got 1"),
+            ("ADA", {"learning_rate": False}, "ADA: learning_rate must be float"),
+            ("GPC", {"theta0": "ab"}, "GPC: theta0 must be tuple"),
+            ("GPC", {"theta0": [0.0, float("nan")]}, "theta0 must be two finite numbers"),
+            ("GPC", {"theta0": [0.0, True]}, "theta0 must be two finite numbers"),
+            ("SVC", {"gamma": True}, "SVC: gamma must be 'scale' or a number"),
+            ("SVC", {"gamma": float("inf")}, "SVC: gamma must be positive"),
+            ("NB", [1.0], "NB: hyperparameters must be a JSON object")]:
+        with pytest.raises(InvalidSpec, match=match):
+            make_params(kind, overrides)
 
 
 @pytest.mark.parametrize("kind", list(MODEL_KINDS))
@@ -210,6 +236,67 @@ def test_model_kind_table(kind, tmp_path):
     path = str(tmp_path / f"{kind}.json")
     model.save(path)
     assert type(load_model(path)) is entry.model
+
+
+@pytest.fixture(scope="module")
+def all_kinds(tmp_path_factory):
+    """The models directory of a small SP run of every kind, and a cohort
+    CSV to evaluate them on."""
+    out = tmp_path_factory.mktemp("all_kinds")
+    cfg = RunConfig(n_control=1, n_concussed=1, seed=3, balanced_per_class=100,
+                    train_caps={"RF": 300, "SVC": 300, "GPC": 100}, outdir=str(out / "run"))
+    with contextlib.redirect_stderr(io.StringIO()):
+        run_experiment(cfg)
+    csv = out / "cohort.csv"
+    write_csv(synthesize_cohort(cfg), str(csv))
+    return out / "run" / "models", csv
+
+
+def _plain_json(value):
+    """Whether `value` holds only what json.loads returns."""
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and _plain_json(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(map(_plain_json, value))
+    return type(value) in (str, int, float, bool, type(None))
+
+
+@pytest.mark.parametrize("kind", list(MODEL_KINDS))
+def test_model_file_params_are_the_constructor_arguments(kind, all_kinds):
+    """A saved model's params are its class's file keys, the constructor's
+    arguments after n_features (a tree's node arrays), each in plain JSON
+    form, and loading the file gives back the same dict."""
+    path = all_kinds[0] / f"{kind}.json"
+    payload = json.loads(path.read_text())
+    model_class = MODEL_KINDS[kind].model
+    assert list(payload["params"]) == list(model_class.file_keys)
+    if kind == "DT":
+        assert model_class.file_keys == (
+            "feature", "threshold", "left", "right", "p1", "node_weight")
+    else:
+        assert "L" not in model_class.file_keys
+    params = load_model(str(path)).to_dict()["params"]
+    assert _plain_json(params)
+    assert json.loads(json.dumps(params)) == params == payload["params"]
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("GPC", "L", [[1.0]]),           # GPC's fit-time factor, not a file key
+    ("LR", "bias", 0.0),
+    ("DT", "depth", [1]),
+])
+def test_evaluate_refuses_a_model_file_key_its_class_does_not_write(
+        kind, key, value, all_kinds, tmp_path, capsys):
+    models, csv = all_kinds
+    payload = json.loads((models / f"{kind}.json").read_text())
+    payload["params"][key] = value
+    edited = tmp_path / "models"
+    edited.mkdir()
+    (edited / f"{kind}.json").write_text(json.dumps(payload))
+    assert cli_main(["evaluate", "--data", str(csv), "--models-dir", str(edited),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err, "evaluate") and repr(key) in err
 
 
 @pytest.mark.parametrize("kind, knob, value", [("DT", "criterion", "gini"),
@@ -980,6 +1067,19 @@ def test_cli_rejects_bad_novelty_settings_before_work(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
+def test_cli_flag_replaces_a_file_value_it_would_refuse(tmp_path):
+    # only the merged values are checked: the file's one-line grid never
+    # reaches a RunConfig
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\ngrid_resolution = 1\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["novelty", "--config", str(ini), "--grid-resolution", "4",
+                         "--n-control", "1", "--n-concussed", "1", "--novelty-train", "50",
+                         "--novelty-test-per-class", "10", "--novelty-methods", "iforest",
+                         "--out-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "iforest_SP_left.csv").exists()
+
+
 # -- the CLI surface ------------------------------------------------------------------
 
 # each subcommand's option strings: a run command takes --config and one
@@ -1059,6 +1159,20 @@ def test_cli_reproduce_outdir_ranks_flag_file_command_default(
         assert cli_main(["reproduce", "--config", "run.ini"] + flags) == 0
     assert [c.outdir for c in reproduce_sections] == [
         os.path.join(outdir, rel) for rel in ("sp", "novelty/sp", "vms", "novelty/vms")]
+
+
+def test_cli_reproduce_leaves_test_kind_to_its_sections(reproduce_sections, tmp_path):
+    (tmp_path / "run.ini").write_text("[run]\ntest_kind = XX\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["reproduce", "--config", "run.ini"]) == 0
+    assert [c.test_kind for c in reproduce_sections] == ["SP", "SP", "VMS", "VMS"]
+
+
+def test_cli_reproduce_refuses_a_file_csv_path(reproduce_sections, tmp_path, capsys):
+    (tmp_path / "run.ini").write_text("[run]\ncsv_path = cohort.csv\n")
+    assert cli_main(["reproduce", "--config", "run.ini"]) == 2
+    assert _one_error_line(capsys.readouterr().err, "reproduce")
+    assert reproduce_sections == [] and not (tmp_path / "runs").exists()
 
 
 def test_cli_reproduce_config_file_with_flag_override(tmp_path, monkeypatch):
@@ -1181,6 +1295,14 @@ def test_cli_bad_flag_values_exit_2(argv, tmp_path, capsys):
     ("train", ["--models", "NB,NB"], ""),
     ("train", [], "weighting = auto"),
     ("train", [], "allow_weighted_balanced_models = no"),
+    # hyperparameters of the wrong type, or out of range, for their record
+    ("train", ["--models", "DT,SVC"], 'hyper_overrides = {"SVC": {"gamma": "auto"}}'),
+    ("train", ["--models", "DT,GPC"], 'hyper_overrides = {"GPC": {"theta0": [1, 2, 3]}}'),
+    ("train", ["--models", "DT,PERC"], 'hyper_overrides = {"PERC": {"max_iter": 1.5}}'),
+    ("train", ["--models", "DT,SVC"], 'hyper_overrides = {"SVC": {"gamma": -1}}'),
+    ("train", ["--models", "DT"], 'hyper_overrides = {"DT": {"max_depth": 2.5}}'),
+    ("train", ["--models", "DT,RF"], 'hyper_overrides = {"RF": {"n_estimators": true}}'),
+    ("train", ["--models", "DT,NB"], 'hyper_overrides = {"NB": {"var_smoothing": null}}'),
 ])
 def test_cli_bad_run_values_exit_2_before_work(command, flags, ini, tmp_path,
                                                monkeypatch, capsys):
@@ -1192,6 +1314,5 @@ def test_cli_bad_run_values_exit_2_before_work(command, flags, ini, tmp_path,
     path.write_text(f"[run]\n{ini}\n")
     out = tmp_path / "out"
     assert cli_main([command, "--config", str(path), "--out-dir", str(out)] + flags) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error ({command}):") and "Traceback" not in err
+    assert _one_error_line(capsys.readouterr().err, command)
     assert not out.exists()
