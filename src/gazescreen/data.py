@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, InvalidSpec, SingleClass
+from .settings import Settings
 
 COLUMNS = [
     "session_id", "t",
@@ -274,7 +275,7 @@ def _parse_rows(text, path):
 # -- splitting ---------------------------------------------------------------
 
 @dataclass
-class SplitConfig:
+class SplitConfig(Settings):
     """Train/validation/test partition parameters.
 
     Fractions are of the whole dataset (test) and of the remaining pool
@@ -282,17 +283,12 @@ class SplitConfig:
     whole sessions.
     """
 
+    RANGES = {"test_fraction": "(0, 1)", "validation_fraction": "[0, 1)",
+              "seed": "[0, inf)"}
     test_fraction: float = 0.2
     validation_fraction: float = 0.1
     seed: int = 0
     by_session: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
-            raise InvalidSpec(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise InvalidSpec(
-                f"validation_fraction must be in [0, 1), got {self.validation_fraction}")
 
 
 def _round_half_up(x):

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import InvalidSpec
+from ..settings import Settings
 from .base import FeatureMatrix, FittedModel, require_finite
 from .tree import CartGrower, FlatEnsemble, TreeParams, checked_trees, descend, grow_tree
 
@@ -20,18 +20,12 @@ _EPS_FLOOR = 1e-10
 
 
 @dataclass
-class AdaBoostParams:
+class AdaBoostParams(Settings):
+    RANGES = {"n_estimators": "[1, inf)", "learning_rate": "(0, inf)",
+              "base_max_depth": "[1, inf)"}
     n_estimators: int = 50
     learning_rate: float = 1.0
     base_max_depth: int = 1
-
-    def __post_init__(self):
-        if self.n_estimators < 1:
-            raise InvalidSpec("n_estimators must be >= 1")
-        if self.learning_rate <= 0:
-            raise InvalidSpec("learning_rate must be positive")
-        if self.base_max_depth < 1:
-            raise InvalidSpec("base_max_depth must be >= 1")
 
 
 class AdaBoostModel(FittedModel):

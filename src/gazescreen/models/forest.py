@@ -7,16 +7,18 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .. import forked
-from ..errors import InvalidSpec
+from ..settings import Settings
 from .base import FeatureMatrix, FittedModel
 from .tree import CartGrower, FlatEnsemble, TreeParams, checked_trees
 
 
 @dataclass
-class ForestParams:
+class ForestParams(Settings):
     """max_features None means floor(sqrt(d)); max_samples None draws a
     full-size bootstrap."""
 
+    RANGES = {"n_estimators": "[1, inf)", "max_features": "[1, inf)",
+              "max_samples": "[1, inf)", **TreeParams.RANGES}
     n_estimators: int = 100
     max_features: int = None
     bootstrap: bool = True
@@ -24,14 +26,6 @@ class ForestParams:
     min_samples_split: int = 2
     min_samples_leaf: int = 1
     max_depth: int = None
-
-    def __post_init__(self):
-        if self.n_estimators < 1:
-            raise InvalidSpec("n_estimators must be >= 1")
-        if self.max_features is not None and self.max_features < 1:
-            raise InvalidSpec("max_features must be >= 1 when set")
-        if self.max_samples is not None and self.max_samples < 1:
-            raise InvalidSpec("max_samples must be >= 1 when set")
 
 
 # bag rows (trees times rows drawn per tree) per process of a split fit: a

@@ -13,8 +13,6 @@ package (and every command that fits or scores no GPC) does not load it.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -22,6 +20,7 @@ import numpy as np
 
 from ..errors import DataError, InvalidSpec, NumericError
 from ..kernels import mean_variance, squared_distances, squared_norms
+from ..settings import Settings, takes
 from .base import FeatureMatrix, FittedModel, arr, as_rows
 
 _JITTER = 1e-8
@@ -32,12 +31,14 @@ _MAX_JITTER_TRIES = 3
 
 
 @dataclass
-class GpcParams:
+class GpcParams(Settings):
     """theta0 entries are (log length-scale, log amplitude); None picks the
     length-scale from the data scale (sqrt of d * mean feature variance)
     and unit amplitude. max_iter_predict caps the Newton mode search;
     optimizer_max_iter = 0 keeps theta0."""
 
+    RANGES = {"max_iter_predict": "[1, inf)", "newton_tol": "(0, inf)",
+              "max_train": "[2, inf)", "optimizer_max_iter": "[0, inf)"}
     max_iter_predict: int = 100
     newton_tol: float = 1e-8
     max_train: int = 2000
@@ -45,15 +46,9 @@ class GpcParams:
     theta0: tuple = None
 
     def __post_init__(self):
-        if self.max_iter_predict < 1 or self.optimizer_max_iter < 0:
-            raise InvalidSpec("iteration caps must be positive")
-        if self.newton_tol <= 0:
-            raise InvalidSpec("newton_tol must be positive")
-        if self.max_train < 2:
-            raise InvalidSpec("max_train must be >= 2")
-        if self.theta0 is not None and not (len(self.theta0) == 2 and all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-                for v in self.theta0)):
+        super().__post_init__()
+        if self.theta0 is not None and not (
+                len(self.theta0) == 2 and all(takes("float", v) for v in self.theta0)):
             raise InvalidSpec(f"theta0 must be two finite numbers, got {self.theta0!r}")
 
 

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import InvalidSpec
+from ..settings import Settings
 from .base import FeatureMatrix, FittedModel, as_rows, require_finite
 
 
@@ -35,16 +36,11 @@ class _LinearModel(FittedModel):
 # -- logistic regression -------------------------------------------------------
 
 @dataclass
-class LogRegParams:
+class LogRegParams(Settings):
+    RANGES = {"l2": "[0, inf)", "tol": "(0, inf)", "max_iter": "[1, inf)"}
     l2: float = 1.0
     tol: float = 1e-4
     max_iter: int = 100
-
-    def __post_init__(self):
-        if self.l2 < 0:
-            raise InvalidSpec("l2 must be >= 0")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise InvalidSpec("tol must be > 0 and max_iter >= 1")
 
 
 def logreg_objective(params, X, y, sample_weights, l2):
@@ -92,13 +88,16 @@ def fit_logreg(fm: FeatureMatrix, hp: LogRegParams = None, seed: int = 0):
 # -- perceptron ----------------------------------------------------------------
 
 @dataclass
-class PerceptronParams:
+class PerceptronParams(Settings):
     """eta0 is the update step, alpha the L2 shrinkage applied at each
     update. When validation_fraction > 0 a held-out slice (excluded from
     updates) supplies the plateau-stopping loss; otherwise the training
     loss is used. n_iter_no_change epochs without improving the best loss
     by tol stop training, as does a mistake-free epoch."""
 
+    RANGES = {"alpha": "[0, inf)", "max_iter": "[1, inf)", "eta0": "(0, inf)",
+              "validation_fraction": "[0, 1)", "tol": "(0, inf)",
+              "n_iter_no_change": "[1, inf)"}
     alpha: float = 1e-4
     max_iter: int = 100
     eta0: float = 1.0
@@ -106,16 +105,6 @@ class PerceptronParams:
     tol: float = 1e-3
     n_iter_no_change: int = 5
     shuffle: bool = True
-
-    def __post_init__(self):
-        if self.eta0 <= 0:
-            raise InvalidSpec("eta0 must be positive")
-        if self.alpha < 0:
-            raise InvalidSpec("alpha must be >= 0")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise InvalidSpec("validation_fraction must be in [0, 1)")
-        if self.max_iter < 1 or self.tol <= 0 or self.n_iter_no_change < 1:
-            raise InvalidSpec("max_iter, tol and n_iter_no_change must be positive")
 
 
 class PerceptronModel(_LinearModel):

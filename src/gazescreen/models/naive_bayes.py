@@ -5,23 +5,20 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import InvalidSpec
+from ..settings import Settings
 from .base import FeatureMatrix, FittedModel, arr, as_rows, require_finite
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
-class NBParams:
+class NBParams(Settings):
     """var_smoothing adds that fraction of the largest feature variance to
     every per-class variance, keeping likelihoods finite on constant
     features."""
 
+    RANGES = {"var_smoothing": "[0, inf)"}
     var_smoothing: float = 1e-9
-
-    def __post_init__(self):
-        if self.var_smoothing < 0:
-            raise InvalidSpec("var_smoothing must be >= 0")
 
 
 class GaussianNaiveBayes(FittedModel):

@@ -15,26 +15,22 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import InvalidSpec
 from ..kernels import KernelRowCache, check_gamma, kernel_expansion, resolve_gamma, smo
+from ..settings import Settings
 from .base import FeatureMatrix, FittedModel, arr, as_rows, require_finite
 
 
 @dataclass
-class SvcParams:
+class SvcParams(Settings):
+    RANGES = {"C": "(0, inf)", "tol": "(0, inf)", "max_iter": "[1, inf)"}
     C: float = 1.0
     gamma: object = "scale"
     tol: float = 1e-3
     max_iter: int = 200_000
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise InvalidSpec("C must be positive")
+        super().__post_init__()
         check_gamma(self.gamma)
-        if self.tol <= 0:
-            raise InvalidSpec("tol must be positive")
-        if self.max_iter < 1:
-            raise InvalidSpec("max_iter must be >= 1")
 
 
 class SvcRbfModel(FittedModel):

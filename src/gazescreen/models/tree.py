@@ -20,23 +20,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import DataError, InvalidSpec
+from ..errors import DataError
+from ..settings import Settings
 from .base import FeatureMatrix, FittedModel
 
 
 @dataclass
-class TreeParams:
+class TreeParams(Settings):
+    RANGES = {"min_samples_split": "[2, inf)", "min_samples_leaf": "[1, inf)",
+              "max_depth": "[1, inf)"}
     min_samples_split: int = 2
     min_samples_leaf: int = 1
     max_depth: int = None
-
-    def __post_init__(self):
-        if self.min_samples_split < 2:
-            raise InvalidSpec("min_samples_split must be >= 2")
-        if self.min_samples_leaf < 1:
-            raise InvalidSpec("min_samples_leaf must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise InvalidSpec("max_depth must be >= 1 when set")
 
 
 def value_ranks(X):
@@ -437,9 +432,13 @@ def _score_pass(p, w, wsum, w1, found, best, feature, threshold):
         total_w1 = np.repeat(w1[p.nodes], p.node_cells)
     wr = total_w - wl
     wr1 = total_w1 - wl1
-    gini_l = 1.0 - ((wl1 / wl) ** 2 + ((wl - wl1) / wl) ** 2)
-    gini_r = 1.0 - ((wr1 / wr) ** 2 + ((wr - wr1) / wr) ** 2)
-    score = (wl * gini_l + wr * gini_r) / total_w
+    # rounding can leave a right weight wr of exactly 0 beside a residue
+    # wr1; its gini is then infinite and its score NaN (0 * inf), and the
+    # NaN filter below drops that (node, feature) pair, as it always has
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gini_l = 1.0 - ((wl1 / wl) ** 2 + ((wl - wl1) / wl) ** 2)
+        gini_r = 1.0 - ((wr1 / wr) ** 2 + ((wr - wr1) / wr) ** 2)
+        score = (wl * gini_l + wr * gini_r) / total_w
     nodes, node_cells, cells = p.nodes, p.node_cells, p.cells
     nan = np.isnan(score)
     if nan.any():

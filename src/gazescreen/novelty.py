@@ -19,6 +19,7 @@ from .errors import DataError, InvalidSpec
 from .kernels import KernelRowCache, check_gamma, kernel_expansion, resolve_gamma, smo
 from .models.base import as_rows
 from .models.tree import FlatEnsemble, grow_preorder
+from .settings import Settings
 
 def harmonic_number(i):
     """H(i) = sum_{k=1..i} 1/k, exact partial sums added in sequence from
@@ -41,14 +42,11 @@ def average_path_length(m):
 # -- isolation forest ----------------------------------------------------------
 
 @dataclass
-class IsoForestParams:
+class IsoForestParams(Settings):
+    RANGES = {"n_trees": "[1, inf)", "subsample": "[2, inf)", "seed": "[0, inf)"}
     n_trees: int = 100
     subsample: int = 256
     seed: int = 0
-
-    def __post_init__(self):
-        if self.n_trees < 1 or self.subsample < 2:
-            raise InvalidSpec("need n_trees >= 1 and subsample >= 2")
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -266,7 +264,8 @@ def _require_finite(X, what):
 # -- nu one-class SVM ----------------------------------------------------------
 
 @dataclass
-class OcsvmParams:
+class OcsvmParams(Settings):
+    RANGES = {"nu": "(0, 1]", "tol": "(0, inf)", "max_iter": "[1, inf)"}
     # the dual gradient K@alpha lives in [0, 1] for any data (RBF entries
     # <= 1, sum alpha = 1), so an absolute stopping tolerance is scale-free;
     # 1e-6 resolves the boundary-vector band, which is far narrower than
@@ -277,11 +276,8 @@ class OcsvmParams:
     max_iter: int = 500_000
 
     def __post_init__(self):
-        if not 0.0 < self.nu <= 1.0:
-            raise InvalidSpec("nu must be in (0, 1]")
+        super().__post_init__()
         check_gamma(self.gamma)
-        if self.tol <= 0 or self.max_iter < 1:
-            raise InvalidSpec("tol and max_iter must be positive")
 
 
 class OneClassSvmModel:

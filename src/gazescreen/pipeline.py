@@ -16,7 +16,6 @@ import configparser
 import contextlib
 import hashlib
 import json
-import numbers
 import os
 import resource
 import sys
@@ -48,6 +47,7 @@ from .novelty import (
     fit_isolation_forest,
     fit_ocsvm,
 )
+from .settings import Settings, takes
 from .simulate import ImpairmentParams, generate_cohort
 
 EYE_CHANNELS = tuple(EYE_SLICES)
@@ -66,14 +66,9 @@ NOVELTY_METHODS = tuple(sorted(_NOVELTY_FITS))
 
 OUTDIR_ENV_VAR = "GAZESCREEN_OUTDIR"
 
-# the least value of each integer run field; below it a run cannot work (a
-# novelty fit needs two rows, and each test class and balanced subset one)
-_LEAST = {"n_control": 0, "n_concussed": 0, "seed": 0, "balanced_per_class": 1,
-          "novelty_train": 2, "novelty_test_per_class": 1, "grid_resolution": 2}
-
 
 @dataclass
-class RunConfig:
+class RunConfig(Settings):
     """One experiment: data source, split, models, novelty.
 
     Data comes from `csv_path` when set, otherwise from simulating
@@ -84,6 +79,11 @@ class RunConfig:
     `impairments[label]` are the records the run uses, overrides applied.
     """
 
+    # the split's fractions and seed, and the least sizes a run works with
+    # (a novelty fit needs two rows, and each test class and balanced subset one)
+    RANGES = {**SplitConfig.RANGES, "n_control": "[0, inf)", "n_concussed": "[0, inf)",
+              "balanced_per_class": "[1, inf)", "novelty_train": "[2, inf)",
+              "novelty_test_per_class": "[1, inf)", "grid_resolution": "[2, inf)"}
     test_kind: str = "SP"
     n_control: int = 100
     n_concussed: int = 100
@@ -105,29 +105,22 @@ class RunConfig:
     novelty_methods: tuple = NOVELTY_METHODS
 
     def __post_init__(self):
+        super().__post_init__()
         if self.test_kind not in TEST_KINDS:
             raise InvalidSpec(f"test_kind must be SP or VMS, got {self.test_kind!r}")
         for name in ("models", "novelty_methods"):
             names = getattr(self, name)
             if not names or len(set(names)) < len(names):
                 raise InvalidSpec(f"{name} must name at least one, each once; got {list(names)}")
-        for name, least in _LEAST.items():
-            if getattr(self, name) < least:
-                raise InvalidSpec(f"{name} must be >= {least}, got {getattr(self, name)}")
-        self.split_config()  # checks both fractions
         unknown = [m for m in self.novelty_methods if m not in NOVELTY_METHODS]
         if unknown:
             raise InvalidSpec(f"unknown novelty method(s) {unknown}; valid: {NOVELTY_METHODS}")
-        for name in ("train_caps", "hyper_overrides", "control_overrides",
-                     "concussed_overrides"):
-            if not isinstance(getattr(self, name), dict):
-                raise InvalidSpec(f"{name} must be a JSON object, got {getattr(self, name)!r}")
         unknown = [k for k in self.train_caps if k not in MODEL_KINDS]
         if unknown:
             raise InvalidSpec(f"unknown model kind(s) {unknown} in train_caps")
         for kind, cap in self.train_caps.items():
             # fewer than two rows cannot hold both classes
-            if isinstance(cap, bool) or not isinstance(cap, int) or cap < 2:
+            if not takes("int", cap) or cap < 2:
                 raise InvalidSpec(f"train_caps[{kind!r}] must be an integer >= 2, got {cap!r}")
         # each record checks its own values; these are not fields, so asdict
         # and == see only the settings
@@ -192,25 +185,14 @@ def run_config_from_ini(path):
 
 # -- model dispatch -------------------------------------------------------------
 
-# the types each hyperparameter annotation takes; a bool, which is an int
-# to isinstance, only where it is "bool" or "object" (a record checks those)
-_TAKES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
-          "tuple": (list, tuple), "object": object}
-
-
 def make_params(kind, overrides=None):
     """The params record of `kind` with `overrides` applied. An unknown
-    kind or hyperparameter raises InvalidSpec, and so does a value its
-    field's annotation does not take (None only where it is the default)."""
+    kind or hyperparameter raises InvalidSpec, and so does a value the
+    record refuses (`settings.Settings`)."""
     entry = model_kind(kind)
     overrides = {} if overrides is None else overrides
     if not isinstance(overrides, dict):
         raise InvalidSpec(f"{kind}: hyperparameters must be a JSON object, got {overrides!r}")
-    for f in fields(entry.params):
-        value = overrides.get(f.name, f.default)
-        if not (value is None and f.default is None or isinstance(value, _TAKES[f.type])
-                and (f.type in ("bool", "object") or not isinstance(value, bool))):
-            raise InvalidSpec(f"{kind}: {f.name} must be {f.type}, got {value!r}")
     try:
         return entry.params(**overrides)
     except (TypeError, InvalidSpec) as e:

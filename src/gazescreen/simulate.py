@@ -17,13 +17,13 @@ All directions are unit vectors.
 """
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import GazeDataset, N_FEATURES, TEST_KINDS
 from .errors import InvalidSpec
+from .settings import Settings
 
 PUPIL_BASE_MM = 3.5
 PUPIL_NOISE_STD_MM = 0.25
@@ -34,7 +34,7 @@ METERS_PER_FOOT = 0.3048
 
 
 @dataclass(frozen=True)
-class ImpairmentParams:
+class ImpairmentParams(Settings):
     """Oculomotor degradation knobs for one simulated participant.
 
     pursuit_gain scales the tracked eccentricity (1 = perfect pursuit),
@@ -45,6 +45,9 @@ class ImpairmentParams:
     offset (autonomic arousal proxy); 0 disables it.
     """
 
+    RANGES = {"pursuit_gain": "(0, 1.5]", "latency_s": "[0, inf)", "noise_deg": "[0, 30)",
+              "intrusion_rate_hz": "[0, inf)", "intrusion_amp_deg": "[0, inf)",
+              "intrusion_duration_s": "(0, inf)"}
     pursuit_gain: float = 0.95
     latency_s: float = 0.01
     noise_deg: float = 0.3
@@ -52,22 +55,6 @@ class ImpairmentParams:
     intrusion_amp_deg: float = 0.5
     intrusion_duration_s: float = 0.08
     pupil_shift_mm: float = 0.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvalidSpec(f"{f.name} must be a number, got {value!r}")
-        if not 0.0 < self.pursuit_gain <= 1.5:
-            raise InvalidSpec(f"pursuit_gain must be in (0, 1.5], got {self.pursuit_gain}")
-        if self.latency_s < 0:
-            raise InvalidSpec("latency_s must be >= 0")
-        if not 0.0 <= self.noise_deg < 30.0:
-            raise InvalidSpec("noise_deg must be in [0, 30)")
-        if self.intrusion_rate_hz < 0 or self.intrusion_amp_deg < 0:
-            raise InvalidSpec("intrusion rate and amplitude must be >= 0")
-        if self.intrusion_duration_s <= 0:
-            raise InvalidSpec("intrusion_duration_s must be > 0")
 
     @classmethod
     def control(cls):

@@ -384,7 +384,7 @@ class TestIsolationForest:
         assert model.psi == 40
 
     def test_input_validation(self):
-        with pytest.raises(InvalidSpec, match="need n_trees >= 1 and subsample >= 2"):
+        with pytest.raises(InvalidSpec, match="n_trees must be >= 1"):
             IsoForestParams(n_trees=0)
         with pytest.raises(DataError, match="isolation forest needs at least 2 rows"):
             fit_isolation_forest(np.zeros((1, 2)))

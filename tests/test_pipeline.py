@@ -172,12 +172,6 @@ def test_every_text_parser_serves_a_field():
     assert set(pipeline_mod._TEXT_PARSERS) == {f.type for f in dataclasses.fields(RunConfig)}
 
 
-def test_every_hyperparameter_annotation_has_a_type_check():
-    # a missing check would fail only when that field is overridden
-    assert set(pipeline_mod._TAKES) == {
-        f.type for entry in MODEL_KINDS.values() for f in dataclasses.fields(entry.params)}
-
-
 # -- RunConfig validation -----------------------------------------------------
 
 
@@ -1314,5 +1308,34 @@ def test_cli_bad_run_values_exit_2_before_work(command, flags, ini, tmp_path,
     path.write_text(f"[run]\n{ini}\n")
     out = tmp_path / "out"
     assert cli_main([command, "--config", str(path), "--out-dir", str(out)] + flags) == 2
+    assert _one_error_line(capsys.readouterr().err, command)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--hyper-overrides", '{"SVC": {"C": NaN}}'),
+    ("train", "--hyper-overrides", '{"LR": {"l2": Infinity}}'),
+    ("train", "--hyper-overrides", '{"ADA": {"learning_rate": Infinity}}'),
+    ("train", "--hyper-overrides", '{"GPC": {"newton_tol": NaN}}'),
+    ("simulate", "--control-overrides", '{"latency_s": Infinity}'),
+    ("train", "--concussed-overrides", '{"intrusion_rate_hz": Infinity}'),
+    ("train", "--concussed-overrides", '{"pupil_shift_mm": NaN}'),
+], ids=["SVC-C", "LR-l2", "ADA-learning_rate", "GPC-newton_tol", "latency_s",
+        "intrusion_rate_hz", "pupil_shift_mm"])
+def test_cli_non_finite_setting_exits_2_before_work(command, flag, value, tmp_path,
+                                                    monkeypatch, capsys):
+    """A NaN or infinite float setting, in JSON, is refused like any bad
+    value: one error line, exit 2, and nothing simulated or written."""
+    def no_work(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(pipeline_mod, "_acquire", no_work)
+    monkeypatch.setattr(cli, "synthesize_cohort", no_work)
+    out = tmp_path / "out"
+    argv = [command, "--n-control", "1", "--n-concussed", "1", "--out-dir", str(out),
+            flag, value]
+    if command == "simulate":
+        argv += ["--out", str(out / "cohort.csv")]
+    assert cli_main(argv) == 2
     assert _one_error_line(capsys.readouterr().err, command)
     assert not out.exists()
