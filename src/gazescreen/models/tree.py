@@ -89,11 +89,12 @@ def grow_preorder(XT, rows, sizes, choose, settle):
     order a tree grown alone would.
 
     choose(trees, at, first, size, depth) sees the popped candidates in
-    the same way. It returns (feature, threshold, cut, columns): feature -1
+    the same way. It returns (feature, threshold, columns): feature -1
     marks a leaf after all, a split node sends its rows with
-    XT[feature, row] <= cut to the left child (NaN goes right), and columns
-    maps names to per-node arrays kept with the nodes, with the names and
-    dtypes of settle's. Only the segments that split are partitioned.
+    XT[feature, row] <= threshold to the left child (NaN goes right), and
+    columns maps names to per-node arrays kept with the nodes, with the
+    names and dtypes of settle's. Only the segments that split are
+    partitioned.
 
     The nodes are numbered in preorder, left child first, once all trees
     are grown. A tree is a dict of feature, threshold, left, right and the
@@ -129,7 +130,7 @@ def grow_preorder(XT, rows, sizes, choose, settle):
         first = np.cumsum(size) - size
         pos = np.arange(first[-1] + size[-1]) + np.repeat(start - first, size)
         at = rows[pos]
-        feature, threshold, cut, columns = choose(live, at, first, size, depth)
+        feature, threshold, columns = choose(live, at, first, size, depth)
         popped.append((live, code, depth, feature, threshold, columns))
         pop_no = np.arange(n_popped, n_popped + len(live))
         n_popped += len(live)
@@ -140,12 +141,12 @@ def grow_preorder(XT, rows, sizes, choose, settle):
             # partition only the segments that split
             keep = np.repeat(split, size)
             pos, at = pos[keep], at[keep]
-            live, start, size, depth, pop_no, feature, cut = (
-                a[split] for a in (live, start, size, depth, pop_no, feature, cut))
+            live, start, size, depth, pop_no, feature, threshold = (
+                a[split] for a in (live, start, size, depth, pop_no, feature, threshold))
             first = np.cumsum(size) - size
         # a stable partition of every split segment: a stable sort of small
         # integer keys 2 j + (row goes right), which is a radix sort
-        go_left = XT.take(np.repeat(feature * XT.shape[1], size) + at) <= np.repeat(cut, size)
+        go_left = XT.take(np.repeat(feature * XT.shape[1], size) + at) <= np.repeat(threshold, size)
         odd = np.arange(1, 2 * len(size), 2, dtype=np.min_scalar_type(2 * len(size)))
         at = at[np.argsort(np.repeat(odd, size) - go_left, kind="stable")]
         rows[pos] = at
@@ -311,7 +312,7 @@ class CartGrower:
                 self._root = list(self._sorted_passes(at, first, size, feats))
             passes = self._root
         _, _, feature, threshold = self.search(w, at, first, size, wsum, w1, feats, passes)
-        return feature, threshold, threshold, {"p1": w1 / wsum, "node_weight": wsum}
+        return feature, threshold, {"p1": w1 / wsum, "node_weight": wsum}
 
     def search(self, w, rows, start, size, wsum, w1, feats, passes=None):
         """Best split of node j (rows[start[j]:start[j] + size[j]],
@@ -474,11 +475,9 @@ def _score_pass(p, w, wsum, w1, found, best, feature, threshold):
     threshold[j] = thr
 
 
-def grow_tree(X, y, w, hp, rng=None, max_features=None):
-    """Flat node arrays of one CART tree on all rows of X: a forest of one.
-    When max_features is set, each split draws that many candidate features
-    from rng (ascending order, so tie-breaks stay index-based)."""
-    return CartGrower(X, y, hp, max_features).grow(w, rngs=[rng])[0]
+def grow_tree(X, y, w, hp):
+    """Flat node arrays of one CART tree on all rows of X: a forest of one."""
+    return CartGrower(X, y, hp).grow(w)[0]
 
 
 # rows per chunk are chosen so one (trees x rows) int64 array of the walk is
@@ -544,21 +543,17 @@ class FlatEnsemble:
     Each tree keeps its flat layout, shifted by its offset in the
     concatenation (``roots``). A row at inner node i goes left when
     ``x[feature[i]] <= threshold[i]`` and right otherwise, NaN included.
-    ``sum(X)`` adds each tree's leaf value per row, in tree order.
-
-    With ``tables=True``, `sum` looks the leaves up in per-tree cell
-    tables (`_cell_tables`) when the ensemble qualifies. Building them
-    costs more than one walk of a few rows, so only an ensemble that
-    scores many rows asks for them (the isolation forests of `novelty`).
+    ``sum(X)`` adds each tree's leaf value per row, in tree order, reading
+    the leaves from per-tree cell tables (`_cell_tables`) when every split
+    reads column 0 or 1 and the tables fit `_TABLE_ENTRIES`, and from the
+    walk (`leaves`) otherwise.
     """
 
-    def __init__(self, trees, leaf_values, thresholds=None, tables=False):
+    def __init__(self, trees, leaf_values):
         sizes = [len(t["feature"]) for t in trees]
         self.roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
         feature = np.concatenate([t["feature"] for t in trees]).astype(np.int64)
-        if thresholds is None:
-            thresholds = [t["threshold"] for t in trees]
-        self.threshold = np.concatenate(thresholds).astype(float)
+        self.threshold = np.concatenate([t["threshold"] for t in trees]).astype(float)
         left = np.concatenate([t["left"] + r for t, r in zip(trees, self.roots)])
         right = np.concatenate([t["right"] + r for t, r in zip(trees, self.roots)])
         # a leaf tests column 0 and leads back to itself, so a row that has
@@ -573,8 +568,8 @@ class FlatEnsemble:
         # indexes the child directly
         self.children = np.stack([right, left], axis=1).ravel()
         self.value = np.concatenate(leaf_values).astype(float)
-        # built by the first `sum` when asked for; False when not used
-        self._tables = None if tables else False
+        # built by the first `sum`; False when the ensemble does not qualify
+        self._tables = None
 
     @property
     def n_nodes(self):
@@ -612,9 +607,9 @@ class FlatEnsemble:
     def sum(self, X):
         """Per-row sum of the leaf values over the trees, in tree order, in
         row chunks that keep memory flat. The leaf values come from the
-        cell tables when the ensemble asked for them and has them
-        (`_cell_tables`), and from the walk (`leaves`) otherwise; both give
-        every row the same leaves."""
+        cell tables when the ensemble has them (`_cell_tables`), and from
+        the walk (`leaves`) otherwise; both give every row the same
+        leaves."""
         X = np.asarray(X, dtype=float)
         tables = self._cell_tables()
         out = np.zeros(len(X))
@@ -632,10 +627,10 @@ class FlatEnsemble:
         return out
 
     def _cell_tables(self):
-        """The ensemble's `_CellTables`, built on first use, when it was
-        made with ``tables=True``, every split reads column 0 or 1 and the
-        tables hold at most `_TABLE_ENTRIES` entries; None otherwise. The
-        entries are counted before any table is allocated.
+        """The ensemble's `_CellTables`, built on first use, when every
+        split reads column 0 or 1 and the tables hold at most
+        `_TABLE_ENTRIES` entries; None otherwise. The entries are counted
+        before any table is allocated.
 
         A tree's grid has one line per distinct threshold on each column
         plus a NaN line, which every split sends right; a split at t cuts
@@ -769,13 +764,14 @@ class DecisionTreeModel(FittedModel):
     def __init__(self, n_features, **nodes):
         super().__init__(n_features)
         (self.nodes,) = checked_trees([nodes], n_features)
+        self._p1 = FlatEnsemble([self.nodes], [self.nodes["p1"]])
 
     @property
     def n_nodes(self):
-        return len(self.nodes["feature"])
+        return self._p1.n_nodes
 
     def _score(self, X):
-        return descend(self.nodes, X)
+        return self._p1.sum(X)
 
     def file_params(self):
         return self.nodes

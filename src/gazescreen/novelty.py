@@ -21,23 +21,6 @@ from .models.base import as_rows
 from .models.tree import FlatEnsemble, grow_preorder
 from .settings import Settings
 
-def harmonic_number(i):
-    """H(i) = sum_{k=1..i} 1/k, exact partial sums added in sequence from
-    1; for large i this agrees with ln(i) + Euler's constant to O(1/i)."""
-    i = int(i)
-    if i < 0:
-        raise InvalidSpec("harmonic number needs i >= 0")
-    return float(np.cumsum(1.0 / np.arange(1, i + 1))[-1]) if i else 0.0
-
-
-def average_path_length(m):
-    """c(m) = 2 H(m-1) - 2 (m-1)/m: expected unsuccessful-search path
-    length in a binary search tree of m points; 0 for m <= 1."""
-    m = int(m)
-    if m <= 1:
-        return 0.0
-    return 2.0 * harmonic_number(m - 1) - 2.0 * (m - 1) / m
-
 
 # -- isolation forest ----------------------------------------------------------
 
@@ -124,9 +107,11 @@ def _grow_iso_forest(X, bags, rngs, height_limit):
     the order a tree grown alone would draw them; a round takes the draws
     of all its split nodes in one step (`_TreeStreams`), and one reduceat
     gives every popped node its per-feature range. A row goes left when its
-    value is below the threshold, so a threshold equal to a node's minimum
-    leaves its left child empty. Every node stores its training size and
-    depth.
+    value is below the drawn t, so a t equal to a node's minimum leaves its
+    left child empty. A split node stores `nextafter(t, -inf)` as its
+    threshold: `x < t` is `x <= nextafter(t, -inf)` for every float, the
+    `<=` test of every stored tree. Every node stores its training size
+    and depth.
     """
     XT = np.ascontiguousarray(X.T)
     # a split node takes at most two outputs, and a tree of psi rows has
@@ -152,22 +137,23 @@ def _grow_iso_forest(X, bags, rngs, height_limit):
             f = np.argmax(np.cumsum(spread[:, split], axis=0) > j, axis=0)
             lo_f, hi_f = lo[f, split], hi[f, split]
             feature[split] = f
-            threshold[split] = lo_f + (hi_f - lo_f) * u  # what Generator.uniform computes
-        # `x < t` is `x <= nextafter(t, -inf)` for every float
-        return (feature, threshold, np.nextafter(threshold, -np.inf),
-                {"size": size, "depth": depth})
+            # t is what Generator.uniform computes
+            threshold[split] = np.nextafter(lo_f + (hi_f - lo_f) * u, -np.inf)
+        return feature, threshold, {"size": size, "depth": depth}
 
     return grow_preorder(XT, np.concatenate(bags), [len(b) for b in bags], choose, settle)
 
 
-def _average_path_lengths(sizes):
-    """Elementwise `average_path_length`, with the same arithmetic."""
+def average_path_lengths(sizes):
+    """c(m) = 2 H(m-1) - 2 (m-1)/m of each size m: the expected
+    unsuccessful-search path length in a binary search tree of m points,
+    0 for m <= 1. H(k) = sum_{j=1..k} 1/j, added in sequence from 1."""
     m = np.asarray(sizes, dtype=np.int64)
     out = np.zeros(len(m))
     big = m > 1
     if big.any():
         mb = m[big]
-        # H[k] = H(k), the same sequential sums as `harmonic_number`
+        # H[k] = H(k); np.cumsum adds sequentially
         H = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, mb.max()))])
         out[big] = 2.0 * H[mb - 1] - 2.0 * (mb - 1) / mb
     return out
@@ -175,19 +161,11 @@ def _average_path_lengths(sizes):
 
 def _iso_ensemble(trees):
     """Isolation trees as one flat ensemble whose leaves hold the path
-    length (depth + c(size)). The strict split `x < t` is stored as
-    `x <= nextafter(t, -inf)`, which is the same test for every float. A
-    forest on two columns scores its points and grids through cell
-    tables."""
+    length (depth + c(size))."""
     paths = (np.concatenate([t["depth"] for t in trees])
-             + _average_path_lengths(np.concatenate([t["size"] for t in trees])))
+             + average_path_lengths(np.concatenate([t["size"] for t in trees])))
     ends = np.cumsum([len(t["depth"]) for t in trees])[:-1]
-    return FlatEnsemble(
-        trees,
-        np.split(paths, ends),
-        thresholds=[np.nextafter(np.asarray(t["threshold"], dtype=float), -np.inf)
-                    for t in trees],
-        tables=True)
+    return FlatEnsemble(trees, np.split(paths, ends))
 
 
 class IsolationForestModel:
@@ -200,7 +178,7 @@ class IsolationForestModel:
         self.n_features = n_features
         self.n_nodes = sum(len(t["feature"]) for t in trees)
         self.meta = {"n_trees": len(trees)}
-        self._c_psi = average_path_length(psi)
+        self._c_psi = float(average_path_lengths([psi])[0])
         self._paths = _iso_ensemble(trees)
 
     def expected_path_length(self, X):

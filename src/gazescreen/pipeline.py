@@ -110,6 +110,8 @@ class RunConfig(Settings):
             raise InvalidSpec(f"test_kind must be SP or VMS, got {self.test_kind!r}")
         for name in ("models", "novelty_methods"):
             names = getattr(self, name)
+            if not all(isinstance(n, str) for n in names):
+                raise InvalidSpec(f"{name} must hold names, got {list(names)}")
             if not names or len(set(names)) < len(names):
                 raise InvalidSpec(f"{name} must name at least one, each once; got {list(names)}")
         unknown = [m for m in self.novelty_methods if m not in NOVELTY_METHODS]

@@ -45,7 +45,7 @@ class ImpairmentParams(Settings):
     offset (autonomic arousal proxy); 0 disables it.
     """
 
-    RANGES = {"pursuit_gain": "(0, 1.5]", "latency_s": "[0, inf)", "noise_deg": "[0, 30)",
+    RANGES = {"pursuit_gain": "(0, 1.5]", "latency_s": "[0, 1)", "noise_deg": "[0, 30)",
               "intrusion_rate_hz": "[0, inf)", "intrusion_amp_deg": "[0, inf)",
               "intrusion_duration_s": "(0, inf)"}
     pursuit_gain: float = 0.95
@@ -72,7 +72,7 @@ class ImpairmentParams(Settings):
 
 
 @dataclass
-class SessionSpec:
+class SessionSpec(Settings):
     """Everything needed to simulate one session deterministically.
 
     metronome_bpm and impairment default per test kind / label when left
@@ -81,6 +81,10 @@ class SessionSpec:
     and 50 bpm for VMS rotations.
     """
 
+    RANGES = {"label": "[0, 1]", "seed": "[0, inf)", "sample_rate_hz": "(0, inf)",
+              "metronome_bpm": "(0, inf)", "viewing_distance_m": "(0, inf)",
+              "target_extent_m": "(0, inf)", "sp_phase_s": "(0, inf)",
+              "vms_repetitions": "[1, inf)"}
     test_kind: str = "SP"
     label: int = 0
     seed: int = 0
@@ -91,28 +95,21 @@ class SessionSpec:
     target_extent_m: float = 3 * METERS_PER_FOOT
     sp_phase_s: float = 10.0
     vms_repetitions: int = 10
-    impairment: ImpairmentParams = None
+    impairment: object = None  # an ImpairmentParams
 
     def __post_init__(self):
+        super().__post_init__()
         if self.test_kind not in TEST_KINDS:
             raise InvalidSpec(f"test_kind must be SP or VMS, got {self.test_kind!r}")
-        if self.label not in (0, 1):
-            raise InvalidSpec(f"label must be 0 or 1, got {self.label!r}")
         if self.metronome_bpm is None:
             self.metronome_bpm = 180.0 if self.test_kind == "SP" else 50.0
         if self.impairment is None:
             self.impairment = ImpairmentParams.for_label(self.label)
         if not self.session_id:
             self.session_id = f"{self.test_kind}-{self.label}-{self.seed}"
-        if self.sample_rate_hz <= 0 or self.metronome_bpm <= 0:
-            raise InvalidSpec("sample_rate_hz and metronome_bpm must be > 0")
         # one half sweep per beat: need at least ~Nyquist sampling of the sweep
         if self.sample_rate_hz < self.metronome_bpm / 30.0:
             raise InvalidSpec("sample rate too low for the metronome pace")
-        if self.viewing_distance_m <= 0 or self.target_extent_m <= 0:
-            raise InvalidSpec("distances must be > 0")
-        if self.sp_phase_s <= 0 or self.vms_repetitions < 1:
-            raise InvalidSpec("sp_phase_s must be > 0 and vms_repetitions >= 1")
 
     @property
     def sweep_period_s(self):

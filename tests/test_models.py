@@ -435,7 +435,8 @@ class TestExactSplitSearch:
                                          max_features)
             with mock.patch.object(tree_mod, "_SPLIT_CELLS", cells), \
                     mock.patch.object(tree_mod, "_RADIX_WIDTH", radix):
-                got = grow_tree(X, y, w, hp, np.random.default_rng(seed), max_features)
+                got = tree_mod.CartGrower(X, y, hp, max_features).grow(
+                    w, rngs=[np.random.default_rng(seed)])[0]
         assert same_bits(got, expect)
 
     @given(tree_inputs(), st.sampled_from([1, 16, tree_mod._SPLIT_CELLS]),

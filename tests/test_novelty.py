@@ -13,7 +13,13 @@ from gazescreen import kernels as kernels_mod
 from gazescreen import novelty as novelty_mod
 from gazescreen.errors import DataError, InvalidSpec
 from gazescreen.kernels import KernelRowCache, rbf_kernel, resolve_gamma
-from gazescreen.models import FeatureMatrix, ForestParams, fit_decision_tree, fit_random_forest
+from gazescreen.models import (
+    FeatureMatrix,
+    ForestParams,
+    fit_adaboost,
+    fit_decision_tree,
+    fit_random_forest,
+)
 from gazescreen.models import tree as tree_mod
 from gazescreen.novelty import (
     BoundaryGrid,
@@ -21,11 +27,10 @@ from gazescreen.novelty import (
     IsolationForestModel,
     OcsvmParams,
     _iso_ensemble,
-    average_path_length,
+    average_path_lengths,
     export_boundary_grid,
     fit_isolation_forest,
     fit_ocsvm,
-    harmonic_number,
     load_boundary_grid,
 )
 
@@ -35,8 +40,9 @@ def cloud(n=200, d=2, seed=0):
 
 
 def iso_path_lengths_loop(tree, X):
-    """Reference: one isolation tree's descent with the strict `x < t`
-    split, as trees were scored before the flat ensemble walk."""
+    """Reference: one isolation tree's descent with its stored
+    `x <= threshold` split, as trees were scored before the flat ensemble
+    walk."""
     pos = np.zeros(len(X), dtype=np.int64)
     depth = np.zeros(len(X))
     while True:
@@ -45,16 +51,17 @@ def iso_path_lengths_loop(tree, X):
         if not active.any():
             break
         rows = np.nonzero(active)[0]
-        go_left = X[rows, f[rows]] < tree["threshold"][pos[rows]]
+        go_left = X[rows, f[rows]] <= tree["threshold"][pos[rows]]
         pos[rows] = np.where(go_left, tree["left"][pos[rows]], tree["right"][pos[rows]])
         depth[rows] += 1.0
-    tail = np.array([average_path_length(s) for s in tree["size"]])
-    return depth + tail[pos]
+    return depth + average_path_lengths(tree["size"])[pos]
 
 
 def grow_iso_tree_reference(X, rng, height_limit):
     """Reference: one isolation tree grown alone, node by node, as trees
-    were grown before the lockstep forest grower."""
+    were grown before the lockstep forest grower. A node splits its rows
+    by the strict `x < t` of the t it draws and stores
+    `nextafter(t, -inf)`, the `<=` test that sends the same rows left."""
     feature, threshold, left, right, size, depths = [], [], [], [], [], []
     stack = [(np.arange(len(X)), 0, -1, False)]
     while stack:
@@ -82,7 +89,7 @@ def grow_iso_tree_reference(X, rng, height_limit):
         thr = float(rng.uniform(lo[f], hi[f]))
         go_left = rows[:, f] < thr
         feature.append(f)
-        threshold.append(thr)
+        threshold.append(np.nextafter(thr, -np.inf))
         left.append(-1)
         right.append(-1)
         size.append(len(idx))
@@ -239,53 +246,60 @@ def expected_path_length_loop(model, X):
     return total / len(model.trees)
 
 
+def c_of(m):
+    """c(m) of one size m, from `average_path_lengths`."""
+    return float(average_path_lengths([m])[0])
+
+
 class TestPathLengthArithmetic:
+    """c(m) = 2 H(m-1) - 2 (m-1)/m, and through it the harmonic numbers
+    H(k) = sum_{j=1..k} 1/j that `average_path_lengths` sums."""
+
     def test_harmonic_hand_values(self):
-        assert harmonic_number(0) == 0.0
-        assert harmonic_number(1) == 1.0
-        assert harmonic_number(5) == pytest.approx(137 / 60, rel=1e-15)
+        # H(0) = 0, H(1) = 1 and H(5) = 137/60
+        assert c_of(1) == 0.0
+        assert c_of(2) == 1.0
+        assert c_of(6) == pytest.approx(2 * 137 / 60 - 5 / 3, rel=1e-15)
 
     def test_harmonic_matches_fsum(self):
         for i in (2, 17, 255, 1023, 12345):
-            expect = math.fsum(1.0 / k for k in range(1, i + 1))
-            assert harmonic_number(i) == pytest.approx(expect, rel=1e-13)
+            m = i + 1
+            expect = 2 * math.fsum(1.0 / k for k in range(1, i + 1)) - 2 * i / m
+            assert c_of(m) == pytest.approx(expect, rel=1e-13)
 
     def test_harmonic_cache_growth_order_independent(self):
-        big = harmonic_number(5000)
-        assert harmonic_number(10) == pytest.approx(
-            math.fsum(1.0 / k for k in range(1, 11)), rel=1e-14)
-        assert harmonic_number(5000) == big
+        # a size's c(m) does not depend on the largest size beside it
+        big = c_of(5001)
+        assert average_path_lengths([5001, 11]).tolist() == [big, c_of(11)]
+        assert c_of(11) == pytest.approx(
+            2 * math.fsum(1.0 / k for k in range(1, 11)) - 20 / 11, rel=1e-14)
 
-    @given(st.lists(st.integers(0, 300), min_size=1, max_size=6))
+    @given(st.lists(st.integers(0, 301), min_size=1, max_size=6))
     @settings(deadline=None, max_examples=100)
-    def test_harmonic_is_history_free(self, requests):
-        # every request sums from 1 in one cumsum
+    def test_harmonic_is_history_free(self, sizes):
+        # every H(m - 1) sums from 1 in one cumsum
         fresh = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, 301))])
-        for k in requests:
-            assert harmonic_number(k) == fresh[k]
-        assert all(harmonic_number(k) == fresh[k] for k in range(301))
-
-    def test_harmonic_rejects_negative(self):
-        with pytest.raises(InvalidSpec):
-            harmonic_number(-1)
+        m = np.maximum(sizes, 1)  # c(0) = c(1) = 0
+        expect = 2.0 * fresh[m - 1] - 2.0 * (m - 1) / m
+        assert same_bits(average_path_lengths(sizes), expect)
 
     def test_average_path_hand_values(self):
-        assert average_path_length(0) == 0.0
-        assert average_path_length(1) == 0.0
-        assert average_path_length(2) == pytest.approx(1.0, rel=1e-15)
         # c(4) = 2 H(3) - 2*3/4 = 11/3 - 3/2
-        assert average_path_length(4) == pytest.approx(11 / 3 - 1.5, rel=1e-14)
+        got = average_path_lengths([0, 1, 2, 4])
+        assert got[:3].tolist() == [0.0, 0.0, 1.0]
+        assert got[3] == pytest.approx(11 / 3 - 1.5, rel=1e-14)
+        assert average_path_lengths([]).shape == (0,)
 
     def test_average_path_exact_at_subsample_size(self):
         expect = 2 * math.fsum(1.0 / k for k in range(1, 256)) - 2 * 255 / 256
-        assert average_path_length(256) == pytest.approx(expect, rel=1e-13)
+        assert c_of(256) == pytest.approx(expect, rel=1e-13)
 
 
 class TestIsolationForest:
     def test_hand_built_tree_path_lengths(self):
-        #        root: x0 < 5
+        #        root: x0 <= 5
         #       /            \
-        #   leaf(size 3)   x1 < 2
+        #   leaf(size 3)   x1 <= 2
         #                  /     \
         #            leaf(1)   leaf(1)
         tree = {
@@ -298,20 +312,22 @@ class TestIsolationForest:
         }
         probe = np.array([[0.0, 0.0], [7.0, 0.0], [7.0, 9.0]])
         got = _iso_ensemble([tree]).sum(probe)
-        c3 = average_path_length(3)
+        c3 = c_of(3)
         assert np.allclose(got, [1.0 + c3, 2.0, 2.0], atol=1e-12)
 
     def test_flat_walk_equals_per_tree_loops(self):
         X = cloud(300, seed=4)
         model = fit_isolation_forest(X, IsoForestParams(n_trees=20, seed=5))
         rng = np.random.default_rng(6)
+        # rows on each stored threshold and one ulp above it
         on_split = []
         for tree in model.trees:
             for f, t in zip(tree["feature"], tree["threshold"]):
                 if f >= 0:
-                    row = X[rng.integers(len(X))].copy()
-                    row[f] = t
-                    on_split.append(row)
+                    for v in (t, np.nextafter(t, np.inf)):
+                        row = X[rng.integers(len(X))].copy()
+                        row[f] = v
+                        on_split.append(row)
         probe = np.vstack([X, rng.normal(0.0, 3.0, (40, 2)), on_split,
                            [[np.nan, 0.0]]])
         expect = expected_path_length_loop(model, probe)
@@ -967,7 +983,7 @@ def table_inputs(draw):
     elif kind == "hand":
         n_columns = draw(st.integers(1, 2))
         trees = draw(st.lists(hand_tree(n_columns), min_size=1, max_size=6))
-        ens = tree_mod.FlatEnsemble([t for t, _ in trees], [v for _, v in trees], tables=True)
+        ens = tree_mod.FlatEnsemble([t for t, _ in trees], [v for _, v in trees])
         X = np.zeros((1, n_columns))
     else:
         X, _ = draw(forest_inputs(min_d=2, max_d=2))
@@ -976,12 +992,12 @@ def table_inputs(draw):
         matrix = FeatureMatrix(X, y)
         if kind == "dt":
             nodes = fit_decision_tree(matrix).nodes
-            ens = tree_mod.FlatEnsemble([nodes], [nodes["p1"]], tables=True)
+            ens = tree_mod.FlatEnsemble([nodes], [nodes["p1"]])
         else:
             model = fit_random_forest(matrix, ForestParams(n_estimators=draw(st.integers(1, 6))),
                                       seed=draw(st.integers(0, 99)))
             ens = tree_mod.FlatEnsemble(model.trees, [(t["p1"] > 0.5).astype(float)
-                                                      for t in model.trees], tables=True)
+                                                      for t in model.trees])
     d = X.shape[1]
     columns = []
     for c in range(d):
@@ -1032,18 +1048,30 @@ class TestCellTables:
         assert two._cell_tables() is None
         assert same_bits(two.sum(probe), walk_sum(two, probe))
 
-    def test_classifiers_keep_the_walk(self):
-        # a stump or tree on the first two features builds no tables: it is
-        # scored once, where a table would cost more than the walk
-        X = cloud(60, seed=37)
-        y = (X[:, 0] > 0).astype(int)
-        nodes = fit_decision_tree(FeatureMatrix(X, y)).nodes
-        assert set(nodes["feature"][nodes["feature"] >= 0]) <= {0, 1}
-        for ens in (tree_mod.FlatEnsemble([nodes], [nodes["p1"]]),
-                    fit_random_forest(FeatureMatrix(X, y), ForestParams(n_estimators=3),
-                                      seed=1)._votes):
-            assert ens.n_columns <= 2 and ens._cell_tables() is None
-            assert same_bits(ens.sum(X), walk_sum(ens, X))
+    @pytest.mark.parametrize("fit, ensemble", [
+        (fit_decision_tree, "_p1"), (fit_random_forest, "_votes"), (fit_adaboost, "_weighted")],
+        ids=["DT", "RF", "ADA"])
+    def test_classifiers_on_two_columns_score_through_tables(self, fit, ensemble,
+                                                            monkeypatch):
+        # a classifier whose splits read columns 0 and 1 alone scores
+        # through cell tables, with the walk's leaves and scores; one whose
+        # splits read a later column of 14 builds none
+        X = cloud(80, seed=37)
+        y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int)
+        probe = np.vstack([X, cloud(40, seed=38) * 2.0, [[np.nan, 0.0], [0.0, np.nan]]])
+        model = fit(FeatureMatrix(X, y))
+        ens = getattr(model, ensemble)
+        scores = model.decision_score(probe)
+        assert ens._cell_tables() is not None
+        assert same_bits(ens.sum(probe), walk_sum(ens, probe))
+        wide = np.column_stack([cloud(80, d=12, seed=39), X])
+        ens = getattr(fit(FeatureMatrix(wide, y)), ensemble)
+        assert ens.n_columns > 2 and ens._cell_tables() is None
+        # over a budget of no entries, the same model walks
+        monkeypatch.setattr(tree_mod, "_TABLE_ENTRIES", 0)
+        walked = fit(FeatureMatrix(X, y))
+        assert same_bits(walked.decision_score(probe), scores)
+        assert getattr(walked, ensemble)._cell_tables() is None
 
     def test_over_budget_allocates_no_tables(self):
         # 3,000 stumps, each on its own threshold: the count tables alone
@@ -1052,7 +1080,7 @@ class TestCellTables:
         stump = {"feature": np.array([0, -1, -1]), "left": np.array([1, -1, -1]),
                  "right": np.array([2, -1, -1])}
         trees = [dict(stump, threshold=np.array([float(k), 0.0, 0.0])) for k in range(n)]
-        ens = tree_mod.FlatEnsemble(trees, [np.array([0.0, 1.0, 2.0])] * n, tables=True)
+        ens = tree_mod.FlatEnsemble(trees, [np.array([0.0, 1.0, 2.0])] * n)
         tracemalloc.start()
         try:
             assert ens._cell_tables() is None

@@ -1320,12 +1320,15 @@ def test_cli_bad_run_values_exit_2_before_work(command, flags, ini, tmp_path,
     ("simulate", "--control-overrides", '{"latency_s": Infinity}'),
     ("train", "--concussed-overrides", '{"intrusion_rate_hz": Infinity}'),
     ("train", "--concussed-overrides", '{"pupil_shift_mm": NaN}'),
+    # finite, but longer than a session: the eyes would freeze on the target
+    ("simulate", "--control-overrides", '{"latency_s": 1e6}'),
 ], ids=["SVC-C", "LR-l2", "ADA-learning_rate", "GPC-newton_tol", "latency_s",
-        "intrusion_rate_hz", "pupil_shift_mm"])
+        "intrusion_rate_hz", "pupil_shift_mm", "latency_s-1e6"])
 def test_cli_non_finite_setting_exits_2_before_work(command, flag, value, tmp_path,
                                                     monkeypatch, capsys):
     """A NaN or infinite float setting, in JSON, is refused like any bad
-    value: one error line, exit 2, and nothing simulated or written."""
+    value, as is a latency of a second or more: one error line, exit 2,
+    and nothing simulated or written."""
     def no_work(cfg):
         raise AssertionError("the run started")
 

@@ -12,6 +12,7 @@ from gazescreen.models.forest import ForestParams
 from gazescreen.novelty import OcsvmParams
 from gazescreen.pipeline import RunConfig  # imports every settings record
 from gazescreen.settings import _TAKES, Interval, Settings
+from gazescreen.simulate import SessionSpec
 
 RECORDS = sorted(Settings.__subclasses__(), key=lambda cls: cls.__name__)
 
@@ -81,8 +82,18 @@ def test_malformed_interval_is_refused(text):
     (lambda: OcsvmParams(nu=float("nan")), "nu must be float, got nan"),
     (lambda: SplitConfig(seed=1.5), "seed must be int, got 1.5"),
     (lambda: ForestParams(max_depth=0), "max_depth must be >= 1, got 0"),
+    (lambda: RunConfig(models=[["NB"]]), "models must hold names, got [['NB']]"),
+    (lambda: RunConfig(novelty_methods=("iforest", 1)),
+     "novelty_methods must hold names, got ['iforest', 1]"),
+    (lambda: SessionSpec(sample_rate_hz=float("nan")), "sample_rate_hz must be float, got nan"),
+    (lambda: SessionSpec(sp_phase_s=float("inf")), "sp_phase_s must be float, got inf"),
+    (lambda: SessionSpec(label=True), "label must be int, got True"),
+    (lambda: SessionSpec("VMS", vms_repetitions=2.5), "vms_repetitions must be int, got 2.5"),
+    (lambda: SessionSpec(seed=-1), "seed must be >= 0, got -1"),
 ], ids=["seed", "grid_resolution", "n_control", "outdir", "csv_path", "novelty_methods",
-        "nu", "split_seed", "max_depth"])
+        "nu", "split_seed", "max_depth", "models-not-str", "novelty_methods-not-str",
+        "session-sample_rate_hz", "session-sp_phase_s", "session-label",
+        "session-vms_repetitions", "session-seed"])
 def test_library_refuses_a_bad_setting(build, message):
     with pytest.raises(InvalidSpec) as caught:
         build()

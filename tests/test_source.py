@@ -181,6 +181,99 @@ def test_checker_sees_an_unread_definition():
         "recursive", "Exported", "UNREAD", "GROWN", "GROWN"]
 
 
+def defaulted_parameters(tree):
+    """(callee, parameter, position, line) of each parameter with a default
+    of each function and method under tree. A call names its callee by its
+    name, or for an __init__ by its class's name; position is the
+    parameter's index among a call's positional arguments (a method's self
+    or cls not counted), None for a keyword-only parameter."""
+    found = []
+    in_class = {id(f): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                for f in cls.body if isinstance(f, _FUNCTIONS)}
+    for f in ast.walk(tree):
+        if not isinstance(f, _FUNCTIONS):
+            continue
+        cls = in_class.get(id(f))
+        callee = cls.name if cls is not None and f.name == "__init__" else f.name
+        bound = cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list)
+        positional = f.args.posonlyargs + f.args.args
+        first = len(positional) - len(f.args.defaults)
+        found += [(callee, a.arg, i - bound, f.lineno)
+                  for i, a in enumerate(positional) if i >= first]
+        found += [(callee, a.arg, None, f.lineno)
+                  for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+    return found
+
+
+def calls_and_values(tree):
+    """Each call under tree as (callee, positional count, keywords), where
+    a `*` argument counts as every position and a `**` argument as every
+    keyword (None), and the names read other than as the callee of a call:
+    a function read so may be called through a table or a callback."""
+    calls, callees = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            callees.add(id(node.func))
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.append((name, float("inf") if starred else len(node.args),
+                          None if None in keywords else keywords))
+    values = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+              if id(n) not in callees and (isinstance(n, ast.Attribute)
+                                           or isinstance(n, ast.Name)
+                                           and isinstance(n.ctx, ast.Load))}
+    return calls, values
+
+
+def unpassed_defaults(defaulted, calls, exempt):
+    """The defaulted parameters that no call passes, of callees not exempt."""
+    return [(callee, param, line) for callee, param, position, line in defaulted
+            if callee not in exempt and not any(
+                name == callee and (keywords is None or param in keywords
+                                    or position is not None and n > position)
+                for name, n, keywords in calls)]
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A default that src/ and demos/ never override is a setting only tests
+    change: each defaulted parameter of a package function or method must be
+    passed somewhere, by position, keyword, `*` or `**`. A function also read
+    as a value (a kind table, a callback or a tracer target) is exempt, as
+    is public API (PUBLIC_DEFINITIONS) and the entry point `main`."""
+    defaulted, calls, values = [], [], set()
+    for path in READERS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if SRC in path.parents:
+            defaulted += [(c, p, i, f"{path.relative_to(SRC)}:{line}")
+                          for c, p, i, line in defaulted_parameters(tree)]
+        more_calls, more_values = calls_and_values(tree)
+        calls += more_calls
+        values |= more_values
+    unpassed = unpassed_defaults(defaulted, calls, values | PUBLIC_DEFINITIONS | {"main"})
+    assert defaulted and not unpassed, "never passed: " + ", ".join(
+        f"{where} {callee}({param})" for callee, param, where in unpassed)
+
+
+def test_checker_sees_an_unpassed_default():
+    tree = ast.parse(
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n"
+        "def g(x=0):\n    pass\n"
+        "def h(y=0):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, p=1, q=2):\n        pass\n"
+        "    def m(self, r=1):\n        pass\n"
+        "f(0, c=5)\ng(*args)\nK(1)\nK(**kw).m()\ntable = [h]\n")
+    defaulted = defaulted_parameters(tree)
+    assert [(c, p, i) for c, p, i, _ in defaulted] == [
+        ("f", "b", 1), ("f", "c", None), ("f", "d", None), ("g", "x", 0), ("h", "y", 0),
+        ("K", "p", 0), ("K", "q", 1), ("m", "r", 0)]
+    calls, values = calls_and_values(tree)
+    assert [(c, p) for c, p, _ in unpassed_defaults(defaulted, calls, values)] == [
+        ("f", "b"), ("f", "d"), ("m", "r")]
+
+
 def imports_of_command(args, cwd):
     """The modules a fresh `python -X importtime -m gazescreen ARGS`
     imports, with src/ first on the path; the command must succeed."""
