@@ -10,7 +10,7 @@ import tempfile
 from gazescreen.data import split
 from gazescreen.pipeline import (
     RunConfig,
-    evaluate_saved_models,
+    run_evaluation,
     run_experiment,
     synthesize_cohort,
 )
@@ -39,10 +39,10 @@ def main():
         # held-out frames the experiment used
         ds = synthesize_cohort(cfg)
         _, _, test_ds = split(ds, cfg.split_config())
-        again = evaluate_saved_models(
-            sorted(result.model_paths.values()), test_ds)
-        same = again == result.per_model
-        print(f"\nreloaded {len(again)} models from disk; "
+        again = run_evaluation(sorted(result.model_paths.values()), test_ds,
+                               "the test split", os.path.join(tmp, "again"))
+        same = again.per_model == result.per_model
+        print(f"\nreloaded {len(again.per_model)} models from disk; "
               f"metrics identical: {same}")
 
 

@@ -21,10 +21,10 @@ from .errors import DataError, GazeScreenError, InvalidSpec, exit_code_of
 from .pipeline import (
     FIELD_PARSERS,
     RunConfig,
-    evaluate_saved_models,
     reproduce,
     resolved_outdir,
     run_config_from_ini,
+    run_evaluation,
     run_experiment,
     run_novelty,
     synthesize_cohort,
@@ -120,15 +120,9 @@ def _cmd_evaluate(args):
         if f.endswith(".json") and f != "manifest.json")
     if not paths:
         raise InvalidSpec(f"no model files in {args.models_dir}")
-    per_model = evaluate_saved_models(paths, ds)
-    outdir = resolved_outdir(args.outdir)
-    os.makedirs(outdir, exist_ok=True)
-    title = f"Evaluation on {os.path.basename(args.data)} ({args.test_kind})"
-    text = metrics_mod.render_report_text(per_model, title)
-    atomic_write_text(os.path.join(outdir, "report.txt"), text)
-    atomic_write_text(os.path.join(outdir, "report.csv"),
-                      metrics_mod.render_report_csv(per_model))
-    print(text, end="")
+    result = run_evaluation(paths, ds, args.data, resolved_outdir(args.outdir))
+    with open(result.report_txt_path) as fh:
+        print(fh.read(), end="")
     return 0
 
 
@@ -146,11 +140,7 @@ def _cmd_report(args):
             text = fh.read()
     except UnicodeDecodeError as e:
         raise DataError(f"{args.metrics_csv}: not a text file: {e}") from None
-    parsed = metrics_mod.parse_report_csv(text)
-    per_model = {
-        model: metrics_mod.MetricSet(**{f: vals.get(name, float("nan"))
-                                        for name, f in metrics_mod.METRIC_FIELDS.items()})
-        for model, vals in parsed.items()}
+    per_model = metrics_mod.parse_report_csv(text)
     text = metrics_mod.render_report_text(per_model, args.title)
     if args.out:
         atomic_write_text(args.out, text)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import os
 import re
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +39,10 @@ CSV_NORM_TOL = 1e-3        # loader re-normalises deviations up to this
 
 def atomic_write_text(path, text):
     """Write text to path via a temp file + rename so readers never see
-    a partial file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    a partial file. The temp file takes mode 0o666 less the umask, as a
+    file that open() creates does."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericError, SingleClass
-from .models import MODEL_KINDS
 
 # each report metric's name -> its MetricSet field, in report row order
 METRIC_FIELDS = {"Accuracy": "accuracy", "Sensitivity": "sensitivity",
@@ -194,17 +193,10 @@ def _fmt_pct(v):
     return "n/a" if np.isnan(v) else f"{100.0 * v:.1f}"
 
 
-def _ordered_models(per_model):
-    """The report's columns: the model kinds' names in table order, then
-    any other names in the order given."""
-    known = [k.name for k in MODEL_KINDS.values()]
-    return ([m for m in known if m in per_model]
-            + [m for m in per_model if m not in known])
-
-
 def render_report_text(per_model, title):
-    """Fixed-width table: metric rows in report order, one column per model."""
-    names = _ordered_models(per_model)
+    """Fixed-width table: metric rows in report order, one column per
+    model in the order given."""
+    names = list(per_model)
     width = max([len(m) for m in METRIC_FIELDS] + [10])
     cols = [max(len(n), 5) for n in names]
     lines = [title, ""]
@@ -219,11 +211,12 @@ def render_report_text(per_model, title):
 
 
 def render_report_csv(per_model):
-    """Long-form CSV `metric,model,value_percent`; undefined cells are empty."""
+    """Long-form CSV `metric,model,value_percent`, models in the order
+    given; undefined cells are empty."""
     buf = io.StringIO()
     buf.write("metric,model,value_percent\n")
     for metric in METRIC_FIELDS:
-        for name in _ordered_models(per_model):
+        for name in per_model:
             v = per_model[name].by_name()[metric]
             cell = "" if np.isnan(v) else f"{100.0 * v:.1f}"
             buf.write(f"{metric},{name},{cell}\n")
@@ -231,10 +224,11 @@ def render_report_csv(per_model):
 
 
 def parse_report_csv(text):
-    """Inverse of render_report_csv: {model: {metric: fraction or nan}}. A
-    row that is not three fields ending in a number or an empty cell, names
-    a metric outside METRIC_FIELDS, or repeats a (metric, model) pair
-    raises DataError naming its line."""
+    """Inverse of render_report_csv: {model: MetricSet}, models in the
+    order they first appear, with NaN for an empty cell or a missing row.
+    A row that is not three fields ending in a number or an empty cell,
+    names a metric outside METRIC_FIELDS, or repeats a (metric, model)
+    pair raises DataError naming its line."""
     lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != "metric,model,value_percent":
         raise DataError("report CSV must start with metric,model,value_percent")
@@ -253,4 +247,6 @@ def parse_report_csv(text):
         if metric in values:
             raise DataError(f"report CSV line {n}: a second {metric} for {model!r}")
         values[metric] = value
-    return out
+    return {model: MetricSet(**{f: values.get(name, float("nan"))
+                                for name, f in METRIC_FIELDS.items()})
+            for model, values in out.items()}

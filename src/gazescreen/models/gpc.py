@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import DataError, InvalidSpec, NumericError
 from ..kernels import mean_variance, squared_distances, squared_norms
 from ..settings import Settings, takes
-from .base import FeatureMatrix, FittedModel, arr, as_rows
+from .base import FeatureMatrix, FittedModel, arr, as_rows, require_finite
 
 _JITTER = 1e-8
 # Test rows per block of `GpcModel.latent`. BLAS rounds a product by its
@@ -123,12 +123,10 @@ def _posterior_mode(K, ypm, tol, cap):
 
 class _Evaluation(NamedTuple):
     """One Laplace evaluation at theta: the log marginal likelihood, its
-    gradient, the mode f_hat, the Cholesky factor L of B at the mode and
-    the Newton steps the mode took."""
+    gradient, the mode f_hat and the Newton steps the mode took."""
     lml: float
     grad: np.ndarray
     f_hat: np.ndarray
-    L: np.ndarray
     newton_steps: int
 
 
@@ -143,7 +141,7 @@ def gpc_lml_and_grad(theta, X, ypm, newton_tol=1e-10, newton_cap=100):
 
 
 def _evaluate(theta, X, ypm, newton_tol, newton_cap):
-    """`gpc_lml_and_grad`, keeping the mode and factor it computed."""
+    """`gpc_lml_and_grad`, keeping the mode it computed."""
     from scipy.linalg import cho_solve, solve_triangular
 
     theta = np.asarray(theta, dtype=float)
@@ -169,18 +167,17 @@ def _evaluate(theta, X, ypm, newton_tol, newton_cap):
         bvec = dK @ grad_ll
         s3 = bvec - K @ (R @ bvec)
         grad[j] = s1 + s2 @ s3
-    return _Evaluation(float(lml), grad, f, L, steps)
+    return _Evaluation(float(lml), grad, f, steps)
 
 
 class GpcModel(FittedModel):
     kind = "GPC"
     threshold = 0.0  # decision_score is the probit-scaled latent mean
 
-    def __init__(self, n_features, X_train, y_train, f_hat, theta, converged=True, *,
-                 L=None):
-        """Keeps the prediction terms at the mode; L, when the fit already
-        factored B at this mode and theta, is that factor. A factor holding
-        NaN or inf raises ValueError, so `latent` need not check it per block."""
+    def __init__(self, n_features, X_train, y_train, f_hat, theta, converged=True):
+        """Keeps the prediction terms at the mode, with the Cholesky factor
+        L of B there. A NaN or inf in X_train, f_hat, theta or L raises
+        ValueError, so `latent` need not check L per block."""
         from scipy.special import expit
 
         super().__init__(n_features)
@@ -189,14 +186,14 @@ class GpcModel(FittedModel):
         self.f_hat = arr(f_hat)
         self.theta = arr(theta)
         self.converged = bool(converged)
+        require_finite(X_train=self.X_train, f_hat=self.f_hat, theta=self.theta)
         ypm = 2.0 * self.y_train - 1.0
         pi = expit(self.f_hat)
         self._grad_ll = 0.5 * (ypm + 1.0) - pi
         self._sw = np.sqrt(pi * (1.0 - pi))
-        if L is None:
-            sq = squared_distances(self.X_train, self.X_train)
-            K = _kernel_from_theta(sq, self.theta, out=sq)
-            L = _chol_with_jitter(np.eye(len(K)) + (self._sw[:, None] * K) * self._sw[None, :])
+        sq = squared_distances(self.X_train, self.X_train)
+        K = _kernel_from_theta(sq, self.theta, out=sq)
+        L = _chol_with_jitter(np.eye(len(K)) + (self._sw[:, None] * K) * self._sw[None, :])
         if not np.isfinite(L).all():
             raise ValueError("GPC: the factor of B must not contain infs or NaNs")
         self._L = L
@@ -248,7 +245,7 @@ def fit_gpc(fm: FeatureMatrix, hp: GpcParams = None, seed: int = 0):
 
     The last evaluation is kept, keyed by the bytes of its theta: when
     L-BFGS-B returns the theta it evaluated last, that evaluation's mode
-    and factor are the final ones, bit for bit, and are not recomputed.
+    is the final one, bit for bit, and is not recomputed.
     `meta` records theta, the evaluations, the Newton steps and whether
     theta ended on a bound.
 
@@ -291,13 +288,13 @@ def fit_gpc(fm: FeatureMatrix, hp: GpcParams = None, seed: int = 0):
 
     ev = last.get(theta.tobytes())
     if ev is not None:
-        f_hat, L = ev.f_hat, ev.L
+        f_hat = ev.f_hat
     else:
         K = _kernel_from_theta(squared_distances(fm.X, fm.X), theta)
-        f_hat, _, _, _, L, _, steps = _posterior_mode(K, ypm, hp.newton_tol,
+        f_hat, _, _, _, _, _, steps = _posterior_mode(K, ypm, hp.newton_tol,
                                                      hp.max_iter_predict)
         newton_steps += steps
-    model = GpcModel(fm.d, fm.X.copy(), fm.y.copy(), f_hat, theta, converged, L=L)
+    model = GpcModel(fm.d, fm.X.copy(), fm.y.copy(), f_hat, theta, converged)
     model.meta = {"hyperparams": {**asdict(hp), "theta0": None if hp.theta0 is None else list(hp.theta0)},
                   "seed": seed, "theta": [float(v) for v in theta],
                   "n_lml_evals": n_evals, "newton_steps": newton_steps,

@@ -1,7 +1,7 @@
 """End-to-end experiment orchestration: simulate or load data, split,
-weight, fit every requested model, evaluate, and render the report table,
-with a manifest recording config, seeds, content hashes, stage timings and
-the host.
+weight, fit every requested model (or load saved ones), evaluate, and
+render the report table, with a manifest recording config, seeds, content
+hashes, stage timings and the host.
 
 Models are fitted one after another and fully seeded; a random forest
 grows its trees on the CPUs this process may use (`forked`), with the same
@@ -38,7 +38,7 @@ from .data import (
     split,
     stratified_cap,
 )
-from .errors import DataError, GazeScreenError, InvalidSpec, PipelineError, SingleClass
+from .errors import GazeScreenError, InvalidSpec, PipelineError, SingleClass
 from .models import MODEL_KINDS, FeatureMatrix, load_model, model_kind
 from .novelty import (
     IsoForestParams,
@@ -395,11 +395,9 @@ def run_experiment(cfg, ds=None):
         # here, before any model is fitted
         for kind in cfg.models:
             if MODEL_KINDS[kind].weighting == "balanced-subset":
-                try:
-                    require_per_class(train_ds, _balanced_per_class(kind, cfg))
-                except DataError as e:
-                    raise PipelineError("weight", f"model {kind}", e) from e
-        per_model = {}
+                run.stage("weight", f"model {kind}", require_per_class,
+                          train_ds, _balanced_per_class(kind, cfg))
+        per_kind = {}
         model_paths = {}
         model_info = {}
         for kind in cfg.models:
@@ -409,13 +407,11 @@ def run_experiment(cfg, ds=None):
                               fit_model, kind, fm, cfg.hyperparams[kind], cfg.seed)
             model_paths[kind] = run.stage("save", f"model {kind}", run.save_model,
                                           model, f"models/{kind}.json")
-            per_model[MODEL_KINDS[kind].name] = run.stage(
-                "evaluate", f"model {kind}", evaluate_model, model, test_ds)
+            per_kind[kind] = run.stage("evaluate", f"model {kind}",
+                                       evaluate_model, model, test_ds)
             model_info[kind] = {**info, "fit": fit_diagnostics(kind, model)}
-        title = f"Evaluation on held-out test frames ({cfg.test_kind})"
-        txt_path, csv_path = run.stage("report", f"{len(per_model)} models", lambda: (
-            run.write("report.txt", metrics_mod.render_report_text(per_model, title)),
-            run.write("report.csv", metrics_mod.render_report_csv(per_model))))
+        per_model, txt_path, csv_path = _report(
+            run, per_kind, f"Evaluation on held-out test frames ({cfg.test_kind})")
         manifest_path = run.finish(
             config=asdict(cfg),
             data={
@@ -452,21 +448,58 @@ def fit_diagnostics(label, model):
     return diag
 
 
-def evaluate_saved_models(model_paths, test_ds):
-    """Re-evaluate serialised models on a dataset; returns {display: MetricSet}.
-    The report has one column per kind, so a second file of a kind raises
-    InvalidSpec."""
-    per_model, paths = {}, {}
-    for path in model_paths:
-        model = load_model(path)
-        if model.kind in paths:
-            raise InvalidSpec(f"{paths[model.kind]} and {path} are both {model.kind} models")
-        paths[model.kind] = path
-        per_model[MODEL_KINDS[model.kind].name] = evaluate_model(model, test_ds)
-    return per_model
+def run_evaluation(model_paths, test_ds, source, outdir):
+    """Load each model file, score it on `test_ds` (read from `source`)
+    and write the report and a manifest to `outdir`. Returns an
+    ExperimentResult. The report has one column per kind, so a second
+    file of a kind raises InvalidSpec."""
+    with _Run(outdir, "evaluate") as run:
+        per_kind, paths = {}, {}
+        for path in model_paths:
+            model = run.stage("load", os.path.basename(path), load_model, path)
+            if model.kind in paths:
+                raise InvalidSpec(f"{paths[model.kind]} and {path} are both {model.kind} models")
+            paths[model.kind] = path
+            per_kind[model.kind] = run.stage("evaluate", f"model {model.kind}",
+                                             evaluate_model, model, test_ds)
+        per_model, txt_path, csv_path = _report(
+            run, per_kind, f"Evaluation on {os.path.basename(source)} ({test_ds.test_kind})")
+        manifest_path = run.finish(data={"source": source, "frames": len(test_ds)},
+                                   models=paths)
+        return ExperimentResult(per_model, txt_path, csv_path, manifest_path, paths)
+
+
+def _report(run, per_kind, title):
+    """Name each kind's MetricSet in `per_kind`, in MODEL_KINDS order (the
+    report's columns), and write report.txt and report.csv in one `report`
+    stage; returns ({display name: MetricSet}, txt path, csv path)."""
+    per_model = {entry.name: per_kind[kind] for kind, entry in MODEL_KINDS.items()
+                 if kind in per_kind}
+    txt_path, csv_path = run.stage("report", f"{len(per_model)} models", lambda: (
+        run.write("report.txt", metrics_mod.render_report_text(per_model, title)),
+        run.write("report.csv", metrics_mod.render_report_csv(per_model))))
+    return per_model, txt_path, csv_path
 
 
 # -- novelty runner -----------------------------------------------------------------
+
+def _novelty_sets(train_ds, test_ds, cfg):
+    """The training pool, at most `cfg.novelty_train` control frames of the
+    training split, then the regular and novel test sets, at most
+    `cfg.novelty_test_per_class` frames of each class of the test split,
+    drawn in that order from one generator seeded with `cfg.seed`. An
+    empty class raises SingleClass."""
+    rng = np.random.default_rng(cfg.seed)
+    drawn = []
+    for ds, label, size, name in ((train_ds, 0, cfg.novelty_train, "training"),
+                                  (test_ds, 0, cfg.novelty_test_per_class, "test"),
+                                  (test_ds, 1, cfg.novelty_test_per_class, "test")):
+        idx = np.nonzero(ds.labels == label)[0]
+        if idx.size == 0:
+            raise SingleClass(f"no class-{label} frames in the {name} split")
+        drawn.append(ds.subset(rng.choice(idx, size=min(size, idx.size), replace=False)))
+    return drawn
+
 
 def run_novelty(cfg, ds=None):
     """Fit control-only detectors per eye channel and export boundary grids.
@@ -482,26 +515,8 @@ def run_novelty(cfg, ds=None):
             ds = run.stage("acquire", f"novelty cohort {cfg.test_kind}", _acquire, cfg)
         train_ds, _, test_ds = run.stage("split", f"{len(ds)} frames",
                                          split, ds, cfg.split_config())
-        rng = np.random.default_rng(cfg.seed)
-        # novelty detectors train on regular (control) frames only
-        pool_idx = np.nonzero(train_ds.labels == 0)[0]
-        if pool_idx.size == 0:
-            raise PipelineError("novelty-train", "control pool",
-                                SingleClass("no control frames to train on"))
-        take = min(cfg.novelty_train, pool_idx.size)
-        train_pool = train_ds.subset(rng.choice(pool_idx, size=take, replace=False))
-
-        per_class = cfg.novelty_test_per_class
-        n0, n1 = test_ds.class_counts()
-        test_parts = []
-        for c, avail in ((0, n0), (1, n1)):
-            k = min(per_class, avail)
-            if k == 0:
-                raise PipelineError("novelty-test", f"class {c}",
-                                    SingleClass(f"no class-{c} frames in the test split"))
-            test_parts.append(test_ds.subset(
-                rng.choice(np.nonzero(test_ds.labels == c)[0], size=k, replace=False)))
-        test_reg, test_nov = test_parts
+        train_pool, test_reg, test_nov = run.stage(
+            "sample", "training pool and test sets", _novelty_sets, train_ds, test_ds, cfg)
 
         grid_paths = []
         fits, grids = {}, {}

@@ -105,6 +105,8 @@ class SessionSpec(Settings):
             self.metronome_bpm = 180.0 if self.test_kind == "SP" else 50.0
         if self.impairment is None:
             self.impairment = ImpairmentParams.for_label(self.label)
+        elif not isinstance(self.impairment, ImpairmentParams):
+            raise InvalidSpec(f"impairment must be an ImpairmentParams, got {self.impairment!r}")
         if not self.session_id:
             self.session_id = f"{self.test_kind}-{self.label}-{self.seed}"
         # one half sweep per beat: need at least ~Nyquist sampling of the sweep

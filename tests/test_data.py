@@ -2,6 +2,8 @@
 import csv
 import io
 import math
+import os
+import stat
 import tempfile
 
 import numpy as np
@@ -482,3 +484,16 @@ def test_cohort_concatenation_is_valid():
     assert len(set(ds.session_ids)) == 5
     # constructor invariants all hold on the concatenation
     GazeDataset(ds.features, ds.labels, ds.session_ids, "VMS")
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_file_mode_follows_the_umask(tmp_path, umask, mode):
+    # a report, model file or cohort CSV is as readable as any file the
+    # user creates, and the temp file it was written through is gone
+    old = os.umask(umask)
+    try:
+        data_mod.atomic_write_text(str(tmp_path / "report.csv"), "metric,model,value_percent\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "report.csv").st_mode) == mode
+    assert os.listdir(tmp_path) == ["report.csv"]

@@ -155,10 +155,16 @@ class TestScorers:
             gpc.decision_score(X)
 
     def test_gpc_rejects_non_finite_factor(self, gpc):
-        L = gpc._L.copy()
-        L[3, 1] = np.nan
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            GpcModel(gpc.n_features, gpc.X_train, gpc.y_train, gpc.f_hat, gpc.theta, L=L)
+        # a NaN or inf parameter is refused before it reaches the factor of B
+        for name in ("X_train", "f_hat", "theta"):
+            params = {k: getattr(gpc, k).copy() for k in ("X_train", "f_hat", "theta")}
+            params[name].flat[1] = np.inf
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                GpcModel(gpc.n_features, y_train=gpc.y_train, **params)
+        # a finite amplitude too large for exp() gives a factor that is not finite
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="infs or NaNs"):
+            GpcModel(gpc.n_features, gpc.X_train, gpc.y_train, gpc.f_hat, [0.0, 400.0])
 
     def test_no_rows(self, svc, ocsvm, gpc):
         assert svc.decision_score(np.empty((0, 14))).shape == (0,)

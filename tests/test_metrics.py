@@ -186,15 +186,18 @@ def test_report_round_trip_and_order():
     text = render_report_text(per_model, "demo")
     lines = text.splitlines()
     header = lines[2]
-    # canonical column order regardless of insertion order
-    assert header.index("Random Forest") < header.index("Naive Bayes") < header.index("SVM")
+    # the columns keep the order they are given in; the pipeline orders them
+    assert header.index("Naive Bayes") < header.index("Random Forest") < header.index("SVM")
     assert [ln.split()[0] for ln in lines[4:10]] == [
         "Accuracy", "Sensitivity", "Specificity", "Precision", "F1-score", "AUC"]
     csv_text = render_report_csv(per_model)
     parsed = parse_report_csv(csv_text)
+    assert list(parsed) == list(per_model)
     for name, ms in per_model.items():
-        for metric, v in ms.by_name().items():
-            assert parsed[name][metric] == pytest.approx(v, abs=0.0005)
+        assert parsed[name].by_name() == pytest.approx(ms.by_name(), abs=0.0005)
+    # what it parses renders the same table and CSV again
+    assert render_report_text(parsed, "demo") == text
+    assert render_report_csv(parsed) == csv_text
 
 
 def test_report_shows_na_for_undefined():
@@ -202,7 +205,11 @@ def test_report_shows_na_for_undefined():
     text = render_report_text(per_model, "t")
     assert "n/a" in text
     parsed = parse_report_csv(render_report_csv(per_model))
-    assert np.isnan(parsed["Naive Bayes"]["Sensitivity"])
+    assert np.isnan(parsed["Naive Bayes"].sensitivity)
+    # a missing row reads as undefined too
+    parsed = parse_report_csv("metric,model,value_percent\nAUC,SVM,99.5\n")
+    assert parsed["SVM"].auc == pytest.approx(0.995)
+    assert np.isnan(parsed["SVM"].accuracy)
 
 
 @pytest.mark.parametrize("row, message", [

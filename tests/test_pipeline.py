@@ -31,10 +31,10 @@ from gazescreen.novelty import OcsvmParams, load_boundary_grid
 from gazescreen.pipeline import (
     OUTDIR_ENV_VAR,
     RunConfig,
-    evaluate_saved_models,
     make_params,
     reproduce,
     run_config_from_ini,
+    run_evaluation,
     run_experiment,
     run_novelty,
     synthesize_cohort,
@@ -275,7 +275,7 @@ def test_model_file_params_are_the_constructor_arguments(kind, all_kinds):
 
 
 @pytest.mark.parametrize("kind, key, value", [
-    ("GPC", "L", [[1.0]]),           # GPC's fit-time factor, not a file key
+    ("GPC", "L", [[1.0]]),           # GPC's factor of B, which its constructor computes
     ("LR", "bias", 0.0),
     ("DT", "depth", [1]),
 ])
@@ -401,11 +401,14 @@ def test_experiment_report_parses_back(exp):
     cfg, res = exp
     with open(res.report_csv_path) as fh:
         parsed = parse_report_csv(fh.read())
-    assert set(parsed) == set(res.per_model)
-    for name, vals in parsed.items():
+    # the columns follow MODEL_KINDS, not the order of cfg.models (NB, DT)
+    assert list(parsed) == list(res.per_model) == ["Decision Tree", "Naive Bayes"]
+    with open(res.report_txt_path) as fh:
+        header = fh.read().splitlines()[2]
+    assert header.index("Decision Tree") < header.index("Naive Bayes")
+    for name, ms in parsed.items():
         # the CSV keeps one decimal of percent, so half of 0.1 pp in fraction
-        assert vals["Accuracy"] == pytest.approx(
-            res.per_model[name].accuracy, abs=5e-4)
+        assert ms.accuracy == pytest.approx(res.per_model[name].accuracy, abs=5e-4)
 
 
 def test_experiment_manifest(exp):
@@ -500,15 +503,18 @@ def test_experiment_deterministic(exp, tmp_path):
         assert fh.read() == first
 
 
-def test_evaluate_saved_models_matches(exp):
+def test_evaluate_saved_models_matches(exp, tmp_path):
     cfg, res = exp
     ds = synthesize_cohort(cfg)
     _, _, test_ds = split(ds, cfg.split_config())
-    again = evaluate_saved_models(sorted(res.model_paths.values()), test_ds)
-    assert again == res.per_model
+    again = run_evaluation(sorted(res.model_paths.values()), test_ds, "test split",
+                           str(tmp_path))
+    assert again.per_model == res.per_model
+    with open(again.report_csv_path) as fh, open(res.report_csv_path) as ref:
+        assert fh.read() == ref.read()
 
 
-def test_evaluate_scores_each_model_once(exp, monkeypatch):
+def test_evaluate_scores_each_model_once(exp, monkeypatch, tmp_path):
     cfg, res = exp
     calls = []
     original = FittedModel.decision_score
@@ -520,8 +526,9 @@ def test_evaluate_scores_each_model_once(exp, monkeypatch):
     monkeypatch.setattr(FittedModel, "decision_score", counted)
     ds = synthesize_cohort(cfg)
     _, _, test_ds = split(ds, cfg.split_config())
-    again = evaluate_saved_models(sorted(res.model_paths.values()), test_ds)
-    assert again == res.per_model
+    again = run_evaluation(sorted(res.model_paths.values()), test_ds, "test split",
+                           str(tmp_path))
+    assert again.per_model == res.per_model
     assert sorted(calls) == sorted(cfg.models)
 
 
@@ -535,7 +542,47 @@ def test_evaluate_refuses_two_files_of_a_kind(exp, tmp_path):
         shutil.copy(res.model_paths["DT"], models / name)
     _, _, test_ds = split(synthesize_cohort(cfg), cfg.split_config())
     with pytest.raises(InvalidSpec, match=r"DT\.json and .*DT_old\.json are both DT"):
-        evaluate_saved_models(sorted(str(p) for p in models.iterdir()), test_ds)
+        run_evaluation(sorted(str(p) for p in models.iterdir()), test_ds, "test split",
+                       str(tmp_path / "out"))
+    assert os.listdir(tmp_path / "out") == []
+
+
+def test_evaluate_manifest(exp, tmp_path, capsys):
+    cfg, res = exp
+    csv = tmp_path / "cohort.csv"
+    write_csv(synthesize_cohort(cfg), str(csv))
+    models_dir = os.path.dirname(res.model_paths["DT"])
+    out = tmp_path / "ev"
+    assert cli_main(["evaluate", "--data", str(csv), "--models-dir", models_dir,
+                     "--out-dir", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == (out / "report.txt").read_text()
+    assert printed.startswith("Evaluation on cohort.csv (SP)\n")
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["command"] == "evaluate"
+    assert [(s["stage"], s["label"]) for s in man["stages"]] == [
+        ("load", "DT.json"), ("evaluate", "model DT"),
+        ("load", "NB.json"), ("evaluate", "model NB"), ("report", "2 models")]
+    assert man["models"] == {"DT": res.model_paths["DT"], "NB": res.model_paths["NB"]}
+    assert man["data"] == {"source": str(csv), "frames": 4 * 1800}
+    assert set(man["outputs"]) == {"report.txt", "report.csv"}
+    for name, digest in man["outputs"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_failed_evaluate_leaves_no_outputs(exp, tmp_path, capsys):
+    # report.txt is written, then report.csv cannot be: a directory has its name
+    cfg, res = exp
+    csv = tmp_path / "cohort.csv"
+    write_csv(synthesize_cohort(cfg), str(csv))
+    out = tmp_path / "ev"
+    (out / "report.csv").mkdir(parents=True)
+    assert cli_main(["evaluate", "--data", str(csv),
+                     "--models-dir", os.path.dirname(res.model_paths["DT"]),
+                     "--out-dir", str(out)]) == 3
+    assert _one_error_line(capsys.readouterr().err, "evaluate")
+    assert os.listdir(out) == ["report.csv"]
+    assert os.listdir(out / "report.csv") == []
 
 
 def test_failed_train_leaves_no_outputs(tmp_path, capsys):
@@ -626,7 +673,7 @@ def test_novelty_manifest(nov):
                            "test_novel": 50}
     assert len(man["outputs"]) == 6
     assert {s["stage"] for s in man["stages"]} == {
-        "acquire", "split", "novelty-fit", "novelty-grid", "grid-write"}
+        "acquire", "split", "sample", "novelty-fit", "novelty-grid", "grid-write"}
     assert sum(s["stage"] == "grid-write" for s in man["stages"]) == 6
     fits = man["fits"]
     assert set(fits) == {f"{m} {e}" for m in ("iforest", "ocsvm")
@@ -682,8 +729,9 @@ def test_novelty_needs_control_frames(tmp_path):
     assert test_ds.class_counts()[0] == 1
     with pytest.raises(PipelineError) as ei:
         run_novelty(cfg, ds)
-    assert ei.value.stage == "novelty-train"
+    assert ei.value.stage == "sample"
     assert isinstance(ei.value.cause, SingleClass)
+    assert str(ei.value.cause) == "no class-0 frames in the training split"
 
 
 def test_novelty_unknown_method(tmp_path):

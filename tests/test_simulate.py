@@ -121,6 +121,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             ImpairmentParams(noise_deg=45.0)
 
+    @pytest.mark.parametrize("impairment", [5, {"latency_s": 0.1}, "control"])
+    def test_impairment_must_be_a_record(self, impairment):
+        # simulate_session would otherwise die reading its latency_s
+        with pytest.raises(InvalidSpec, match="impairment must be an ImpairmentParams"):
+            SessionSpec("SP", impairment=impairment)
+
 
 class TestEyeModel:
     def test_clean_session_tracks_exactly(self):

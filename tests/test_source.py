@@ -181,6 +181,48 @@ def test_checker_sees_an_unread_definition():
         "recursive", "Exported", "UNREAD", "GROWN", "GROWN"]
 
 
+def pipeline_error_calls(tree):
+    """(scope, line) of each `PipelineError(...)` call under tree, where
+    scope names the definitions around it, `Class.method` or `function`,
+    and is "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _DEFINITIONS):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call) and "PipelineError" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_pipeline_error_made_only_by_run_stage():
+    """Which stage a failure belongs to is decided in one place: the only
+    code that makes a PipelineError is `pipeline._Run.stage`, which wraps
+    whatever its stage raises."""
+    sites = [(str(path.relative_to(SRC)), scope, line) for path in MODULES
+             for scope, line in pipeline_error_calls(ast.parse(path.read_text()))]
+    assert [site[:2] for site in sites] == [("pipeline.py", "_Run.stage")], sites
+
+
+def test_checker_sees_a_pipeline_error_outside_the_stage():
+    tree = ast.parse(
+        "class _Run:\n"
+        "    def stage(self):\n        raise PipelineError(1, 2, 3)\n"
+        "    def other(self):\n        raise errors.PipelineError(1, 2, 3)\n"
+        "def run():\n    def inner():\n        return PipelineError\n"
+        "    raise PipelineError(4, 5, 6)\n"
+        "err = PipelineError(7, 8, 9)\n"
+        "class PipelineError(Exception):\n    pass\n")
+    assert pipeline_error_calls(tree) == [
+        ("_Run.stage", 3), ("_Run.other", 5), ("run", 9), ("", 10)]
+
+
 def defaulted_parameters(tree):
     """(callee, parameter, position, line) of each parameter with a default
     of each function and method under tree. A call names its callee by its
