@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..settings import Settings
-from .base import FeatureMatrix, FittedModel
+from .base import FeatureMatrix, FittedModel, require_finite
 
 
 @dataclass
@@ -480,8 +480,8 @@ def grow_tree(X, y, w, hp):
     return CartGrower(X, y, hp).grow(w)[0]
 
 
-# rows per chunk are chosen so one (trees x rows) int64 array of the walk is
-# 256 KB: on a 2-core Xeon (4 MB L2) 1 MB chunks scored a 100-tree forest
+# rows per chunk of the walk are chosen so one (trees x rows) int64 array of
+# it is 256 KB: on a 2-core Xeon (4 MB L2) 1 MB chunks scored a 100-tree forest
 # 1.4x slower, and 64 KB chunks paid more in per-step overhead
 _CHUNK_CELLS = 1 << 15
 # most entries (cells plus cumulative counts) of the cell tables of one
@@ -509,31 +509,20 @@ class _CellTables(NamedTuple):
     base: np.ndarray
     cells: np.ndarray
 
-    def values(self, X):
-        """(trees, rows) leaf value of every row of X in every tree. A value
-        is above a threshold it exceeds (`side="left"`, which keeps a value
-        equal to one on that threshold's `<=` side) and NaN above all."""
-        idx = self.base[:, None]
-        for c, (lines, counts) in enumerate(zip(self.lines, self.counts)):
-            idx = idx + counts[:, np.searchsorted(lines, X[:, c], side="left")]
-        return self.cells[idx]
-
-    def grid_total(self, xs, ys):
-        """(len(ys), len(xs)) sum over the trees, in tree order, of the leaf
-        value of each grid point (x, y): the `values` of the grid's rows,
-        summed as `FlatEnsemble.sum` sums them.
-
-        A point's cell offset is its tree's base plus an x offset (column
-        0's counts) plus a y offset (column 1's, when some tree splits on
-        it), so each tree's grid is one gather of its cells."""
-        ox = np.zeros((len(self.base), len(xs)), dtype=np.int64)
-        oy = np.repeat(self.base[:, None], len(ys), axis=1)
-        for offsets, lines, counts, v in zip((ox, oy), self.lines, self.counts, (xs, ys)):
-            offsets += counts[:, np.searchsorted(lines, v, side="left")]
-        total = np.zeros((len(ys), len(xs)))
+    def total(self, X):
+        """Per-row sum of the leaf values of X's rows over the trees, in
+        tree order, as the walk adds them. A value is above a threshold it
+        exceeds (`side="left"`, which keeps a value equal to one on that
+        threshold's `<=` side) and NaN above all; a row's cell in tree t is
+        base[t] plus its offset on each column."""
+        at = [np.searchsorted(lines, X[:, c], side="left") for c, lines in enumerate(self.lines)]
+        out = np.zeros(len(X))
         for t in range(len(self.base)):
-            total += self.cells[oy[t][:, None] + ox[t]]
-        return total
+            idx = self.base[t]
+            for counts, a in zip(self.counts, at):
+                idx = idx + counts[t].take(a)
+            out += self.cells.take(idx)
+        return out
 
 
 class FlatEnsemble:
@@ -605,24 +594,20 @@ class FlatEnsemble:
         return leaf.reshape(len(self.roots), n)
 
     def sum(self, X):
-        """Per-row sum of the leaf values over the trees, in tree order, in
-        row chunks that keep memory flat. The leaf values come from the
-        cell tables when the ensemble has them (`_cell_tables`), and from
-        the walk (`leaves`) otherwise; both give every row the same
-        leaves."""
+        """Per-row sum of the leaf values over the trees, in tree order. The
+        cell tables add them when the ensemble has them (`_cell_tables`);
+        otherwise the walk (`leaves`) finds them, in row chunks that keep
+        memory flat. Both give every row the same leaves."""
         X = np.asarray(X, dtype=float)
         tables = self._cell_tables()
+        if tables is not None:
+            self._require_columns(X.shape[1])
+            return tables.total(X)
         out = np.zeros(len(X))
         step = max(1, _CHUNK_CELLS // len(self.roots))
         for lo in range(0, len(X), step):
-            chunk = X[lo:lo + step]
-            if tables is None:
-                per_tree = self.value[self.leaves(chunk)]
-            else:
-                self._require_columns(chunk.shape[1])
-                per_tree = tables.values(chunk)
             acc = out[lo:lo + step]
-            for vals in per_tree:
+            for vals in self.value[self.leaves(X[lo:lo + step])]:
                 acc += vals
         return out
 
@@ -719,10 +704,11 @@ def checked_trees(trees, n_features):
     """The node arrays of each of `trees`, dicts that hold the arrays
     `grow_tree` returns in any array-like form and no other key. Raise
     ValueError unless every tree's node arrays are one-dimensional, of one
-    non-zero length, every feature is in [-1, n_features), and the
-    children of inner node i are in (i, n_nodes) while those of a leaf are
-    -1. Preorder numbers keep every child after its parent, so a tree that
-    passes has no cycle and every walk from its root ends at a leaf."""
+    non-zero length, every threshold, p1 and node_weight is finite, every
+    feature is in [-1, n_features), and the children of inner node i are in
+    (i, n_nodes) while those of a leaf are -1. Preorder numbers keep every
+    child after its parent, so a tree that passes has no cycle and every
+    walk from its root ends at a leaf."""
     for t in trees:
         if set(t) - set(_NODE_DTYPES):
             raise ValueError(f"tree nodes hold key(s) {sorted(set(t) - set(_NODE_DTYPES))}")
@@ -732,6 +718,8 @@ def checked_trees(trees, n_features):
         if n == 0 or any(v.shape != (n,) for v in trees[t].values()):
             raise ValueError(f"tree {t}: node arrays must be one-dimensional, "
                              "non-empty and of equal length")
+    require_finite(**{k: np.concatenate([t[k] for t in trees])
+                      for k in ("threshold", "p1", "node_weight")})
     feature = np.concatenate([t["feature"] for t in trees])
     bad = feature[(feature < -1) | (feature >= n_features)]
     if bad.size:

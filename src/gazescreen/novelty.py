@@ -6,7 +6,8 @@ positive = regular, negative = novel. For the one-class SVM this is its
 native decision function f(x) = sum_i alpha_i k(x_i, x) - rho; for the
 isolation forest it is 0.5 - anomaly_score, since 0.5 is the score of a
 point whose expected path length matches the average for the subsample
-size.
+size. The boundary grid scores its cells as points, through the same
+``boundary_score`` as its scattered points.
 """
 from __future__ import annotations
 
@@ -186,29 +187,10 @@ class IsolationForestModel:
         return self._paths.sum(X) / len(self.trees)
 
     def anomaly_score(self, X):
-        return self._anomaly(self.expected_path_length(X))
-
-    def _anomaly(self, eh):
-        return np.power(2.0, -eh / self._c_psi)
+        return np.power(2.0, -self.expected_path_length(X) / self._c_psi)
 
     def boundary_score(self, X):
         return 0.5 - self.anomaly_score(X)
-
-    def grid_scores(self, xs, ys):
-        """`boundary_score` of the grid xs x ys (`grid_cells`) as a
-        (len(ys), len(xs)) array; returns (scores, sizes).
-
-        A two-column forest with cell tables reads the grid from them
-        (`_CellTables.grid_total`), which adds the leaf values the walk
-        would reach in the walk's order; any other forest scores the
-        grid's rows, and raises DataError unless it has two
-        columns. `sizes["scored_by"]` says which ("tables" or "walk")."""
-        tables = self._paths._cell_tables() if self.n_features == 2 else None
-        if tables is None:
-            eh = self.expected_path_length(grid_cells(xs, ys)).reshape(len(ys), len(xs))
-        else:
-            eh = tables.grid_total(xs, ys) / len(self.trees)
-        return 0.5 - self._anomaly(eh), {"scored_by": "walk" if tables is None else "tables"}
 
 
 def fit_isolation_forest(X, params: IsoForestParams = None):
@@ -282,11 +264,6 @@ class OneClassSvmModel:
         return out
 
     boundary_score = decision_score
-
-    def grid_scores(self, xs, ys):
-        """`decision_score` of the grid xs x ys (`grid_cells`) as a
-        (len(ys), len(xs)) array; returns (scores, sizes)."""
-        return self.decision_score(grid_cells(xs, ys)).reshape(len(ys), len(xs)), {}
 
 
 def fit_ocsvm(X, params: OcsvmParams = None):
@@ -448,9 +425,10 @@ def export_boundary_grid(model, X_train, X_regular, X_novel, resolution=100):
     plus every point itself, tagged train/regular/novel.
 
     The grid is (x, y): each set has two columns, x then y, and a set of
-    any other width, or holding NaN or inf, raises DataError. The model
-    scores the grid (`grid_scores`); the grid's `sizes` record the cells and points scored
-    and what the model reports of its grid.
+    any other width, or holding NaN or inf, raises DataError. The grid's
+    cells (`grid_cells`) are scored as points, through `boundary_score`
+    as the sets are, so a model of other than two columns raises DataError
+    too; the grid's `sizes` record the cells and points scored.
     """
     if resolution < 2:
         raise InvalidSpec("resolution must be >= 2")
@@ -464,12 +442,12 @@ def export_boundary_grid(model, X_train, X_regular, X_novel, resolution=100):
     xs = np.linspace(lo[0] - pad[0], hi[0] + pad[0], resolution)
     ys = np.linspace(lo[1] - pad[1], hi[1] + pad[1], resolution)
 
-    scores, model_sizes = model.grid_scores(xs, ys)
+    scores = model.boundary_score(grid_cells(xs, ys)).reshape(resolution, resolution)
 
     points = []
     for tag, pts in zip(("train", "regular", "novel"), sets):
         vals = model.boundary_score(pts).tolist()
         px, py = pts.T.tolist()
         points.extend((x, y, v, tag) for x, y, v in zip(px, py, vals))
-    sizes = {"grid_cells": int(scores.size), "points": len(points), **model_sizes}
+    sizes = {"grid_cells": int(scores.size), "points": len(points)}
     return BoundaryGrid(xs, ys, scores, points, sizes)

@@ -1272,7 +1272,12 @@ class TestSerialization:
         ({"left": [3, -1, -1]}, r"node 0 has left child 3"),
         ({"right": [0, -1, -1]}, r"node 0 has right child 0"),
         ({"left": [1, 2, -1]}, r"node 1 has left child 2"),
-        ({"depth": [0, 1, 1]}, r"key\(s\) \['depth'\]")])
+        ({"depth": [0, 1, 1]}, r"key\(s\) \['depth'\]"),
+        ({"threshold": [float("nan"), 0.0, 0.0]}, "threshold must be finite"),
+        ({"threshold": [float("inf"), 0.0, 0.0]}, "threshold must be finite"),
+        ({"p1": [0.5, float("nan"), 1.0]}, "p1 must be finite"),
+        ({"p1": [0.5, 0.0, -float("inf")]}, "p1 must be finite"),
+        ({"node_weight": [2.0, float("inf"), 1.0]}, "node_weight must be finite")])
     def test_bad_tree_nodes_rejected(self, edit, match):
         # a stump on 2 columns with one node array edited, in each tree kind
         nodes = {"feature": [1, -1, -1], "threshold": [0.5, 0.0, 0.0],

@@ -2,6 +2,7 @@
 feasibility, and the boundary-grid export format."""
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from gazescreen.novelty import (
     export_boundary_grid,
     fit_isolation_forest,
     fit_ocsvm,
+    grid_cells,
     load_boundary_grid,
 )
 
@@ -339,13 +341,19 @@ class TestIsolationForest:
 
     @pytest.mark.parametrize("n_rows", [0, 1, 3, 4, 11])
     def test_flat_walk_row_chunks(self, monkeypatch, n_rows):
-        # 3 rows per chunk for the 10-tree forest
+        # 3 rows per chunk of the walk for the 10-tree forest, which walks
+        # over a budget of no table entries and otherwise reads all rows
+        # from its cell tables at once
         monkeypatch.setattr(tree_mod, "_CHUNK_CELLS", 30)
-        model = fit_isolation_forest(cloud(100, seed=7), IsoForestParams(n_trees=10))
+        fitted = fit_isolation_forest(cloud(100, seed=7), IsoForestParams(n_trees=10))
         probe = cloud(n_rows, seed=8)
-        got = model.expected_path_length(probe)
-        assert got.shape == (n_rows,)
-        assert np.array_equal(got, expected_path_length_loop(model, probe))
+        for budget, on_tables in ((tree_mod._TABLE_ENTRIES, True), (0, False)):
+            monkeypatch.setattr(tree_mod, "_TABLE_ENTRIES", budget)
+            model = IsolationForestModel(fitted.trees, fitted.psi, 2)
+            got = model.expected_path_length(probe)
+            assert (model._paths._cell_tables() is not None) == on_tables
+            assert got.shape == (n_rows,)
+            assert np.array_equal(got, expected_path_length_loop(model, probe))
 
     def test_too_few_columns_rejected(self):
         model = fit_isolation_forest(cloud(100, d=3, seed=9), IsoForestParams(n_trees=5))
@@ -521,7 +529,7 @@ class TestOcsvm:
         # a model of `width` columns has no (x, y) grid
         wide = fit_ocsvm(cloud(60, d=width, seed=11), OcsvmParams(nu=0.2))
         with pytest.raises(DataError, match=rf"expected \(n, {width}\) inputs, got \(4, 2\)"):
-            wide.grid_scores(np.zeros(2), np.zeros(2))
+            wide.boundary_score(grid_cells(np.zeros(2), np.zeros(2)))
 
     def test_dual_feasibility(self):
         X = cloud(150, seed=7)
@@ -786,8 +794,7 @@ class TestBoundaryGrid:
         assert same_bits(grid.scores, walk.scores)
         assert grid.points == walk.points
         assert grid.to_csv_text() == walk.to_csv_text()
-        assert grid.sizes == {"grid_cells": resolution ** 2, "points": 490,
-                              "scored_by": "tables"}
+        assert grid.sizes == {"grid_cells": resolution ** 2, "points": 490}
 
     def test_vms_eye_grid_equals_cell_walk(self):
         from gazescreen.simulate import generate_cohort
@@ -826,18 +833,28 @@ class TestBoundaryGrid:
 
 
 def walk_grid_scores(model, xs, ys):
-    """Reference: the boundary scores of the grid's rows from the walk
-    (`walk_sum`), as (len(ys), len(xs))."""
-    total = walk_sum(model._paths, meshgrid_rows(xs, ys))
-    return (0.5 - model._anomaly(total / len(model.trees))).reshape(len(ys), len(xs))
+    """Reference: the boundary scores 0.5 - 2^(-E[h] / c(psi)) of the
+    grid's rows from the walk (`walk_sum`), as (len(ys), len(xs))."""
+    eh = walk_sum(model._paths, meshgrid_rows(xs, ys)) / len(model.trees)
+    return (0.5 - np.power(2.0, -eh / model._c_psi)).reshape(len(ys), len(xs))
 
 
-def hand_forest(trees, n_features):
-    """An isolation forest of hand-built trees in which node i has depth i
-    and size 1, so that a row's path length in a tree is its leaf's index."""
-    trees = [dict(t, depth=np.arange(len(t["feature"])),
-                  size=np.ones(len(t["feature"]), dtype=np.int64)) for t in trees]
-    return IsolationForestModel(trees, 2, n_features)
+def cells_as_points(trees, psi, xs, ys, budget=tree_mod._TABLE_ENTRIES):
+    """A two-column forest of `trees` under a table budget of `budget`
+    entries, the `boundary_score` of the cells of the grid xs x ys
+    (`grid_cells`) as (len(ys), len(xs)), and whether the forest read
+    them from its cell tables."""
+    with mock.patch.object(tree_mod, "_TABLE_ENTRIES", budget):
+        model = IsolationForestModel(trees, psi, 2)
+        scores = model.boundary_score(grid_cells(xs, ys)).reshape(len(ys), len(xs))
+        return model, scores, model._paths._cell_tables() is not None
+
+
+def hand_iso_trees(trees):
+    """Hand-built trees as isolation trees in which node i has depth i and
+    size 1, so that a row's path length in a tree is its leaf's index."""
+    return [dict(t, depth=np.arange(len(t["feature"])),
+                 size=np.ones(len(t["feature"]), dtype=np.int64)) for t in trees]
 
 
 @st.composite
@@ -870,75 +887,66 @@ def painter_inputs(draw):
 
 
 class TestGridPainter:
-    """Isolation-forest grids (`grid_scores`), read from the cell tables or
-    scored through the walk, against the walk of every grid row."""
+    """Isolation-forest grids scored as points (`grid_cells` through
+    `boundary_score`), read from the cell tables or, over a patched-small
+    budget, through the walk, against the walk of every grid row."""
 
     @given(painter_inputs())
     @settings(deadline=None, max_examples=200)
     def test_grid_scores_equal_walk(self, inputs):
-        model, xs, ys = inputs
-        scores, sizes = model.grid_scores(xs, ys)
-        assert same_bits(scores, walk_grid_scores(model, xs, ys))
-        tables = model._paths._cell_tables()
-        assert sizes == {"scored_by": "walk" if tables is None else "tables"}
+        forest, xs, ys = inputs
+        for budget, on_tables in ((tree_mod._TABLE_ENTRIES, True), (0, False)):
+            model, scores, tables = cells_as_points(forest.trees, forest.psi, xs, ys, budget)
+            assert tables == on_tables
+            assert same_bits(scores, walk_grid_scores(model, xs, ys))
 
-    def test_non_finite_thresholds_and_lines(self, monkeypatch):
+    def test_non_finite_thresholds_and_lines(self):
         # NaN goes right at every split, as in the walk; from the tables,
         # then over a patched-small budget through the walk; each axis
         # takes both sets of values
-        trees = [{"feature": np.array([0, -1, 1, -1, -1]),
-                  "threshold": np.array([np.nan, 0.0, np.inf, 0.0, 0.0]),
-                  "left": np.array([1, -1, 3, -1, -1]),
-                  "right": np.array([2, -1, 4, -1, -1])},
-                 {"feature": np.array([1, -1, -1]),
-                  "threshold": np.array([-np.inf, 0.0, 0.0]),
-                  "left": np.array([1, -1, -1]), "right": np.array([2, -1, -1])}]
+        trees = hand_iso_trees([
+            {"feature": np.array([0, -1, 1, -1, -1]),
+             "threshold": np.array([np.nan, 0.0, np.inf, 0.0, 0.0]),
+             "left": np.array([1, -1, 3, -1, -1]), "right": np.array([2, -1, 4, -1, -1])},
+            {"feature": np.array([1, -1, -1]), "threshold": np.array([-np.inf, 0.0, 0.0]),
+             "left": np.array([1, -1, -1]), "right": np.array([2, -1, -1])}])
         lines = (np.array([np.nan, 1.0, -np.inf, np.inf, -0.0]),
                  np.array([np.inf, np.nan, -np.inf, -1.0]))
-        for scored_by in ("tables", "walk"):
-            if scored_by == "walk":
-                monkeypatch.setattr(tree_mod, "_TABLE_ENTRIES", 10)
+        for budget, on_tables in ((tree_mod._TABLE_ENTRIES, True), (10, False)):
             for xs, ys in (lines, lines[::-1]):
-                model = hand_forest(trees, 2)
-                scores, sizes = model.grid_scores(xs, ys)
-                assert sizes == {"scored_by": scored_by}
+                model, scores, tables = cells_as_points(trees, 2, xs, ys, budget)
+                assert tables == on_tables
                 assert same_bits(scores, walk_grid_scores(model, xs, ys))
 
-    def test_over_budget_forest_scores_the_walk(self, monkeypatch):
+    def test_over_budget_forest_scores_the_walk(self):
         # the same trees, with their tables and over a patched-small budget
         X = cloud(300, seed=22)
         trees = fit_isolation_forest(X, IsoForestParams(n_trees=20, seed=3)).trees
         xs = np.linspace(-3.0, 3.0, 23)
         ys = np.linspace(-2.5, 2.5, 19)
-        on_tables, sizes = IsolationForestModel(trees, 256, 2).grid_scores(xs, ys)
-        assert sizes == {"scored_by": "tables"}
-        monkeypatch.setattr(tree_mod, "_TABLE_ENTRIES", 1000)
-        model = IsolationForestModel(trees, 256, 2)
-        walked, sizes = model.grid_scores(xs, ys)
-        assert sizes == {"scored_by": "walk"}
+        _, on_tables, tables = cells_as_points(trees, 256, xs, ys)
+        assert tables
+        model, walked, tables = cells_as_points(trees, 256, xs, ys, budget=1000)
+        assert not tables
         assert same_bits(walked, on_tables)
         assert same_bits(walked, walk_grid_scores(model, xs, ys))
 
-    def test_empty_grid_and_bad_inputs(self, monkeypatch):
+    def test_empty_grid_and_bad_inputs(self):
         # an empty grid from the tables and, over a patched-small budget,
         # through the walk
         trees = fit_isolation_forest(cloud(50, seed=21), IsoForestParams(n_trees=3)).trees
-        for scored_by in ("tables", "walk"):
-            if scored_by == "walk":
-                monkeypatch.setattr(tree_mod, "_TABLE_ENTRIES", 10)
-            scores, sizes = IsolationForestModel(trees, 50, 2).grid_scores(
-                np.array([]), np.array([1.0]))
-            assert scores.shape == (1, 0) and sizes == {"scored_by": scored_by}
+        for budget, on_tables in ((tree_mod._TABLE_ENTRIES, True), (10, False)):
+            _, scores, tables = cells_as_points(trees, 50, np.array([]), np.array([1.0]), budget)
+            assert scores.shape == (1, 0) and tables == on_tables
         # a forest on 1 or 3 columns has no (x, y) grid, also when its
         # splits read columns 0 and 1 alone and it has cell tables
-        monkeypatch.undo()
         X = cloud(50, d=3, seed=21)
         for wrong, has_tables in ((X[:, :1], True), (X, False),
                                   (np.column_stack([X[:, :2], np.zeros(50)]), True)):
             model = fit_isolation_forest(wrong, IsoForestParams(n_trees=3))
             assert (model._paths._cell_tables() is not None) == has_tables
             with pytest.raises(DataError, match=r"expected \(n, \d\) inputs, got \(4, 2\)"):
-                model.grid_scores(np.zeros(2), np.zeros(2))
+                model.boundary_score(grid_cells(np.zeros(2), np.zeros(2)))
 
 
 _QUERY_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0]
@@ -1017,6 +1025,22 @@ class TestCellTables:
         ens, X = inputs
         assert ens._cell_tables() is not None
         assert same_bits(ens.sum(X), walk_sum(ens, X))
+
+    def test_inputs_wider_than_the_split_columns(self):
+        # a forest whose splits read column 0 alone, and one of single
+        # leaves (no split column), scored on three columns, with and
+        # without rows
+        X = cloud(100, d=3, seed=40)
+        leaf = {"feature": np.array([-1]), "threshold": np.array([0.0]),
+                "left": np.array([-1]), "right": np.array([-1])}
+        probe = np.vstack([X, [[np.nan, 0.0, 0.0], [np.inf, np.nan, 1.0]]])
+        for ens, n_columns in (
+                (_iso_ensemble(fit_isolation_forest(X[:, :1], IsoForestParams(n_trees=8)).trees), 1),
+                (tree_mod.FlatEnsemble([leaf] * 3, [np.array([v]) for v in (0.5, 1.25, -2.0)]), 0)):
+            assert ens.n_columns == n_columns
+            assert len(ens._cell_tables().lines) == n_columns
+            for rows in (probe, probe[:0]):
+                assert same_bits(ens.sum(rows), walk_sum(ens, rows))
 
     def test_novelty_forest_tables_equal_walk(self):
         # the benchmark's forest size: 100 trees of a 256-row subsample

@@ -693,10 +693,8 @@ def test_novelty_manifest(nov):
     grids = man["grids"]
     assert set(grids) == set(fits)
     for label, sizes in grids.items():
-        # 5 x 5 cells; 200 training, 50 regular and 50 novel points; a
-        # forest on one eye's (x, y) reads its grid from its cell tables
-        scored = {"scored_by": "tables"} if label.startswith("iforest") else {}
-        assert sizes == {"grid_cells": 25, "points": 300, **scored}
+        # 5 x 5 cells; 200 training, 50 regular and 50 novel points
+        assert sizes == {"grid_cells": 25, "points": 300}
 
 
 def test_novelty_warns_on_unconverged_ocsvm(tmp_path, monkeypatch):
@@ -1012,13 +1010,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert err.startswith("error (evaluate):") and "Traceback" not in err
 
     # tree files that would split on a missing column, index past the node
-    # arrays, or loop forever at a root that is its own child
+    # arrays, loop forever at a root that is its own child, or send every
+    # row right at a NaN root threshold
     assert cli_main(["train", "--n-control", "1", "--n-concussed", "1", "--seed", "0",
                      "--models", "DT", "--out-dir", str(tmp_path / "dt")]) == 0
     tree = json.loads((tmp_path / "dt" / "models" / "DT.json").read_text())
     assert tree["params"]["feature"][0] >= 0
     for name, root in [("far_feature", {"feature": 20}), ("far_left", {"left": 10 ** 6}),
-                       ("own_child", {"left": 0, "right": 0})]:
+                       ("own_child", {"left": 0, "right": 0}),
+                       ("nan_threshold", {"threshold": float("nan")}),
+                       ("inf_p1", {"p1": float("inf")})]:
         params = {k: [root.get(k, v[0])] + v[1:] for k, v in tree["params"].items()}
         os.makedirs(tmp_path / name)
         (tmp_path / name / "DT.json").write_text(json.dumps({**tree, "params": params}))
