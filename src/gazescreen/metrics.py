@@ -2,12 +2,12 @@
 and the two-way report table (models x metrics).
 
 Positive class is 1 (concussed). Metrics whose denominator is empty are
-reported as NaN together with a reason string instead of a silent 0.
+reported as NaN, not a silent 0.
 """
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,7 @@ def confusion_matrix(y_true, y_pred):
 
 @dataclass
 class MetricSet:
-    """The six report metrics; NaN entries carry a reason in `undefined`."""
+    """The six report metrics; an undefined one is NaN."""
 
     accuracy: float
     sensitivity: float
@@ -60,8 +60,6 @@ class MetricSet:
     precision: float
     f1: float
     auc: float
-    auc_from_labels: bool = False
-    undefined: dict = field(default_factory=dict)
 
     def by_name(self):
         return {name: getattr(self, f) for name, f in METRIC_FIELDS.items()}
@@ -139,48 +137,30 @@ def roc_auc_trapezoid(fpr, tpr):
 def compute_metrics(cm, y_true=None, scores=None):
     """MetricSet from a confusion matrix, with rank AUC when scores are given.
 
-    Without scores, AUC falls back to balanced accuracy ((sens+spec)/2) and
-    is flagged via `auc_from_labels`.
+    Without scores, AUC falls back to balanced accuracy ((sens+spec)/2). A
+    rate with an empty denominator is NaN, and so is every metric derived
+    from it; a rank AUC is NaN when only one class is present.
     """
-    undefined = {}
+    def rate(num, den):
+        return float("nan") if den == 0 else num / den
 
-    def rate(num, den, name, reason):
-        if den == 0:
-            undefined[name] = reason
-            return float("nan")
-        return num / den
-
-    total = cm.total
-    acc = rate(cm.tp + cm.tn, total, "accuracy", "no samples")
-    sens = rate(cm.tp, cm.tp + cm.fn, "sensitivity", "no positive samples (tp+fn == 0)")
-    spec = rate(cm.tn, cm.tn + cm.fp, "specificity", "no negative samples (tn+fp == 0)")
-    prec = rate(cm.tp, cm.tp + cm.fp, "precision", "no positive predictions (tp+fp == 0)")
-    if "sensitivity" in undefined or "precision" in undefined:
-        undefined["f1"] = "precision or sensitivity undefined"
-        f1 = float("nan")
-    elif prec + sens == 0:
-        f1 = 0.0
+    acc = rate(cm.tp + cm.tn, cm.total)
+    sens = rate(cm.tp, cm.tp + cm.fn)
+    spec = rate(cm.tn, cm.tn + cm.fp)
+    prec = rate(cm.tp, cm.tp + cm.fp)
+    # a NaN input makes the sum NaN, which is not 0, so f1 is NaN too
+    f1 = 0.0 if prec + sens == 0 else 2 * prec * sens / (prec + sens)
+    if scores is None:
+        auc = 0.5 * (sens + spec)
+    elif y_true is None:
+        raise DataError("scores were given without y_true")
     else:
-        f1 = 2 * prec * sens / (prec + sens)
-    auc_from_labels = False
-    if scores is not None:
-        if y_true is None:
-            raise DataError("scores were given without y_true")
         try:
             auc = auc_score(y_true, scores)
         except SingleClass:
-            undefined["auc"] = "only one class present"
             auc = float("nan")
-    else:
-        auc_from_labels = True
-        if "sensitivity" in undefined or "specificity" in undefined:
-            undefined["auc"] = "sensitivity or specificity undefined"
-            auc = float("nan")
-        else:
-            auc = 0.5 * (sens + spec)
     return MetricSet(accuracy=acc, sensitivity=sens, specificity=spec,
-                     precision=prec, f1=f1, auc=auc,
-                     auc_from_labels=auc_from_labels, undefined=undefined)
+                     precision=prec, f1=f1, auc=auc)
 
 
 def evaluate_predictions(y_true, y_pred, scores=None):

@@ -9,7 +9,7 @@ import numpy as np
 from .. import forked
 from ..settings import Settings
 from .base import FeatureMatrix, FittedModel
-from .tree import CartGrower, FlatEnsemble, TreeParams, checked_trees
+from .tree import CartGrower, FlatEnsemble, TreeParams, checked_trees, tree_rng
 
 
 @dataclass
@@ -34,11 +34,6 @@ class ForestParams(Settings):
 # against one took 30.3 vs 27.4 ms at 15,000 bag rows, 53.3 vs 49.7 ms at
 # 30,000, 68.9 vs 71.2 ms at 40,000 and 110.6 vs 146.0 ms at 60,000
 _BAG_ROWS_PER_PROCESS = 30_000
-
-
-def _tree_rng(seed, index):
-    # per-tree stream: SeedSequence keyed by (forest seed, tree index)
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
 class RandomForestModel(FittedModel):
@@ -82,7 +77,7 @@ def fit_random_forest(fm: FeatureMatrix, hp: ForestParams = None, seed: int = 0)
     ends = [n_trees * j // k for j in range(k + 1)]
 
     def grow(piece):
-        rngs = [_tree_rng(seed, i) for i in range(ends[piece], ends[piece + 1])]
+        rngs = [tree_rng(seed, i) for i in range(ends[piece], ends[piece + 1])]
         bags = [rng.integers(0, fm.n, size=n_draw) if hp.bootstrap else np.arange(n_draw)
                 for rng in rngs]
         return grower.grow(w, bags, rngs)

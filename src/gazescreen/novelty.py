@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DataError, InvalidSpec
 from .kernels import KernelRowCache, check_gamma, kernel_expansion, resolve_gamma, smo
 from .models.base import as_rows
-from .models.tree import FlatEnsemble, grow_preorder
+from .models.tree import FlatEnsemble, grow_preorder, tree_rng
 from .settings import Settings
 
 
@@ -179,7 +179,6 @@ class IsolationForestModel:
         self.n_features = n_features
         self.n_nodes = sum(len(t["feature"]) for t in trees)
         self.meta = {"n_trees": len(trees)}
-        self._c_psi = float(average_path_lengths([psi])[0])
         self._paths = _iso_ensemble(trees)
 
     def expected_path_length(self, X):
@@ -187,7 +186,7 @@ class IsolationForestModel:
         return self._paths.sum(X) / len(self.trees)
 
     def anomaly_score(self, X):
-        return np.power(2.0, -self.expected_path_length(X) / self._c_psi)
+        return np.power(2.0, -self.expected_path_length(X) / average_path_lengths([self.psi])[0])
 
     def boundary_score(self, X):
         return 0.5 - self.anomaly_score(X)
@@ -207,8 +206,7 @@ def fit_isolation_forest(X, params: IsoForestParams = None):
         raise DataError("isolation forest: a feature's range exceeds the float range")
     psi = min(params.subsample, len(X))
     height_limit = int(np.ceil(np.log2(psi)))
-    rngs = [np.random.default_rng(np.random.SeedSequence((params.seed, i)))
-            for i in range(params.n_trees)]
+    rngs = [tree_rng(params.seed, i) for i in range(params.n_trees)]
     bags = [g.choice(len(X), size=psi, replace=False) for g in rngs]
     trees, rounds = _grow_iso_forest(X, bags, rngs, height_limit)
     model = IsolationForestModel(trees, psi, X.shape[1])

@@ -67,8 +67,7 @@ def test_metrics_hand_example():
     assert m.specificity == pytest.approx(0.8, abs=1e-12)
     assert m.precision == pytest.approx(90 / 110, abs=1e-12)
     assert m.f1 == pytest.approx(2 * (90 / 110) * 0.9 / ((90 / 110) + 0.9), abs=1e-12)
-    # no scores: AUC falls back to balanced accuracy and is flagged
-    assert m.auc_from_labels
+    # no scores: AUC falls back to balanced accuracy
     assert m.auc == pytest.approx(0.85, abs=1e-12)
 
 
@@ -129,17 +128,20 @@ def test_auc_invariant_under_monotone_transform():
         assert auc_score(y, f(s)) == pytest.approx(base, abs=1e-12)
 
 
-def test_undefined_metrics_are_nan_with_reasons():
+def test_undefined_metrics_are_nan():
     # no positives at all -> sensitivity undefined; no positive predictions
-    # -> precision undefined
+    # -> precision undefined; f1 and the label-only AUC follow them
     m = evaluate_predictions([0, 0, 0], [0, 0, 0])
-    assert np.isnan(m.sensitivity) and "sensitivity" in m.undefined
-    assert np.isnan(m.precision) and "precision" in m.undefined
-    assert np.isnan(m.f1) and "f1" in m.undefined
+    assert np.isnan(m.sensitivity)
+    assert np.isnan(m.precision)
+    assert np.isnan(m.f1)
+    assert np.isnan(m.auc)
     assert m.specificity == 1.0
     m2 = evaluate_predictions([1, 1], [0, 0])
-    assert np.isnan(m2.specificity) and "specificity" in m2.undefined
+    assert np.isnan(m2.specificity)
+    assert np.isnan(m2.auc)
     assert m2.sensitivity == 0.0
+    assert np.isnan(m2.precision) and np.isnan(m2.f1)
 
 
 def test_single_class_auc_raises():

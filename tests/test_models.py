@@ -1277,7 +1277,9 @@ class TestSerialization:
         ({"threshold": [float("inf"), 0.0, 0.0]}, "threshold must be finite"),
         ({"p1": [0.5, float("nan"), 1.0]}, "p1 must be finite"),
         ({"p1": [0.5, 0.0, -float("inf")]}, "p1 must be finite"),
-        ({"node_weight": [2.0, float("inf"), 1.0]}, "node_weight must be finite")])
+        ({"node_weight": [2.0, float("inf"), 1.0]}, "node_weight must be finite"),
+        ({"p1": [0.5, 0.0, 7.0]}, r"p1 7.0 is outside \[0, 1\]"),
+        ({"p1": [-0.5, 0.0, 1.0]}, r"p1 -0.5 is outside \[0, 1\]")])
     def test_bad_tree_nodes_rejected(self, edit, match):
         # a stump on 2 columns with one node array edited, in each tree kind
         nodes = {"feature": [1, -1, -1], "threshold": [0.5, 0.0, 0.0],
@@ -1290,6 +1292,17 @@ class TestSerialization:
                        "n_features": 2, "meta": {}, "params": params}
             with pytest.raises(InvalidSpec, match=f"{kind} model file.*{match}"):
                 model_from_dict(payload)
+
+    def test_p1_rounded_past_one_loads(self):
+        # a pure node's weighted p1 can round a few eps past 1; a leaf so
+        # stored loads and scores as it is
+        p1 = 1.0 + 4 * np.finfo(float).eps
+        model = model_from_dict({
+            "format": "gazescreen-model", "version": 1, "kind": "DT", "n_features": 2,
+            "meta": {}, "params": {"feature": [1, -1, -1], "threshold": [0.5, 0.0, 0.0],
+                                   "left": [1, -1, -1], "right": [2, -1, -1],
+                                   "p1": [0.5, 0.0, p1], "node_weight": [2.0, 1.0, 1.0]}})
+        assert model.decision_score([[0.0, 1.0]])[0] == p1
 
     def test_file_without_converged_loads_converged(self):
         model = model_from_dict({

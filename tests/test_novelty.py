@@ -836,7 +836,8 @@ def walk_grid_scores(model, xs, ys):
     """Reference: the boundary scores 0.5 - 2^(-E[h] / c(psi)) of the
     grid's rows from the walk (`walk_sum`), as (len(ys), len(xs))."""
     eh = walk_sum(model._paths, meshgrid_rows(xs, ys)) / len(model.trees)
-    return (0.5 - np.power(2.0, -eh / model._c_psi)).reshape(len(ys), len(xs))
+    c_psi = average_path_lengths([model.psi])[0]
+    return (0.5 - np.power(2.0, -eh / c_psi)).reshape(len(ys), len(xs))
 
 
 def cells_as_points(trees, psi, xs, ys, budget=tree_mod._TABLE_ENTRIES):

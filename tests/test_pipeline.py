@@ -1010,17 +1010,21 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert err.startswith("error (evaluate):") and "Traceback" not in err
 
     # tree files that would split on a missing column, index past the node
-    # arrays, loop forever at a root that is its own child, or send every
-    # row right at a NaN root threshold
+    # arrays, loop forever at a root that is its own child, send every row
+    # right at a NaN root threshold, or score a leaf's rows 7
     assert cli_main(["train", "--n-control", "1", "--n-concussed", "1", "--seed", "0",
                      "--models", "DT", "--out-dir", str(tmp_path / "dt")]) == 0
     tree = json.loads((tmp_path / "dt" / "models" / "DT.json").read_text())
     assert tree["params"]["feature"][0] >= 0
-    for name, root in [("far_feature", {"feature": 20}), ("far_left", {"left": 10 ** 6}),
-                       ("own_child", {"left": 0, "right": 0}),
-                       ("nan_threshold", {"threshold": float("nan")}),
-                       ("inf_p1", {"p1": float("inf")})]:
-        params = {k: [root.get(k, v[0])] + v[1:] for k, v in tree["params"].items()}
+    leaf = tree["params"]["feature"].index(-1)
+    for name, node, edit in [("far_feature", 0, {"feature": 20}),
+                             ("far_left", 0, {"left": 10 ** 6}),
+                             ("own_child", 0, {"left": 0, "right": 0}),
+                             ("nan_threshold", 0, {"threshold": float("nan")}),
+                             ("inf_p1", 0, {"p1": float("inf")}),
+                             ("leaf_p1_7", leaf, {"p1": 7.0})]:
+        params = {k: [edit.get(k, x) if i == node else x for i, x in enumerate(v)]
+                  for k, v in tree["params"].items()}
         os.makedirs(tmp_path / name)
         (tmp_path / name / "DT.json").write_text(json.dumps({**tree, "params": params}))
         capsys.readouterr()

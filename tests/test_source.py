@@ -181,6 +181,65 @@ def test_checker_sees_an_unread_definition():
         "recursive", "Exported", "UNREAD", "GROWN", "GROWN"]
 
 
+def attributes_and_reads(tree):
+    """(Class.name, line) of each attribute of each module-level class,
+    dunders aside: its annotated fields, its class-level assignments and
+    each `self.<name> = ...` in its body; and each name the module reads as
+    an attribute, which is a load as an attribute or the name as a string
+    constant (`getattr(self, name)` over METRIC_FIELDS reads by string)."""
+    defined = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        targets = []
+        for item in cls.body:
+            if isinstance(item, ast.Assign):
+                targets += [t for t in item.targets if isinstance(t, ast.Name)]
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                targets.append(item.target)
+        targets += [n for n in ast.walk(cls) if isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"]
+        defined += [(f"{cls.name}.{t.id if isinstance(t, ast.Name) else t.attr}", t.lineno)
+                    for t in targets]
+    reads = {n.attr for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    reads |= {n.value for n in ast.walk(tree)
+              if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return [(name, line) for name, line in defined
+            if not name.partition(".")[2].startswith("__")], reads
+
+
+def test_every_attribute_is_read():
+    """A field or attribute of a package class that src/ and demos/ never
+    read is state that only tests see, or that nothing sees."""
+    defined, reads = [], set()
+    for path in READERS:
+        names, more = attributes_and_reads(ast.parse(path.read_text(), filename=str(path)))
+        reads |= more
+        if SRC in path.parents:
+            defined += [(name, f"{path.relative_to(SRC)}:{line} {name}") for name, line in names]
+    unread = sorted({where for name, where in defined if name.partition(".")[2] not in reads})
+    assert defined and not unread, f"defined but never read: {', '.join(unread)}"
+
+
+def test_checker_sees_an_unread_attribute():
+    defined, reads = attributes_and_reads(ast.parse(
+        "class A:\n"
+        "    KIND = 'a'\n"
+        "    field: int\n"
+        "    by_string: float = 0.0\n"
+        "    never: dict\n"
+        "    __slots__ = ()\n"
+        "    def __init__(self):\n"
+        "        self.elsewhere = 1\n        self.unread = 2\n        self.field = 3\n"
+        "print(A.KIND, A().field, getattr(A(), 'by_string'), A().elsewhere)\n"))
+    assert [n for n, _ in defined] == ["A.KIND", "A.field", "A.by_string", "A.never",
+                                       "A.elsewhere", "A.unread", "A.field"]
+    assert [n for n, _ in defined if n.partition(".")[2] not in reads] == [
+        "A.never", "A.unread"]
+
+
 def pipeline_error_calls(tree):
     """(scope, line) of each `PipelineError(...)` call under tree, where
     scope names the definitions around it, `Class.method` or `function`,
